@@ -21,7 +21,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np
 
 from convpred import data_io, evaluation, scenario
-from convpred.cli import _render_grid
 
 # predictor rows mirroring the usual comparison: coherence and score features
 # behind a random forest, the strongest coherence feature behind logistic and
@@ -38,10 +37,17 @@ GRID = [
 ]
 
 
-def evaluate_scenario(runs, labels, seed, pairs, settings):
+def split_for(runs, labels, seed):
+    """The seeded stratified split; its warnings go to stderr."""
     split = evaluation.split_conversations(
         [r.conversation_id for r in runs], labels.final_labels(), seed=seed
     )
+    for warning in split.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    return split
+
+
+def evaluate_scenario(runs, labels, split, seed, pairs, settings):
     combined = evaluation.EvalReport()
     for predictor, classifier in GRID:
         report = evaluation.run_turn_pair(
@@ -58,7 +64,7 @@ def mcnemar_vs_best_baseline(report):
     """Per-cell McNemar of the AE row against the best-mean-accuracy baseline row."""
     by_row = defaultdict(list)
     for record in report.predictions:
-        predictor, classifier, scenario_name, mode, pair, cutoff = record.cell_id.split("|")
+        predictor, classifier, _ = record.cell_id.split("|", 2)
         by_row[(predictor, classifier)].append(record)
 
     def mean_accuracy(records):
@@ -67,24 +73,9 @@ def mcnemar_vs_best_baseline(report):
     baselines = {k: v for k, v in by_row.items() if k[0] != "ae"}
     best = max(baselines, key=lambda k: mean_accuracy(baselines[k]))
     lines = [f"McNemar: ae/ae-head vs best baseline {best[0]}/{best[1]}"]
-
-    def by_cell(records):
-        cells = defaultdict(dict)
-        for r in records:
-            cells[r.cell_id.split("|", 2)[2]][r.conversation_id] = r
-        return cells
-
-    ae_cells = by_cell(by_row[("ae", "ae-head")])
-    base_cells = by_cell(by_row[best])
-    for cell in sorted(ae_cells):
-        a = ae_cells[cell]
-        b = base_cells[cell]
-        cids = sorted(a)
-        chi2, significant = evaluation.mcnemar(
-            [a[c].predicted for c in cids],
-            [b[c].predicted for c in cids],
-            [a[c].actual for c in cids],
-        )
+    paired = evaluation.paired_predictions(by_row[("ae", "ae-head")], by_row[best])
+    for cell in sorted(paired):
+        chi2, significant = evaluation.mcnemar(*paired[cell])
         marker = "*" if significant else " "
         lines.append(f"  {cell}: chi2={chi2:6.3f} {marker}")
     return "\n".join(lines)
@@ -114,23 +105,23 @@ def main():
                        header_comment=f"protocol gen seed={args.seed} n={args.n}")
 
     base_labels = scenario.label_runs(runs, cutoff=100)
+    base_split = split_for(runs, base_labels, args.seed)
     print("base scenario:")
-    base_report = evaluate_scenario(runs, base_labels, args.seed, pairs, settings)
+    base_report = evaluate_scenario(runs, base_labels, base_split, args.seed, pairs, settings)
 
     modified, missing_labels = scenario.induce_missing(
         runs, base_labels, fraction=args.fraction, seed=args.seed
     )
     print(f"missing-target scenario ({len(missing_labels.forced)} targets removed):")
-    missing_report = evaluate_scenario(modified, missing_labels, args.seed, pairs, settings)
+    missing_split = split_for(modified, missing_labels, args.seed)
+    missing_report = evaluate_scenario(modified, missing_labels, missing_split, args.seed, pairs, settings)
 
     combined = evaluation.EvalReport()
     combined.extend(base_report)
     combined.extend(missing_report)
 
-    split = evaluation.split_conversations(
-        [r.conversation_id for r in runs], base_labels.final_labels(), seed=args.seed
-    )
-    cutoff_report = evaluation.cutoff_sensitivity(runs, split, settings=settings, seed=args.seed)
+    # cutoff mode relabels at each cutoff; its split comes from the cutoff-100 base labels
+    cutoff_report = evaluation.cutoff_sensitivity(runs, base_split, settings=settings, seed=args.seed)
     print("cutoff sensitivity (top-1 input, single turn):")
     for row in cutoff_report.rows:
         print(f"  found at {row.cutoff:3d}: accuracy {row.accuracy:.3f}")
@@ -141,7 +132,7 @@ def main():
     evaluation.write_predictions(combined, args.outdir / "predictions.csv",
                                  header_comment=f"protocol seed={args.seed}")
 
-    _, grid_text = _render_grid(combined.rows)
+    _, grid_text = evaluation.render_grid(combined.rows)
     significance = mcnemar_vs_best_baseline(
         evaluation.EvalReport(
             rows=base_report.rows + missing_report.rows,

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import defaultdict
 
 from . import data_io, evaluation, features, scenario
-from .core import ValidationError
+from .core import ValidationError, write_csv, write_header
 from .evaluation import CLASSIFIERS, PREDICTORS, EvalSettings
 
-FEATURE_CHOICES = ("ac", "wand", "rv", "apr", "score", "pooled", "top1")
+FEATURE_CHOICES = tuple(features.FEATURE_KINDS)
 
 
 def _settings_from_args(args) -> EvalSettings:
@@ -114,37 +113,31 @@ def cmd_eval(args) -> int:
     )
     if args.mode == "cutoff":
         cutoffs = tuple(int(c) for c in args.cutoffs.split(","))
-        base = scenario.label_runs(runs, cutoff=max(cutoffs))
-        split = evaluation.split_conversations(
-            [r.conversation_id for r in runs],
-            base.final_labels(),
-            ratio=args.split_ratio,
-            seed=args.seed,
-            stratified=not args.no_stratify,
-        )
+        labels = scenario.label_runs(runs, cutoff=max(cutoffs))
+    elif args.labels is None:
+        raise ValidationError("--labels is required for multi/single evaluation")
+    else:
+        labels = scenario.read_labels(args.labels)
+    split = evaluation.split_conversations(
+        [r.conversation_id for r in runs],
+        labels.final_labels(),
+        ratio=args.split_ratio,
+        seed=args.seed,
+        stratified=not args.no_stratify,
+    )
+    for warning in split.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    if args.mode == "cutoff":
         pair = (args.pair, args.pair + 1)
         report = evaluation.cutoff_sensitivity(
             runs, split, cutoffs=cutoffs, pair=pair, settings=settings, seed=args.seed
         )
     else:
-        if args.labels is None:
-            raise ValidationError("--labels is required for multi/single evaluation")
-        labels = scenario.read_labels(args.labels)
-        classifier = args.classifier
-        if args.predictor == "ae":
-            classifier = "ae-head"
-        split = evaluation.split_conversations(
-            [r.conversation_id for r in runs],
-            labels.final_labels(),
-            ratio=args.split_ratio,
-            seed=args.seed,
-            stratified=not args.no_stratify,
-        )
         report = evaluation.run_turn_pair(
             runs,
             labels,
             args.predictor,
-            classifier,
+            "ae-head" if args.predictor == "ae" else args.classifier,
             split,
             pairs=_parse_pairs(args.pairs),
             settings=settings,
@@ -162,53 +155,22 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _group_key(cell_id: str) -> tuple:
-    parts = cell_id.split("|")
-    return tuple(parts[2:])  # scenario, mode, pair, cutoff
-
-
 def cmd_compare(args) -> int:
-    preds_a = evaluation.read_predictions(args.a)
-    preds_b = evaluation.read_predictions(args.b)
-
-    def grouped(records):
-        groups = defaultdict(dict)
-        for rec in records:
-            groups[_group_key(rec.cell_id)][rec.conversation_id] = rec
-        return groups
-
-    ga, gb = grouped(preds_a), grouped(preds_b)
-    shared = [key for key in ga if key in gb]
-    if not shared:
-        raise ValidationError("prediction files share no evaluation cells")
+    paired = evaluation.paired_predictions(
+        evaluation.read_predictions(args.a), evaluation.read_predictions(args.b)
+    )
+    if args.pooled:
+        pa = [p for ps, _, _ in paired.values() for p in ps]
+        pb = [p for _, ps, _ in paired.values() for p in ps]
+        actual = [a for _, _, acts in paired.values() for a in acts]
+        paired = {"pooled": (pa, pb, actual)}
 
     lines = []
-    results = []
-    for key in shared:
-        ra, rb = ga[key], gb[key]
-        if set(ra) != set(rb):
-            raise ValidationError(f"cell {'|'.join(key)}: test conversations differ between files")
-        cids = sorted(ra)
-        pa = [ra[c].predicted for c in cids]
-        pb = [rb[c].predicted for c in cids]
-        actual = [ra[c].actual for c in cids]
-        for c in cids:
-            if ra[c].actual != rb[c].actual:
-                raise ValidationError(f"cell {'|'.join(key)}: ground truth differs for {c!r}")
-        results.append((key, pa, pb, actual))
-
-    if args.pooled:
-        pa = [p for _, ps, _, _ in results for p in ps]
-        pb = [p for _, _, ps, _ in results for p in ps]
-        actual = [a for _, _, _, acts in results for a in acts]
-        results = [(("pooled",), pa, pb, actual)]
-
-    out_rows = []
-    for key, pa, pb, actual in results:
+    out_rows = [["cell", "accuracy_a", "accuracy_b", "chi2", "significant"]]
+    for label, (pa, pb, actual) in paired.items():
         chi2, significant = evaluation.mcnemar(pa, pb, actual)
         acc_a = evaluation.accuracy(pa, actual)
         acc_b = evaluation.accuracy(pb, actual)
-        label = "|".join(key)
         lines.append(
             f"{label}: acc_a={acc_a:.4f} acc_b={acc_b:.4f} chi2={chi2:.4f} "
             f"significant={'yes' if significant else 'no'}"
@@ -217,46 +179,9 @@ def cmd_compare(args) -> int:
 
     print("\n".join(lines))
     if args.out:
-        import csv
-
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(f"# convpred compare a={args.a} b={args.b} pooled={args.pooled}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["cell", "accuracy_a", "accuracy_b", "chi2", "significant"])
-            writer.writerows(out_rows)
+        write_csv(args.out, f"convpred compare a={args.a} b={args.b} pooled={args.pooled}", out_rows)
         print(f"wrote {args.out}")
     return 0
-
-
-def _render_grid(rows):
-    pair_cols = sorted({(r.turn_train, r.turn_eval) for r in rows})
-    scenarios = sorted({r.scenario for r in rows})
-    grid_csv = [["scenario", "predictor", "classifier", "mode", "cutoff"]
-                + [f"{t},{e}" for t, e in pair_cols]]
-    text_blocks = []
-    for scen in scenarios:
-        scen_rows = [r for r in rows if r.scenario == scen]
-        keys = sorted({(r.predictor, r.classifier, r.mode, r.cutoff) for r in scen_rows})
-        cells = {}
-        for r in scen_rows:
-            cells[(r.predictor, r.classifier, r.mode, r.cutoff, r.turn_train, r.turn_eval)] = r.accuracy
-        label_width = max(
-            [len(f"{p}/{c} [{m}] @cutoff{k}") for p, c, m, k in keys] + [len("predictor/classifier")]
-        )
-        header = f"== scenario: {scen} =="
-        lines = [header, "predictor/classifier".ljust(label_width) + "".join(f"{f'{t},{e}':>8}" for t, e in pair_cols)]
-        for p, c, m, k in keys:
-            label = f"{p}/{c} [{m}] @cutoff{k}"
-            row_csv = [scen, p, c, m, k]
-            line = label.ljust(label_width)
-            for t, e in pair_cols:
-                acc = cells.get((p, c, m, k, t, e))
-                row_csv.append("" if acc is None else repr(acc))
-                line += f"{'' if acc is None else format(acc, '.3f'):>8}"
-            grid_csv.append(row_csv)
-            lines.append(line)
-        text_blocks.append("\n".join(lines))
-    return grid_csv, "\n\n".join(text_blocks)
 
 
 def cmd_report(args) -> int:
@@ -265,17 +190,13 @@ def cmd_report(args) -> int:
         rows.extend(evaluation.read_report(path))
     if not rows:
         raise ValidationError("no report rows found in the input files")
-    grid_csv, text = _render_grid(rows)
+    grid_csv, text = evaluation.render_grid(rows)
+    header = f"convpred report inputs={','.join(args.inputs)}"
     if args.out_csv:
-        import csv
-
-        with open(args.out_csv, "w", encoding="utf-8", newline="") as fh:
-            fh.write(f"# convpred report inputs={','.join(args.inputs)}\n")
-            writer = csv.writer(fh)
-            writer.writerows(grid_csv)
+        write_csv(args.out_csv, header, grid_csv)
     if args.out_text:
         with open(args.out_text, "w", encoding="utf-8") as fh:
-            fh.write(f"# convpred report inputs={','.join(args.inputs)}\n")
+            write_header(fh, header)
             fh.write(text)
             fh.write("\n")
     print(text)

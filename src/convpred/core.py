@@ -5,12 +5,18 @@ one ranked list of retrieved items per turn, an embedding for every item.
 Scores are "higher is better" throughout and rank 1 is the top of a ranking.
 All types are immutable after construction and all operations are pure, so
 conversations can be processed concurrently without coordination.
+
+Every artefact file opens with the settings that produced it as ``#`` comment
+lines; :func:`write_header` writes them and :func:`write_csv` and
+:func:`read_csv` frame the CSV artefacts around them.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -28,6 +34,9 @@ __all__ = [
     "validate_run",
     "validate_runs",
     "runs_equal",
+    "write_header",
+    "write_csv",
+    "read_csv",
 ]
 
 
@@ -253,3 +262,37 @@ def runs_equal(a: ConversationRun, b: ConversationRun) -> bool:
             if not np.array_equal(ia.embedding, ib.embedding):
                 return False
     return True
+
+
+def write_header(fh, header_comment: str | None) -> None:
+    """Write each line of ``header_comment`` as a ``#`` comment line.
+
+    Lines that already start with ``#`` are written as they are; the others
+    get a ``# `` prefix. ``None`` or an empty string writes nothing.
+    """
+    if header_comment:
+        for line in header_comment.splitlines():
+            fh.write(line if line.startswith("#") else f"# {line}")
+            fh.write("\n")
+
+
+def write_csv(path, header_comment: str | None, rows) -> None:
+    """Write the header comment, then ``rows`` (column names first) as CSV."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        write_header(fh, header_comment)
+        csv.writer(fh).writerows(rows)
+
+
+def read_csv(path, what: str) -> tuple[list[str], list[list[str]]]:
+    """The column names and records of a CSV artefact, skipping ``#`` lines.
+
+    Raises ValidationError naming the file and ``what`` it should hold when
+    it has no column-name line.
+    """
+    path = Path(path)
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(line for line in fh if not line.startswith("#"))
+        header = next(reader, None)
+        if header is None:
+            raise ValidationError(f"{path.name}: empty {what} file")
+        return header, list(reader)

@@ -33,6 +33,7 @@ from .core import (
     TurnRanking,
     ValidationError,
     validate_runs,
+    write_header,
 )
 
 __all__ = [
@@ -226,10 +227,7 @@ def write_runs(runs, path, header_comment: str | None = None) -> None:
     validate_runs(runs)
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
-        if header_comment:
-            for line in header_comment.splitlines():
-                fh.write(line if line.startswith("#") else f"# {line}")
-                fh.write("\n")
+        write_header(fh, header_comment)
         for run in runs:
             fh.write(json.dumps(run_to_dict(run), separators=(",", ":"), allow_nan=False))
             fh.write("\n")

@@ -1,6 +1,7 @@
 """The experimental protocol: conversation-level splits, per-turn-pair
 training and evaluation, a single-turn ablation, rank-cutoff sensitivity,
-accuracy, and McNemar significance between paired predictors.
+accuracy, McNemar significance between paired predictors, and the report
+grid.
 
 A turn pair (T, T+1) trains a fresh classifier on features from turns 1..T
 (or turn T alone in single mode) against the found-by-turn-(T+1) label, and
@@ -8,18 +9,25 @@ scores it on the held-out conversations. Reports are pure functions of
 (runs, labels, settings, seeds): train/test sets never overlap and no test
 statistics leak into training (standardization happens inside each trainer
 on the train rows only).
+
+Every cell of a report goes through one path. ``_check_cells`` checks that
+the split and the labels cover the runs and keeps the usable pairs;
+``_evaluate_cell`` then fits and scores one (predictor, classifier,
+scenario, mode, pair, cutoff) cell and builds its report row and prediction
+records. ``run_turn_pair`` (multi and single mode) and
+``cutoff_sensitivity`` only build feature matrices and loop over cells. A
+cell is named ``predictor|classifier|scenario|mode|T,E|cutoffC``;
+``paired_predictions`` matches cells on the last four fields.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import autoencoder, classifiers
-from .core import ValidationError, round_half_up
+from .core import ValidationError, read_csv, round_half_up, write_csv
 from .features import FEATURE_KINDS, turn_features
 from .scenario import LabelSet, label_runs
 
@@ -42,6 +50,8 @@ __all__ = [
     "read_report",
     "write_predictions",
     "read_predictions",
+    "paired_predictions",
+    "render_grid",
 ]
 
 PREDICTORS = ("ae", "ac", "wand", "rv", "apr", "score")
@@ -137,6 +147,8 @@ def split_conversations(
     if stratified:
         by_class: dict[int, list[str]] = {}
         for cid in shuffled:
+            if cid not in final_labels:
+                raise ValidationError(f"labels missing conversation {cid!r}")
             by_class.setdefault(final_labels[cid], []).append(cid)
         if any(len(members) < 2 for members in by_class.values()):
             warnings = ("stratification fell back to plain shuffling: a class has < 2 members",)
@@ -202,27 +214,67 @@ def _feature_kind(predictor: str) -> str:
     raise ValueError(f"unknown predictor {predictor!r}; valid: {PREDICTORS}")
 
 
-def _clip_pairs(pairs, n_turns: int):
+def _check_cells(runs, labels: LabelSet, split: Split, pairs):
+    """The usable pairs and each run's row index, after checking that the
+    split and the labels cover the runs up to the last evaluation turn.
+
+    A pair (T, T+1) is usable when 1 <= T and T+1 is within every run; the
+    others are dropped, and no usable pair at all is an error.
+    """
+    n_turns = min(run.n_turns for run in runs)
     usable = [(t, e) for t, e in pairs if e == t + 1 and 1 <= t and e <= n_turns]
     if not usable:
-        raise ValueError(f"no usable turn pairs for runs with {n_turns} turns")
-    return usable
-
-
-def _per_turn_blocks(runs, kind: str, turns, top_n: int) -> dict[int, np.ndarray]:
-    return {
-        t: np.vstack([turn_features(run, kind, t, top_n) for run in runs]) for t in turns
-    }
-
-
-def _align(runs, labels: LabelSet, split: Split):
+        asked = " ".join(f"{t},{e}" for t, e in pairs)
+        raise ValueError(f"no usable turn pairs among {asked} for runs with {n_turns} turns")
     by_id = {run.conversation_id: i for i, run in enumerate(runs)}
     for cid in split.train_ids + split.test_ids:
         if cid not in by_id:
             raise ValidationError(f"split references unknown conversation {cid!r}")
         if cid not in labels.labels:
             raise ValidationError(f"labels missing conversation {cid!r}")
-    return by_id
+    last_turn = max(e for _, e in usable)
+    for cid, vec in labels.labels.items():
+        if cid in by_id and len(vec) < last_turn:
+            raise ValidationError(f"labels for {cid!r} stop before the last evaluation turn")
+    return usable, by_id
+
+
+def _evaluate_cell(
+    X, by_id, labels: LabelSet, split: Split, predictor, classifier, mode, pair, settings, seed
+) -> EvalReport:
+    """Fit one classifier on the train rows of X against the found-by-turn-E
+    label and score the test rows: one report row and its prediction records.
+
+    X holds one feature row per run; ``by_id`` maps a conversation id to its
+    row. The cell seed depends on (seed, T, cutoff) only.
+    """
+    turn_train, turn_eval = pair
+    X_train = X[[by_id[cid] for cid in split.train_ids]]
+    y_train = np.array([labels.label_at(cid, turn_eval) for cid in split.train_ids])
+    X_test = X[[by_id[cid] for cid in split.test_ids]]
+    y_test = np.array([labels.label_at(cid, turn_eval) for cid in split.test_ids])
+    preds = _fit_predict(
+        classifier, X_train, y_train, X_test, settings, _cell_seed(seed, turn_train, labels.cutoff)
+    )
+    row = ReportRow(
+        predictor=predictor,
+        classifier=classifier,
+        scenario=labels.scenario,
+        mode=mode,
+        turn_train=turn_train,
+        turn_eval=turn_eval,
+        cutoff=labels.cutoff,
+        accuracy=accuracy(preds, y_test),
+        n_test=len(y_test),
+    )
+    cell = f"{predictor}|{classifier}|{labels.scenario}|{mode}|{turn_train},{turn_eval}|cutoff{labels.cutoff}"
+    return EvalReport(
+        rows=[row],
+        predictions=[
+            PredictionRecord(cell, cid, int(p), int(a))
+            for cid, p, a in zip(split.test_ids, preds, y_test)
+        ],
+    )
 
 
 def run_turn_pair(
@@ -248,48 +300,21 @@ def run_turn_pair(
     if predictor == "ae" and classifier != "ae-head":
         raise ValueError("the ae predictor implies the ae-head classifier")
     kind = _feature_kind(predictor)
-    n_turns = min(run.n_turns for run in runs)
-    pairs = _clip_pairs(pairs, n_turns)
-    by_id = _align(runs, labels, split)
-    for cid, vec in labels.labels.items():
-        if cid in by_id and len(vec) < max(e for _, e in pairs):
-            raise ValidationError(f"labels for {cid!r} stop before the last evaluation turn")
+    pairs, by_id = _check_cells(runs, labels, split, pairs)
 
     needed_turns = sorted({t for pair in pairs for t in (range(1, pair[0] + 1) if mode == "multi" else [pair[0]])})
-    blocks = _per_turn_blocks(runs, kind, needed_turns, settings.top_n)
+    blocks = {
+        t: np.vstack([turn_features(run, kind, t, settings.top_n) for run in runs]) for t in needed_turns
+    }
 
     report = EvalReport()
-    for turn_train, turn_eval in pairs:
+    for pair in pairs:
         if mode == "multi":
-            X = np.hstack([blocks[t] for t in range(1, turn_train + 1)])
+            X = np.hstack([blocks[t] for t in range(1, pair[0] + 1)])
         else:
-            X = blocks[turn_train]
-        row_of = {cid: X[i] for cid, i in by_id.items()}
-        X_train = np.vstack([row_of[cid] for cid in split.train_ids])
-        y_train = np.array([labels.label_at(cid, turn_eval) for cid in split.train_ids])
-        X_test = np.vstack([row_of[cid] for cid in split.test_ids])
-        y_test = np.array([labels.label_at(cid, turn_eval) for cid in split.test_ids])
-
-        preds = _fit_predict(
-            classifier, X_train, y_train, X_test, settings, _cell_seed(seed, turn_train, labels.cutoff)
-        )
-        cell = f"{predictor}|{classifier}|{labels.scenario}|{mode}|{turn_train},{turn_eval}|cutoff{labels.cutoff}"
-        report.rows.append(
-            ReportRow(
-                predictor=predictor,
-                classifier=classifier,
-                scenario=labels.scenario,
-                mode=mode,
-                turn_train=turn_train,
-                turn_eval=turn_eval,
-                cutoff=labels.cutoff,
-                accuracy=accuracy(preds, y_test),
-                n_test=len(y_test),
-            )
-        )
-        report.predictions.extend(
-            PredictionRecord(cell, cid, int(p), int(a))
-            for cid, p, a in zip(split.test_ids, preds, y_test)
+            X = blocks[pair[0]]
+        report.extend(
+            _evaluate_cell(X, by_id, labels, split, predictor, classifier, mode, pair, settings, seed)
         )
     return report
 
@@ -305,9 +330,7 @@ def run_single_turn(
     seed: int = 0,
 ) -> EvalReport:
     """The single-turn ablation: features come from turn T only."""
-    return run_turn_pair(
-        runs, labels, predictor, classifier, split, pairs, settings, seed, mode="single"
-    )
+    return run_turn_pair(runs, labels, predictor, classifier, split, pairs, settings, seed, mode="single")
 
 
 def cutoff_sensitivity(
@@ -324,37 +347,13 @@ def cutoff_sensitivity(
     model is trained on the train turn's top-1 item embedding (single-turn
     protocol). One report row per cutoff.
     """
-    turn_train, turn_eval = pair
+    X = np.vstack([turn_features(run, "top1", pair[0], settings.top_n) for run in runs])
     report = EvalReport()
     for cutoff in cutoffs:
         labels = label_runs(runs, cutoff=cutoff)
-        by_id = _align(runs, labels, split)
-        X = np.vstack([turn_features(run, "top1", turn_train, settings.top_n) for run in runs])
-        row_of = {cid: X[i] for cid, i in by_id.items()}
-        X_train = np.vstack([row_of[cid] for cid in split.train_ids])
-        y_train = np.array([labels.label_at(cid, turn_eval) for cid in split.train_ids])
-        X_test = np.vstack([row_of[cid] for cid in split.test_ids])
-        y_test = np.array([labels.label_at(cid, turn_eval) for cid in split.test_ids])
-        preds = _fit_predict(
-            "ae-head", X_train, y_train, X_test, settings, _cell_seed(seed, turn_train, cutoff)
-        )
-        cell = f"ae-top1|ae-head|base|single|{turn_train},{turn_eval}|cutoff{cutoff}"
-        report.rows.append(
-            ReportRow(
-                predictor="ae-top1",
-                classifier="ae-head",
-                scenario="base",
-                mode="single",
-                turn_train=turn_train,
-                turn_eval=turn_eval,
-                cutoff=cutoff,
-                accuracy=accuracy(preds, y_test),
-                n_test=len(y_test),
-            )
-        )
-        report.predictions.extend(
-            PredictionRecord(cell, cid, int(p), int(a))
-            for cid, p, a in zip(split.test_ids, preds, y_test)
+        _, by_id = _check_cells(runs, labels, split, [pair])
+        report.extend(
+            _evaluate_cell(X, by_id, labels, split, "ae-top1", "ae-head", "single", pair, settings, seed)
         )
     return report
 
@@ -390,70 +389,115 @@ def mcnemar(preds_a, preds_b, actuals) -> tuple[float, bool]:
 
 
 def write_report(report: EvalReport, path, header_comment: str | None = None) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        if header_comment:
-            for line in header_comment.splitlines():
-                fh.write(line if line.startswith("#") else f"# {line}")
-                fh.write("\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["predictor", "classifier", "scenario", "mode", "turn_train", "turn_eval",
-             "cutoff", "accuracy", "n_test"]
-        )
-        for row in report.rows:
-            writer.writerow(
-                [row.predictor, row.classifier, row.scenario, row.mode, row.turn_train,
-                 row.turn_eval, row.cutoff, repr(row.accuracy), row.n_test]
-            )
+    columns = ["predictor", "classifier", "scenario", "mode", "turn_train", "turn_eval",
+               "cutoff", "accuracy", "n_test"]
+    rows = [
+        [row.predictor, row.classifier, row.scenario, row.mode, row.turn_train,
+         row.turn_eval, row.cutoff, repr(row.accuracy), row.n_test]
+        for row in report.rows
+    ]
+    write_csv(path, header_comment, [columns] + rows)
 
 
 def read_report(path) -> list[ReportRow]:
-    path = Path(path)
-    rows = []
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(reader, None)
-        if header is None:
-            raise ValidationError(f"{path.name}: empty report file")
-        for record in reader:
-            rows.append(
-                ReportRow(
-                    predictor=record[0],
-                    classifier=record[1],
-                    scenario=record[2],
-                    mode=record[3],
-                    turn_train=int(record[4]),
-                    turn_eval=int(record[5]),
-                    cutoff=int(record[6]),
-                    accuracy=float(record[7]),
-                    n_test=int(record[8]),
-                )
-            )
-    return rows
+    _, records = read_csv(path, "report")
+    return [
+        ReportRow(
+            predictor=record[0],
+            classifier=record[1],
+            scenario=record[2],
+            mode=record[3],
+            turn_train=int(record[4]),
+            turn_eval=int(record[5]),
+            cutoff=int(record[6]),
+            accuracy=float(record[7]),
+            n_test=int(record[8]),
+        )
+        for record in records
+    ]
 
 
 def write_predictions(report: EvalReport, path, header_comment: str | None = None) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        if header_comment:
-            for line in header_comment.splitlines():
-                fh.write(line if line.startswith("#") else f"# {line}")
-                fh.write("\n")
-        writer = csv.writer(fh)
-        writer.writerow(["cell_id", "conversation_id", "predicted", "actual"])
-        for rec in report.predictions:
-            writer.writerow([rec.cell_id, rec.conversation_id, rec.predicted, rec.actual])
+    rows = [[rec.cell_id, rec.conversation_id, rec.predicted, rec.actual] for rec in report.predictions]
+    write_csv(path, header_comment, [["cell_id", "conversation_id", "predicted", "actual"]] + rows)
 
 
 def read_predictions(path) -> list[PredictionRecord]:
-    path = Path(path)
-    records = []
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(reader, None)
-        if header is None:
-            raise ValidationError(f"{path.name}: empty predictions file")
-        for record in reader:
-            records.append(PredictionRecord(record[0], record[1], int(record[2]), int(record[3])))
-    return records
+    _, records = read_csv(path, "predictions")
+    return [PredictionRecord(record[0], record[1], int(record[2]), int(record[3])) for record in records]
+
+
+def paired_predictions(records_a, records_b) -> dict[str, tuple[list[int], list[int], list[int]]]:
+    """Line up two predictors' records cell by cell, for McNemar tests.
+
+    Cells match on the cell id without its predictor and classifier fields
+    (``scenario|mode|T,E|cutoffC``). Returns, for each cell both sides hold
+    and in the order ``records_a`` first holds them, the predictions of a, of
+    b and the ground truth, over the cell's conversations in id order.
+    Raises ValidationError when no cell is shared, or a shared cell's
+    conversations or ground truth differ between the sides.
+    """
+
+    def by_cell(records):
+        cells: dict[str, dict[str, PredictionRecord]] = {}
+        for rec in records:
+            cells.setdefault(rec.cell_id.split("|", 2)[2], {})[rec.conversation_id] = rec
+        return cells
+
+    cells_a, cells_b = by_cell(records_a), by_cell(records_b)
+    paired = {}
+    for cell, ra in cells_a.items():
+        rb = cells_b.get(cell)
+        if rb is None:
+            continue
+        if set(ra) != set(rb):
+            raise ValidationError(f"cell {cell}: test conversations differ between files")
+        cids = sorted(ra)
+        for c in cids:
+            if ra[c].actual != rb[c].actual:
+                raise ValidationError(f"cell {cell}: ground truth differs for {c!r}")
+        paired[cell] = (
+            [ra[c].predicted for c in cids],
+            [rb[c].predicted for c in cids],
+            [ra[c].actual for c in cids],
+        )
+    if not paired:
+        raise ValidationError("prediction files share no evaluation cells")
+    return paired
+
+
+def render_grid(rows) -> tuple[list[list], str]:
+    """Report rows as an accuracy grid: one section per scenario, one line per
+    predictor/classifier/mode/cutoff and one column per turn pair.
+
+    Returns the grid as CSV rows (exact accuracies, empty where a row lacks a
+    pair) and as aligned text (three decimals).
+    """
+    pair_cols = sorted({(r.turn_train, r.turn_eval) for r in rows})
+    scenarios = sorted({r.scenario for r in rows})
+    grid_csv = [["scenario", "predictor", "classifier", "mode", "cutoff"]
+                + [f"{t},{e}" for t, e in pair_cols]]
+    text_blocks = []
+    for scen in scenarios:
+        scen_rows = [r for r in rows if r.scenario == scen]
+        keys = sorted({(r.predictor, r.classifier, r.mode, r.cutoff) for r in scen_rows})
+        cells = {}
+        for r in scen_rows:
+            cells[(r.predictor, r.classifier, r.mode, r.cutoff, r.turn_train, r.turn_eval)] = r.accuracy
+        label_width = max(
+            [len(f"{p}/{c} [{m}] @cutoff{k}") for p, c, m, k in keys] + [len("predictor/classifier")]
+        )
+        header = f"== scenario: {scen} =="
+        lines = [header, "predictor/classifier".ljust(label_width) + "".join(f"{f'{t},{e}':>8}" for t, e in pair_cols)]
+        for p, c, m, k in keys:
+            label = f"{p}/{c} [{m}] @cutoff{k}"
+            row_csv = [scen, p, c, m, k]
+            line = label.ljust(label_width)
+            for t, e in pair_cols:
+                acc = cells.get((p, c, m, k, t, e))
+                row_csv.append("" if acc is None else repr(acc))
+                line += f"{'' if acc is None else format(acc, '.3f'):>8}"
+            grid_csv.append(row_csv)
+            lines.append(line)
+        text_blocks.append("\n".join(lines))
+    return grid_csv, "\n\n".join(text_blocks)

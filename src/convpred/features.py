@@ -11,13 +11,12 @@ same keys.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import ConversationRun, TurnRanking, ValidationError
+from .core import ConversationRun, TurnRanking, ValidationError, read_csv, write_csv
 
 __all__ = [
     "score_stats",
@@ -213,8 +212,6 @@ class FeatureMatrix:
     values: np.ndarray
     predictor: str
     upto_turn: int
-    top_n: int
-    mode: str = "multi"
 
 
 def build_feature_matrix(
@@ -231,48 +228,35 @@ def build_feature_matrix(
         values=np.vstack(rows),
         predictor=kind,
         upto_turn=upto_turn,
-        top_n=top_n,
-        mode=mode,
     )
 
 
 def write_features(matrix: FeatureMatrix, path, header_comment: str | None = None) -> None:
-    path = Path(path)
-    width = matrix.values.shape[1]
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        if header_comment:
-            for line in header_comment.splitlines():
-                fh.write(line if line.startswith("#") else f"# {line}")
-                fh.write("\n")
-        writer = csv.writer(fh)
-        writer.writerow(["conversation_id", "predictor", "upto_turn"] + [f"f_{i}" for i in range(width)])
-        for cid, row in zip(matrix.conversation_ids, matrix.values):
-            writer.writerow([cid, matrix.predictor, matrix.upto_turn] + [repr(v) for v in row.tolist()])
+    columns = ["conversation_id", "predictor", "upto_turn"]
+    columns += [f"f_{i}" for i in range(matrix.values.shape[1])]
+    rows = [
+        [cid, matrix.predictor, matrix.upto_turn] + [repr(v) for v in row.tolist()]
+        for cid, row in zip(matrix.conversation_ids, matrix.values)
+    ]
+    write_csv(path, header_comment, [columns] + rows)
 
 
 def read_features(path) -> FeatureMatrix:
-    path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path.name}: empty feature file") from None
-        if header[:3] != ["conversation_id", "predictor", "upto_turn"]:
-            raise ValidationError(f"{path.name}: unexpected feature header {header[:3]}")
-        ids, rows, predictors, turns = [], [], set(), set()
-        for record in reader:
-            ids.append(record[0])
-            predictors.add(record[1])
-            turns.add(int(record[2]))
-            rows.append([float(v) for v in record[3:]])
+    name = Path(path).name
+    header, records = read_csv(path, "feature")
+    if header[:3] != ["conversation_id", "predictor", "upto_turn"]:
+        raise ValidationError(f"{name}: unexpected feature header {header[:3]}")
+    ids, rows, predictors, turns = [], [], set(), set()
+    for record in records:
+        ids.append(record[0])
+        predictors.add(record[1])
+        turns.add(int(record[2]))
+        rows.append([float(v) for v in record[3:]])
     if not rows or len(predictors) != 1 or len(turns) != 1:
-        raise ValidationError(f"{path.name}: feature file must hold one predictor/turn block")
+        raise ValidationError(f"{name}: feature file must hold one predictor/turn block")
     return FeatureMatrix(
         conversation_ids=tuple(ids),
         values=np.array(rows, dtype=np.float64),
         predictor=predictors.pop(),
         upto_turn=turns.pop(),
-        top_n=-1,
-        mode="multi",
     )

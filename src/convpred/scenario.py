@@ -10,7 +10,6 @@ which features must be recomputed from the modified runs.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,8 +20,10 @@ from .core import (
     RankedItem,
     TurnRanking,
     ValidationError,
+    read_csv,
     round_half_up,
     stored_rank,
+    write_csv,
 )
 
 __all__ = [
@@ -151,43 +152,32 @@ def write_labels(labels: LabelSet, path, header_comment: str | None = None) -> N
     if len(lengths) != 1:
         raise ValidationError("label vectors must cover the same number of turns")
     n_turns = lengths.pop()
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        if header_comment:
-            for line in header_comment.splitlines():
-                fh.write(line if line.startswith("#") else f"# {line}")
-                fh.write("\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["conversation_id", "scenario", "cutoff", "forced"]
-            + [f"k{t}" for t in range(1, n_turns + 1)]
-        )
-        for cid, vec in labels.labels.items():
-            writer.writerow([cid, labels.scenario, labels.cutoff, int(cid in labels.forced)] + list(vec))
+    columns = ["conversation_id", "scenario", "cutoff", "forced"]
+    columns += [f"k{t}" for t in range(1, n_turns + 1)]
+    rows = [
+        [cid, labels.scenario, labels.cutoff, int(cid in labels.forced)] + list(vec)
+        for cid, vec in labels.labels.items()
+    ]
+    write_csv(path, header_comment, [columns] + rows)
 
 
 def read_labels(path) -> LabelSet:
-    path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path.name}: empty labels file") from None
-        if header[:4] != ["conversation_id", "scenario", "cutoff", "forced"]:
-            raise ValidationError(f"{path.name}: unexpected labels header {header[:4]}")
-        labels: dict[str, tuple[int, ...]] = {}
-        scenarios, cutoffs = set(), set()
-        forced = set()
-        for record in reader:
-            cid = record[0]
-            scenarios.add(record[1])
-            cutoffs.add(int(record[2]))
-            if record[3] == "1":
-                forced.add(cid)
-            labels[cid] = tuple(int(v) for v in record[4:])
+    name = Path(path).name
+    header, records = read_csv(path, "labels")
+    if header[:4] != ["conversation_id", "scenario", "cutoff", "forced"]:
+        raise ValidationError(f"{name}: unexpected labels header {header[:4]}")
+    labels: dict[str, tuple[int, ...]] = {}
+    scenarios, cutoffs = set(), set()
+    forced = set()
+    for record in records:
+        cid = record[0]
+        scenarios.add(record[1])
+        cutoffs.add(int(record[2]))
+        if record[3] == "1":
+            forced.add(cid)
+        labels[cid] = tuple(int(v) for v in record[4:])
     if not labels or len(scenarios) != 1 or len(cutoffs) != 1:
-        raise ValidationError(f"{path.name}: labels file must hold one scenario/cutoff block")
+        raise ValidationError(f"{name}: labels file must hold one scenario/cutoff block")
     return LabelSet(
         labels=labels,
         scenario=scenarios.pop(),

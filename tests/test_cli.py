@@ -1,3 +1,7 @@
+import importlib.util
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,7 +9,7 @@ from convpred.cli import main
 from convpred.core import round_half_up
 from convpred.data_io import read_runs
 from convpred.evaluation import read_predictions, read_report
-from convpred.scenario import identify_easy, label_runs, read_labels
+from convpred.scenario import LabelSet, identify_easy, label_runs, read_labels, write_labels
 
 GEN_ARGS = [
     "--n", "24", "--turns", "6", "--dim", "4", "--catalogue", "300",
@@ -123,6 +127,76 @@ class TestEval:
         rows = read_report(report)
         assert [r.cutoff for r in rows] == [1, 20, 50]
         assert all(r.predictor == "ae-top1" for r in rows)
+
+
+class TestEvalInputErrors:
+    def _eval(self, tmp_path, runs_path, *extra):
+        return main(["eval", "--runs", str(runs_path), "--seed", "5", "--epochs", "2",
+                     "--report", str(tmp_path / "r.csv"), "--predictions", str(tmp_path / "p.csv"),
+                     *extra])
+
+    def test_cutoff_pair_at_last_turn(self, workspace, tmp_path, capsys):
+        _, runs_path, _ = workspace
+        code = self._eval(tmp_path, runs_path, "--mode", "cutoff", "--pair", "6")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "6,7" in err and "6 turns" in err
+
+    @pytest.mark.parametrize("stratify", [[], ["--no-stratify"]])
+    def test_labels_missing_a_conversation(self, workspace, tmp_path, capsys, stratify):
+        _, runs_path, labels_path = workspace
+        lines = labels_path.read_text().splitlines(keepends=True)
+        cut = tmp_path / "labels_cut.csv"
+        cut.write_text("".join(lines[:12]))  # comment, column names, 10 of 24 conversations
+        kept = set(read_labels(cut).labels)
+        code = self._eval(tmp_path, runs_path, "--labels", str(cut), "--predictor", "score",
+                          "--classifier", "logreg", "--pairs", "2-2", *stratify)
+        assert code == 1
+        err = capsys.readouterr().err
+        named = re.search(r"error: labels missing conversation '(\w+)'", err)
+        assert named is not None, err
+        assert named.group(1) not in kept
+
+
+def _one_found_labels(labels_path, out):
+    """Labels where a single conversation is found, so stratification falls back."""
+    labels = read_labels(labels_path)
+    first = next(iter(labels.labels))
+    vectors = {
+        cid: (0,) * (len(vec) - 1) + (int(cid == first),) for cid, vec in labels.labels.items()
+    }
+    write_labels(LabelSet(vectors, labels.scenario, labels.cutoff), out)
+    return out
+
+
+class TestSplitWarnings:
+    def test_eval_prints_warning_on_stderr(self, workspace, tmp_path, capsys):
+        _, runs_path, labels_path = workspace
+        labels = _one_found_labels(labels_path, tmp_path / "one_found.csv")
+        code = main(["eval", "--runs", str(runs_path), "--labels", str(labels),
+                     "--predictor", "score", "--classifier", "logreg", "--pairs", "2-2",
+                     "--report", str(tmp_path / "r.csv"), "--predictions", str(tmp_path / "p.csv")])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "warning: stratification fell back to plain shuffling: a class has < 2 members\n"
+        )
+        assert captured.out.startswith("score/logreg base multi pair 2,3 cutoff 20: accuracy ")
+        assert len(captured.out.splitlines()) == 1
+
+    def test_protocol_script_prints_warning_on_stderr(self, workspace, tmp_path, capsys):
+        _, runs_path, labels_path = workspace
+        script = Path(__file__).resolve().parent.parent / "scripts" / "run_protocol.py"
+        spec = importlib.util.spec_from_file_location("run_protocol", script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        labels = read_labels(_one_found_labels(labels_path, tmp_path / "one_found.csv"))
+        split = module.split_for(read_runs(runs_path), labels, seed=1)
+        assert not split.stratified
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("warning: stratification fell back")
 
 
 @pytest.fixture(scope="module")

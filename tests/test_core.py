@@ -18,7 +18,19 @@ from convpred.core import (
     validate_run,
     validate_runs,
 )
-from helpers import make_ranking, make_run
+from convpred.data_io import read_runs, run_to_dict, write_runs
+from convpred.evaluation import (
+    EvalReport,
+    PredictionRecord,
+    ReportRow,
+    read_predictions,
+    read_report,
+    write_predictions,
+    write_report,
+)
+from convpred.features import build_feature_matrix, read_features, write_features
+from convpred.scenario import LabelSet, read_labels, write_labels
+from helpers import make_ranking, make_run, random_run
 
 vectors = st.lists(
     st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
@@ -197,3 +209,55 @@ class TestValidation:
 )
 def test_round_half_up(value, expected):
     assert round_half_up(value) == expected
+
+
+RUNS = [random_run(1, cid="c1"), random_run(2, cid="c2")]
+LABELS = LabelSet({"c1": (0, 1, 1), "c2": (0, 0, 0)}, "missing_target", 5, frozenset({"c2"}))
+FEATURES = build_feature_matrix(RUNS, "score", 2)
+REPORT = EvalReport(
+    rows=[ReportRow("apr", "lasso", "base", "multi", 2, 3, 20, 0.625, 8)],
+    predictions=[PredictionRecord("apr|lasso|base|multi|2,3|cutoff20", "c1", 1, 0)],
+)
+
+
+def _runs_view(runs):
+    return [run_to_dict(r) for r in runs]
+
+
+def _labels_view(labels):
+    return labels.labels, labels.scenario, labels.cutoff, labels.forced
+
+
+def _features_view(matrix):
+    return matrix.conversation_ids, matrix.values.tolist(), matrix.predictor, matrix.upto_turn
+
+
+# artefact -> (writer, reader, written object, view of what was read, expected view)
+ARTEFACTS = {
+    "runs": (write_runs, read_runs, RUNS, _runs_view, _runs_view(RUNS)),
+    "labels": (write_labels, read_labels, LABELS, _labels_view, _labels_view(LABELS)),
+    "features": (write_features, read_features, FEATURES, _features_view, _features_view(FEATURES)),
+    "report": (write_report, read_report, REPORT, list, REPORT.rows),
+    "predictions": (write_predictions, read_predictions, REPORT, list, REPORT.predictions),
+}
+
+
+class TestArtefactFraming:
+    @pytest.mark.parametrize("kind", sorted(ARTEFACTS))
+    def test_multiline_header_roundtrips(self, kind, tmp_path):
+        write, read, obj, view, expected = ARTEFACTS[kind]
+        path = tmp_path / f"{kind}.out"
+        write(obj, path, header_comment="convpred test seed=3\n# already a comment\nlast line")
+        lines = path.read_text().splitlines()
+        assert lines[:3] == ["# convpred test seed=3", "# already a comment", "# last line"]
+        assert not lines[3].startswith("#")
+        assert view(read(path)) == expected
+
+    @pytest.mark.parametrize("kind", ["labels", "features", "report", "predictions"])
+    @pytest.mark.parametrize("content", ["", "# only a header comment\n"])
+    def test_empty_file_names_the_file(self, kind, content, tmp_path):
+        read = ARTEFACTS[kind][1]
+        path = tmp_path / f"empty_{kind}.csv"
+        path.write_text(content)
+        with pytest.raises(ValidationError, match=f"empty_{kind}.csv"):
+            read(path)

@@ -8,9 +8,11 @@ from convpred.data_io import GenConfig, generate_synthetic
 from convpred.evaluation import (
     EvalReport,
     EvalSettings,
+    PredictionRecord,
     accuracy,
     cutoff_sensitivity,
     mcnemar,
+    paired_predictions,
     read_predictions,
     read_report,
     run_single_turn,
@@ -256,3 +258,26 @@ class TestReportFiles:
         write_report(EvalReport(), tmp_path / "empty.csv")
         header = (tmp_path / "empty.csv").read_text().splitlines()[0]
         assert header == "predictor,classifier,scenario,mode,turn_train,turn_eval,cutoff,accuracy,n_test"
+
+
+class TestPairedPredictions:
+    CELL_A = "wand|logreg|base|multi|2,3|cutoff20"
+    CELL_B = "ae|ae-head|base|multi|2,3|cutoff20"
+
+    def _records(self, cell, rows):
+        return [PredictionRecord(cell, cid, p, a) for cid, p, a in rows]
+
+    def test_pairs_on_cell_and_conversation(self):
+        a = self._records(self.CELL_A, [("c1", 1, 1), ("c0", 0, 1)])
+        b = self._records(self.CELL_B, [("c0", 1, 1), ("c1", 0, 1)])
+        assert paired_predictions(a, b) == {"base|multi|2,3|cutoff20": ([0, 1], [1, 0], [1, 1])}
+
+    def test_mismatches_raise(self):
+        a = self._records(self.CELL_A, [("c0", 0, 1), ("c1", 1, 1)])
+        with pytest.raises(ValidationError, match="conversations differ"):
+            paired_predictions(a, self._records(self.CELL_B, [("c0", 0, 1)]))
+        with pytest.raises(ValidationError, match="ground truth differs for 'c1'"):
+            paired_predictions(a, self._records(self.CELL_B, [("c0", 0, 1), ("c1", 1, 0)]))
+        other = "ae|ae-head|base|multi|3,4|cutoff20"
+        with pytest.raises(ValidationError, match="share no evaluation cells"):
+            paired_predictions(a, self._records(other, [("c0", 0, 1), ("c1", 1, 1)]))
