@@ -119,6 +119,8 @@ def main():
     combined = evaluation.EvalReport()
     combined.extend(base_report)
     combined.extend(missing_report)
+    for warning in combined.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
 
     # cutoff mode relabels at each cutoff; its split comes from the cutoff-100 base labels
     cutoff_report = evaluation.cutoff_sensitivity(runs, base_split, settings=settings, seed=args.seed)

@@ -10,7 +10,6 @@ generator makes the whole pipeline runnable at desk scale.
 
 from .core import (
     ConversationRun,
-    RankedItem,
     TurnRanking,
     ValidationError,
     cosine_similarity,
@@ -25,7 +24,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConversationRun",
-    "RankedItem",
     "TurnRanking",
     "ValidationError",
     "cosine_similarity",

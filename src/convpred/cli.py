@@ -144,6 +144,8 @@ def cmd_eval(args) -> int:
             seed=args.seed,
             mode=args.mode,
         )
+    for warning in report.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     evaluation.write_report(report, args.report, header_comment=header)
     evaluation.write_predictions(report, args.predictions, header_comment=header)
     for row in report.rows:

@@ -22,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "ValidationError",
-    "RankedItem",
     "TurnRanking",
     "ConversationRun",
     "as_embedding",
@@ -55,35 +54,44 @@ def as_embedding(values) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class RankedItem:
-    """One retrieved item: opaque id, retrieval score, embedding."""
-
-    item_id: str
-    score: float
-    embedding: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "score", float(self.score))
-        object.__setattr__(self, "embedding", as_embedding(self.embedding))
-
-
-@dataclass(frozen=True, eq=False)
 class TurnRanking:
-    """The ranked list retrieved at one turn.
+    """The ranked list retrieved at one turn, as three aligned columns.
 
-    Items must be sorted by score, non-increasing, with exact score ties
-    broken by item_id ascending (checked by :func:`validate_run`).
+    ``items`` holds the item ids in rank order, ``scores`` the ``(n,)``
+    retrieval scores and ``embeddings`` the ``(n, d)`` item embeddings, row i
+    belonging to ``items[i]``. Items must be sorted by score, non-increasing,
+    with exact score ties broken by item id ascending (checked by
+    :func:`validate_run`). An empty ranking has a ``(0, 0)`` embedding matrix.
     ``query_embedding`` is optional: externally produced runs may supply the
     live query vector; otherwise features fall back to a centroid surrogate.
     """
 
     turn: int
-    items: tuple[RankedItem, ...]
+    items: tuple[str, ...]
+    scores: np.ndarray
+    embeddings: np.ndarray
     query_embedding: np.ndarray | None = None
     critique: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
+        items = tuple(self.items)
+        scores = np.asarray(self.scores, dtype=np.float64)
+        embeddings = np.asarray(self.embeddings, dtype=np.float64)
+        if not items:
+            embeddings = embeddings.reshape(0, 0)
+        n = len(items)
+        if scores.shape != (n,) or embeddings.ndim != 2 or len(embeddings) != n:
+            raise ValidationError(
+                f"turn {self.turn}: {n} item ids need {n} scores and {n} embedding rows, "
+                f"got shapes {scores.shape} and {embeddings.shape}"
+            )
+        if n and not embeddings.shape[1]:
+            raise ValidationError("embedding must be a non-empty 1-D vector")
+        if not np.all(np.isfinite(embeddings)):
+            raise ValidationError("embedding has non-finite entries")
+        object.__setattr__(self, "items", items)
+        object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "embeddings", embeddings)
         if self.query_embedding is not None:
             object.__setattr__(self, "query_embedding", as_embedding(self.query_embedding))
 
@@ -130,10 +138,7 @@ def cosine_similarity(a, b) -> float:
 
 def stored_rank(ranking: TurnRanking, target_id: str) -> int | None:
     """1-based position of ``target_id`` in the stored items, None if absent."""
-    for pos, item in enumerate(ranking.items, start=1):
-        if item.item_id == target_id:
-            return pos
-    return None
+    return ranking.items.index(target_id) + 1 if target_id in ranking.items else None
 
 
 def reciprocal_rank(ranking: TurnRanking, target_id: str) -> float:
@@ -155,12 +160,45 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def _check_embedding(vec: np.ndarray, dim: int | None, where: str, what: str) -> int:
-    if dim is not None and vec.size != dim:
-        raise ValidationError(f"{where}: dimension mismatch for {what} ({vec.size} vs {dim})")
-    if float(np.linalg.norm(vec)) == 0.0:
-        raise ValidationError(f"{where}: zero-norm embedding for {what}")
-    return int(vec.size)
+def _check_turn(ranking: TurnRanking, dim: int | None, where: str) -> int | None:
+    """Check one turn's items, then its query vector; return the embedding dim.
+
+    Each item check flags items in one array operation. The first flagged
+    item is reported, with its first failed check in the order duplicate id,
+    non-finite score, dimension, zero-norm embedding, sort order.
+    """
+    ids, scores, embeddings = ranking.items, ranking.scores, ranking.embeddings
+    if ids:
+        n, d = embeddings.shape
+        duplicate = np.ones(n, dtype=bool)
+        duplicate[np.unique(np.array(ids, dtype=object), return_index=True)[1]] = False
+        ties = np.flatnonzero(scores[:-1] == scores[1:])
+        bad_tie = np.zeros(n, dtype=bool)
+        bad_tie[ties + 1] = [ids[i] >= ids[i + 1] for i in ties]
+        checks = (
+            (duplicate, "duplicate item_id {!r}"),
+            (~np.isfinite(scores), "non-finite score for item {!r}"),
+            ([dim not in (None, d)] * n, f"dimension mismatch for item {{!r}} ({d} vs {dim})"),
+            (np.linalg.norm(embeddings, axis=1) == 0.0, "zero-norm embedding for item {!r}"),
+            (np.insert(scores[:-1] < scores[1:], 0, False), "items not sorted by score"),
+            (bad_tie, "items not sorted (score tie must break by item_id ascending)"),
+        )
+        flagged = np.logical_or.reduce([flags for flags, _ in checks])
+        if flagged.any():
+            i = int(np.argmax(flagged))
+            message = next(message for flags, message in checks if flags[i])
+            raise ValidationError(f"{where}: {message.format(ids[i])}")
+        dim = d
+    query = ranking.query_embedding
+    if query is not None:
+        if dim not in (None, query.size):
+            raise ValidationError(
+                f"{where}: dimension mismatch for query_embedding ({query.size} vs {dim})"
+            )
+        if float(np.linalg.norm(query)) == 0.0:
+            raise ValidationError(f"{where}: zero-norm embedding for query_embedding")
+        dim = query.size
+    return dim
 
 
 def validate_run(run: ConversationRun) -> int | None:
@@ -179,30 +217,11 @@ def validate_run(run: ConversationRun) -> int | None:
         raise ValidationError(f"{cid}: conversation needs at least 2 turns, got {k}")
     dim: int | None = None
     for expected, ranking in enumerate(run.turns, start=1):
-        where = f"{cid} turn {ranking.turn}"
         if ranking.turn != expected:
             raise ValidationError(
                 f"{cid}: non-consecutive turns (expected {expected}, got {ranking.turn})"
             )
-        seen: set[str] = set()
-        prev: RankedItem | None = None
-        for item in ranking.items:
-            if item.item_id in seen:
-                raise ValidationError(f"{where}: duplicate item_id {item.item_id!r}")
-            seen.add(item.item_id)
-            if not math.isfinite(item.score):
-                raise ValidationError(f"{where}: non-finite score for item {item.item_id!r}")
-            dim = _check_embedding(item.embedding, dim, where, f"item {item.item_id!r}")
-            if prev is not None:
-                if prev.score < item.score:
-                    raise ValidationError(f"{where}: items not sorted by score")
-                if prev.score == item.score and prev.item_id >= item.item_id:
-                    raise ValidationError(
-                        f"{where}: items not sorted (score tie must break by item_id ascending)"
-                    )
-            prev = item
-        if ranking.query_embedding is not None:
-            dim = _check_embedding(ranking.query_embedding, dim, where, "query_embedding")
+        dim = _check_turn(ranking, dim, f"{cid} turn {ranking.turn}")
     if run.target_ranks is not None:
         if len(run.target_ranks) != k:
             raise ValidationError(
@@ -234,34 +253,17 @@ def validate_runs(runs) -> int | None:
     return dim
 
 
-def _optional_vec_equal(a: np.ndarray | None, b: np.ndarray | None) -> bool:
-    if a is None or b is None:
-        return a is None and b is None
-    return a.shape == b.shape and bool(np.array_equal(a, b))
-
-
 def runs_equal(a: ConversationRun, b: ConversationRun) -> bool:
     """Exact structural equality (ids, scores, embeddings, ranks, critiques)."""
-    if (
-        a.conversation_id != b.conversation_id
-        or a.target_id != b.target_id
-        or a.target_ranks != b.target_ranks
-        or len(a.turns) != len(b.turns)
-    ):
-        return False
-    for ta, tb in zip(a.turns, b.turns):
-        if ta.turn != tb.turn or ta.critique != tb.critique:
-            return False
-        if not _optional_vec_equal(ta.query_embedding, tb.query_embedding):
-            return False
-        if len(ta.items) != len(tb.items):
-            return False
-        for ia, ib in zip(ta.items, tb.items):
-            if ia.item_id != ib.item_id or ia.score != ib.score:
-                return False
-            if not np.array_equal(ia.embedding, ib.embedding):
-                return False
-    return True
+    return (a.conversation_id, a.target_id, a.target_ranks, len(a.turns)) == (
+        b.conversation_id, b.target_id, b.target_ranks, len(b.turns)
+    ) and all(
+        (ta.turn, ta.critique, ta.items) == (tb.turn, tb.critique, tb.items)
+        and np.array_equal(ta.query_embedding, tb.query_embedding)  # None equals only None
+        and np.array_equal(ta.scores, tb.scores)
+        and np.array_equal(ta.embeddings, tb.embeddings)
+        for ta, tb in zip(a.turns, b.turns)
+    )
 
 
 def write_header(fh, header_comment: str | None) -> None:

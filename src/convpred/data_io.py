@@ -29,7 +29,6 @@ import numpy as np
 
 from .core import (
     ConversationRun,
-    RankedItem,
     TurnRanking,
     ValidationError,
     validate_runs,
@@ -154,10 +153,8 @@ def generate_synthetic(config: GenConfig) -> list[ConversationRun]:
             order = np.lexsort((tie_break, -scores))
             target_ranks.append(1 + int(np.nonzero(order == target)[0][0]))
             top = order[: config.top_n]
-            items = tuple(
-                RankedItem(item_ids[j], float(scores[j]), catalogue[j]) for j in top
-            )
-            turns.append(TurnRanking(turn=t, items=items, query_embedding=q.copy()))
+            items = tuple(item_ids[j] for j in top)
+            turns.append(TurnRanking(t, items, scores[top], catalogue[top], q.copy()))
         runs.append(
             ConversationRun(
                 conversation_id=f"conv_{i:05d}",
@@ -183,12 +180,10 @@ def run_to_dict(run: ConversationRun) -> dict:
                 else ranking.query_embedding.tolist(),
                 "critique": ranking.critique,
                 "items": [
-                    {
-                        "id": item.item_id,
-                        "score": item.score,
-                        "embedding": item.embedding.tolist(),
-                    }
-                    for item in ranking.items
+                    {"id": item_id, "score": score, "embedding": embedding}
+                    for item_id, score, embedding in zip(
+                        ranking.items, ranking.scores.tolist(), ranking.embeddings.tolist()
+                    )
                 ],
             }
             for ranking in run.turns
@@ -196,30 +191,37 @@ def run_to_dict(run: ConversationRun) -> dict:
     }
 
 
+def _turn_from_dict(tr: dict, cid: str) -> TurnRanking:
+    items = tr["items"]
+    embeddings = [it["embedding"] for it in items]
+    lengths = sorted({len(row) for row in embeddings})
+    if len(lengths) > 1:
+        raise ValidationError(
+            f"{cid} turn {tr['turn']}: dimension mismatch among item embeddings {lengths}"
+        )
+    return TurnRanking(
+        turn=int(tr["turn"]),
+        items=tuple(str(it["id"]) for it in items),
+        scores=[it["score"] for it in items],
+        embeddings=embeddings,
+        query_embedding=tr.get("query_embedding"),
+        critique=tr.get("critique"),
+    )
+
+
 def run_from_dict(obj: dict, where: str = "run") -> ConversationRun:
     try:
-        turns = tuple(
-            TurnRanking(
-                turn=int(tr["turn"]),
-                items=tuple(
-                    RankedItem(str(it["id"]), it["score"], it["embedding"])
-                    for it in tr["items"]
-                ),
-                query_embedding=tr.get("query_embedding"),
-                critique=tr.get("critique"),
-            )
-            for tr in obj["turns"]
-        )
+        cid = str(obj["conversation_id"])
         return ConversationRun(
-            conversation_id=str(obj["conversation_id"]),
+            conversation_id=cid,
             target_id=str(obj["target_id"]),
-            turns=turns,
+            turns=tuple(_turn_from_dict(tr, cid) for tr in obj["turns"]),
             target_ranks=obj.get("target_ranks"),
         )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"{where}: malformed run record ({exc})") from exc
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{where}: malformed run record ({exc})") from exc
 
 
 def write_runs(runs, path, header_comment: str | None = None) -> None:

@@ -94,12 +94,16 @@ class PredictionRecord:
 
 @dataclass(eq=False)
 class EvalReport:
+    """Report rows and prediction records, plus each warning about cells not run, once."""
+
     rows: list[ReportRow] = field(default_factory=list)
     predictions: list[PredictionRecord] = field(default_factory=list)
+    warnings: list[str] = field(default_factory=list)
 
     def extend(self, other: "EvalReport") -> None:
         self.rows.extend(other.rows)
         self.predictions.extend(other.predictions)
+        self.warnings.extend(w for w in other.warnings if w not in self.warnings)
 
 
 @dataclass(frozen=True)
@@ -215,17 +219,19 @@ def _feature_kind(predictor: str) -> str:
 
 
 def _check_cells(runs, labels: LabelSet, split: Split, pairs):
-    """The usable pairs and each run's row index, after checking that the
-    split and the labels cover the runs up to the last evaluation turn.
+    """The usable pairs, each run's row index and warnings naming the
+    skipped pairs, after checking that the split and the labels cover the
+    runs up to the last evaluation turn.
 
     A pair (T, T+1) is usable when 1 <= T and T+1 is within every run; the
-    others are dropped, and no usable pair at all is an error.
+    others are skipped, and no usable pair at all is an error.
     """
     n_turns = min(run.n_turns for run in runs)
     usable = [(t, e) for t, e in pairs if e == t + 1 and 1 <= t and e <= n_turns]
+    skipped = " ".join(f"{t},{e}" for t, e in pairs if (t, e) not in usable)
     if not usable:
-        asked = " ".join(f"{t},{e}" for t, e in pairs)
-        raise ValueError(f"no usable turn pairs among {asked} for runs with {n_turns} turns")
+        raise ValueError(f"no usable turn pairs among {skipped} for runs with {n_turns} turns")
+    warnings = [f"skipped turn pairs {skipped} (runs have {n_turns} turns)"] if skipped else []
     by_id = {run.conversation_id: i for i, run in enumerate(runs)}
     for cid in split.train_ids + split.test_ids:
         if cid not in by_id:
@@ -236,7 +242,7 @@ def _check_cells(runs, labels: LabelSet, split: Split, pairs):
     for cid, vec in labels.labels.items():
         if cid in by_id and len(vec) < last_turn:
             raise ValidationError(f"labels for {cid!r} stop before the last evaluation turn")
-    return usable, by_id
+    return usable, by_id, warnings
 
 
 def _evaluate_cell(
@@ -293,21 +299,22 @@ def run_turn_pair(
     Multi mode feeds features of turns 1..T; single mode feeds turn T alone.
     Both fit on the train split against the found-by-turn-(T+1) label and
     score the test split on the same label. One report row per pair, plus
-    per-instance prediction records for significance testing.
+    per-instance prediction records for significance testing. Pairs past the
+    end of the runs are skipped and named in the report's warnings.
     """
     if mode not in ("multi", "single"):
         raise ValueError(f"mode must be 'multi' or 'single', got {mode!r}")
     if predictor == "ae" and classifier != "ae-head":
         raise ValueError("the ae predictor implies the ae-head classifier")
     kind = _feature_kind(predictor)
-    pairs, by_id = _check_cells(runs, labels, split, pairs)
+    pairs, by_id, warnings = _check_cells(runs, labels, split, pairs)
 
     needed_turns = sorted({t for pair in pairs for t in (range(1, pair[0] + 1) if mode == "multi" else [pair[0]])})
     blocks = {
         t: np.vstack([turn_features(run, kind, t, settings.top_n) for run in runs]) for t in needed_turns
     }
 
-    report = EvalReport()
+    report = EvalReport(warnings=warnings)
     for pair in pairs:
         if mode == "multi":
             X = np.hstack([blocks[t] for t in range(1, pair[0] + 1)])
@@ -351,7 +358,7 @@ def cutoff_sensitivity(
     report = EvalReport()
     for cutoff in cutoffs:
         labels = label_runs(runs, cutoff=cutoff)
-        _, by_id = _check_cells(runs, labels, split, [pair])
+        _, by_id, _ = _check_cells(runs, labels, split, [pair])
         report.extend(
             _evaluate_cell(X, by_id, labels, split, "ae-top1", "ae-head", "single", pair, settings, seed)
         )

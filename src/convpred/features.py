@@ -40,19 +40,16 @@ GRAM_RIDGE = 1e-8
 RATIO_GUARD = 1e-12
 
 
-def _top_items(ranking: TurnRanking, top_n: int, minimum: int):
+def _top(ranking: TurnRanking, top_n: int, minimum: int) -> tuple[np.ndarray, np.ndarray]:
+    """The scores and embedding rows of the top min(top_n, len(items)) items."""
     if top_n < 1:
         raise ValueError(f"top_n must be >= 1, got {top_n}")
-    items = ranking.items[: min(top_n, len(ranking.items))]
-    if len(items) < minimum:
+    n = min(top_n, len(ranking.items))
+    if n < minimum:
         raise ValueError(
             f"turn {ranking.turn}: needs at least {minimum} item(s), has {len(ranking.items)}"
         )
-    return items
-
-
-def _embedding_rows(items) -> np.ndarray:
-    return np.vstack([item.embedding for item in items])
+    return ranking.scores[:n], ranking.embeddings[:n]
 
 
 def _unit_rows(mat: np.ndarray) -> np.ndarray:
@@ -79,8 +76,7 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
 
 def score_stats(ranking: TurnRanking, top_n: int = 100) -> tuple[float, float, float]:
     """(mean, max, population std) of the top-n retrieval scores."""
-    items = _top_items(ranking, top_n, minimum=1)
-    scores = np.array([item.score for item in items], dtype=np.float64)
+    scores, _ = _top(ranking, top_n, minimum=1)
     return float(scores.mean()), float(scores.max()), float(scores.std())
 
 
@@ -93,9 +89,8 @@ def autocorrelation(ranking: TurnRanking, top_n: int = 100) -> float:
     returned when either side has zero variance. Negative cosines are clamped
     because row-normalizing mixed-sign weights is ill-defined.
     """
-    items = _top_items(ranking, top_n, minimum=2)
-    scores = np.array([item.score for item in items], dtype=np.float64)
-    weights = np.maximum(_cosine_matrix(_embedding_rows(items)), 0.0)
+    scores, embeddings = _top(ranking, top_n, minimum=2)
+    weights = np.maximum(_cosine_matrix(embeddings), 0.0)
     np.fill_diagonal(weights, 0.0)
     row_sums = weights.sum(axis=1, keepdims=True)
     safe = np.where(row_sums == 0.0, 1.0, row_sums)
@@ -105,9 +100,9 @@ def autocorrelation(ranking: TurnRanking, top_n: int = 100) -> float:
 
 def mean_pairwise_similarity(ranking: TurnRanking, top_n: int = 100) -> float:
     """Mean cosine over all unordered pairs of the top-n embeddings."""
-    items = _top_items(ranking, top_n, minimum=2)
-    cos = _cosine_matrix(_embedding_rows(items))
-    iu, ju = np.triu_indices(len(items), k=1)
+    _, embeddings = _top(ranking, top_n, minimum=2)
+    cos = _cosine_matrix(embeddings)
+    iu, ju = np.triu_indices(len(embeddings), k=1)
     return float(cos[iu, ju].mean())
 
 
@@ -115,8 +110,7 @@ def query_surrogate(ranking: TurnRanking, top_n: int = 100) -> np.ndarray:
     """The turn's query embedding if present, else the normalized top-n centroid."""
     if ranking.query_embedding is not None:
         return ranking.query_embedding
-    items = _top_items(ranking, top_n, minimum=1)
-    centroid = _embedding_rows(items).mean(axis=0)
+    centroid = _top(ranking, top_n, minimum=1)[1].mean(axis=0)
     norm = float(np.linalg.norm(centroid))
     if norm == 0.0:
         raise ValueError(f"turn {ranking.turn}: zero-norm centroid, no query surrogate")
@@ -132,21 +126,18 @@ def reciprocal_volume(ranking: TurnRanking, top_n: int = 100) -> float:
     note the value then grows like exp(9.2 * (n - d)), which stays within
     float range for the shipped defaults but can overflow when n - d is large.
     """
-    items = _top_items(ranking, top_n, minimum=1)
-    q = query_surrogate(ranking, top_n)
-    rows = _embedding_rows(items) - q
+    rows = _top(ranking, top_n, minimum=1)[1] - query_surrogate(ranking, top_n)
     gram = rows @ rows.T
-    gram.flat[:: len(items) + 1] += GRAM_RIDGE
+    gram.flat[:: len(rows) + 1] += GRAM_RIDGE
     _, logdet = np.linalg.slogdet(gram)
     return float(np.exp(-0.5 * logdet))
 
 
 def anchored_pair_ratio(ranking: TurnRanking, top_n: int = 100) -> float:
     """Mean pairwise cosine distance relative to mean query-to-item distance."""
-    items = _top_items(ranking, top_n, minimum=2)
-    embeddings = _embedding_rows(items)
+    _, embeddings = _top(ranking, top_n, minimum=2)
     cos = _cosine_matrix(embeddings)
-    iu, ju = np.triu_indices(len(items), k=1)
+    iu, ju = np.triu_indices(len(embeddings), k=1)
     pair_distance = float((1.0 - cos[iu, ju]).mean())
     q = query_surrogate(ranking, top_n)
     q_unit = q / np.linalg.norm(q)
@@ -157,14 +148,12 @@ def anchored_pair_ratio(ranking: TurnRanking, top_n: int = 100) -> float:
 
 def pooled_embedding(ranking: TurnRanking, top_n: int = 100) -> np.ndarray:
     """Arithmetic mean of the top-n item embeddings (not normalized)."""
-    items = _top_items(ranking, top_n, minimum=1)
-    return _embedding_rows(items).mean(axis=0)
+    return _top(ranking, top_n, minimum=1)[1].mean(axis=0)
 
 
 def top_item_embedding(ranking: TurnRanking, top_n: int = 100) -> np.ndarray:
     """The top-ranked item's embedding."""
-    items = _top_items(ranking, top_n, minimum=1)
-    return items[0].embedding
+    return _top(ranking, top_n, minimum=1)[1][0]
 
 
 FEATURE_KINDS = {

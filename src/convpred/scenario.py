@@ -10,15 +10,14 @@ which features must be recomputed from the modified runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
 
 from .core import (
     ConversationRun,
-    RankedItem,
-    TurnRanking,
     ValidationError,
     read_csv,
     round_half_up,
@@ -99,19 +98,16 @@ def identify_easy(labels: LabelSet) -> set[str]:
 
 
 def _delete_target(run: ConversationRun) -> ConversationRun:
-    turns = tuple(
-        TurnRanking(
-            turn=ranking.turn,
-            items=tuple(item for item in ranking.items if item.item_id != run.target_id),
-            query_embedding=ranking.query_embedding,
-            critique=ranking.critique,
-        )
-        for ranking in run.turns
-    )
+    turns = []
+    for ranking in run.turns:
+        keep = np.array(ranking.items, dtype=object) != run.target_id
+        items = tuple(compress(ranking.items, keep))
+        scores, embeddings = ranking.scores[keep], ranking.embeddings[keep]
+        turns.append(replace(ranking, items=items, scores=scores, embeddings=embeddings))
     return ConversationRun(
         conversation_id=run.conversation_id,
         target_id=run.target_id,
-        turns=turns,
+        turns=tuple(turns),
         target_ranks=None,  # the target no longer exists in the catalogue
     )
 

@@ -1,18 +1,23 @@
 """Builders for toy rankings and runs used across the test modules."""
 
+from dataclasses import replace
+
 import numpy as np
 
-from convpred.core import ConversationRun, RankedItem, TurnRanking
+from convpred.core import ConversationRun, TurnRanking
 
 
 def make_ranking(scores, embeddings, turn=1, query=None, ids=None, critique=None):
     """Items get ascending ids in list order, so sorted score order is valid."""
     ids = ids if ids is not None else [f"i{k:03d}" for k in range(len(scores))]
-    items = tuple(
-        RankedItem(i, s, np.asarray(e, dtype=float))
-        for i, s, e in zip(ids, scores, embeddings)
+    return TurnRanking(
+        turn=turn,
+        items=tuple(ids),
+        scores=scores,
+        embeddings=embeddings,
+        query_embedding=query,
+        critique=critique,
     )
-    return TurnRanking(turn=turn, items=items, query_embedding=query, critique=critique)
 
 
 def make_run(turn_rankings, cid="c0", target="i000", target_ranks=None):
@@ -33,12 +38,7 @@ def random_run(seed, n_turns=3, n_items=4, dim=3, cid="c0", with_query=False,
     for t in range(1, n_turns + 1):
         ranking = random_ranking(rng, n_items, dim, turn=t, with_query=with_query)
         if with_critique and t % 2 == 0:
-            ranking = TurnRanking(
-                turn=ranking.turn,
-                items=ranking.items,
-                query_embedding=ranking.query_embedding,
-                critique=f"more like item {t}",
-            )
+            ranking = replace(ranking, critique=f"more like item {t}")
         turns.append(ranking)
     ranks = None
     if with_ranks:

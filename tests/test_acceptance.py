@@ -127,8 +127,8 @@ def test_a3_coherence_oracles():
         n = int(rng.integers(2, 6))
         dim = int(rng.integers(6, 9))  # dim > n keeps the query-centered Gram full rank
         ranking = random_ranking(rng, n, dim, with_query=bool(rng.integers(2)))
-        scores = [item.score for item in ranking.items]
-        embs = [item.embedding.tolist() for item in ranking.items]
+        scores = ranking.scores.tolist()
+        embs = ranking.embeddings.tolist()
         query = features.query_surrogate(ranking).tolist()
 
         assert features.autocorrelation(ranking) == pytest.approx(
@@ -167,7 +167,7 @@ def test_a4_scenario_correctness(tmp_path):
         for cid in missing.forced:
             run = by_id[cid]
             for ranking in run.turns:
-                assert all(item.item_id != run.target_id for item in ranking.items)
+                assert run.target_id not in ranking.items
             assert missing.labels[cid] == (0,) * run.n_turns
 
         before, after = tmp_path / f"a{seed}.jsonl", tmp_path / f"b{seed}.jsonl"

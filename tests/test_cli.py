@@ -68,11 +68,7 @@ class TestLabelAndScenario:
         by_id = {r.conversation_id: r for r in modified}
         for cid in missing.forced:
             run = by_id[cid]
-            assert all(
-                item.item_id != run.target_id
-                for ranking in run.turns
-                for item in ranking.items
-            )
+            assert all(run.target_id not in ranking.items for ranking in run.turns)
 
 
 class TestFeatures:
@@ -187,16 +183,48 @@ class TestSplitWarnings:
 
     def test_protocol_script_prints_warning_on_stderr(self, workspace, tmp_path, capsys):
         _, runs_path, labels_path = workspace
-        script = Path(__file__).resolve().parent.parent / "scripts" / "run_protocol.py"
-        spec = importlib.util.spec_from_file_location("run_protocol", script)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+        module = _load_protocol_script()
         labels = read_labels(_one_found_labels(labels_path, tmp_path / "one_found.csv"))
         split = module.split_for(read_runs(runs_path), labels, seed=1)
         assert not split.stratified
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("warning: stratification fell back")
+
+
+def _load_protocol_script():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_protocol.py"
+    spec = importlib.util.spec_from_file_location("run_protocol", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestSkippedPairs:
+    def test_eval_names_skipped_pairs_on_stderr(self, workspace, tmp_path, capsys):
+        _, runs_path, labels_path = workspace
+        report = tmp_path / "r.csv"
+        code = main(["eval", "--runs", str(runs_path), "--labels", str(labels_path),
+                     "--predictor", "score", "--classifier", "logreg", "--pairs", "2-9",
+                     "--report", str(report), "--predictions", str(tmp_path / "p.csv")])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: skipped turn pairs 6,7 7,8 8,9 9,10 (runs have 6 turns)\n"
+        assert [line.split(" cutoff")[0] for line in captured.out.splitlines()] == [
+            f"score/logreg base multi pair {t},{t + 1}" for t in range(2, 6)
+        ]
+        assert [(r.turn_train, r.turn_eval) for r in read_report(report)] == [
+            (t, t + 1) for t in range(2, 6)
+        ]
+
+    def test_protocol_script_names_skipped_pairs_once(self, tmp_path, capsys, monkeypatch):
+        module = _load_protocol_script()
+        monkeypatch.setattr("sys.argv", ["run_protocol.py", "--n", "12", "--pairs", "9-10",
+                                         "--epochs", "1", "--outdir", str(tmp_path)])
+        assert module.main() == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err.count("warning: skipped turn pairs 10,11 (runs have 10 turns)") == 1
+        assert all(line.startswith("warning: ") for line in err)
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from convpred.core import (
     ConversationRun,
-    RankedItem,
     TurnRanking,
     ValidationError,
     cosine_similarity,
@@ -201,6 +200,68 @@ class TestValidation:
             target_ranks=(None, None),
         )
         assert run.target_ranks is None
+
+
+def first_violation(ids, scores, embeddings):
+    """Brute-force reference: walk the items in rank order and report the
+    first failed check of the first bad item (duplicate id, non-finite
+    score, zero-norm embedding, then order against the previous item)."""
+    for k, (item_id, score, row) in enumerate(zip(ids, scores, embeddings)):
+        if item_id in ids[:k]:
+            return f"duplicate item_id {item_id!r}"
+        if not math.isfinite(score):
+            return f"non-finite score for item {item_id!r}"
+        if all(x == 0.0 for x in row):
+            return f"zero-norm embedding for item {item_id!r}"
+        if k and scores[k - 1] < score:
+            return "items not sorted by score"
+        if k and scores[k - 1] == score and ids[k - 1] >= item_id:
+            return "items not sorted (score tie must break by item_id ascending)"
+    return None
+
+
+@st.composite
+def first_turns(draw):
+    """A ranking that is valid only sometimes: few distinct scores force ties,
+    a small id alphabet forces duplicates, and NaN scores and zero rows appear."""
+    n = draw(st.integers(1, 6))
+    dim = draw(st.integers(1, 3))
+    score = st.sampled_from([0.0, 0.5, 1.0, 2.0, float("nan")]) | st.floats(-3.0, 3.0)
+    scores = draw(st.lists(score, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        scores = sorted(scores, key=lambda x: -x if x == x else 0.0)
+    ids = draw(st.lists(st.sampled_from("abcdefghijklmnopqrstuvwxyz"), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        ids = sorted(ids)
+    entries = st.sampled_from([-1.0, 0.5, 2.0, 0.0, -0.0])
+    nonzero = st.lists(entries, min_size=dim, max_size=dim).filter(any)
+    row = st.integers(0, 9).flatmap(lambda k: st.just([0.0] * dim) if k == 0 else nonzero)
+    embeddings = draw(st.lists(row, min_size=n, max_size=n))
+    return ids, scores, embeddings
+
+
+class TestValidationProperty:
+    @given(first_turns(), st.integers(0, 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force(self, first, extra_dim):
+        ids, scores, embeddings = first
+        dim = len(embeddings[0])
+        second_dim = dim + extra_dim
+        run = make_run([
+            make_ranking(scores, embeddings, turn=1, ids=ids),
+            make_ranking([1.0], [[1.0] * second_dim], turn=2, ids=["z"]),
+        ])
+        expected = first_violation(ids, scores, embeddings)
+        if expected is not None:
+            expected = f"c0 turn 1: {expected}"
+        elif extra_dim:
+            expected = f"c0 turn 2: dimension mismatch for item 'z' ({second_dim} vs {dim})"
+        if expected is None:
+            assert validate_run(run) == dim
+        else:
+            with pytest.raises(ValidationError) as err:
+                validate_run(run)
+            assert str(err.value) == expected
 
 
 @pytest.mark.parametrize(

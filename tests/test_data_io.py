@@ -183,6 +183,49 @@ class TestReadValidation:
         with pytest.raises(ValidationError, match="malformed"):
             read_runs(path)
 
+    @pytest.mark.parametrize("field,value", [("score", "abc"), ("embedding", ["abc", 1.0])])
+    def test_non_numeric_value_names_file_and_line(self, tmp_path, field, value):
+        bad = self._record()
+        bad["turns"][1]["items"][0][field] = value
+        path = self._write_lines(tmp_path, ["# header", json.dumps(bad)])
+        with pytest.raises(ValidationError, match=r"runs\.jsonl line 2: malformed run record"):
+            read_runs(path)
+
+    def test_ragged_embeddings_within_a_turn(self, tmp_path):
+        bad = self._record()
+        bad["turns"][1]["items"][1]["embedding"] = [0.0, 1.0, 0.0]
+        path = self._write_lines(tmp_path, [json.dumps(bad)])
+        with pytest.raises(ValidationError, match="dimension mismatch") as err:
+            read_runs(path)
+        assert "c0 turn 2" in str(err.value)
+        assert "inhomogeneous" not in str(err.value)
+
+
+# Written by hand: awkward floats (0.1, 1e-300, the smallest subnormal, -0.0 in a
+# non-zero row), a score tie broken by id, null and non-null query vectors and
+# critiques, all-null and partly null target ranks.
+RUN_FILE_BODY = (
+    '{"conversation_id":"c0","target_id":"b","target_ranks":[null,null],"turns":['
+    '{"turn":1,"query_embedding":null,"critique":null,"items":['
+    '{"id":"a","score":0.75,"embedding":[0.1,-0.0,1e-300]},'
+    '{"id":"b","score":0.75,"embedding":[5e-324,1.0,-0.0]},'
+    '{"id":"c","score":1e-300,"embedding":[-2.5,0.0,0.0]}]},'
+    '{"turn":2,"query_embedding":[0.5,-0.0,0.0],"critique":"more like a","items":['
+    '{"id":"b","score":0.1,"embedding":[5e-324,1.0,-0.0]}]}]}\n'
+    '{"conversation_id":"c1","target_id":"x","target_ranks":[3,null],"turns":['
+    '{"turn":1,"query_embedding":null,"critique":"cheaper","items":['
+    '{"id":"x","score":-0.0,"embedding":[0.0,3.0,1e-300]}]},'
+    '{"turn":2,"query_embedding":null,"critique":null,"items":[]}]}\n'
+)
+
+
+def test_run_file_round_trips_byte_for_byte(tmp_path):
+    source = tmp_path / "hand.jsonl"
+    source.write_text("# written by hand\n" + RUN_FILE_BODY)
+    copy = tmp_path / "copy.jsonl"
+    write_runs(read_runs(source), copy)
+    assert copy.read_text() == RUN_FILE_BODY
+
 
 class TestGenerator:
     def test_seeded_determinism_byte_identical(self, tmp_path):
@@ -212,7 +255,7 @@ class TestGenerator:
         for run in generate_synthetic(cfg):
             assert run.target_ranks == (1,) * 3
             for ranking in run.turns:
-                assert ranking.items[0].item_id == run.target_id
+                assert ranking.items[0] == run.target_id
 
     def test_shapes_and_sorting(self):
         runs = generate_synthetic(GenConfig(**SMALL))
@@ -222,7 +265,7 @@ class TestGenerator:
             assert len(run.target_ranks) == SMALL["n_turns"]
             for ranking in run.turns:
                 assert len(ranking.items) == SMALL["top_n"]
-                scores = [item.score for item in ranking.items]
+                scores = ranking.scores.tolist()
                 assert scores == sorted(scores, reverse=True)
                 assert ranking.query_embedding is not None
                 assert np.isclose(np.linalg.norm(ranking.query_embedding), 1.0)

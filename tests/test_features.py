@@ -43,10 +43,8 @@ class TestScoreStats:
         assert score_stats(ranking, top_n=2) == (3.5, 4.0, 0.5)
 
     def test_empty_rejected(self):
-        from convpred.core import TurnRanking
-
         with pytest.raises(ValueError):
-            score_stats(TurnRanking(turn=1, items=()))
+            score_stats(make_ranking([], []))
 
 
 class TestAutocorrelation:
@@ -69,8 +67,8 @@ class TestAutocorrelation:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 5))
         ranking = random_ranking(rng, n, 4)
-        scores = [item.score for item in ranking.items]
-        embs = [item.embedding.tolist() for item in ranking.items]
+        scores = ranking.scores.tolist()
+        embs = ranking.embeddings.tolist()
         assert autocorrelation(ranking) == pytest.approx(ac_brute(scores, embs), abs=1e-9)
 
 
@@ -87,7 +85,7 @@ class TestWand:
     def test_matches_brute_force(self, seed):
         rng = np.random.default_rng(100 + seed)
         ranking = random_ranking(rng, 5, 3)
-        embs = [item.embedding.tolist() for item in ranking.items]
+        embs = ranking.embeddings.tolist()
         assert mean_pairwise_similarity(ranking) == pytest.approx(wand_brute(embs), abs=1e-9)
 
 
@@ -106,7 +104,7 @@ class TestReciprocalVolume:
         rng = np.random.default_rng(200 + seed)
         n = int(rng.integers(1, 4))
         ranking = random_ranking(rng, n, 3, with_query=True)
-        embs = [item.embedding.tolist() for item in ranking.items]
+        embs = ranking.embeddings.tolist()
         q = ranking.query_embedding.tolist()
         assert reciprocal_volume(ranking) == pytest.approx(rv_brute(embs, q), rel=1e-6)
 
@@ -124,7 +122,7 @@ class TestAnchoredPairRatio:
     def test_matches_brute_force(self, seed):
         rng = np.random.default_rng(300 + seed)
         ranking = random_ranking(rng, 3, 4, with_query=True)
-        embs = [item.embedding.tolist() for item in ranking.items]
+        embs = ranking.embeddings.tolist()
         q = ranking.query_embedding.tolist()
         assert anchored_pair_ratio(ranking) == pytest.approx(apr_brute(embs, q), abs=1e-9)
 
@@ -209,8 +207,8 @@ class TestAssembly:
         run = random_run(seed, n_turns=2, n_items=4, dim=3)
         scaled_turns = [
             make_ranking(
-                [item.score for item in ranking.items],
-                [item.embedding * scale for item in ranking.items],
+                ranking.scores,
+                ranking.embeddings * scale,
                 turn=ranking.turn,
             )
             for ranking in run.turns
@@ -230,8 +228,8 @@ class TestAssembly:
         run = make_run(turns)
         vec = assemble_multiturn(run, kind, 3)
         for t, ranking in enumerate(turns):
-            scores = [item.score for item in ranking.items]
-            embs = [item.embedding.tolist() for item in ranking.items]
+            scores = ranking.scores.tolist()
+            embs = ranking.embeddings.tolist()
             q = ranking.query_embedding.tolist()
             expected = {
                 "ac": lambda: ac_brute(scores, embs),

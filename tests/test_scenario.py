@@ -104,7 +104,7 @@ class TestInduceMissing:
         for cid in missing.forced:
             run = by_id[cid]
             for ranking in run.turns:
-                assert all(item.item_id != run.target_id for item in ranking.items)
+                assert run.target_id not in ranking.items
             assert run.target_ranks is None
             assert missing.labels[cid] == (0,) * run.n_turns
 
@@ -158,11 +158,7 @@ class TestInduceMissing:
         for original, new in zip(runs, modified):
             before = assemble_multiturn(original, "wand", 4, top_n=10)
             after = assemble_multiturn(new, "wand", 4, top_n=10)
-            target_seen = any(
-                item.item_id == original.target_id
-                for ranking in original.turns
-                for item in ranking.items[:10]
-            )
+            target_seen = any(original.target_id in r.items[:10] for r in original.turns)
             if original.conversation_id in missing.forced and target_seen:
                 assert not np.array_equal(before, after)
             else:
