@@ -90,10 +90,13 @@ def main():
     parser.add_argument("--pairs", default="2-9", help="train-turn range")
     parser.add_argument("--epochs", type=int, default=100)
     args = parser.parse_args()
+    try:
+        pairs = evaluation.parse_pairs(args.pairs)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     args.outdir.mkdir(parents=True, exist_ok=True)
-    lo, _, hi = args.pairs.partition("-")
-    pairs = [(t, t + 1) for t in range(int(lo), int(hi or lo) + 1)]
     settings = evaluation.EvalSettings(ae_epochs=args.epochs)
 
     config = data_io.GenConfig(

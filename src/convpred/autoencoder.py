@@ -10,17 +10,19 @@ class logits}. Training minimizes the joint loss
 with full-batch Adam. Inputs are standardized per column with train-split
 statistics stored on the model; `forward`, `losses`, and `gradients` operate
 in that standardized network space, while `train` and `predict` accept raw
-feature rows.
+feature rows. Training input is checked and standardized by the same helpers
+in :mod:`convpred.classifiers` as every baseline trainer's.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
+
+from .classifiers import check_train_input, standardize, standardize_fit
+from .core import read_json, write_json
 
 __all__ = [
     "AEConfig",
@@ -176,17 +178,13 @@ def _mean_losses_network(model: AEModel, batch: np.ndarray, labels: np.ndarray):
 
 def mean_losses(model: AEModel, X, y) -> tuple[float, float, float]:
     """Mean (rec, cls, total) losses over raw rows, standardized with the model stats."""
-    batch = _standardize(model, np.asarray(X, dtype=np.float64))
-    labels = _as_labels(y, len(batch))
-    return _mean_losses_network(model, batch, labels)
+    X, labels = check_train_input(X, y, minimum=1)
+    return _mean_losses_network(model, standardize(X, model.input_mean, model.input_scale), labels)
 
 
 def gradients(model: AEModel, X, y) -> dict[str, np.ndarray]:
     """Analytic gradients of the mean total loss over a network-space batch."""
-    batch = np.asarray(X, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[0] == 0:
-        raise ValueError("gradient batch must be a non-empty 2-D array")
-    labels = _as_labels(y, len(batch))
+    batch, labels = check_train_input(X, y, minimum=1)
     cfg = model.config
     n, d = batch.shape
 
@@ -212,53 +210,22 @@ def gradients(model: AEModel, X, y) -> dict[str, np.ndarray]:
     return grads
 
 
-def _as_labels(y, n: int) -> np.ndarray:
-    labels = np.asarray(y)
-    if labels.shape != (n,):
-        raise ValueError(f"labels shape {labels.shape} does not match batch size {n}")
-    labels = labels.astype(np.int64)
-    if not np.isin(labels, (0, 1)).all():
-        raise ValueError("labels must be 0 or 1")
-    return labels
-
-
-def _standardize(model: AEModel, X: np.ndarray) -> np.ndarray:
-    if X.ndim != 2 or X.shape[1] != model.config.input_dim:
-        raise ValueError(f"feature width {X.shape} does not match input_dim {model.config.input_dim}")
-    return (X - model.input_mean) / model.input_scale
-
-
 def train(X, y, config: AEConfig) -> tuple[AEModel, TrainTrace]:
     """Full-batch Adam on the joint loss; bit-reproducible given (data, config)."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("training data must be a non-empty 2-D array")
-    if X.shape[0] < 2:
-        raise ValueError("training needs at least 2 rows")
+    X, labels = check_train_input(X, y)
     if X.shape[1] != config.input_dim:
         raise ValueError(f"feature width {X.shape[1]} does not match input_dim {config.input_dim}")
-    labels = _as_labels(y, len(X))
-
-    mean = X.mean(axis=0)
-    scale = X.std(axis=0)
-    scale[scale == 0.0] = 1.0
-    batch = (X - mean) / scale
+    batch, mean, scale = standardize_fit(X)
 
     model = init_model(config)
-    model.input_mean = mean
-    model.input_scale = scale
+    model.input_mean, model.input_scale = mean, scale
 
     moment1 = {name: np.zeros_like(p) for name, p in model.parameters().items()}
     moment2 = {name: np.zeros_like(p) for name, p in model.parameters().items()}
-    rec_hist = np.empty(config.epochs)
-    cls_hist = np.empty(config.epochs)
-    tot_hist = np.empty(config.epochs)
+    history = np.empty((3, config.epochs))  # rec, cls, total
 
     for epoch in range(config.epochs):
-        l_rec, l_cls, l_tot = _mean_losses_network(model, batch, labels)
-        rec_hist[epoch] = l_rec
-        cls_hist[epoch] = l_cls
-        tot_hist[epoch] = l_tot
+        history[:, epoch] = _mean_losses_network(model, batch, labels)
         grads = gradients(model, batch, labels)
         step = epoch + 1
         for name, param in model.parameters().items():
@@ -269,46 +236,22 @@ def train(X, y, config: AEConfig) -> tuple[AEModel, TrainTrace]:
             v_hat = moment2[name] / (1.0 - ADAM_BETA2**step)
             param -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
-    return model, TrainTrace(rec=rec_hist, cls=cls_hist, total=tot_hist)
+    return model, TrainTrace(*history)
 
 
 def predict(model: AEModel, X) -> np.ndarray:
     """Argmax class per raw feature row; exact probability ties resolve to 0."""
-    batch = _standardize(model, np.asarray(X, dtype=np.float64))
+    batch = standardize(X, model.input_mean, model.input_scale)
     _, probs, _ = forward_batch(model, batch)
     return np.argmax(probs, axis=1).astype(np.int64)
 
 
 def save_model(model: AEModel, path) -> None:
-    """JSON checkpoint: config, row-major weights, and standardization vectors."""
-    cfg = model.config
-    payload = {
-        "config": {
-            "input_dim": cfg.input_dim,
-            "hidden_dim": cfg.hidden_dim,
-            "bottleneck_dim": cfg.bottleneck_dim,
-            "learning_rate": cfg.learning_rate,
-            "epochs": cfg.epochs,
-            "seed": cfg.seed,
-            "rec_weight": cfg.rec_weight,
-            "cls_weight": cfg.cls_weight,
-        },
-        "input_mean": model.input_mean.tolist(),
-        "input_scale": model.input_scale.tolist(),
-        "weights": {name: p.tolist() for name, p in model.parameters().items()},
-    }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
+    """JSON checkpoint of the model's fields: the config as an object, arrays as nested lists."""
+    write_json(path, model)
 
 
 def load_model(path) -> AEModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    config = AEConfig(**payload["config"])
-    weights = {
-        name: np.asarray(payload["weights"][name], dtype=np.float64) for name in _PARAM_NAMES
-    }
-    return AEModel(
-        config,
-        **weights,
-        input_mean=np.asarray(payload["input_mean"], dtype=np.float64),
-        input_scale=np.asarray(payload["input_scale"], dtype=np.float64),
-    )
+    fields = read_json(path)
+    config = AEConfig(**fields.pop("config"))
+    return AEModel(config, **{name: np.asarray(v, dtype=np.float64) for name, v in fields.items()})

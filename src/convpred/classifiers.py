@@ -1,21 +1,26 @@
 """Baseline classifiers over feature rows: logistic regression, an L1-shrinkage
 linear classifier (squared loss on {0,1} targets, thresholded at 0.5), and a
 random forest. All are hand-rolled on numpy so behavior is exact and seeded.
+Every trainer, the autoencoder's included, checks its input with
+:func:`check_train_input` and standardizes it with :func:`standardize_fit`.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
+
+from .core import read_json, write_json
 
 __all__ = [
     "LinearModel",
     "TreeNode",
     "Forest",
+    "check_train_input",
+    "standardize_fit",
+    "standardize",
     "train_logistic",
     "train_lasso",
     "train_forest",
@@ -70,11 +75,48 @@ class Forest:
     n_features: int
 
 
-def _standardize_fit(X: np.ndarray):
+LASSO_TOL = 1e-12  # a sweep moving no weight by this much ends coordinate descent
+
+
+def _as_rows(X, width: int | None = None) -> np.ndarray:
+    """X as float64 rows (a 1-D X is one column), ``width`` columns wide if given."""
+    X = np.asarray(X, dtype=np.float64)
+    X = X[:, None] if X.ndim == 1 else X
+    if width is not None and (X.ndim != 2 or X.shape[1] != width):
+        raise ValueError(f"feature shape {X.shape} does not match training width {width}")
+    return X
+
+
+def check_train_input(X, y, minimum: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """Training rows as a float64 matrix (a 1-D X is one column) and labels as int64.
+
+    Raises ValueError unless there are at least ``minimum`` rows, one label
+    per row and every label is 0 or 1.
+    """
+    X = _as_rows(X)
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise ValueError("training data must be a non-empty 2-D array")
+    if X.shape[0] < minimum:
+        raise ValueError(f"training needs at least {minimum} sample(s)")
+    y = np.asarray(y)
+    if y.shape != (X.shape[0],):
+        raise ValueError("labels must align with rows")
+    if not np.isin(y, (0, 1)).all():
+        raise ValueError("labels must be 0 or 1")
+    return X, y.astype(np.int64)
+
+
+def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(standardized X, column means, column scales); a constant column gets scale 1."""
     mean = X.mean(axis=0)
     scale = X.std(axis=0)
     scale[scale == 0.0] = 1.0
     return (X - mean) / scale, mean, scale
+
+
+def standardize(X, mean: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Raw rows in the units of a fitted model; their width must be the training width."""
+    return (_as_rows(X, len(mean)) - mean) / scale
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -86,22 +128,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_train_input(X, y, minimum=2):
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
-    y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("training data must be a non-empty 2-D array")
-    if X.shape[0] < minimum:
-        raise ValueError(f"training needs at least {minimum} sample(s)")
-    if y.shape != (X.shape[0],):
-        raise ValueError("labels must align with rows")
-    if not np.isin(y, (0, 1)).all():
-        raise ValueError("labels must be 0 or 1")
-    return X, y
-
-
 def train_logistic(X, y, lr: float = 0.1, iters: int = 500) -> LinearModel:
     """Full-batch gradient descent on the mean negative log-likelihood.
 
@@ -109,8 +135,8 @@ def train_logistic(X, y, lr: float = 0.1, iters: int = 500) -> LinearModel:
     internally with training statistics so the fixed step size is safe across
     feature scales.
     """
-    X, y = _check_train_input(X, y)
-    Xs, mean, scale = _standardize_fit(X)
+    X, y = check_train_input(X, y)
+    Xs, mean, scale = standardize_fit(X)
     n = len(y)
     w = np.zeros(Xs.shape[1])
     b = 0.0
@@ -130,18 +156,19 @@ def _logistic_nll(z: np.ndarray, y: np.ndarray) -> float:
     return float((np.logaddexp(0.0, z) - y * z).mean())
 
 
-def train_lasso(X, y, lam: float = 0.1, iters: int = 1000, tol: float = 1e-12) -> LinearModel:
+def train_lasso(X, y, lam: float = 0.1, iters: int = 1000) -> LinearModel:
     """Coordinate descent on 0.5 * mean squared error + lam * sum |w_i|.
 
     Targets are the {0,1} labels; the intercept is unpenalized and columns are
     standardized internally, so each coordinate update is the exact soft
     threshold w_j = S(rho_j, lam). The objective is non-increasing across
-    sweeps; ``iters`` bounds the number of full sweeps.
+    sweeps; ``iters`` bounds the number of full sweeps, and a sweep that
+    moves no weight by LASSO_TOL or more is the last.
     """
     if lam < 0.0:
         raise ValueError("lam must be >= 0")
-    X, y = _check_train_input(X, y)
-    Xs, mean, scale = _standardize_fit(X)
+    X, y = check_train_input(X, y)
+    Xs, mean, scale = standardize_fit(X)
     n, p = Xs.shape
     yf = y.astype(np.float64)
     w = np.zeros(p)
@@ -164,7 +191,7 @@ def train_lasso(X, y, lam: float = 0.1, iters: int = 1000, tol: float = 1e-12) -
                 residual -= (new - old) * Xs[:, j]
                 w[j] = new
         history.append(_lasso_objective(residual, w, lam))
-        if np.max(np.abs(w - w_before)) < tol:
+        if np.max(np.abs(w - w_before)) < LASSO_TOL:
             break
     nonzero = tuple(int(j) for j in np.nonzero(w)[0])
     return LinearModel("lasso", w, b, mean, scale, nonzero=nonzero, history=tuple(history))
@@ -223,7 +250,7 @@ def train_forest(X, y, n_trees: int = 100, seed: int = 0) -> Forest:
     Trees grow until pure or down to fewer than 2 samples; everything is
     deterministic given the seed, with one substream per tree.
     """
-    X, y = _check_train_input(X, y, minimum=1)
+    X, y = check_train_input(X, y, minimum=1)
     n, n_features = X.shape
     n_candidates = max(1, math.ceil(math.sqrt(n_features)))
     trees = []
@@ -242,19 +269,13 @@ def _tree_predict(node: TreeNode, row: np.ndarray) -> int:
 
 def predict_cls(model, X) -> np.ndarray:
     """Predicted labels per row; see LinearModel / Forest for the tie rules."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
     if isinstance(model, LinearModel):
-        if X.shape[1] != len(model.weights):
-            raise ValueError(f"feature width {X.shape[1]} != training width {len(model.weights)}")
-        z = ((X - model.input_mean) / model.input_scale) @ model.weights + model.intercept
+        z = standardize(X, model.input_mean, model.input_scale) @ model.weights + model.intercept
         if model.kind == "logistic":
             return (_sigmoid(z) >= 0.5).astype(np.int64)
         return (z >= 0.5).astype(np.int64)
     if isinstance(model, Forest):
-        if X.shape[1] != model.n_features:
-            raise ValueError(f"feature width {X.shape[1]} != training width {model.n_features}")
+        X = _as_rows(X, model.n_features)
         votes = np.zeros(len(X), dtype=np.int64)
         for tree in model.trees:
             votes += np.array([_tree_predict(tree, row) for row in X])
@@ -263,80 +284,30 @@ def predict_cls(model, X) -> np.ndarray:
 
 
 def save_linear(model: LinearModel, path) -> None:
-    payload = {
-        "kind": model.kind,
-        "weights": model.weights.tolist(),
-        "intercept": model.intercept,
-        "input_mean": model.input_mean.tolist(),
-        "input_scale": model.input_scale.tolist(),
-        "nonzero": list(model.nonzero),
-    }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
+    write_json(path, model)
 
 
 def load_linear(path) -> LinearModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return LinearModel(
-        kind=payload["kind"],
-        weights=np.asarray(payload["weights"], dtype=np.float64),
-        intercept=float(payload["intercept"]),
-        input_mean=np.asarray(payload["input_mean"], dtype=np.float64),
-        input_scale=np.asarray(payload["input_scale"], dtype=np.float64),
-        nonzero=tuple(payload["nonzero"]),
-    )
-
-
-def _tree_to_rows(node: TreeNode, rows: list) -> int:
-    """Flatten to arrays of (feature, threshold, left, right, counts); returns index."""
-    index = len(rows)
-    rows.append(None)
-    if node.is_leaf:
-        rows[index] = {"leaf": True, "counts": node.counts.tolist()}
-    else:
-        left = _tree_to_rows(node.left, rows)
-        right = _tree_to_rows(node.right, rows)
-        rows[index] = {
-            "leaf": False,
-            "feature": node.feature,
-            "threshold": node.threshold,
-            "left": left,
-            "right": right,
-        }
-    return index
-
-
-def _tree_from_rows(rows: list, index: int = 0) -> TreeNode:
-    row = rows[index]
-    if row["leaf"]:
-        return TreeNode(counts=np.asarray(row["counts"], dtype=np.float64))
-    return TreeNode(
-        feature=int(row["feature"]),
-        threshold=float(row["threshold"]),
-        left=_tree_from_rows(rows, row["left"]),
-        right=_tree_from_rows(rows, row["right"]),
-    )
+    fields = read_json(path)
+    for name in ("weights", "input_mean", "input_scale"):
+        fields[name] = np.asarray(fields[name], dtype=np.float64)
+    fields["nonzero"] = tuple(fields["nonzero"])
+    fields["history"] = tuple(fields["history"])
+    return LinearModel(**fields)
 
 
 def save_forest(model: Forest, path) -> None:
-    serialized = []
-    for tree in model.trees:
-        rows: list = []
-        _tree_to_rows(tree, rows)
-        serialized.append(rows)
-    payload = {
-        "n_trees": model.n_trees,
-        "seed": model.seed,
-        "n_features": model.n_features,
-        "trees": serialized,
-    }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
+    write_json(path, model)
+
+
+def _node_from_fields(fields: dict) -> TreeNode:
+    if fields["counts"] is not None:
+        return TreeNode(counts=np.asarray(fields["counts"], dtype=np.float64))
+    left, right = _node_from_fields(fields["left"]), _node_from_fields(fields["right"])
+    return TreeNode(fields["feature"], fields["threshold"], left, right)
 
 
 def load_forest(path) -> Forest:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return Forest(
-        trees=[_tree_from_rows(rows) for rows in payload["trees"]],
-        n_trees=int(payload["n_trees"]),
-        seed=int(payload["seed"]),
-        n_features=int(payload["n_features"]),
-    )
+    fields = read_json(path)
+    fields["trees"] = [_node_from_fields(tree) for tree in fields["trees"]]
+    return Forest(**fields)

@@ -94,15 +94,8 @@ def cmd_features(args) -> int:
     return 0
 
 
-def _parse_pairs(text: str):
-    lo, _, hi = text.partition("-")
-    start, end = int(lo), int(hi or lo)
-    if start < 1 or end < start:
-        raise ValidationError(f"bad --pairs range {text!r}")
-    return tuple((t, t + 1) for t in range(start, end + 1))
-
-
 def cmd_eval(args) -> int:
+    pairs = None if args.mode == "cutoff" else evaluation.parse_pairs(args.pairs)
     runs = data_io.read_runs(args.runs)
     settings = _settings_from_args(args)
     header = (
@@ -139,7 +132,7 @@ def cmd_eval(args) -> int:
             args.predictor,
             "ae-head" if args.predictor == "ae" else args.classifier,
             split,
-            pairs=_parse_pairs(args.pairs),
+            pairs=pairs,
             settings=settings,
             seed=args.seed,
             mode=args.mode,

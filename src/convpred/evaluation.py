@@ -40,6 +40,7 @@ __all__ = [
     "PREDICTORS",
     "CLASSIFIERS",
     "split_conversations",
+    "parse_pairs",
     "run_turn_pair",
     "run_single_turn",
     "cutoff_sensitivity",
@@ -115,11 +116,8 @@ class EvalSettings:
     ae_learning_rate: float = 0.01
     ae_hidden_dim: int | None = None
     ae_bottleneck_dim: int | None = None
-    ae_rec_weight: float = 1.0
-    ae_cls_weight: float = 1.0
     lasso_lambda: float = 0.1
     lasso_iters: int = 1000
-    logistic_lr: float = 0.1
     logistic_iters: int = 500
     n_trees: int = 100
 
@@ -135,7 +133,8 @@ def split_conversations(
 
     When stratified, the ratio holds within each label class up to rounding
     (largest-remainder allocation keeps the total exact). A class with fewer
-    than 2 members falls back to an unstratified shuffle with a warning.
+    than 2 members falls back to an unstratified shuffle with a warning. A
+    ratio that leaves either side empty is an error.
     """
     ids = list(ids)
     n = len(ids)
@@ -143,9 +142,12 @@ def split_conversations(
         raise ValueError("need at least 2 conversations to split")
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"ratio must be in (0, 1), got {ratio}")
+    n_train = round_half_up(ratio * n)
+    if not 0 < n_train < n:
+        side = "train" if n_train == 0 else "test"
+        raise ValueError(f"split ratio {ratio} leaves the {side} side empty for {n} conversations")
     rng = np.random.default_rng(seed)
     shuffled = [ids[i] for i in rng.permutation(n)]
-    n_train = round_half_up(ratio * n)
     warnings: tuple[str, ...] = ()
 
     if stratified:
@@ -177,6 +179,18 @@ def split_conversations(
     return Split(tuple(shuffled[:n_train]), tuple(shuffled[n_train:]), seed, stratified, warnings)
 
 
+def parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
+    """The turn pairs (T, T+1) of a train-turn range "T" or "T-U", 1 <= T <= U."""
+    lo, _, hi = text.partition("-")
+    try:
+        start, end = int(lo), int(hi or lo)
+    except ValueError:
+        start = end = 0
+    if start < 1 or end < start:
+        raise ValidationError(f"bad --pairs range {text!r} (expected T or T-U with 1 <= T <= U)")
+    return tuple((t, t + 1) for t in range(start, end + 1))
+
+
 def _cell_seed(seed: int, turn_train: int, cutoff: int) -> int:
     return int(np.random.SeedSequence((seed, turn_train, cutoff)).generate_state(1)[0])
 
@@ -190,15 +204,11 @@ def _fit_predict(classifier, X_train, y_train, X_test, settings: EvalSettings, c
             learning_rate=settings.ae_learning_rate,
             epochs=settings.ae_epochs,
             seed=cell_seed,
-            rec_weight=settings.ae_rec_weight,
-            cls_weight=settings.ae_cls_weight,
         )
         model, _ = autoencoder.train(X_train, y_train, config)
         return autoencoder.predict(model, X_test)
     if classifier == "logreg":
-        model = classifiers.train_logistic(
-            X_train, y_train, lr=settings.logistic_lr, iters=settings.logistic_iters
-        )
+        model = classifiers.train_logistic(X_train, y_train, iters=settings.logistic_iters)
     elif classifier == "lasso":
         model = classifiers.train_lasso(
             X_train, y_train, lam=settings.lasso_lambda, iters=settings.lasso_iters

@@ -12,11 +12,9 @@ from convpred.autoencoder import (
     forward_batch,
     gradients,
     init_model,
-    load_model,
     losses,
     mean_losses,
     predict,
-    save_model,
     train,
 )
 from oracles import ae_forward_brute, finite_diff_gradients
@@ -230,20 +228,3 @@ class TestPredict:
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
             predict(small_model(), np.zeros((2, 9)))
-
-
-class TestCheckpoint:
-    def test_roundtrip_exact(self, tmp_path):
-        rng = np.random.default_rng(14)
-        X = rng.standard_normal((12, 8))
-        y = rng.integers(0, 2, size=12)
-        model, _ = train(X, y, AEConfig(input_dim=8, epochs=5, seed=3))
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        back = load_model(path)
-        assert back.config == model.config
-        for name, param in model.parameters().items():
-            np.testing.assert_array_equal(param, getattr(back, name))
-        np.testing.assert_array_equal(back.input_mean, model.input_mean)
-        np.testing.assert_array_equal(back.input_scale, model.input_scale)
-        np.testing.assert_array_equal(predict(back, X), predict(model, X))

@@ -5,11 +5,7 @@ from convpred.classifiers import (
     Forest,
     LinearModel,
     TreeNode,
-    load_forest,
-    load_linear,
     predict_cls,
-    save_forest,
-    save_linear,
     train_forest,
     train_lasso,
     train_logistic,
@@ -178,28 +174,3 @@ class TestPredictDispatch:
     def test_unsupported_type(self):
         with pytest.raises(TypeError):
             predict_cls(object(), np.zeros((1, 1)))
-
-
-class TestSerialization:
-    def test_linear_roundtrip(self, tmp_path):
-        X, y = separable_1d(seed=10)
-        for trainer in (train_logistic, train_lasso):
-            model = trainer(X, y)
-            path = tmp_path / f"{model.kind}.json"
-            save_linear(model, path)
-            back = load_linear(path)
-            assert back.kind == model.kind
-            np.testing.assert_array_equal(back.weights, model.weights)
-            assert back.intercept == model.intercept
-            np.testing.assert_array_equal(predict_cls(back, X), predict_cls(model, X))
-
-    def test_forest_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(11)
-        X = rng.standard_normal((25, 3))
-        y = rng.integers(0, 2, size=25)
-        model = train_forest(X, y, n_trees=8, seed=4)
-        path = tmp_path / "forest.json"
-        save_forest(model, path)
-        back = load_forest(path)
-        assert back.n_trees == model.n_trees
-        np.testing.assert_array_equal(predict_cls(back, X), predict_cls(model, X))

@@ -227,6 +227,54 @@ class TestSkippedPairs:
         assert all(line.startswith("warning: ") for line in err)
 
 
+BAD_PAIRS = ["x", "0-3"]
+
+
+def _bad_pairs_error(pairs):
+    return f"error: bad --pairs range '{pairs}' (expected T or T-U with 1 <= T <= U)\n"
+
+
+class TestPairsOption:
+    @pytest.mark.parametrize("pairs", BAD_PAIRS)
+    def test_eval_rejects_bad_pairs(self, workspace, tmp_path, capsys, pairs):
+        _, runs_path, labels_path = workspace
+        code = main(["eval", "--runs", str(runs_path), "--labels", str(labels_path),
+                     "--predictor", "score", "--classifier", "logreg", "--pairs", pairs,
+                     "--report", str(tmp_path / "r.csv"), "--predictions", str(tmp_path / "p.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == _bad_pairs_error(pairs)
+
+    @pytest.mark.parametrize("pairs", BAD_PAIRS)
+    def test_protocol_script_rejects_bad_pairs(self, tmp_path, capsys, monkeypatch, pairs):
+        module = _load_protocol_script()
+        outdir = tmp_path / "out"
+        monkeypatch.setattr("sys.argv", ["run_protocol.py", "--n", "12", "--pairs", pairs,
+                                         "--outdir", str(outdir)])
+        assert module.main() == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == _bad_pairs_error(pairs)
+        assert not outdir.exists()
+
+
+class TestSplitRatio:
+    @pytest.mark.parametrize("ratio, side", [("0.96", "test"), ("0.04", "train")])
+    def test_ratio_leaving_a_side_empty(self, tmp_path, capsys, ratio, side):
+        runs_path, labels_path = tmp_path / "runs.jsonl", tmp_path / "labels.csv"
+        assert main(["gen", "--n", "10", *GEN_ARGS[2:], "--out", str(runs_path)]) == 0
+        assert main(["label", "--runs", str(runs_path), "--cutoff", "20",
+                     "--out", str(labels_path)]) == 0
+        capsys.readouterr()
+        code = main(["eval", "--runs", str(runs_path), "--labels", str(labels_path),
+                     "--predictor", "score", "--classifier", "logreg", "--pairs", "2-2",
+                     "--split-ratio", ratio,
+                     "--report", str(tmp_path / "r.csv"), "--predictions", str(tmp_path / "p.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: split ratio {ratio} leaves the {side} side empty for 10 conversations\n"
+        )
+
+
 @pytest.fixture(scope="module")
 def two_runs(workspace, tmp_path_factory):
     _, runs_path, labels_path = workspace

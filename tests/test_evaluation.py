@@ -13,6 +13,7 @@ from convpred.evaluation import (
     cutoff_sensitivity,
     mcnemar,
     paired_predictions,
+    parse_pairs,
     read_predictions,
     read_report,
     run_single_turn,
@@ -85,6 +86,23 @@ class TestSplit:
     def test_too_small(self):
         with pytest.raises(ValueError):
             split_conversations(["c0"], {"c0": 1})
+
+    @pytest.mark.parametrize("ratio, side", [(0.96, "test"), (0.04, "train")])
+    def test_ratio_leaving_a_side_empty(self, ratio, side):
+        ids, labels = self._ids_labels(10, 5)
+        with pytest.raises(ValueError, match=f"{ratio} leaves the {side} side empty for 10 conv"):
+            split_conversations(ids, labels, ratio=ratio)
+
+
+class TestParsePairs:
+    @pytest.mark.parametrize("text, pairs", [("3", ((3, 4),)), ("2-4", ((2, 3), (3, 4), (4, 5)))])
+    def test_ranges(self, text, pairs):
+        assert parse_pairs(text) == pairs
+
+    @pytest.mark.parametrize("text", ["x", "", "0-3", "4-2", "-3", "2-x"])
+    def test_bad_ranges(self, text):
+        with pytest.raises(ValidationError, match="bad --pairs range"):
+            parse_pairs(text)
 
 
 class TestTurnPair:
