@@ -21,6 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np
 
 from convpred import data_io, evaluation, scenario
+from convpred.core import ValidationError
 
 # predictor rows mirroring the usual comparison: coherence and score features
 # behind a random forest, the strongest coherence feature behind logistic and
@@ -91,11 +92,14 @@ def main():
     parser.add_argument("--epochs", type=int, default=100)
     args = parser.parse_args()
     try:
-        pairs = evaluation.parse_pairs(args.pairs)
-    except ValueError as exc:
+        return run(args)
+    except (ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+
+def run(args) -> int:
+    pairs = evaluation.parse_pairs(args.pairs)
     args.outdir.mkdir(parents=True, exist_ok=True)
     settings = evaluation.EvalSettings(ae_epochs=args.epochs)
 

@@ -95,7 +95,10 @@ def cmd_features(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    pairs = None if args.mode == "cutoff" else evaluation.parse_pairs(args.pairs)
+    if args.mode == "cutoff":
+        cutoffs = evaluation.parse_cutoffs(args.cutoffs)
+    else:
+        pairs = evaluation.parse_pairs(args.pairs)
     runs = data_io.read_runs(args.runs)
     settings = _settings_from_args(args)
     header = (
@@ -105,7 +108,6 @@ def cmd_eval(args) -> int:
         f"epochs={args.epochs} lr={args.lr} lasso_lambda={args.lasso_lambda} n_trees={args.n_trees}"
     )
     if args.mode == "cutoff":
-        cutoffs = tuple(int(c) for c in args.cutoffs.split(","))
         labels = scenario.label_runs(runs, cutoff=max(cutoffs))
     elif args.labels is None:
         raise ValidationError("--labels is required for multi/single evaluation")

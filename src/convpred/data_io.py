@@ -41,7 +41,6 @@ __all__ = [
     "generate_synthetic",
     "write_runs",
     "read_runs",
-    "run_to_dict",
     "run_from_dict",
 ]
 
@@ -166,31 +165,6 @@ def generate_synthetic(config: GenConfig) -> list[ConversationRun]:
     return runs
 
 
-def run_to_dict(run: ConversationRun) -> dict:
-    ranks = run.target_ranks
-    return {
-        "conversation_id": run.conversation_id,
-        "target_id": run.target_id,
-        "target_ranks": [None] * run.n_turns if ranks is None else list(ranks),
-        "turns": [
-            {
-                "turn": ranking.turn,
-                "query_embedding": None
-                if ranking.query_embedding is None
-                else ranking.query_embedding.tolist(),
-                "critique": ranking.critique,
-                "items": [
-                    {"id": item_id, "score": score, "embedding": embedding}
-                    for item_id, score, embedding in zip(
-                        ranking.items, ranking.scores.tolist(), ranking.embeddings.tolist()
-                    )
-                ],
-            }
-            for ranking in run.turns
-        ],
-    }
-
-
 def _turn_from_dict(tr: dict, cid: str) -> TurnRanking:
     items = tr["items"]
     embeddings = [it["embedding"] for it in items]
@@ -224,15 +198,65 @@ def run_from_dict(obj: dict, where: str = "run") -> ConversationRun:
         raise ValidationError(f"{where}: malformed run record ({exc})") from exc
 
 
+# one encoder for every value keeps json's float repr, its ASCII escaping of
+# strings and its refusal of NaN/inf
+_encode = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+
+
+def _turn_text(ranking: TurnRanking, items: dict) -> str:
+    """One turn object; ``items`` caches each id's encoded text around its score.
+
+    The cache holds ``id -> (row bytes, text before the score, text after it)``
+    and is keyed on the row's bytes, not its float values, because -0.0 and
+    0.0 compare equal but print differently. An id that comes back with other
+    row bytes is encoded again and replaces its entry.
+    """
+    query = ranking.query_embedding
+    head = (
+        f'{{"turn":{_encode(ranking.turn)},'
+        f'"query_embedding":{_encode(None if query is None else query.tolist())},'
+        f'"critique":{_encode(ranking.critique)},"items":['
+    )
+    if not ranking.items:
+        return head + "]}"
+    embeddings = ranking.embeddings
+    raw = embeddings.tobytes()
+    width = len(raw) // len(embeddings)
+    scores = _encode(ranking.scores.tolist())[1:-1].split(",")  # float reprs hold no comma
+    parts = []
+    for i, (item_id, score) in enumerate(zip(ranking.items, scores)):
+        row = raw[i * width : (i + 1) * width]
+        entry = items.get(item_id)
+        if entry is None or entry[0] != row:
+            entry = items[item_id] = (
+                row,
+                f'{{"id":{_encode(item_id)},"score":',
+                f',"embedding":{_encode(embeddings[i].tolist())}}}',
+            )
+        parts.append(entry[1] + score + entry[2])
+    return head + ",".join(parts) + "]}"
+
+
 def write_runs(runs, path, header_comment: str | None = None) -> None:
-    """Write validated runs as JSON Lines; refuses structurally invalid input."""
+    """Write validated runs as JSON Lines; refuses structurally invalid input.
+
+    Each line is the run file format's object with keys in the documented
+    order and no whitespace. Each item id's embedding is encoded once per
+    file, however many turns retrieve it.
+    """
     validate_runs(runs)
     path = Path(path)
+    items: dict = {}
     with path.open("w", encoding="utf-8") as fh:
         write_header(fh, header_comment)
         for run in runs:
-            fh.write(json.dumps(run_to_dict(run), separators=(",", ":"), allow_nan=False))
-            fh.write("\n")
+            ranks = [None] * run.n_turns if run.target_ranks is None else list(run.target_ranks)
+            turns = ",".join(_turn_text(ranking, items) for ranking in run.turns)
+            fh.write(
+                f'{{"conversation_id":{_encode(run.conversation_id)},'
+                f'"target_id":{_encode(run.target_id)},'
+                f'"target_ranks":{_encode(ranks)},"turns":[{turns}]}}\n'
+            )
 
 
 def read_runs(path) -> list[ConversationRun]:

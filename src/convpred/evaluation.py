@@ -41,6 +41,7 @@ __all__ = [
     "CLASSIFIERS",
     "split_conversations",
     "parse_pairs",
+    "parse_cutoffs",
     "run_turn_pair",
     "run_single_turn",
     "cutoff_sensitivity",
@@ -189,6 +190,17 @@ def parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
     if start < 1 or end < start:
         raise ValidationError(f"bad --pairs range {text!r} (expected T or T-U with 1 <= T <= U)")
     return tuple((t, t + 1) for t in range(start, end + 1))
+
+
+def parse_cutoffs(text: str) -> tuple[int, ...]:
+    """The rank cutoffs of a comma-separated list of integers >= 1, such as "1,20,100"."""
+    try:
+        cutoffs = tuple(int(c) for c in text.split(","))
+    except ValueError:
+        cutoffs = (0,)
+    if min(cutoffs) < 1:
+        raise ValidationError(f"bad --cutoffs {text!r} (expected comma-separated integers >= 1)")
+    return cutoffs
 
 
 def _cell_seed(seed: int, turn_train: int, cutoff: int) -> int:

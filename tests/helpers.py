@@ -24,6 +24,36 @@ def make_run(turn_rankings, cid="c0", target="i000", target_ranks=None):
     return ConversationRun(cid, target, tuple(turn_rankings), target_ranks)
 
 
+def oracle_run_dict(run):
+    """The run file object of ``run`` as plain dicts and lists.
+
+    ``json.dumps(oracle_run_dict(run), separators=(",", ":"), allow_nan=False)``
+    is the reference for each line ``write_runs`` writes.
+    """
+    ranks = run.target_ranks
+    return {
+        "conversation_id": run.conversation_id,
+        "target_id": run.target_id,
+        "target_ranks": [None] * run.n_turns if ranks is None else list(ranks),
+        "turns": [
+            {
+                "turn": ranking.turn,
+                "query_embedding": None
+                if ranking.query_embedding is None
+                else ranking.query_embedding.tolist(),
+                "critique": ranking.critique,
+                "items": [
+                    {"id": item_id, "score": score, "embedding": embedding}
+                    for item_id, score, embedding in zip(
+                        ranking.items, ranking.scores.tolist(), ranking.embeddings.tolist()
+                    )
+                ],
+            }
+            for ranking in run.turns
+        ],
+    }
+
+
 def random_ranking(rng, n_items, dim, turn=1, with_query=False):
     emb = rng.standard_normal((n_items, dim))
     scores = np.sort(rng.standard_normal(n_items))[::-1]

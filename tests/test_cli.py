@@ -257,6 +257,26 @@ class TestPairsOption:
         assert not outdir.exists()
 
 
+class TestCutoffsOption:
+    @pytest.mark.parametrize("cutoffs", ["1,a", "0,5"])
+    def test_eval_rejects_bad_cutoffs_before_reading_runs(self, tmp_path, capsys, cutoffs):
+        code = main(["eval", "--runs", str(tmp_path / "absent.jsonl"), "--mode", "cutoff",
+                     "--cutoffs", cutoffs, "--report", str(tmp_path / "r.csv"),
+                     "--predictions", str(tmp_path / "p.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: bad --cutoffs '{cutoffs}' (expected comma-separated integers >= 1)\n"
+        )
+
+
+def test_protocol_script_reports_training_error_in_one_line(tmp_path, capsys, monkeypatch):
+    module = _load_protocol_script()
+    monkeypatch.setattr("sys.argv", ["run_protocol.py", "--n", "2", "--pairs", "2-2",
+                                     "--epochs", "1", "--outdir", str(tmp_path)])
+    assert module.main() == 1
+    assert capsys.readouterr().err == "error: training needs at least 2 sample(s)\n"
+
+
 class TestSplitRatio:
     @pytest.mark.parametrize("ratio, side", [("0.96", "test"), ("0.04", "train")])
     def test_ratio_leaving_a_side_empty(self, tmp_path, capsys, ratio, side):

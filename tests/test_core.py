@@ -17,7 +17,7 @@ from convpred.core import (
     validate_run,
     validate_runs,
 )
-from convpred.data_io import read_runs, run_to_dict, write_runs
+from convpred.data_io import read_runs, write_runs
 from convpred.evaluation import (
     EvalReport,
     PredictionRecord,
@@ -29,7 +29,7 @@ from convpred.evaluation import (
 )
 from convpred.features import build_feature_matrix, read_features, write_features
 from convpred.scenario import LabelSet, read_labels, write_labels
-from helpers import make_ranking, make_run, random_run
+from helpers import make_ranking, make_run, oracle_run_dict, random_run
 
 vectors = st.lists(
     st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
@@ -282,7 +282,7 @@ REPORT = EvalReport(
 
 
 def _runs_view(runs):
-    return [run_to_dict(r) for r in runs]
+    return [oracle_run_dict(r) for r in runs]
 
 
 def _labels_view(labels):

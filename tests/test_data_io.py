@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convpred.cli import main
 from convpred.core import ValidationError, found_by, runs_equal
 from convpred.data_io import (
     GenConfig,
@@ -13,7 +14,7 @@ from convpred.data_io import (
     read_runs,
     write_runs,
 )
-from helpers import make_ranking, make_run, random_run
+from helpers import make_ranking, make_run, oracle_run_dict, random_run
 
 
 class TestGenConfig:
@@ -225,6 +226,64 @@ def test_run_file_round_trips_byte_for_byte(tmp_path):
     copy = tmp_path / "copy.jsonl"
     write_runs(read_runs(source), copy)
     assert copy.read_text() == RUN_FILE_BODY
+
+
+# Small pools make ids recur across turns and conversations with other rows,
+# and rows recur under other ids. Each row's first entry is a normal float so
+# its norm is non-zero; the second may be a signed zero or a subnormal.
+_TEXT = st.text(alphabet="aé日\"\\\n\u2028😀", min_size=1, max_size=3)
+_ROWS = st.tuples(
+    st.sampled_from([1.0, -1.5, 0.1, 1e150]),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 0.5]),
+)
+_SCORES = st.sampled_from([0.0, -0.0, 5e-324, 0.75, -1e-300, 2.0])
+
+
+@st.composite
+def _run_sets(draw):
+    ids = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
+    rows = draw(st.lists(_ROWS, min_size=1, max_size=3))
+    runs = []
+    for c in range(draw(st.integers(1, 3))):
+        turns = []
+        n_turns = draw(st.integers(2, 3))
+        for t in range(1, n_turns + 1):
+            picked = draw(st.lists(st.sampled_from(ids), max_size=len(ids), unique=True))
+            ranked = sorted(((draw(_SCORES), i) for i in picked), key=lambda p: (-p[0], p[1]))
+            turns.append(make_ranking(
+                [score for score, _ in ranked],
+                [list(draw(st.sampled_from(rows))) for _ in ranked],
+                turn=t,
+                ids=[i for _, i in ranked],
+                query=draw(st.none() | st.sampled_from(rows).map(list)),
+                critique=draw(st.none() | _TEXT),
+            ))
+        ranks = draw(st.none() | st.lists(st.none() | st.integers(1, 10**6),
+                                          min_size=n_turns, max_size=n_turns))
+        runs.append(make_run(turns, cid=f"c{c}{draw(_TEXT)}", target=draw(_TEXT),
+                             target_ranks=ranks))
+    return runs
+
+
+@given(runs=_run_sets())
+@settings(max_examples=200, deadline=None)
+def test_each_written_line_equals_the_reference_serializer(tmp_path_factory, runs):
+    path = tmp_path_factory.mktemp("oracle") / "runs.jsonl"
+    write_runs(runs, path)
+    expected = [
+        json.dumps(oracle_run_dict(run), separators=(",", ":"), allow_nan=False) for run in runs
+    ]
+    assert path.read_text(encoding="utf-8").split("\n") == expected + [""]
+
+
+def test_generated_file_round_trips_byte_for_byte(tmp_path):
+    source = tmp_path / "gen.jsonl"
+    assert main(["gen", "--n", "20", "--seed", "3", "--out", str(source)]) == 0
+    text = source.read_text(encoding="utf-8")
+    header = "".join(line for line in text.splitlines(keepends=True) if line.startswith("#"))
+    copy = tmp_path / "copy.jsonl"
+    write_runs(read_runs(source), copy, header_comment=header)
+    assert copy.read_bytes() == source.read_bytes()
 
 
 class TestGenerator:
