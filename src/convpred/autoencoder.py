@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifiers import check_train_input, standardize, standardize_fit
-from .core import read_json, write_json
 
 __all__ = [
     "AEConfig",
@@ -36,8 +35,6 @@ __all__ = [
     "gradients",
     "train",
     "predict",
-    "save_model",
-    "load_model",
 ]
 
 ADAM_BETA1 = 0.9
@@ -244,14 +241,3 @@ def predict(model: AEModel, X) -> np.ndarray:
     batch = standardize(X, model.input_mean, model.input_scale)
     _, probs, _ = forward_batch(model, batch)
     return np.argmax(probs, axis=1).astype(np.int64)
-
-
-def save_model(model: AEModel, path) -> None:
-    """JSON checkpoint of the model's fields: the config as an object, arrays as nested lists."""
-    write_json(path, model)
-
-
-def load_model(path) -> AEModel:
-    fields = read_json(path)
-    config = AEConfig(**fields.pop("config"))
-    return AEModel(config, **{name: np.asarray(v, dtype=np.float64) for name, v in fields.items()})

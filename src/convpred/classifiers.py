@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import read_json, write_json
-
 __all__ = [
     "LinearModel",
     "TreeNode",
@@ -25,10 +23,6 @@ __all__ = [
     "train_lasso",
     "train_forest",
     "predict_cls",
-    "save_linear",
-    "load_linear",
-    "save_forest",
-    "load_forest",
 ]
 
 
@@ -70,8 +64,6 @@ class TreeNode:
 @dataclass(eq=False)
 class Forest:
     trees: list[TreeNode]
-    n_trees: int
-    seed: int
     n_features: int
 
 
@@ -250,6 +242,8 @@ def train_forest(X, y, n_trees: int = 100, seed: int = 0) -> Forest:
     Trees grow until pure or down to fewer than 2 samples; everything is
     deterministic given the seed, with one substream per tree.
     """
+    if n_trees < 1:
+        raise ValueError(f"n_trees must be >= 1, got {n_trees}")
     X, y = check_train_input(X, y, minimum=1)
     n, n_features = X.shape
     n_candidates = max(1, math.ceil(math.sqrt(n_features)))
@@ -258,7 +252,7 @@ def train_forest(X, y, n_trees: int = 100, seed: int = 0) -> Forest:
         rng = np.random.default_rng(child)
         boot = rng.integers(0, n, size=n)
         trees.append(_build_tree(X, y, boot, rng, n_candidates))
-    return Forest(trees=trees, n_trees=n_trees, seed=seed, n_features=n_features)
+    return Forest(trees=trees, n_features=n_features)
 
 
 def _tree_predict(node: TreeNode, row: np.ndarray) -> int:
@@ -279,35 +273,5 @@ def predict_cls(model, X) -> np.ndarray:
         votes = np.zeros(len(X), dtype=np.int64)
         for tree in model.trees:
             votes += np.array([_tree_predict(tree, row) for row in X])
-        return (votes * 2 > model.n_trees).astype(np.int64)  # exact ties go to 0
+        return (votes * 2 > len(model.trees)).astype(np.int64)  # exact ties go to 0
     raise TypeError(f"unsupported model type {type(model).__name__}")
-
-
-def save_linear(model: LinearModel, path) -> None:
-    write_json(path, model)
-
-
-def load_linear(path) -> LinearModel:
-    fields = read_json(path)
-    for name in ("weights", "input_mean", "input_scale"):
-        fields[name] = np.asarray(fields[name], dtype=np.float64)
-    fields["nonzero"] = tuple(fields["nonzero"])
-    fields["history"] = tuple(fields["history"])
-    return LinearModel(**fields)
-
-
-def save_forest(model: Forest, path) -> None:
-    write_json(path, model)
-
-
-def _node_from_fields(fields: dict) -> TreeNode:
-    if fields["counts"] is not None:
-        return TreeNode(counts=np.asarray(fields["counts"], dtype=np.float64))
-    left, right = _node_from_fields(fields["left"]), _node_from_fields(fields["right"])
-    return TreeNode(fields["feature"], fields["threshold"], left, right)
-
-
-def load_forest(path) -> Forest:
-    fields = read_json(path)
-    fields["trees"] = [_node_from_fields(tree) for tree in fields["trees"]]
-    return Forest(**fields)

@@ -132,7 +132,7 @@ def cmd_eval(args) -> int:
             runs,
             labels,
             args.predictor,
-            "ae-head" if args.predictor == "ae" else args.classifier,
+            args.classifier,
             split,
             pairs=pairs,
             settings=settings,

@@ -8,16 +8,12 @@ conversations can be processed concurrently without coordination.
 
 Every artefact file opens with the settings that produced it as ``#`` comment
 lines; :func:`write_header` writes them and :func:`write_csv` and
-:func:`read_csv` frame the CSV artefacts around them. Model checkpoints are
-one JSON document each, written by :func:`write_json` and read by
-:func:`read_json`.
+:func:`read_csv` frame the CSV artefacts around them.
 """
 
 from __future__ import annotations
 
 import csv
-import dataclasses
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,8 +36,6 @@ __all__ = [
     "write_header",
     "write_csv",
     "read_csv",
-    "write_json",
-    "read_json",
 ]
 
 
@@ -304,26 +298,3 @@ def read_csv(path, what: str) -> tuple[list[str], list[list[str]]]:
         if header is None:
             raise ValidationError(f"{path.name}: empty {what} file")
         return header, list(reader)
-
-
-def _json_fields(value):
-    if isinstance(value, (np.ndarray, np.generic)):
-        return value.tolist()
-    if dataclasses.is_dataclass(value):
-        return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
-    raise TypeError(f"cannot write {type(value).__name__} as JSON")
-
-
-def write_json(path, payload) -> None:
-    """Write ``payload`` as one JSON document.
-
-    Dataclasses become objects of their fields, nested ones included, and
-    numpy arrays become (nested) lists. Floats keep their shortest
-    round-trip repr, so :func:`read_json` gets every value back exactly.
-    """
-    Path(path).write_text(json.dumps(payload, default=_json_fields), encoding="utf-8")
-
-
-def read_json(path):
-    """The JSON document in ``path``, as plain dicts, lists and numbers."""
-    return json.loads(Path(path).read_text(encoding="utf-8"))

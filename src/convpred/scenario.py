@@ -166,12 +166,23 @@ def read_labels(path) -> LabelSet:
     scenarios, cutoffs = set(), set()
     forced = set()
     for record in records:
-        cid = record[0]
+        cid, values = (record[0] if record else ""), record[4:]
+        if len(record) != len(header):
+            raise ValidationError(
+                f"{name}: conversation {cid!r}: {len(values)} turn label(s), "
+                f"the header names {len(header) - 4}"
+            )
+        if cid in labels:
+            raise ValidationError(f"{name}: duplicate conversation_id {cid!r}")
+        if not set(values) <= {"0", "1"}:
+            raise ValidationError(
+                f"{name}: conversation {cid!r}: turn labels must be 0 or 1, got {','.join(values)}"
+            )
         scenarios.add(record[1])
         cutoffs.add(int(record[2]))
         if record[3] == "1":
             forced.add(cid)
-        labels[cid] = tuple(int(v) for v in record[4:])
+        labels[cid] = tuple(int(v) for v in values)
     if not labels or len(scenarios) != 1 or len(cutoffs) != 1:
         raise ValidationError(f"{name}: labels file must hold one scenario/cutoff block")
     return LabelSet(

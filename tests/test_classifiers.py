@@ -151,12 +151,12 @@ class TestForest:
     def test_vote_tie_goes_to_zero(self):
         tree_zero = TreeNode(counts=np.array([1.0, 0.0]))
         tree_one = TreeNode(counts=np.array([0.0, 1.0]))
-        model = Forest(trees=[tree_zero, tree_one], n_trees=2, seed=0, n_features=2)
+        model = Forest(trees=[tree_zero, tree_one], n_features=2)
         assert predict_cls(model, np.zeros((3, 2))).tolist() == [0, 0, 0]
 
     def test_leaf_count_tie_goes_to_zero(self):
         tree = TreeNode(counts=np.array([2.0, 2.0]))
-        model = Forest(trees=[tree], n_trees=1, seed=0, n_features=1)
+        model = Forest(trees=[tree], n_features=1)
         assert predict_cls(model, np.zeros((1, 1))).tolist() == [0]
 
 

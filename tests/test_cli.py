@@ -154,6 +154,21 @@ class TestEvalInputErrors:
         assert named is not None, err
         assert named.group(1) not in kept
 
+    @pytest.mark.parametrize("n_trees", ["0", "-2"])
+    def test_forest_needs_a_tree(self, workspace, tmp_path, capsys, n_trees):
+        _, runs_path, labels_path = workspace
+        code = self._eval(tmp_path, runs_path, "--labels", str(labels_path), "--predictor", "score",
+                          "--classifier", "forest", "--pairs", "2-2", "--n-trees", n_trees)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: n_trees must be >= 1, got {n_trees}\n"
+
+    def test_ae_predictor_rejects_another_classifier(self, workspace, tmp_path, capsys):
+        _, runs_path, labels_path = workspace
+        code = self._eval(tmp_path, runs_path, "--labels", str(labels_path), "--predictor", "ae",
+                          "--classifier", "forest", "--pairs", "2-2")
+        assert code == 1
+        assert capsys.readouterr().err == "error: the ae predictor implies the ae-head classifier\n"
+
 
 def _one_found_labels(labels_path, out):
     """Labels where a single conversation is found, so stratification falls back."""
@@ -222,9 +237,13 @@ class TestSkippedPairs:
         monkeypatch.setattr("sys.argv", ["run_protocol.py", "--n", "12", "--pairs", "9-10",
                                          "--epochs", "1", "--outdir", str(tmp_path)])
         assert module.main() == 0
-        err = capsys.readouterr().err.splitlines()
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
         assert err.count("warning: skipped turn pairs 10,11 (runs have 10 turns)") == 1
         assert all(line.startswith("warning: ") for line in err)
+        rows = [line for line in captured.out.splitlines() if "mean accuracy" in line]
+        assert len(rows) == 2 * len(module.GRID)
+        assert len({line.index("[") for line in rows}) == 1
 
 
 BAD_PAIRS = ["x", "0-3"]

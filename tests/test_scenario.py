@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,22 @@ class TestLabelFiles:
         write_labels(labels, path)
         header = path.read_text().splitlines()[0]
         assert header == "conversation_id,scenario,cutoff,forced,k1,k2,k3,k4,k5,k6"
+
+    @pytest.mark.parametrize("rows, message", [
+        ("c0,base,1,0,0,2\nc1,base,1,0,0,1\n",
+         "conversation 'c0': turn labels must be 0 or 1, got 0,2"),
+        ("c0,base,1,0,0,1\nc1,base,1,0,x,1\n",
+         "conversation 'c1': turn labels must be 0 or 1, got x,1"),
+        ("c0,base,1,0,0,1\nc1,base,1,0,1\n",
+         "conversation 'c1': 1 turn label(s), the header names 2"),
+        ("c0,base,1,0,0,1\nc0,base,1,0,1,1\nc1,base,1,0,0,0\n",
+         "duplicate conversation_id 'c0'"),
+    ], ids=["label 2", "label x", "short row", "repeated id"])
+    def test_rejects_bad_record(self, tmp_path, rows, message):
+        path = tmp_path / "labels.csv"
+        path.write_text("conversation_id,scenario,cutoff,forced,k1,k2\n" + rows)
+        with pytest.raises(ValidationError, match=re.escape(f"labels.csv: {message}")):
+            read_labels(path)
 
 
 @pytest.mark.parametrize("n_easy,fraction,expected", [(10, 0.3, 3), (5, 0.3, 2), (7, 0.5, 4)])
