@@ -5,7 +5,7 @@ Generates a calibration-scale run set, labels it, induces the missing-target
 scenario, trains one classifier per turn pair for a grid of predictor rows,
 and renders an accuracy grid per scenario plus a McNemar comparison of the
 autoencoder against the strongest baseline row. Takes under a minute at the
-default scale (about 46 s on a 2-core machine); everything is seeded and
+default scale (about 26 s on a 2-core machine); everything is seeded and
 reproducible.
 
 Usage:

@@ -68,6 +68,7 @@ class Forest:
 
 
 LASSO_TOL = 1e-12  # a sweep moving no weight by this much ends coordinate descent
+EMPTY_SPLIT_LIMIT = 1000  # splits in a row that leave one child empty before a tree is stuck
 
 
 def _as_rows(X, width: int | None = None) -> np.ndarray:
@@ -193,65 +194,137 @@ def _lasso_objective(residual: np.ndarray, w: np.ndarray, lam: float) -> float:
     return float(0.5 * (residual * residual).mean() + lam * np.abs(w).sum())
 
 
-def _gini_split_scores(values: np.ndarray, labels: np.ndarray):
-    """Best threshold for one feature: (weighted gini, threshold) or None."""
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    ones = np.cumsum(labels[order])
-    n = len(v)
-    cut = np.nonzero(v[:-1] < v[1:])[0]
-    if len(cut) == 0:
-        return None
-    n_left = cut + 1.0
+@dataclass(eq=False)
+class _SortedColumns:
+    """Each training column's row order, stably sorted by value (NaN last)."""
+
+    rows: np.ndarray  # (F, n) row indices
+    values: np.ndarray  # (F, n) the column's values in that order
+    labels: np.ndarray  # (F, n) the rows' labels in that order
+    step: np.ndarray  # (F, n - 1) whether a value is below the next one
+    n_valued: np.ndarray  # (F,) non-NaN values per column
+
+    @classmethod
+    def of(cls, X: np.ndarray, y: np.ndarray) -> "_SortedColumns":
+        rows = np.argsort(X.T, axis=1, kind="stable")
+        values = np.take_along_axis(X.T, rows, axis=1)
+        return cls(rows, values, y[rows], values[:, :-1] < values[:, 1:],
+                   (~np.isnan(values)).sum(axis=1))
+
+
+def _best_splits(cols: _SortedColumns, weights: np.ndarray, candidates: np.ndarray):
+    """Lowest weighted-Gini split of each node: (feature, threshold), feature -1 if none.
+
+    ``weights`` (S, n) holds each node's bootstrap multiplicity per training
+    row and ``candidates`` (S, k) its candidate features, in draw order. A
+    cut lies between two consecutive distinct values of the node's rows; the
+    first candidate whose lowest impurity is lowest wins, then its first
+    lowest cut, and the threshold is the midpoint of the values on either
+    side of that cut. Rows the node does not hold weigh 0 in each column's
+    sort order, so a cut between two of the node's values appears at every
+    step of the full column between them, all scoring alike; the first one
+    stands for it.
+    """
+    node = np.arange(len(weights))
+    w = weights[node[:, None, None], cols.rows[candidates]]  # (S, k, n) in each column's order
+    seen = np.cumsum(w, axis=-1)
+    ones = np.cumsum(w * cols.labels[candidates], axis=-1)
+    # a cut needs some of the node's weight below it and some valued weight above
+    valued = np.take_along_axis(seen, cols.n_valued[candidates][..., None] - 1, axis=-1)
+    below = seen[..., :-1]
+    cuts = cols.step[candidates] & (below > 0) & (below < valued)
+    n = np.broadcast_to(seen[..., -1:], below.shape)[cuts]
+    n_left = below[cuts].astype(np.float64)
     n_right = n - n_left
-    left_ones = ones[cut]
-    right_ones = ones[-1] - left_ones
+    left_ones = ones[..., :-1][cuts]
+    right_ones = np.broadcast_to(ones[..., -1:], below.shape)[cuts] - left_ones
     gini_left = 1.0 - (left_ones / n_left) ** 2 - (1.0 - left_ones / n_left) ** 2
     gini_right = 1.0 - (right_ones / n_right) ** 2 - (1.0 - right_ones / n_right) ** 2
-    weighted = (n_left * gini_left + n_right * gini_right) / n
-    best = int(np.argmin(weighted))
-    threshold = 0.5 * (v[cut[best]] + v[cut[best] + 1])
-    return float(weighted[best]), threshold
+    weighted = np.full(below.shape, np.inf)
+    weighted[cuts] = (n_left * gini_left + n_right * gini_right) / n
+    cut = weighted.argmin(axis=-1)  # (S, k)
+    lowest = np.take_along_axis(weighted, cut[..., None], axis=-1)[..., 0]
+    best = lowest.argmin(axis=1)
+    feature = candidates[node, best]
+    at = cut[node, best]
+    # the value above the cut is the node's next held row in that column
+    above = np.argmax((w[node, best] > 0) & (np.arange(w.shape[-1]) > at[:, None]), axis=1)
+    with np.errstate(invalid="ignore"):  # the midpoint of -inf and inf is NaN
+        threshold = 0.5 * (cols.values[feature, at] + cols.values[feature, above])
+    return np.where(lowest[node, best] < np.inf, feature, -1), threshold
 
 
-def _build_tree(X: np.ndarray, y: np.ndarray, idx: np.ndarray, rng, n_candidates: int) -> TreeNode:
-    counts = np.bincount(y[idx], minlength=2).astype(np.float64)
-    if len(idx) < 2 or counts[0] == 0.0 or counts[1] == 0.0:
-        return TreeNode(counts=counts)
-    candidates = rng.choice(X.shape[1], size=n_candidates, replace=False)
-    best = None
-    for f in candidates:
-        scored = _gini_split_scores(X[idx, f], y[idx])
-        if scored is None:
-            continue
-        impurity, threshold = scored
-        if best is None or impurity < best[0]:
-            best = (impurity, int(f), threshold)
-    if best is None:
-        return TreeNode(counts=counts)
-    _, feature, threshold = best
-    mask = X[idx, feature] < threshold
-    left = _build_tree(X, y, idx[mask], rng, n_candidates)
-    right = _build_tree(X, y, idx[~mask], rng, n_candidates)
-    return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
+def _class_counts(weights: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Float (count of label 0, count of label 1) per row of multiplicities."""
+    ones = weights @ y
+    return np.stack([weights.sum(axis=-1) - ones, ones], axis=-1).astype(np.float64)
 
 
 def train_forest(X, y, n_trees: int = 100, seed: int = 0) -> Forest:
     """Bootstrap-aggregated Gini trees over ceil(sqrt(F)) feature candidates per split.
 
     Trees grow until pure or down to fewer than 2 samples; everything is
-    deterministic given the seed, with one substream per tree.
+    deterministic given the seed, with one substream per tree. A node is its
+    bootstrap multiplicity per training row. All trees grow together in
+    waves: each tree pops the next node off its own depth-first stack (left
+    child first) and draws that node's candidate features, then one batched
+    search scores every popped node. Only nodes holding both labels are
+    stacked; the rest become leaves when they are made. A tree that makes
+    EMPTY_SPLIT_LIMIT splits in a row that each send a node's every sample
+    one way would never finish, and raises ValueError.
     """
     if n_trees < 1:
         raise ValueError(f"n_trees must be >= 1, got {n_trees}")
     X, y = check_train_input(X, y, minimum=1)
     n, n_features = X.shape
     n_candidates = max(1, math.ceil(math.sqrt(n_features)))
-    trees = []
-    for child in np.random.SeedSequence(seed).spawn(n_trees):
-        rng = np.random.default_rng(child)
-        boot = rng.integers(0, n, size=n)
-        trees.append(_build_tree(X, y, boot, rng, n_candidates))
+    cols = _SortedColumns.of(X, y)
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(n_trees)]
+    weights = np.stack([np.bincount(rng.integers(0, n, size=n), minlength=n) for rng in rngs])
+    counts = _class_counts(weights, y)
+    trees = [TreeNode() for _ in rngs]
+    # per tree, its nodes still to split: (node, row multiplicities, class counts,
+    # splits in a row that left a child empty)
+    stacks = [[] for _ in rngs]
+
+    def place(t, node, weights, counts, splittable, streak):
+        if splittable:
+            stacks[t].append((node, weights, counts, streak))
+        else:
+            node.counts = counts
+
+    for t, splittable in enumerate(counts.all(axis=1).tolist()):
+        place(t, trees[t], weights[t], counts[t], splittable, 0)
+    growing = [t for t in range(n_trees) if stacks[t]]
+    while growing:
+        nodes, weights, counts, streaks = zip(*(stacks[t].pop() for t in growing))
+        draws = [rngs[t].choice(n_features, size=n_candidates, replace=False) for t in growing]
+        weights = np.stack(weights)
+        feature, threshold = _best_splits(cols, weights, np.stack(draws))
+        left = weights * (X.T[feature] < threshold[:, None])
+        feature, threshold = feature.tolist(), threshold.tolist()
+        children = np.concatenate([left, weights - left])  # lefts, then rights
+        child_counts = _class_counts(children, y)
+        can_split = child_counts.all(axis=1).tolist()
+        occupied = child_counts.any(axis=1).tolist()
+        s = len(growing)
+        for i, t in enumerate(growing):
+            node = nodes[i]
+            if feature[i] < 0:
+                node.counts = counts[i]
+                continue
+            streak = 0 if occupied[i] and occupied[s + i] else streaks[i] + 1
+            if streak == EMPTY_SPLIT_LIMIT:
+                raise ValueError(
+                    f"tree {t}: {streak} splits in a row sent every sample one way (a -inf "
+                    "value, or a midpoint that overflows or rounds onto a value, makes such "
+                    "a threshold)"
+                )
+            node.feature, node.threshold = feature[i], threshold[i]
+            node.left, node.right = TreeNode(), TreeNode()
+            for child, j in ((node.right, s + i), (node.left, i)):
+                place(t, child, children[j], child_counts[j], can_split[j], streak)
+        growing = [t for t in growing if stacks[t]]
     return Forest(trees=trees, n_features=n_features)
 
 

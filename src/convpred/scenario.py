@@ -167,19 +167,25 @@ def read_labels(path) -> LabelSet:
     forced = set()
     for record in records:
         cid, values = (record[0] if record else ""), record[4:]
+        where = f"{name}: conversation {cid!r}"
         if len(record) != len(header):
             raise ValidationError(
-                f"{name}: conversation {cid!r}: {len(values)} turn label(s), "
-                f"the header names {len(header) - 4}"
+                f"{where}: {len(values)} turn label(s), the header names {len(header) - 4}"
             )
         if cid in labels:
             raise ValidationError(f"{name}: duplicate conversation_id {cid!r}")
         if not set(values) <= {"0", "1"}:
-            raise ValidationError(
-                f"{name}: conversation {cid!r}: turn labels must be 0 or 1, got {','.join(values)}"
-            )
+            raise ValidationError(f"{where}: turn labels must be 0 or 1, got {','.join(values)}")
+        try:
+            cutoff = int(record[2])
+        except ValueError:
+            cutoff = 0
+        if cutoff < 1:
+            raise ValidationError(f"{where}: cutoff must be an integer >= 1, got {record[2]!r}")
+        if record[3] not in ("0", "1"):
+            raise ValidationError(f"{where}: forced must be 0 or 1, got {record[3]!r}")
         scenarios.add(record[1])
-        cutoffs.add(int(record[2]))
+        cutoffs.add(cutoff)
         if record[3] == "1":
             forced.add(cid)
         labels[cid] = tuple(int(v) for v in values)

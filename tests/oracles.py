@@ -2,10 +2,14 @@
 
 Everything here is written with explicit loops and elementary arithmetic,
 deliberately sharing no code with the package, so agreement is meaningful.
+The forest oracle is the package's earlier recursive builder, which scores
+one node and one candidate feature at a time.
 """
 
 import itertools
 import math
+
+import numpy as np
 
 GRAM_RIDGE = 1e-8
 
@@ -120,8 +124,6 @@ def ae_forward_brute(model, x):
 
 def finite_diff_gradients(model, batch, labels, step=1e-5):
     """Central differences of the mean total loss w.r.t. every parameter entry."""
-    import numpy as np
-
     from convpred.autoencoder import losses
 
     def mean_total():
@@ -142,3 +144,68 @@ def finite_diff_gradients(model, batch, labels, step=1e-5):
             gflat[idx] = (upper - lower) / (2.0 * step)
         grads[name] = grad
     return grads
+
+
+def _gini_split_brute(values, labels):
+    """Best threshold for one feature over a node's rows: (weighted gini, threshold) or None."""
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    ones = np.cumsum(labels[order])
+    n = len(v)
+    cut = np.nonzero(v[:-1] < v[1:])[0]
+    if len(cut) == 0:
+        return None
+    n_left = cut + 1.0
+    n_right = n - n_left
+    left_ones = ones[cut]
+    right_ones = ones[-1] - left_ones
+    gini_left = 1.0 - (left_ones / n_left) ** 2 - (1.0 - left_ones / n_left) ** 2
+    gini_right = 1.0 - (right_ones / n_right) ** 2 - (1.0 - right_ones / n_right) ** 2
+    weighted = (n_left * gini_left + n_right * gini_right) / n
+    best = int(np.argmin(weighted))
+    with np.errstate(invalid="ignore"):  # the midpoint of -inf and inf is NaN
+        threshold = 0.5 * (v[cut[best]] + v[cut[best] + 1])
+    return float(weighted[best]), threshold
+
+
+def _tree_brute(X, y, idx, rng, n_candidates):
+    counts = np.bincount(y[idx], minlength=2).astype(np.float64)
+    if len(idx) < 2 or counts[0] == 0.0 or counts[1] == 0.0:
+        return tuple(counts.tolist())
+    candidates = rng.choice(X.shape[1], size=n_candidates, replace=False)
+    best = None
+    for f in candidates:
+        scored = _gini_split_brute(X[idx, f], y[idx])
+        if scored is None:
+            continue
+        impurity, threshold = scored
+        if best is None or impurity < best[0]:
+            best = (impurity, int(f), threshold)
+    if best is None:
+        return tuple(counts.tolist())
+    _, feature, threshold = best
+    mask = X[idx, feature] < threshold
+    left = _tree_brute(X, y, idx[mask], rng, n_candidates)
+    right = _tree_brute(X, y, idx[~mask], rng, n_candidates)
+    return (feature, float(threshold), left, right)
+
+
+def forest_brute(X, y, n_trees, seed):
+    """The recursive random-forest builder: one bootstrap and one RNG substream per tree.
+
+    Each node takes its sample indices with bootstrap repeats and scores each
+    of its candidate features in its own sort. A tree is returned as nested
+    tuples: a leaf is its class counts (c0, c1), an internal node is
+    (feature, threshold, left, right). A tree that never stops splitting
+    raises RecursionError.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n, n_features = X.shape
+    n_candidates = max(1, math.ceil(math.sqrt(n_features)))
+    trees = []
+    for child in np.random.SeedSequence(seed).spawn(n_trees):
+        rng = np.random.default_rng(child)
+        boot = rng.integers(0, n, size=n)
+        trees.append(_tree_brute(X, y, boot, rng, n_candidates))
+    return trees

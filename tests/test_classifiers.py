@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convpred.classifiers import (
     Forest,
@@ -10,6 +14,7 @@ from convpred.classifiers import (
     train_lasso,
     train_logistic,
 )
+from oracles import forest_brute
 
 
 def separable_1d(n=40, margin=1.0, seed=0):
@@ -158,6 +163,66 @@ class TestForest:
         tree = TreeNode(counts=np.array([2.0, 2.0]))
         model = Forest(trees=[tree], n_features=1)
         assert predict_cls(model, np.zeros((1, 1))).tolist() == [0]
+
+    def test_built_leaf_count_tie_goes_to_zero(self):
+        # equal rows with both labels cannot be split: the bootstrap of seed 1 holds
+        # each row once, so the single leaf has one sample of each label
+        model = train_forest(np.array([[0.0], [0.0]]), np.array([0, 1]), n_trees=1, seed=1)
+        assert model.trees[0].counts.tolist() == [1.0, 1.0]
+        assert predict_cls(model, np.array([[0.0], [5.0]])).tolist() == [0, 0]
+
+    def test_split_that_never_separates_raises(self):
+        # the midpoint of -inf and 0 is -inf, so every sample goes right, every time
+        with pytest.raises(ValueError, match="splits in a row sent every sample one way"):
+            train_forest(np.array([[-np.inf], [0.0]]), np.array([0, 1]), n_trees=4, seed=0)
+
+
+@st.composite
+def forest_inputs(draw):
+    """Small training sets with tied values, duplicate rows and a few non-finite cells."""
+    n = draw(st.integers(1, 24))
+    n_features = draw(st.integers(1, 12))
+    value = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3))
+    n_distinct = draw(st.integers(1, n))
+    distinct = np.array(draw(st.lists(st.lists(value, min_size=n_features, max_size=n_features),
+                                      min_size=n_distinct, max_size=n_distinct)))
+    cells = st.tuples(st.integers(0, n_distinct - 1), st.integers(0, n_features - 1),
+                      st.sampled_from([np.inf, -np.inf, np.nan]))
+    for row, column, special in draw(st.lists(cells, max_size=3)):
+        distinct[row, column] = special
+    X = distinct[draw(st.lists(st.integers(0, n_distinct - 1), min_size=n, max_size=n))]
+    single = draw(st.integers(0, 3)) == 0
+    label = st.just(draw(st.integers(0, 1))) if single else st.integers(0, 1)
+    y = np.array(draw(st.lists(label, min_size=n, max_size=n)))
+    return X, y, draw(st.integers(1, 6)), draw(st.integers(0, 2**32 - 1))
+
+
+def assert_same_tree(node, expected):
+    """A built tree against the oracle's nested tuples: same shape, features, thresholds, counts."""
+    if len(expected) == 2:
+        assert node.is_leaf and node.counts.tolist() == list(expected)
+        return
+    feature, threshold, left, right = expected
+    assert not node.is_leaf and node.feature == feature
+    assert node.threshold == threshold or (math.isnan(node.threshold) and math.isnan(threshold))
+    assert_same_tree(node.left, left)
+    assert_same_tree(node.right, right)
+
+
+@settings(max_examples=300, deadline=None)
+@given(forest_inputs())
+def test_forest_matches_recursive_builder(inputs):
+    X, y, n_trees, seed = inputs
+    try:
+        expected = forest_brute(X, y, n_trees, seed)
+    except RecursionError:  # a tree the recursive builder never finishes
+        with pytest.raises(ValueError, match="splits in a row"):
+            train_forest(X, y, n_trees=n_trees, seed=seed)
+        return
+    model = train_forest(X, y, n_trees=n_trees, seed=seed)
+    assert len(model.trees) == len(expected)
+    for tree, oracle_tree in zip(model.trees, expected):
+        assert_same_tree(tree, oracle_tree)
 
 
 class TestPredictDispatch:

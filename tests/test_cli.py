@@ -154,6 +154,24 @@ class TestEvalInputErrors:
         assert named is not None, err
         assert named.group(1) not in kept
 
+    @pytest.mark.parametrize("column, value, message", [
+        (2, "x", "cutoff must be an integer >= 1, got 'x'"),
+        (3, "yes", "forced must be 0 or 1, got 'yes'"),
+    ])
+    def test_bad_labels_field(self, workspace, tmp_path, capsys, column, value, message):
+        _, runs_path, labels_path = workspace
+        comment, names, first, *rest = labels_path.read_text().splitlines(keepends=True)
+        fields = first.split(",")
+        fields[column] = value
+        bad = tmp_path / "labels_bad.csv"
+        bad.write_text("".join([comment, names, ",".join(fields), *rest]))
+        code = self._eval(tmp_path, runs_path, "--labels", str(bad), "--predictor", "score",
+                          "--classifier", "logreg", "--pairs", "2-2")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: labels_bad.csv: conversation '{fields[0]}': {message}\n"
+        )
+
     @pytest.mark.parametrize("n_trees", ["0", "-2"])
     def test_forest_needs_a_tree(self, workspace, tmp_path, capsys, n_trees):
         _, runs_path, labels_path = workspace
