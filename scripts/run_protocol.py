@@ -5,8 +5,8 @@ Generates a calibration-scale run set, labels it, induces the missing-target
 scenario, trains one classifier per turn pair for a grid of predictor rows,
 and renders an accuracy grid per scenario plus a McNemar comparison of the
 autoencoder against the strongest baseline row. Takes under a minute at the
-default scale (about 26 s on a 2-core machine); everything is seeded and
-reproducible.
+default scale (about 18 s and 121 MB peak RSS on a 2-core machine with one
+BLAS thread); everything is seeded and reproducible.
 
 Usage:
     python scripts/run_protocol.py --seed 7 --outdir out/
@@ -21,7 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
-from convpred import data_io, evaluation, scenario
+from convpred import data_io, evaluation, features, scenario
 from convpred.core import ValidationError
 
 # predictor rows mirroring the usual comparison: coherence and score features
@@ -50,12 +50,12 @@ def split_for(runs, labels, seed):
     return split
 
 
-def evaluate_scenario(runs, labels, split, seed, pairs, settings):
+def evaluate_scenario(runs, labels, split, seed, pairs, settings, table):
     combined = evaluation.EvalReport()
     for predictor, classifier in GRID:
         report = evaluation.run_turn_pair(
             runs, labels, predictor, classifier, split,
-            pairs=pairs, settings=settings, seed=seed,
+            pairs=pairs, settings=settings, seed=seed, table=table,
         )
         mean_acc = np.mean([row.accuracy for row in report.rows])
         label = f"{predictor}/{classifier}"
@@ -116,15 +116,20 @@ def run(args) -> int:
 
     base_labels = scenario.label_runs(runs, cutoff=100)
     base_split = split_for(runs, base_labels, args.seed)
+    # one feature table for both scenarios: the runs that induction leaves
+    # untouched are the same objects, so their rows are computed once
+    table = features.FeatureTable()
     print("base scenario:")
-    base_report = evaluate_scenario(runs, base_labels, base_split, args.seed, pairs, settings)
+    base_report = evaluate_scenario(runs, base_labels, base_split, args.seed, pairs, settings, table)
 
     modified, missing_labels = scenario.induce_missing(
         runs, base_labels, fraction=args.fraction, seed=args.seed
     )
     print(f"missing-target scenario ({len(missing_labels.forced)} targets removed):")
     missing_split = split_for(modified, missing_labels, args.seed)
-    missing_report = evaluate_scenario(modified, missing_labels, missing_split, args.seed, pairs, settings)
+    missing_report = evaluate_scenario(
+        modified, missing_labels, missing_split, args.seed, pairs, settings, table
+    )
 
     combined = evaluation.EvalReport()
     combined.extend(base_report)

@@ -11,7 +11,7 @@ with full-batch Adam. Inputs are standardized per column with train-split
 statistics stored on the model; `forward`, `losses`, and `gradients` operate
 in that standardized network space, while `train` and `predict` accept raw
 feature rows. Training input is checked and standardized by the same helpers
-in :mod:`convpred.classifiers` as every baseline trainer's.
+in :mod:`convpred.classifiers` as the linear trainers'.
 """
 
 from __future__ import annotations
@@ -165,50 +165,57 @@ def losses(model: AEModel, x, label: int) -> tuple[float, float, float]:
     return l_rec, l_cls, cfg.rec_weight * l_rec + cfg.cls_weight * l_cls
 
 
-def _mean_losses_network(model: AEModel, batch: np.ndarray, labels: np.ndarray):
-    _, _, _, recon, probs = _forward_cache(model, batch)
+def _mean_losses_network(batch: np.ndarray, labels: np.ndarray, cache, config: AEConfig):
+    _, _, _, recon, probs = cache
     l_rec = float(((recon - batch) ** 2).mean())
     l_cls = float(-np.log(probs[np.arange(len(labels)), labels]).mean())
-    cfg = model.config
-    return l_rec, l_cls, cfg.rec_weight * l_rec + cfg.cls_weight * l_cls
+    return l_rec, l_cls, config.rec_weight * l_rec + config.cls_weight * l_cls
 
 
 def mean_losses(model: AEModel, X, y) -> tuple[float, float, float]:
     """Mean (rec, cls, total) losses over raw rows, standardized with the model stats."""
     X, labels = check_train_input(X, y, minimum=1)
-    return _mean_losses_network(model, standardize(X, model.input_mean, model.input_scale), labels)
+    batch = standardize(X, model.input_mean, model.input_scale)
+    return _mean_losses_network(batch, labels, _forward_cache(model, batch), model.config)
 
 
-def gradients(model: AEModel, X, y) -> dict[str, np.ndarray]:
-    """Analytic gradients of the mean total loss over a network-space batch."""
-    batch, labels = check_train_input(X, y, minimum=1)
+def _backward(model: AEModel, batch: np.ndarray, labels: np.ndarray, cache) -> list[np.ndarray]:
+    """Gradients of the mean total loss from a forward cache, in ``_PARAM_NAMES`` order."""
     cfg = model.config
     n, d = batch.shape
-
-    hidden, pre_code, code, recon, probs = _forward_cache(model, batch)
+    hidden, pre_code, code, recon, probs = cache
     d_recon = (2.0 * cfg.rec_weight / (n * d)) * (recon - batch)
     one_hot = np.zeros_like(probs)
     one_hot[np.arange(n), labels] = 1.0
     d_logits = (cfg.cls_weight / n) * (probs - one_hot)
 
-    grads = {
-        "W3": code.T @ d_recon,
-        "b3": d_recon.sum(axis=0),
-        "W4": code.T @ d_logits,
-        "b4": d_logits.sum(axis=0),
-    }
     d_code = d_recon @ model.W3.T + d_logits @ model.W4.T
     d_pre = d_code * (pre_code > 0.0)
-    grads["W2"] = hidden.T @ d_pre
-    grads["b2"] = d_pre.sum(axis=0)
     d_hidden = d_pre @ model.W2.T
-    grads["W1"] = batch.T @ d_hidden
-    grads["b1"] = d_hidden.sum(axis=0)
-    return grads
+    return [
+        batch.T @ d_hidden, d_hidden.sum(axis=0),
+        hidden.T @ d_pre, d_pre.sum(axis=0),
+        code.T @ d_recon, d_recon.sum(axis=0),
+        code.T @ d_logits, d_logits.sum(axis=0),
+    ]
+
+
+def gradients(model: AEModel, X, y) -> dict[str, np.ndarray]:
+    """Analytic gradients of the mean total loss over a network-space batch."""
+    batch, labels = check_train_input(X, y, minimum=1)
+    grads = _backward(model, batch, labels, _forward_cache(model, batch))
+    return dict(zip(_PARAM_NAMES, grads))
 
 
 def train(X, y, config: AEConfig) -> tuple[AEModel, TrainTrace]:
-    """Full-batch Adam on the joint loss; bit-reproducible given (data, config)."""
+    """Full-batch Adam on the joint loss; bit-reproducible given (data, config).
+
+    Each epoch runs one forward pass: its cache gives both the epoch's trace
+    entry and the gradients. The parameters live in one flat vector that
+    ``W1..b4`` view, so one Adam step is a few whole-vector operations. They
+    are element-wise, in the same order as a per-parameter update, so the
+    result is the same to the bit.
+    """
     X, labels = check_train_input(X, y)
     if X.shape[1] != config.input_dim:
         raise ValueError(f"feature width {X.shape[1]} does not match input_dim {config.input_dim}")
@@ -216,22 +223,27 @@ def train(X, y, config: AEConfig) -> tuple[AEModel, TrainTrace]:
 
     model = init_model(config)
     model.input_mean, model.input_scale = mean, scale
+    initial = model.parameters()
+    flat = np.concatenate([p.ravel() for p in initial.values()])
+    offset = 0
+    for name, param in initial.items():
+        setattr(model, name, flat[offset : offset + param.size].reshape(param.shape))
+        offset += param.size
 
-    moment1 = {name: np.zeros_like(p) for name, p in model.parameters().items()}
-    moment2 = {name: np.zeros_like(p) for name, p in model.parameters().items()}
+    moment1 = np.zeros_like(flat)
+    moment2 = np.zeros_like(flat)
     history = np.empty((3, config.epochs))  # rec, cls, total
 
     for epoch in range(config.epochs):
-        history[:, epoch] = _mean_losses_network(model, batch, labels)
-        grads = gradients(model, batch, labels)
+        cache = _forward_cache(model, batch)
+        history[:, epoch] = _mean_losses_network(batch, labels, cache, config)
+        g = np.concatenate([grad.ravel() for grad in _backward(model, batch, labels, cache)])
         step = epoch + 1
-        for name, param in model.parameters().items():
-            g = grads[name]
-            moment1[name] = ADAM_BETA1 * moment1[name] + (1.0 - ADAM_BETA1) * g
-            moment2[name] = ADAM_BETA2 * moment2[name] + (1.0 - ADAM_BETA2) * g * g
-            m_hat = moment1[name] / (1.0 - ADAM_BETA1**step)
-            v_hat = moment2[name] / (1.0 - ADAM_BETA2**step)
-            param -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        moment1 = ADAM_BETA1 * moment1 + (1.0 - ADAM_BETA1) * g
+        moment2 = ADAM_BETA2 * moment2 + (1.0 - ADAM_BETA2) * g * g
+        m_hat = moment1 / (1.0 - ADAM_BETA1**step)
+        v_hat = moment2 / (1.0 - ADAM_BETA2**step)
+        flat -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     return model, TrainTrace(*history)
 

@@ -2,7 +2,10 @@
 linear classifier (squared loss on {0,1} targets, thresholded at 0.5), and a
 random forest. All are hand-rolled on numpy so behavior is exact and seeded.
 Every trainer, the autoencoder's included, checks its input with
-:func:`check_train_input` and standardizes it with :func:`standardize_fit`.
+:func:`check_train_input`. Three of them standardize it with
+:func:`standardize_fit`: logistic regression, the L1 classifier and the
+autoencoder. The forest does not: its splits depend only on the order of
+each column's values.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ A turn pair (T, T+1) trains a fresh classifier on features from turns 1..T
 (or turn T alone in single mode) against the found-by-turn-(T+1) label, and
 scores it on the held-out conversations. Reports are pure functions of
 (runs, labels, settings, seeds): train/test sets never overlap and no test
-statistics leak into training (standardization happens inside each trainer
+statistics leak into training (the trainers that standardize do so inside,
 on the train rows only).
 
 Every cell of a report goes through one path. ``_check_cells`` checks that
@@ -15,7 +15,10 @@ the split and the labels cover the runs and keeps the usable pairs;
 ``_evaluate_cell`` then fits and scores one (predictor, classifier,
 scenario, mode, pair, cutoff) cell and builds its report row and prediction
 records. ``run_turn_pair`` (multi and single mode) and
-``cutoff_sensitivity`` only build feature matrices and loop over cells. A
+``cutoff_sensitivity`` only read per-turn feature blocks from a
+:class:`~convpred.features.FeatureTable` and loop over cells; callers that
+evaluate the same runs again pass one table, so each turn's features are
+computed once. A
 cell is named ``predictor|classifier|scenario|mode|T,E|cutoffC``;
 ``paired_predictions`` matches cells on the last four fields.
 """
@@ -28,7 +31,8 @@ import numpy as np
 
 from . import autoencoder, classifiers
 from .core import ValidationError, read_csv, round_half_up, write_csv
-from .features import FEATURE_KINDS, turn_features
+from .features import FEATURE_KINDS, FeatureTable
+from .features import turn_features  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .scenario import LabelSet, label_runs
 
 __all__ = [
@@ -315,6 +319,7 @@ def run_turn_pair(
     settings: EvalSettings = EvalSettings(),
     seed: int = 0,
     mode: str = "multi",
+    table: FeatureTable | None = None,
 ) -> EvalReport:
     """Train and evaluate one classifier per turn pair (T, T+1).
 
@@ -322,7 +327,9 @@ def run_turn_pair(
     Both fit on the train split against the found-by-turn-(T+1) label and
     score the test split on the same label. One report row per pair, plus
     per-instance prediction records for significance testing. Pairs past the
-    end of the runs are skipped and named in the report's warnings.
+    end of the runs are skipped and named in the report's warnings. Feature
+    rows come from ``table``, a fresh one when None; pass one table to every
+    call over the same runs to compute each row once.
     """
     if mode not in ("multi", "single"):
         raise ValueError(f"mode must be 'multi' or 'single', got {mode!r}")
@@ -331,10 +338,9 @@ def run_turn_pair(
     kind = _feature_kind(predictor)
     pairs, by_id, warnings = _check_cells(runs, labels, split, pairs)
 
+    table = FeatureTable() if table is None else table
     needed_turns = sorted({t for pair in pairs for t in (range(1, pair[0] + 1) if mode == "multi" else [pair[0]])})
-    blocks = {
-        t: np.vstack([turn_features(run, kind, t, settings.top_n) for run in runs]) for t in needed_turns
-    }
+    blocks = {t: table.block(runs, kind, t, settings.top_n) for t in needed_turns}
 
     report = EvalReport(warnings=warnings)
     for pair in pairs:
@@ -376,7 +382,7 @@ def cutoff_sensitivity(
     model is trained on the train turn's top-1 item embedding (single-turn
     protocol). One report row per cutoff.
     """
-    X = np.vstack([turn_features(run, "top1", pair[0], settings.top_n) for run in runs])
+    X = FeatureTable().block(runs, "top1", pair[0], settings.top_n)
     report = EvalReport()
     for cutoff in cutoffs:
         labels = label_runs(runs, cutoff=cutoff)

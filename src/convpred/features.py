@@ -12,6 +12,7 @@ same keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "pooled_embedding",
     "top_item_embedding",
     "turn_features",
+    "FeatureTable",
     "assemble_multiturn",
     "FEATURE_KINDS",
     "FeatureMatrix",
@@ -47,15 +49,29 @@ def _top(ranking: TurnRanking, top_n: int, minimum: int) -> tuple[np.ndarray, np
     n = min(top_n, len(ranking.items))
     if n < minimum:
         raise ValueError(
-            f"turn {ranking.turn}: needs at least {minimum} item(s), has {len(ranking.items)}"
+            f"needs at least {minimum} item{'s' if minimum > 1 else ''}, top_n {top_n} keeps {n}"
         )
     return ranking.scores[:n], ranking.embeddings[:n]
+
+
+@lru_cache(maxsize=None)
+def _upper_pairs(n: int) -> np.ndarray:
+    """Flat indices of the unordered pairs i < j of an n x n matrix, in triu order; read-only."""
+    iu, ju = np.triu_indices(n, k=1)
+    flat = iu * n + ju
+    flat.flags.writeable = False
+    return flat
+
+
+def _pair_values(square: np.ndarray) -> np.ndarray:
+    """The strictly upper triangle of a C-contiguous square matrix, row by row."""
+    return square.ravel()[_upper_pairs(len(square))]
 
 
 def _unit_rows(mat: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(mat, axis=1, keepdims=True)
     if np.any(norms == 0.0):
-        raise ValueError("zero-norm embedding in ranking")
+        raise ValueError("found a zero-norm embedding")
     return mat / norms
 
 
@@ -101,9 +117,7 @@ def autocorrelation(ranking: TurnRanking, top_n: int = 100) -> float:
 def mean_pairwise_similarity(ranking: TurnRanking, top_n: int = 100) -> float:
     """Mean cosine over all unordered pairs of the top-n embeddings."""
     _, embeddings = _top(ranking, top_n, minimum=2)
-    cos = _cosine_matrix(embeddings)
-    iu, ju = np.triu_indices(len(embeddings), k=1)
-    return float(cos[iu, ju].mean())
+    return float(_pair_values(_cosine_matrix(embeddings)).mean())
 
 
 def query_surrogate(ranking: TurnRanking, top_n: int = 100) -> np.ndarray:
@@ -113,7 +127,7 @@ def query_surrogate(ranking: TurnRanking, top_n: int = 100) -> np.ndarray:
     centroid = _top(ranking, top_n, minimum=1)[1].mean(axis=0)
     norm = float(np.linalg.norm(centroid))
     if norm == 0.0:
-        raise ValueError(f"turn {ranking.turn}: zero-norm centroid, no query surrogate")
+        raise ValueError("found a zero-norm centroid, no query surrogate")
     return centroid / norm
 
 
@@ -136,12 +150,12 @@ def reciprocal_volume(ranking: TurnRanking, top_n: int = 100) -> float:
 def anchored_pair_ratio(ranking: TurnRanking, top_n: int = 100) -> float:
     """Mean pairwise cosine distance relative to mean query-to-item distance."""
     _, embeddings = _top(ranking, top_n, minimum=2)
-    cos = _cosine_matrix(embeddings)
-    iu, ju = np.triu_indices(len(embeddings), k=1)
-    pair_distance = float((1.0 - cos[iu, ju]).mean())
+    unit = _unit_rows(embeddings)
+    cos = np.clip(unit @ unit.T, -1.0, 1.0)
+    pair_distance = float((1.0 - _pair_values(cos)).mean())
     q = query_surrogate(ranking, top_n)
     q_unit = q / np.linalg.norm(q)
-    to_query = np.clip(_unit_rows(embeddings) @ q_unit, -1.0, 1.0)
+    to_query = np.clip(unit @ q_unit, -1.0, 1.0)
     query_distance = float((1.0 - to_query).mean())
     return pair_distance / (query_distance + RATIO_GUARD)
 
@@ -168,14 +182,51 @@ FEATURE_KINDS = {
 
 
 def turn_features(run: ConversationRun, kind: str, turn: int, top_n: int = 100) -> np.ndarray:
-    """Feature values of one turn of one conversation."""
+    """Feature values of one turn of one conversation.
+
+    A ranking the kind cannot use raises ValueError naming the conversation,
+    the turn and the kind, as in ``c7 turn 2: ac needs at least 2 items,
+    top_n 1 keeps 1``.
+    """
     if kind not in FEATURE_KINDS:
         raise ValueError(f"unknown feature kind {kind!r}; valid: {sorted(FEATURE_KINDS)}")
     if not 1 <= turn <= run.n_turns:
         raise ValueError(
             f"{run.conversation_id}: turn {turn} outside run with {run.n_turns} turns"
         )
-    return np.asarray(FEATURE_KINDS[kind](run.turns[turn - 1], top_n), dtype=np.float64)
+    try:
+        values = FEATURE_KINDS[kind](run.turns[turn - 1], top_n)
+    except ValueError as exc:
+        raise ValueError(f"{run.conversation_id} turn {turn}: {kind} {exc}") from exc
+    return np.asarray(values, dtype=np.float64)
+
+
+class FeatureTable:
+    """Per-turn feature rows, each computed once per (run, kind, turn, top_n).
+
+    Rows are keyed by the run object, not its conversation id: a run that
+    scenario induction replaced gets rows of its own, while one it left
+    untouched (the same object) shares them. The table holds each run it
+    has seen, so an ``id`` cannot be reused by another run while it lives.
+    Missing rows come from :func:`turn_features`.
+    """
+
+    def __init__(self):
+        self._runs: dict[int, ConversationRun] = {}
+        self._rows: dict[tuple[int, str, int, int], np.ndarray] = {}
+
+    def block(self, runs, kind: str, turn: int, top_n: int) -> np.ndarray:
+        """The (len(runs), width) matrix of the turn's features, one row per run in order."""
+        rows = []
+        for run in runs:
+            key = (id(run), kind, turn, top_n)
+            row = self._rows.get(key)
+            if row is None:
+                row = turn_features(run, kind, turn, top_n)
+                self._runs.setdefault(id(run), run)
+                self._rows[key] = row
+            rows.append(row)
+        return np.vstack(rows)
 
 
 def assemble_multiturn(

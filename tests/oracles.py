@@ -3,7 +3,9 @@
 Everything here is written with explicit loops and elementary arithmetic,
 deliberately sharing no code with the package, so agreement is meaningful.
 The forest oracle is the package's earlier recursive builder, which scores
-one node and one candidate feature at a time.
+one node and one candidate feature at a time. The autoencoder training
+oracle is the package's earlier loop: two forward passes and a separate
+Adam update per parameter array in every epoch.
 """
 
 import itertools
@@ -144,6 +146,75 @@ def finite_diff_gradients(model, batch, labels, step=1e-5):
             gflat[idx] = (upper - lower) / (2.0 * step)
         grads[name] = grad
     return grads
+
+
+def _ae_forward_cache(params, batch):
+    hidden = batch @ params["W1"] + params["b1"]
+    pre_code = hidden @ params["W2"] + params["b2"]
+    code = np.maximum(pre_code, 0.0)
+    recon = code @ params["W3"] + params["b3"]
+    logits = code @ params["W4"] + params["b4"]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    expd = np.exp(shifted)
+    probs = expd / expd.sum(axis=1, keepdims=True)
+    return hidden, pre_code, code, recon, probs
+
+
+def ae_train_brute(X, y, config):
+    """Full-batch Adam as the package trained before it shared one forward pass per epoch.
+
+    Returns the trained parameters by name and the (rec, cls, total) loss
+    rows, each loss evaluated at the parameters entering its epoch. Only the
+    seeded initialisation comes from the package.
+    """
+    from convpred.autoencoder import init_model
+
+    X = np.asarray(X, dtype=np.float64)
+    labels = np.asarray(y).astype(np.int64)
+    n, d = X.shape
+    mean = X.mean(axis=0)
+    scale = X.std(axis=0)
+    scale[scale == 0.0] = 1.0
+    batch = (X - mean) / scale
+    params = {name: param.copy() for name, param in init_model(config).parameters().items()}
+    moment1 = {name: np.zeros_like(p) for name, p in params.items()}
+    moment2 = {name: np.zeros_like(p) for name, p in params.items()}
+    history = np.empty((3, config.epochs))
+
+    for epoch in range(config.epochs):
+        _, _, _, recon, probs = _ae_forward_cache(params, batch)
+        l_rec = float(((recon - batch) ** 2).mean())
+        l_cls = float(-np.log(probs[np.arange(n), labels]).mean())
+        history[:, epoch] = l_rec, l_cls, config.rec_weight * l_rec + config.cls_weight * l_cls
+
+        hidden, pre_code, code, recon, probs = _ae_forward_cache(params, batch)
+        d_recon = (2.0 * config.rec_weight / (n * d)) * (recon - batch)
+        one_hot = np.zeros_like(probs)
+        one_hot[np.arange(n), labels] = 1.0
+        d_logits = (config.cls_weight / n) * (probs - one_hot)
+        grads = {
+            "W3": code.T @ d_recon,
+            "b3": d_recon.sum(axis=0),
+            "W4": code.T @ d_logits,
+            "b4": d_logits.sum(axis=0),
+        }
+        d_code = d_recon @ params["W3"].T + d_logits @ params["W4"].T
+        d_pre = d_code * (pre_code > 0.0)
+        grads["W2"] = hidden.T @ d_pre
+        grads["b2"] = d_pre.sum(axis=0)
+        d_hidden = d_pre @ params["W2"].T
+        grads["W1"] = batch.T @ d_hidden
+        grads["b1"] = d_hidden.sum(axis=0)
+
+        step = epoch + 1
+        for name, param in params.items():
+            g = grads[name]
+            moment1[name] = 0.9 * moment1[name] + (1.0 - 0.9) * g
+            moment2[name] = 0.999 * moment2[name] + (1.0 - 0.999) * g * g
+            m_hat = moment1[name] / (1.0 - 0.9**step)
+            v_hat = moment2[name] / (1.0 - 0.999**step)
+            param -= config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+    return params, history
 
 
 def _gini_split_brute(values, labels):

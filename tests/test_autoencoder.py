@@ -17,7 +17,7 @@ from convpred.autoencoder import (
     predict,
     train,
 )
-from oracles import ae_forward_brute, finite_diff_gradients
+from oracles import ae_forward_brute, ae_train_brute, finite_diff_gradients
 
 
 def small_model(seed=0, input_dim=8, hidden=4, bottleneck=2):
@@ -200,6 +200,53 @@ class TestTrain:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             train(np.zeros((0, 4)), [], AEConfig(input_dim=4))
+
+
+def _assert_same_training(X, y, config):
+    model, trace = train(X, y, config)
+    params, history = ae_train_brute(X, y, config)
+    for name, param in params.items():
+        assert np.array_equal(getattr(model, name), param), name
+    for row, name in zip(history, ("rec", "cls", "total")):
+        assert np.array_equal(getattr(trace, name), row), name
+
+
+class TestTrainOracle:
+    """One forward pass per epoch and a flat Adam step give the earlier loop's bits."""
+
+    @pytest.mark.parametrize("epochs", [1, 20])
+    @pytest.mark.parametrize("width", [1, 32, 96])
+    @pytest.mark.parametrize("n", [2, 17])
+    def test_matches_two_pass_loop(self, n, width, epochs):
+        rng = np.random.default_rng(1000 * n + width + epochs)
+        X = rng.standard_normal((n, width)) * rng.uniform(0.1, 10.0, width)
+        y = np.arange(n) % 2
+        _assert_same_training(X, y, AEConfig(input_dim=width, epochs=epochs, seed=n + width))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(rec_weight=0.3, cls_weight=2.5),
+            dict(hidden_dim=7, bottleneck_dim=5, learning_rate=0.05),
+            dict(hidden_dim=1, bottleneck_dim=1, rec_weight=0.0),
+        ],
+    )
+    def test_matches_with_settings(self, overrides):
+        rng = np.random.default_rng(17)
+        X = rng.standard_normal((17, 12))
+        X[:, 3] = 2.0  # a constant column keeps scale 1
+        y = rng.integers(0, 2, size=17)
+        _assert_same_training(X, y, AEConfig(input_dim=12, epochs=20, seed=4, **overrides))
+
+    @given(
+        st.integers(2, 30), st.integers(1, 40), st.integers(1, 12), st.integers(0, 2**32 - 1)
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_on_random_shapes(self, n, width, epochs, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, width))
+        y = rng.integers(0, 2, size=n)
+        _assert_same_training(X, y, AEConfig(input_dim=width, epochs=epochs, seed=seed % 1000))
 
 
 class TestPredict:

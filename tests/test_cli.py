@@ -81,6 +81,16 @@ class TestFeatures:
         assert lines[0] == "conversation_id,predictor,upto_turn,f_0,f_1,f_2"
         assert len(lines) == 25  # header + 24 rows
 
+    def test_depth_below_the_kind_minimum(self, workspace, tmp_path, capsys):
+        _, runs_path, _ = workspace
+        first = read_runs(runs_path)[0].conversation_id
+        code = main(["features", "--runs", str(runs_path), "--predictor", "ac",
+                     "--upto-turn", "3", "--top-n", "1", "--out", str(tmp_path / "ac.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {first} turn 1: ac needs at least 2 items, top_n 1 keeps 1\n"
+        )
+
 
 class TestEval:
     def _eval(self, workspace, tmp_path, name, extra):
@@ -179,6 +189,16 @@ class TestEvalInputErrors:
                           "--classifier", "forest", "--pairs", "2-2", "--n-trees", n_trees)
         assert code == 1
         assert capsys.readouterr().err == f"error: n_trees must be >= 1, got {n_trees}\n"
+
+    def test_depth_below_the_kind_minimum(self, workspace, tmp_path, capsys):
+        _, runs_path, labels_path = workspace
+        first = read_runs(runs_path)[0].conversation_id
+        code = self._eval(tmp_path, runs_path, "--labels", str(labels_path), "--predictor", "wand",
+                          "--classifier", "forest", "--pairs", "2-2", "--top-n", "1")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {first} turn 1: wand needs at least 2 items, top_n 1 keeps 1\n"
+        )
 
     def test_ae_predictor_rejects_another_classifier(self, workspace, tmp_path, capsys):
         _, runs_path, labels_path = workspace

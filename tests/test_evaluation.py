@@ -1,8 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convpred import features
 from convpred.core import ValidationError
 from convpred.data_io import GenConfig, generate_synthetic
 from convpred.evaluation import (
@@ -22,7 +25,8 @@ from convpred.evaluation import (
     write_predictions,
     write_report,
 )
-from convpred.scenario import label_runs
+from convpred.features import FeatureTable, turn_features
+from convpred.scenario import induce_missing, label_runs
 
 
 SMALL_GEN = GenConfig(
@@ -156,6 +160,78 @@ class TestTurnPair:
         b = run_turn_pair(runs, labels, "ae", "ae-head", split, **kwargs)
         assert a.rows == b.rows
         assert a.predictions == b.predictions
+
+
+@pytest.fixture(scope="module")
+def both_scenarios(small_world):
+    runs, labels, split = small_world
+    modified, missing = induce_missing(runs, labels, fraction=0.5, seed=3)
+    assert 0 < len(missing.forced) < len(runs)
+    missing_split = split_conversations(
+        [r.conversation_id for r in modified], missing.final_labels(), seed=13
+    )
+    return (runs, labels, split), (modified, missing, missing_split)
+
+
+TABLE_ROWS = [("apr", "logreg"), ("score", "forest"), ("ae", "ae-head")]
+TABLE_PAIRS = [(2, 3), (3, 4)]
+
+
+class TestFeatureTable:
+    def test_shared_table_matches_fresh_tables(self, both_scenarios):
+        shared = FeatureTable()
+        for runs, labels, split in both_scenarios:
+            for predictor, classifier in TABLE_ROWS:
+                kwargs = dict(pairs=TABLE_PAIRS, settings=SETTINGS, seed=11)
+                fresh = run_turn_pair(runs, labels, predictor, classifier, split, **kwargs)
+                reused = run_turn_pair(runs, labels, predictor, classifier, split,
+                                       table=shared, **kwargs)
+                assert reused.rows == fresh.rows
+                assert reused.predictions == fresh.predictions
+            for kind in ("apr", "score", "pooled"):
+                for turn in (1, 2, 3):
+                    assert np.array_equal(
+                        shared.block(runs, kind, turn, 50),
+                        FeatureTable().block(runs, kind, turn, 50),
+                    )
+
+    def test_each_row_computed_once(self, both_scenarios, monkeypatch):
+        calls = Counter()
+
+        def counted(run, kind, turn, top_n=100):
+            calls[(id(run), kind, turn, top_n)] += 1
+            return turn_features(run, kind, turn, top_n)
+
+        monkeypatch.setattr(features, "turn_features", counted)
+        table = FeatureTable()
+        for _ in range(2):
+            for runs, labels, split in both_scenarios:
+                for predictor, classifier in TABLE_ROWS:
+                    run_turn_pair(runs, labels, predictor, classifier, split, pairs=TABLE_PAIRS,
+                                  settings=SETTINGS, seed=11, table=table)
+                table.block(runs, "score", 2, 20)
+        (runs, _, _), (modified, missing, _) = both_scenarios
+        distinct = {id(run) for run in runs + modified}
+        assert len(distinct) == len(runs) + len(missing.forced)
+        expected = {(rid, kind, turn, 50) for rid in distinct
+                    for kind in ("apr", "score", "pooled") for turn in (1, 2, 3)}
+        expected |= {(rid, "score", 2, 20) for rid in distinct}
+        assert set(calls) == expected
+        assert set(calls.values()) == {1}
+
+    def test_replaced_run_gets_its_own_rows(self, both_scenarios):
+        (runs, _, _), (modified, missing, _) = both_scenarios
+        table = FeatureTable()
+        before = table.block(runs, "score", 6, 50)
+        after = table.block(modified, "score", 6, 50)
+        for i, (run, new) in enumerate(zip(runs, modified)):
+            if run.conversation_id in missing.forced:
+                assert new is not run
+                assert np.array_equal(after[i], turn_features(new, "score", 6, 50))
+                assert not np.array_equal(after[i], before[i])
+            else:
+                assert new is run
+                assert np.array_equal(after[i], before[i])
 
 
 class TestSingleTurn:
