@@ -19,6 +19,7 @@ __all__ = [
     "LinearModel",
     "TreeNode",
     "Forest",
+    "TreeStreams",
     "check_train_input",
     "standardize_fit",
     "standardize",
@@ -50,24 +51,65 @@ class LinearModel:
 
 
 @dataclass(eq=False)
-class TreeNode:
-    """Internal node (feature/threshold/children) or leaf (class counts)."""
+class Forest:
+    """Every tree of a forest as parallel node arrays, the layout of scikit-learn's ``tree_``.
 
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    counts: np.ndarray | None = None
+    Tree t starts at node ``roots[t]``. Node i is a leaf when ``feature[i]``
+    is -1; otherwise rows with ``X[:, feature[i]] < threshold[i]`` go to node
+    ``left[i]`` and the rest, NaN included, to ``right[i]``. ``counts[i]``
+    holds the node's (label 0, label 1) bootstrap counts. A leaf predicts
+    the larger count, an equal count giving 0, and the forest the majority
+    of its trees' votes, an exact tie giving 0.
+    """
+
+    roots: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    counts: np.ndarray
+    n_features: int
+
+    @property
+    def trees(self) -> list["TreeNode"]:
+        """A cursor on each tree's root, in tree order."""
+        return [TreeNode(self, int(root)) for root in self.roots]
+
+
+@dataclass(frozen=True, eq=False)
+class TreeNode:
+    """A read-only cursor on node ``index`` of a forest, for walking one tree.
+
+    Internal nodes have ``feature``, ``threshold`` and ``left``/``right``
+    cursors; leaves have ``counts``, and None for the children.
+    """
+
+    forest: Forest
+    index: int
 
     @property
     def is_leaf(self) -> bool:
-        return self.counts is not None
+        return bool(self.forest.feature[self.index] < 0)
 
+    @property
+    def feature(self) -> int:
+        return int(self.forest.feature[self.index])
 
-@dataclass(eq=False)
-class Forest:
-    trees: list[TreeNode]
-    n_features: int
+    @property
+    def threshold(self) -> float:
+        return float(self.forest.threshold[self.index])
+
+    @property
+    def left(self) -> "TreeNode | None":
+        return None if self.is_leaf else TreeNode(self.forest, int(self.forest.left[self.index]))
+
+    @property
+    def right(self) -> "TreeNode | None":
+        return None if self.is_leaf else TreeNode(self.forest, int(self.forest.right[self.index]))
+
+    @property
+    def counts(self) -> np.ndarray | None:
+        return self.forest.counts[self.index] if self.is_leaf else None
 
 
 LASSO_TOL = 1e-12  # a sweep moving no weight by this much ends coordinate descent
@@ -263,78 +305,153 @@ def _class_counts(weights: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack([weights.sum(axis=-1) - ones, ones], axis=-1).astype(np.float64)
 
 
-def train_forest(X, y, n_trees: int = 100, seed: int = 0) -> Forest:
+class _Substreams:
+    """One forest key's trees: each tree's RNG, bootstrap and candidate draws so far."""
+
+    def __init__(self, seed: int, n_trees: int, n_rows: int, n_features: int):
+        self.n_features = n_features
+        self.n_candidates = max(1, math.ceil(math.sqrt(n_features)))
+        self.rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_trees)]
+        self.weights = np.stack([
+            np.bincount(rng.integers(0, n_rows, size=n_rows), minlength=n_rows) for rng in self.rngs
+        ])
+        self.weights.flags.writeable = False
+        self.draws = [np.empty((4, self.n_candidates), dtype=np.int64) for _ in self.rngs]
+        self.made = [0] * n_trees
+
+    def take(self, trees: list[int], used: list[int]) -> np.ndarray:
+        """Each listed tree's next candidate draw, ``used[t]`` being its count so far.
+
+        A draw that no earlier forest of the key made is drawn now, into a
+        per-tree buffer that doubles when full.
+        """
+        out = []
+        for t in trees:
+            j = used[t]
+            used[t] = j + 1
+            if j == self.made[t]:
+                if j == len(self.draws[t]):
+                    self.draws[t] = np.resize(self.draws[t], (2 * j, self.n_candidates))
+                self.draws[t][j] = self.rngs[t].choice(
+                    self.n_features, size=self.n_candidates, replace=False
+                )
+                self.made[t] = j + 1
+            out.append(self.draws[t][j])
+        return np.stack(out)
+
+
+class TreeStreams:
+    """The per-tree RNG substreams of forests, kept so that later forests reuse their draws.
+
+    A forest's bootstrap and each tree's j-th candidate draw depend only on
+    (seed, n_trees, n_rows, n_features), not on X or y: the draws of a tree
+    are a prefix of one fixed stream. So forests of one key, such as every
+    forest row of a protocol grid at one turn pair, share one set of
+    substreams, and ``rng.choice`` runs only past the longest prefix an
+    earlier forest of the key used. A store lives as long as its caller
+    keeps it; one made per forest gives the same draws, reusing none.
+    """
+
+    def __init__(self):
+        self._keys: dict[tuple[int, int, int, int], _Substreams] = {}
+
+    def of(self, seed: int, n_trees: int, n_rows: int, n_features: int) -> _Substreams:
+        key = (seed, n_trees, n_rows, n_features)
+        if key not in self._keys:
+            self._keys[key] = _Substreams(*key)
+        return self._keys[key]
+
+
+def train_forest(
+    X, y, n_trees: int = 100, seed: int = 0, streams: TreeStreams | None = None
+) -> Forest:
     """Bootstrap-aggregated Gini trees over ceil(sqrt(F)) feature candidates per split.
 
     Trees grow until pure or down to fewer than 2 samples; everything is
-    deterministic given the seed, with one substream per tree. A node is its
-    bootstrap multiplicity per training row. All trees grow together in
-    waves: each tree pops the next node off its own depth-first stack (left
-    child first) and draws that node's candidate features, then one batched
+    deterministic given the seed, with one substream per tree, taken from
+    ``streams`` (a fresh store when None). A node is its bootstrap
+    multiplicity per training row. All trees grow together in waves: each
+    tree pops the next node off its own depth-first stack (left child
+    first) and draws that node's candidate features, then one batched
     search scores every popped node. Only nodes holding both labels are
-    stacked; the rest become leaves when they are made. A tree that makes
-    EMPTY_SPLIT_LIMIT splits in a row that each send a node's every sample
-    one way would never finish, and raises ValueError.
+    stacked; the rest become leaves when they are made. Nodes are numbered
+    as they are made, the roots first, and written straight into the
+    forest's arrays. A tree that makes EMPTY_SPLIT_LIMIT splits in a row
+    that each send a node's every sample one way would never finish, and
+    raises ValueError.
     """
     if n_trees < 1:
         raise ValueError(f"n_trees must be >= 1, got {n_trees}")
     X, y = check_train_input(X, y, minimum=1)
     n, n_features = X.shape
-    n_candidates = max(1, math.ceil(math.sqrt(n_features)))
     cols = _SortedColumns.of(X, y)
-    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(n_trees)]
-    weights = np.stack([np.bincount(rng.integers(0, n, size=n), minlength=n) for rng in rngs])
-    counts = _class_counts(weights, y)
-    trees = [TreeNode() for _ in rngs]
-    # per tree, its nodes still to split: (node, row multiplicities, class counts,
-    # splits in a row that left a child empty)
-    stacks = [[] for _ in rngs]
-
-    def place(t, node, weights, counts, splittable, streak):
-        if splittable:
-            stacks[t].append((node, weights, counts, streak))
-        else:
-            node.counts = counts
-
-    for t, splittable in enumerate(counts.all(axis=1).tolist()):
-        place(t, trees[t], weights[t], counts[t], splittable, 0)
+    substreams = (TreeStreams() if streams is None else streams).of(seed, n_trees, n, n_features)
+    weights = substreams.weights
+    counts = [_class_counts(weights, y)]  # class counts of the nodes made, in node order
+    splits = []  # per wave: (nodes, feature, threshold, first left child)
+    # per tree, its nodes still to split: (node, row multiplicities, splits in a
+    # row that left a child empty)
+    splittable = counts[0].all(axis=1).tolist()
+    stacks = [[(t, weights[t], 0)] if splittable[t] else [] for t in range(n_trees)]
+    used = [0] * n_trees
+    n_nodes = n_trees
     growing = [t for t in range(n_trees) if stacks[t]]
     while growing:
-        nodes, weights, counts, streaks = zip(*(stacks[t].pop() for t in growing))
-        draws = [rngs[t].choice(n_features, size=n_candidates, replace=False) for t in growing]
+        nodes, weights, streaks = zip(*(stacks[t].pop() for t in growing))
         weights = np.stack(weights)
-        feature, threshold = _best_splits(cols, weights, np.stack(draws))
+        feature, threshold = _best_splits(cols, weights, substreams.take(growing, used))
+        split = np.flatnonzero(feature >= 0)  # the rest are leaves
+        m = len(split)
+        feature, threshold, weights = feature[split], threshold[split], weights[split]
         left = weights * (X.T[feature] < threshold[:, None])
-        feature, threshold = feature.tolist(), threshold.tolist()
         children = np.concatenate([left, weights - left])  # lefts, then rights
         child_counts = _class_counts(children, y)
+        counts.append(child_counts)
+        splits.append((np.array(nodes)[split], feature, threshold, n_nodes))
         can_split = child_counts.all(axis=1).tolist()
         occupied = child_counts.any(axis=1).tolist()
-        s = len(growing)
-        for i, t in enumerate(growing):
-            node = nodes[i]
-            if feature[i] < 0:
-                node.counts = counts[i]
-                continue
-            streak = 0 if occupied[i] and occupied[s + i] else streaks[i] + 1
+        for k, i in enumerate(split.tolist()):
+            t = growing[i]
+            streak = 0 if occupied[k] and occupied[m + k] else streaks[i] + 1
             if streak == EMPTY_SPLIT_LIMIT:
                 raise ValueError(
                     f"tree {t}: {streak} splits in a row sent every sample one way (a -inf "
                     "value, or a midpoint that overflows or rounds onto a value, makes such "
                     "a threshold)"
                 )
-            node.feature, node.threshold = feature[i], threshold[i]
-            node.left, node.right = TreeNode(), TreeNode()
-            for child, j in ((node.right, s + i), (node.left, i)):
-                place(t, child, children[j], child_counts[j], can_split[j], streak)
+            for j in (m + k, k):  # the left child goes on top
+                if can_split[j]:
+                    stacks[t].append((n_nodes + j, children[j], streak))
+        n_nodes += 2 * m
         growing = [t for t in growing if stacks[t]]
-    return Forest(trees=trees, n_features=n_features)
+    forest = Forest(
+        roots=np.arange(n_trees),
+        feature=np.full(n_nodes, -1),
+        threshold=np.zeros(n_nodes),
+        left=np.full(n_nodes, -1),
+        right=np.full(n_nodes, -1),
+        counts=np.concatenate(counts),
+        n_features=n_features,
+    )
+    for nodes, feature, threshold, first in splits:
+        forest.feature[nodes], forest.threshold[nodes] = feature, threshold
+        forest.left[nodes] = first + np.arange(len(nodes))
+        forest.right[nodes] = forest.left[nodes] + len(nodes)
+    return forest
 
 
-def _tree_predict(node: TreeNode, row: np.ndarray) -> int:
-    while not node.is_leaf:
-        node = node.left if row[node.feature] < node.threshold else node.right
-    return int(np.argmax(node.counts))  # equal counts resolve to 0
+def _forest_votes(forest: Forest, X: np.ndarray) -> np.ndarray:
+    """Label 1 votes per row: every (tree, row) pair walks down one level per step."""
+    node = np.repeat(forest.roots, len(X))
+    row = np.tile(np.arange(len(X)), len(forest.roots))
+    walking = np.flatnonzero(forest.feature[node] >= 0)
+    while walking.size:
+        at = node[walking]
+        goes_left = X[row[walking], forest.feature[at]] < forest.threshold[at]  # NaN goes right
+        node[walking] = np.where(goes_left, forest.left[at], forest.right[at])
+        walking = walking[forest.feature[node[walking]] >= 0]
+    leaf_votes = forest.counts[node, 1] > forest.counts[node, 0]  # equal counts resolve to 0
+    return leaf_votes.reshape(len(forest.roots), len(X)).sum(axis=0)
 
 
 def predict_cls(model, X) -> np.ndarray:
@@ -345,9 +462,6 @@ def predict_cls(model, X) -> np.ndarray:
             return (_sigmoid(z) >= 0.5).astype(np.int64)
         return (z >= 0.5).astype(np.int64)
     if isinstance(model, Forest):
-        X = _as_rows(X, model.n_features)
-        votes = np.zeros(len(X), dtype=np.int64)
-        for tree in model.trees:
-            votes += np.array([_tree_predict(tree, row) for row in X])
-        return (votes * 2 > len(model.trees)).astype(np.int64)  # exact ties go to 0
+        votes = _forest_votes(model, _as_rows(X, model.n_features))
+        return (votes * 2 > len(model.roots)).astype(np.int64)  # exact ties go to 0
     raise TypeError(f"unsupported model type {type(model).__name__}")

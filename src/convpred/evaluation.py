@@ -18,9 +18,11 @@ records. ``run_turn_pair`` (multi and single mode) and
 ``cutoff_sensitivity`` only read per-turn feature blocks from a
 :class:`~convpred.features.FeatureTable` and loop over cells; callers that
 evaluate the same runs again pass one table, so each turn's features are
-computed once. A
+computed once, and one :class:`~convpred.classifiers.TreeStreams`, so
+forests of one cell seed draw their bootstraps and candidates once. A
 cell is named ``predictor|classifier|scenario|mode|T,E|cutoffC``;
-``paired_predictions`` matches cells on the last four fields.
+``paired_predictions`` matches cells on the last four fields, and a
+trainer's error names its cell.
 """
 
 from __future__ import annotations
@@ -126,6 +128,11 @@ class EvalSettings:
     logistic_iters: int = 500
     n_trees: int = 100
 
+    def __post_init__(self):
+        # a setting every forest cell shares is an error before any cell runs
+        if self.n_trees < 1:
+            raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
+
 
 def split_conversations(
     ids,
@@ -211,7 +218,8 @@ def _cell_seed(seed: int, turn_train: int, cutoff: int) -> int:
     return int(np.random.SeedSequence((seed, turn_train, cutoff)).generate_state(1)[0])
 
 
-def _fit_predict(classifier, X_train, y_train, X_test, settings: EvalSettings, cell_seed: int):
+def _fit_predict(classifier, X_train, y_train, X_test, settings: EvalSettings, cell_seed: int,
+                 streams: classifiers.TreeStreams | None):
     if classifier == "ae-head":
         config = autoencoder.AEConfig(
             input_dim=X_train.shape[1],
@@ -230,7 +238,9 @@ def _fit_predict(classifier, X_train, y_train, X_test, settings: EvalSettings, c
             X_train, y_train, lam=settings.lasso_lambda, iters=settings.lasso_iters
         )
     elif classifier == "forest":
-        model = classifiers.train_forest(X_train, y_train, n_trees=settings.n_trees, seed=cell_seed)
+        model = classifiers.train_forest(
+            X_train, y_train, n_trees=settings.n_trees, seed=cell_seed, streams=streams
+        )
     else:
         raise ValueError(f"unknown classifier {classifier!r}; valid: {CLASSIFIERS}")
     return classifiers.predict_cls(model, X_test)
@@ -272,22 +282,27 @@ def _check_cells(runs, labels: LabelSet, split: Split, pairs):
 
 
 def _evaluate_cell(
-    X, by_id, labels: LabelSet, split: Split, predictor, classifier, mode, pair, settings, seed
+    X, by_id, labels: LabelSet, split: Split, predictor, classifier, mode, pair, settings, seed,
+    streams=None,
 ) -> EvalReport:
     """Fit one classifier on the train rows of X against the found-by-turn-E
     label and score the test rows: one report row and its prediction records.
 
     X holds one feature row per run; ``by_id`` maps a conversation id to its
-    row. The cell seed depends on (seed, T, cutoff) only.
+    row. The cell seed depends on (seed, T, cutoff) only. A trainer's
+    ValueError is raised again with the cell id in front.
     """
     turn_train, turn_eval = pair
+    cell = f"{predictor}|{classifier}|{labels.scenario}|{mode}|{turn_train},{turn_eval}|cutoff{labels.cutoff}"
     X_train = X[[by_id[cid] for cid in split.train_ids]]
     y_train = np.array([labels.label_at(cid, turn_eval) for cid in split.train_ids])
     X_test = X[[by_id[cid] for cid in split.test_ids]]
     y_test = np.array([labels.label_at(cid, turn_eval) for cid in split.test_ids])
-    preds = _fit_predict(
-        classifier, X_train, y_train, X_test, settings, _cell_seed(seed, turn_train, labels.cutoff)
-    )
+    cell_seed = _cell_seed(seed, turn_train, labels.cutoff)
+    try:
+        preds = _fit_predict(classifier, X_train, y_train, X_test, settings, cell_seed, streams)
+    except ValueError as exc:
+        raise ValueError(f"{cell}: {exc}") from exc
     row = ReportRow(
         predictor=predictor,
         classifier=classifier,
@@ -299,7 +314,6 @@ def _evaluate_cell(
         accuracy=accuracy(preds, y_test),
         n_test=len(y_test),
     )
-    cell = f"{predictor}|{classifier}|{labels.scenario}|{mode}|{turn_train},{turn_eval}|cutoff{labels.cutoff}"
     return EvalReport(
         rows=[row],
         predictions=[
@@ -320,6 +334,7 @@ def run_turn_pair(
     seed: int = 0,
     mode: str = "multi",
     table: FeatureTable | None = None,
+    streams: classifiers.TreeStreams | None = None,
 ) -> EvalReport:
     """Train and evaluate one classifier per turn pair (T, T+1).
 
@@ -329,7 +344,10 @@ def run_turn_pair(
     per-instance prediction records for significance testing. Pairs past the
     end of the runs are skipped and named in the report's warnings. Feature
     rows come from ``table``, a fresh one when None; pass one table to every
-    call over the same runs to compute each row once.
+    call over the same runs to compute each row once. Forests draw from
+    ``streams`` (see :class:`~convpred.classifiers.TreeStreams`); pass one
+    store to every call of a grid so that forests of one cell seed share
+    their substreams.
     """
     if mode not in ("multi", "single"):
         raise ValueError(f"mode must be 'multi' or 'single', got {mode!r}")
@@ -349,7 +367,9 @@ def run_turn_pair(
         else:
             X = blocks[pair[0]]
         report.extend(
-            _evaluate_cell(X, by_id, labels, split, predictor, classifier, mode, pair, settings, seed)
+            _evaluate_cell(
+                X, by_id, labels, split, predictor, classifier, mode, pair, settings, seed, streams
+            )
         )
     return report
 

@@ -208,25 +208,43 @@ class FeatureTable:
     scenario induction replaced gets rows of its own, while one it left
     untouched (the same object) shares them. The table holds each run it
     has seen, so an ``id`` cannot be reused by another run while it lives.
-    Missing rows come from :func:`turn_features`.
+    Each run has one row index, and each (kind, turn, top_n) one matrix of
+    rows that grows as runs arrive. Missing rows come from
+    :func:`turn_features`.
     """
 
     def __init__(self):
-        self._runs: dict[int, ConversationRun] = {}
-        self._rows: dict[tuple[int, str, int, int], np.ndarray] = {}
+        self._runs: list[ConversationRun] = []
+        self._index: dict[int, int] = {}  # id(run) -> its row in every matrix
+        # (kind, turn, top_n) -> (rows, which rows are filled)
+        self._blocks: dict[tuple[str, int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+    def _row_of(self, run: ConversationRun) -> int:
+        row = self._index.get(id(run))
+        if row is None:
+            row = self._index[id(run)] = len(self._runs)
+            self._runs.append(run)
+        return row
 
     def block(self, runs, kind: str, turn: int, top_n: int) -> np.ndarray:
         """The (len(runs), width) matrix of the turn's features, one row per run in order."""
-        rows = []
-        for run in runs:
-            key = (id(run), kind, turn, top_n)
-            row = self._rows.get(key)
-            if row is None:
-                row = turn_features(run, kind, turn, top_n)
-                self._runs.setdefault(id(run), run)
-                self._rows[key] = row
-            rows.append(row)
-        return np.vstack(rows)
+        rows = [self._row_of(run) for run in runs]
+        key = (kind, turn, top_n)
+        values, filled = self._blocks.get(key, (None, np.zeros(0, dtype=bool)))
+        for r, run in zip(rows, runs):
+            if r < len(filled) and filled[r]:
+                continue
+            row = turn_features(run, kind, turn, top_n)
+            if r >= len(filled):  # grow to hold every run seen so far
+                grown = np.empty((len(self._runs), len(row)))
+                if values is not None:
+                    grown[: len(values)] = values
+                filled = np.concatenate([filled, np.zeros(len(grown) - len(filled), dtype=bool)])
+                values = grown
+                self._blocks[key] = values, filled
+            values[r] = row
+            filled[r] = True
+        return values[rows]
 
 
 def assemble_multiturn(

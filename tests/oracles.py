@@ -280,3 +280,22 @@ def forest_brute(X, y, n_trees, seed):
         boot = rng.integers(0, n, size=n)
         trees.append(_tree_brute(X, y, boot, rng, n_candidates))
     return trees
+
+
+def forest_predict_brute(trees, X):
+    """Majority vote of ``forest_brute`` trees per row, walking each tree node by node.
+
+    A row goes left when its value is below the threshold, so NaN goes right;
+    a leaf votes 1 only when its label-1 count is larger, and an exact tie of
+    votes gives 0.
+    """
+    out = []
+    for row in np.asarray(X, dtype=np.float64).tolist():
+        votes = 0
+        for node in trees:
+            while len(node) == 4:
+                feature, threshold, left, right = node
+                node = left if row[feature] < threshold else right
+            votes += 1 if node[1] > node[0] else 0
+        out.append(1 if 2 * votes > len(trees) else 0)
+    return out

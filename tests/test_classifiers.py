@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from convpred.classifiers import (
     Forest,
     LinearModel,
-    TreeNode,
+    TreeStreams,
     predict_cls,
     train_forest,
     train_lasso,
     train_logistic,
 )
-from oracles import forest_brute
+from oracles import forest_brute, forest_predict_brute
 
 
 def separable_1d(n=40, margin=1.0, seed=0):
@@ -123,6 +123,14 @@ class TestLasso:
             train_lasso(np.zeros((3, 2)), [0, 1, 0], lam=-1.0)
 
 
+def leaf_forest(counts, n_features):
+    """A forest of one-leaf trees, one per (label 0, label 1) count pair."""
+    n = len(counts)
+    return Forest(roots=np.arange(n), feature=np.full(n, -1), threshold=np.zeros(n),
+                  left=np.full(n, -1), right=np.full(n, -1),
+                  counts=np.array(counts, dtype=np.float64), n_features=n_features)
+
+
 class TestForest:
     def test_single_sample_predicts_its_label(self):
         model = train_forest(np.array([[1.0, 2.0]]), np.array([1]), n_trees=10, seed=0)
@@ -150,18 +158,15 @@ class TestForest:
         grid = rng.standard_normal((20, 4))
         model = train_forest(X, y, n_trees=11, seed=2)
         before = predict_cls(model, grid)
-        model.trees = list(reversed(model.trees))
+        model.roots = model.roots[::-1].copy()
         np.testing.assert_array_equal(predict_cls(model, grid), before)
 
     def test_vote_tie_goes_to_zero(self):
-        tree_zero = TreeNode(counts=np.array([1.0, 0.0]))
-        tree_one = TreeNode(counts=np.array([0.0, 1.0]))
-        model = Forest(trees=[tree_zero, tree_one], n_features=2)
+        model = leaf_forest([[1.0, 0.0], [0.0, 1.0]], n_features=2)
         assert predict_cls(model, np.zeros((3, 2))).tolist() == [0, 0, 0]
 
     def test_leaf_count_tie_goes_to_zero(self):
-        tree = TreeNode(counts=np.array([2.0, 2.0]))
-        model = Forest(trees=[tree], n_features=1)
+        model = leaf_forest([[2.0, 2.0]], n_features=1)
         assert predict_cls(model, np.zeros((1, 1))).tolist() == [0]
 
     def test_built_leaf_count_tie_goes_to_zero(self):
@@ -209,20 +214,60 @@ def assert_same_tree(node, expected):
     assert_same_tree(node.right, right)
 
 
+def serve_other_forest(streams, X, n_trees, seed):
+    """Train a forest of X's key on other values and labels through ``streams``."""
+    rng = np.random.default_rng(seed)
+    other_X = rng.standard_normal(X.shape)
+    other_y = rng.integers(0, 2, size=len(X))
+    train_forest(other_X, other_y, n_trees=n_trees, seed=seed, streams=streams)
+
+
 @settings(max_examples=300, deadline=None)
 @given(forest_inputs())
 def test_forest_matches_recursive_builder(inputs):
     X, y, n_trees, seed = inputs
+    served = TreeStreams()
+    serve_other_forest(served, X, n_trees, seed)
     try:
         expected = forest_brute(X, y, n_trees, seed)
     except RecursionError:  # a tree the recursive builder never finishes
-        with pytest.raises(ValueError, match="splits in a row"):
-            train_forest(X, y, n_trees=n_trees, seed=seed)
+        for streams in (None, served):
+            with pytest.raises(ValueError, match="splits in a row"):
+                train_forest(X, y, n_trees=n_trees, seed=seed, streams=streams)
         return
+    for streams in (None, served):
+        model = train_forest(X, y, n_trees=n_trees, seed=seed, streams=streams)
+        assert len(model.trees) == len(expected)
+        for tree, oracle_tree in zip(model.trees, expected):
+            assert_same_tree(tree, oracle_tree)
+
+
+def oracle_thresholds(tree):
+    if len(tree) == 2:
+        return []
+    return [tree[1]] + oracle_thresholds(tree[2]) + oracle_thresholds(tree[3])
+
+
+@settings(max_examples=100, deadline=None)
+@given(forest_inputs(), st.data())
+def test_forest_predict_matches_row_walk(inputs, data):
+    X, y, n_trees, seed = inputs
+    try:
+        expected = forest_brute(X, y, n_trees, seed)
+    except RecursionError:
+        return
+    thresholds = sorted({t for tree in expected for t in oracle_thresholds(tree)}, key=repr)
+    cell = st.one_of(
+        st.floats(-1e3, 1e3),
+        st.sampled_from([np.nan, np.inf, -np.inf]),
+        *([st.sampled_from(thresholds)] if thresholds else []),
+    )
+    n_query = data.draw(st.integers(1, 8))
+    query = np.array(data.draw(st.lists(st.lists(cell, min_size=X.shape[1], max_size=X.shape[1]),
+                                        min_size=n_query, max_size=n_query)))
+    query = np.vstack([query, X])
     model = train_forest(X, y, n_trees=n_trees, seed=seed)
-    assert len(model.trees) == len(expected)
-    for tree, oracle_tree in zip(model.trees, expected):
-        assert_same_tree(tree, oracle_tree)
+    assert predict_cls(model, query).tolist() == forest_predict_brute(expected, query)
 
 
 class TestPredictDispatch:

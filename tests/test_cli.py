@@ -331,7 +331,9 @@ def test_protocol_script_reports_training_error_in_one_line(tmp_path, capsys, mo
     monkeypatch.setattr("sys.argv", ["run_protocol.py", "--n", "2", "--pairs", "2-2",
                                      "--epochs", "1", "--outdir", str(tmp_path)])
     assert module.main() == 1
-    assert capsys.readouterr().err == "error: training needs at least 2 sample(s)\n"
+    assert capsys.readouterr().err == (
+        "error: apr|logreg|base|multi|2,3|cutoff100: training needs at least 2 sample(s)\n"
+    )
 
 
 class TestSplitRatio:
@@ -349,6 +351,24 @@ class TestSplitRatio:
         assert code == 1
         assert capsys.readouterr().err == (
             f"error: split ratio {ratio} leaves the {side} side empty for 10 conversations\n"
+        )
+
+
+class TestTrainerErrors:
+    def test_error_names_the_cell(self, tmp_path, capsys):
+        # 0.05 of 12 conversations leaves 1 to train on; logistic regression needs 2
+        runs_path, labels_path = tmp_path / "runs.jsonl", tmp_path / "labels.csv"
+        assert main(["gen", "--n", "12", *GEN_ARGS[2:], "--out", str(runs_path)]) == 0
+        assert main(["label", "--runs", str(runs_path), "--cutoff", "100",
+                     "--out", str(labels_path)]) == 0
+        capsys.readouterr()
+        code = main(["eval", "--runs", str(runs_path), "--labels", str(labels_path),
+                     "--predictor", "apr", "--classifier", "logreg", "--pairs", "2-2",
+                     "--split-ratio", "0.05",
+                     "--report", str(tmp_path / "r.csv"), "--predictions", str(tmp_path / "p.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: apr|logreg|base|multi|2,3|cutoff100: training needs at least 2 sample(s)\n"
         )
 
 
