@@ -8,14 +8,7 @@ protocol with McNemar significance testing. A synthetic conversation
 generator makes the whole pipeline runnable at desk scale.
 """
 
-from .core import (
-    ConversationRun,
-    TurnRanking,
-    ValidationError,
-    cosine_similarity,
-    found_by,
-    reciprocal_rank,
-)
+from .core import ConversationRun, TurnRanking, ValidationError
 from .data_io import GenConfig, calibration_config, generate_synthetic, read_runs, write_runs
 from .scenario import LabelSet, induce_missing, label_runs
 from .evaluation import EvalSettings, Split, mcnemar, run_turn_pair, split_conversations
@@ -26,9 +19,6 @@ __all__ = [
     "ConversationRun",
     "TurnRanking",
     "ValidationError",
-    "cosine_similarity",
-    "found_by",
-    "reciprocal_rank",
     "GenConfig",
     "calibration_config",
     "generate_synthetic",

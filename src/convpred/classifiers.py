@@ -113,7 +113,6 @@ class TreeNode:
 
 
 LASSO_TOL = 1e-12  # a sweep moving no weight by this much ends coordinate descent
-EMPTY_SPLIT_LIMIT = 1000  # splits in a row that leave one child empty before a tree is stuck
 
 
 def _as_rows(X, width: int | None = None) -> np.ndarray:
@@ -264,11 +263,13 @@ def _best_splits(cols: _SortedColumns, weights: np.ndarray, candidates: np.ndarr
     row and ``candidates`` (S, k) its candidate features, in draw order. A
     cut lies between two consecutive distinct values of the node's rows; the
     first candidate whose lowest impurity is lowest wins, then its first
-    lowest cut, and the threshold is the midpoint of the values on either
-    side of that cut. Rows the node does not hold weigh 0 in each column's
-    sort order, so a cut between two of the node's values appears at every
-    step of the full column between them, all scoring alike; the first one
-    stands for it.
+    lowest cut. With ``lower`` and ``upper`` the node's values on either
+    side of that cut, the threshold is their midpoint ``m`` when
+    ``lower < m <= upper`` and ``upper`` otherwise (a -inf, overflowing or
+    rounded midpoint), so every split sends weight both ways. Rows the
+    node does not hold weigh 0 in each column's sort order, so a cut
+    between two of the node's values appears at every step of the full
+    column between them, all scoring alike; the first one stands for it.
     """
     node = np.arange(len(weights))
     w = weights[node[:, None, None], cols.rows[candidates]]  # (S, k, n) in each column's order
@@ -294,8 +295,10 @@ def _best_splits(cols: _SortedColumns, weights: np.ndarray, candidates: np.ndarr
     at = cut[node, best]
     # the value above the cut is the node's next held row in that column
     above = np.argmax((w[node, best] > 0) & (np.arange(w.shape[-1]) > at[:, None]), axis=1)
-    with np.errstate(invalid="ignore"):  # the midpoint of -inf and inf is NaN
-        threshold = 0.5 * (cols.values[feature, at] + cols.values[feature, above])
+    lower, upper = cols.values[feature, at], cols.values[feature, above]
+    with np.errstate(invalid="ignore", over="ignore"):  # -inf + inf is NaN; a sum can overflow
+        mid = 0.5 * (lower + upper)
+        threshold = np.where((lower < mid) & (mid <= upper), mid, upper)
     return np.where(lowest[node, best] < np.inf, feature, -1), threshold
 
 
@@ -376,9 +379,7 @@ def train_forest(
     search scores every popped node. Only nodes holding both labels are
     stacked; the rest become leaves when they are made. Nodes are numbered
     as they are made, the roots first, and written straight into the
-    forest's arrays. A tree that makes EMPTY_SPLIT_LIMIT splits in a row
-    that each send a node's every sample one way would never finish, and
-    raises ValueError.
+    forest's arrays.
     """
     if n_trees < 1:
         raise ValueError(f"n_trees must be >= 1, got {n_trees}")
@@ -389,15 +390,14 @@ def train_forest(
     weights = substreams.weights
     counts = [_class_counts(weights, y)]  # class counts of the nodes made, in node order
     splits = []  # per wave: (nodes, feature, threshold, first left child)
-    # per tree, its nodes still to split: (node, row multiplicities, splits in a
-    # row that left a child empty)
+    # per tree, its nodes still to split: (node, row multiplicities)
     splittable = counts[0].all(axis=1).tolist()
-    stacks = [[(t, weights[t], 0)] if splittable[t] else [] for t in range(n_trees)]
+    stacks = [[(t, weights[t])] if splittable[t] else [] for t in range(n_trees)]
     used = [0] * n_trees
     n_nodes = n_trees
     growing = [t for t in range(n_trees) if stacks[t]]
     while growing:
-        nodes, weights, streaks = zip(*(stacks[t].pop() for t in growing))
+        nodes, weights = zip(*(stacks[t].pop() for t in growing))
         weights = np.stack(weights)
         feature, threshold = _best_splits(cols, weights, substreams.take(growing, used))
         split = np.flatnonzero(feature >= 0)  # the rest are leaves
@@ -409,19 +409,10 @@ def train_forest(
         counts.append(child_counts)
         splits.append((np.array(nodes)[split], feature, threshold, n_nodes))
         can_split = child_counts.all(axis=1).tolist()
-        occupied = child_counts.any(axis=1).tolist()
         for k, i in enumerate(split.tolist()):
-            t = growing[i]
-            streak = 0 if occupied[k] and occupied[m + k] else streaks[i] + 1
-            if streak == EMPTY_SPLIT_LIMIT:
-                raise ValueError(
-                    f"tree {t}: {streak} splits in a row sent every sample one way (a -inf "
-                    "value, or a midpoint that overflows or rounds onto a value, makes such "
-                    "a threshold)"
-                )
             for j in (m + k, k):  # the left child goes on top
                 if can_split[j]:
-                    stacks[t].append((n_nodes + j, children[j], streak))
+                    stacks[growing[i]].append((n_nodes + j, children[j]))
         n_nodes += 2 * m
         growing = [t for t in growing if stacks[t]]
     forest = Forest(

@@ -27,6 +27,13 @@ def _settings_from_args(args) -> EvalSettings:
     )
 
 
+def _read_runs(path):
+    runs = data_io.read_runs(path)
+    if not runs:
+        raise ValidationError(f"{path} holds no conversations")
+    return runs
+
+
 def cmd_gen(args) -> int:
     config = data_io.GenConfig(
         n_conversations=args.n,
@@ -54,7 +61,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_label(args) -> int:
-    runs = data_io.read_runs(args.runs)
+    runs = _read_runs(args.runs)
     labels = scenario.label_runs(runs, cutoff=args.cutoff)
     header = f"# convpred label runs={args.runs} cutoff={args.cutoff}"
     scenario.write_labels(labels, args.out, header_comment=header)
@@ -64,7 +71,7 @@ def cmd_label(args) -> int:
 
 
 def cmd_scenario(args) -> int:
-    runs = data_io.read_runs(args.runs)
+    runs = _read_runs(args.runs)
     base = scenario.label_runs(runs, cutoff=args.cutoff)
     modified, missing = scenario.induce_missing(runs, base, fraction=args.fraction, seed=args.seed)
     header = (
@@ -81,7 +88,7 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_features(args) -> int:
-    runs = data_io.read_runs(args.runs)
+    runs = _read_runs(args.runs)
     matrix = features.build_feature_matrix(
         runs, args.predictor, args.upto_turn, top_n=args.top_n, mode=args.mode
     )
@@ -99,7 +106,7 @@ def cmd_eval(args) -> int:
         cutoffs = evaluation.parse_cutoffs(args.cutoffs)
     else:
         pairs = evaluation.parse_pairs(args.pairs)
-    runs = data_io.read_runs(args.runs)
+    runs = _read_runs(args.runs)
     settings = _settings_from_args(args)
     header = (
         f"# convpred eval runs={args.runs} labels={args.labels} predictor={args.predictor} "

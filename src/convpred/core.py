@@ -1,4 +1,4 @@
-"""Core domain types and elementary ranking/geometry operations.
+"""Core domain types and elementary ranking operations.
 
 A conversation run is the unit every other module consumes: one target item,
 one ranked list of retrieved items per turn, an embedding for every item.
@@ -25,9 +25,6 @@ __all__ = [
     "TurnRanking",
     "ConversationRun",
     "as_embedding",
-    "cosine_similarity",
-    "reciprocal_rank",
-    "found_by",
     "stored_rank",
     "round_half_up",
     "validate_run",
@@ -123,36 +120,9 @@ class ConversationRun:
         return len(self.turns)
 
 
-def cosine_similarity(a, b) -> float:
-    """Standard cosine similarity in [-1, 1]; symmetric in its arguments."""
-    va = np.asarray(a, dtype=np.float64)
-    vb = np.asarray(b, dtype=np.float64)
-    if va.shape != vb.shape:
-        raise ValueError(f"dimension mismatch: {va.shape} vs {vb.shape}")
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine similarity undefined for zero-norm vector")
-    return float(np.clip(float(va @ vb) / (na * nb), -1.0, 1.0))
-
-
 def stored_rank(ranking: TurnRanking, target_id: str) -> int | None:
     """1-based position of ``target_id`` in the stored items, None if absent."""
     return ranking.items.index(target_id) + 1 if target_id in ranking.items else None
-
-
-def reciprocal_rank(ranking: TurnRanking, target_id: str) -> float:
-    """1/rank of the target within the ranking; 0.0 when absent."""
-    pos = stored_rank(ranking, target_id)
-    return 0.0 if pos is None else 1.0 / pos
-
-
-def found_by(ranking: TurnRanking, target_id: str, cutoff: int) -> bool:
-    """True iff the target sits at rank <= cutoff in the stored ranking (inclusive)."""
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    pos = stored_rank(ranking, target_id)
-    return pos is not None and pos <= cutoff
 
 
 def round_half_up(x: float) -> int:

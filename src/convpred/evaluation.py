@@ -12,11 +12,11 @@ on the train rows only).
 
 Every cell of a report goes through one path. ``_check_cells`` checks that
 the split and the labels cover the runs and keeps the usable pairs;
-``_evaluate_cell`` then fits and scores one (predictor, classifier,
-scenario, mode, pair, cutoff) cell and builds its report row and prediction
-records. ``run_turn_pair`` (multi and single mode) and
-``cutoff_sensitivity`` only read per-turn feature blocks from a
-:class:`~convpred.features.FeatureTable` and loop over cells; callers that
+``_evaluate`` then fits and scores one (predictor, classifier, scenario,
+mode, pair, cutoff) cell per usable pair and builds its report row and
+prediction records. ``run_turn_pair`` (multi and single mode) and
+``cutoff_sensitivity`` (one label set per cutoff) both call it. Its feature
+matrices come from a :class:`~convpred.features.FeatureTable`; callers that
 evaluate the same runs again pass one table, so each turn's features are
 computed once, and one :class:`~convpred.classifiers.TreeStreams`, so
 forests of one cell seed draw their bootstraps and candidates once. A
@@ -281,46 +281,47 @@ def _check_cells(runs, labels: LabelSet, split: Split, pairs):
     return usable, by_id, warnings
 
 
-def _evaluate_cell(
-    X, by_id, labels: LabelSet, split: Split, predictor, classifier, mode, pair, settings, seed,
-    streams=None,
+def _evaluate(
+    runs, labels: LabelSet, split: Split, pairs, predictor, classifier, kind, mode, settings,
+    seed, table: FeatureTable, streams,
 ) -> EvalReport:
-    """Fit one classifier on the train rows of X against the found-by-turn-E
-    label and score the test rows: one report row and its prediction records.
+    """One cell per usable pair (T, E): fit the classifier on the train rows
+    of the turn-T feature matrix against the found-by-turn-E label and score
+    the test rows, giving a report row and its prediction records.
 
-    X holds one feature row per run; ``by_id`` maps a conversation id to its
-    row. The cell seed depends on (seed, T, cutoff) only. A trainer's
-    ValueError is raised again with the cell id in front.
+    The cell seed depends on (seed, T, cutoff) only. A trainer's ValueError
+    is raised again with the cell id in front.
     """
-    turn_train, turn_eval = pair
-    cell = f"{predictor}|{classifier}|{labels.scenario}|{mode}|{turn_train},{turn_eval}|cutoff{labels.cutoff}"
-    X_train = X[[by_id[cid] for cid in split.train_ids]]
-    y_train = np.array([labels.label_at(cid, turn_eval) for cid in split.train_ids])
-    X_test = X[[by_id[cid] for cid in split.test_ids]]
-    y_test = np.array([labels.label_at(cid, turn_eval) for cid in split.test_ids])
-    cell_seed = _cell_seed(seed, turn_train, labels.cutoff)
-    try:
-        preds = _fit_predict(classifier, X_train, y_train, X_test, settings, cell_seed, streams)
-    except ValueError as exc:
-        raise ValueError(f"{cell}: {exc}") from exc
-    row = ReportRow(
-        predictor=predictor,
-        classifier=classifier,
-        scenario=labels.scenario,
-        mode=mode,
-        turn_train=turn_train,
-        turn_eval=turn_eval,
-        cutoff=labels.cutoff,
-        accuracy=accuracy(preds, y_test),
-        n_test=len(y_test),
-    )
-    return EvalReport(
-        rows=[row],
-        predictions=[
+    pairs, by_id, warnings = _check_cells(runs, labels, split, pairs)
+    train = [by_id[cid] for cid in split.train_ids]
+    test = [by_id[cid] for cid in split.test_ids]
+    report = EvalReport(warnings=warnings)
+    for turn_train, turn_eval in pairs:
+        cell = f"{predictor}|{classifier}|{labels.scenario}|{mode}|{turn_train},{turn_eval}|cutoff{labels.cutoff}"
+        X = table.matrix(runs, kind, turn_train, settings.top_n, mode)
+        y_train = np.array([labels.label_at(cid, turn_eval) for cid in split.train_ids])
+        y_test = np.array([labels.label_at(cid, turn_eval) for cid in split.test_ids])
+        cell_seed = _cell_seed(seed, turn_train, labels.cutoff)
+        try:
+            preds = _fit_predict(classifier, X[train], y_train, X[test], settings, cell_seed, streams)
+        except ValueError as exc:
+            raise ValueError(f"{cell}: {exc}") from exc
+        report.rows.append(ReportRow(
+            predictor=predictor,
+            classifier=classifier,
+            scenario=labels.scenario,
+            mode=mode,
+            turn_train=turn_train,
+            turn_eval=turn_eval,
+            cutoff=labels.cutoff,
+            accuracy=accuracy(preds, y_test),
+            n_test=len(y_test),
+        ))
+        report.predictions.extend(
             PredictionRecord(cell, cid, int(p), int(a))
             for cid, p, a in zip(split.test_ids, preds, y_test)
-        ],
-    )
+        )
+    return report
 
 
 def run_turn_pair(
@@ -354,24 +355,10 @@ def run_turn_pair(
     if predictor == "ae" and classifier != "ae-head":
         raise ValueError("the ae predictor implies the ae-head classifier")
     kind = _feature_kind(predictor)
-    pairs, by_id, warnings = _check_cells(runs, labels, split, pairs)
-
     table = FeatureTable() if table is None else table
-    needed_turns = sorted({t for pair in pairs for t in (range(1, pair[0] + 1) if mode == "multi" else [pair[0]])})
-    blocks = {t: table.block(runs, kind, t, settings.top_n) for t in needed_turns}
-
-    report = EvalReport(warnings=warnings)
-    for pair in pairs:
-        if mode == "multi":
-            X = np.hstack([blocks[t] for t in range(1, pair[0] + 1)])
-        else:
-            X = blocks[pair[0]]
-        report.extend(
-            _evaluate_cell(
-                X, by_id, labels, split, predictor, classifier, mode, pair, settings, seed, streams
-            )
-        )
-    return report
+    return _evaluate(
+        runs, labels, split, pairs, predictor, classifier, kind, mode, settings, seed, table, streams
+    )
 
 
 def run_single_turn(
@@ -402,14 +389,14 @@ def cutoff_sensitivity(
     model is trained on the train turn's top-1 item embedding (single-turn
     protocol). One report row per cutoff.
     """
-    X = FeatureTable().block(runs, "top1", pair[0], settings.top_n)
+    table = FeatureTable()
     report = EvalReport()
     for cutoff in cutoffs:
         labels = label_runs(runs, cutoff=cutoff)
-        _, by_id, _ = _check_cells(runs, labels, split, [pair])
-        report.extend(
-            _evaluate_cell(X, by_id, labels, split, "ae-top1", "ae-head", "single", pair, settings, seed)
-        )
+        report.extend(_evaluate(
+            runs, labels, split, [pair], "ae-top1", "ae-head", "top1", "single", settings, seed,
+            table, None,
+        ))
     return report
 
 

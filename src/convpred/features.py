@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
-from .core import ConversationRun, TurnRanking, ValidationError, read_csv, write_csv
+from .core import ConversationRun, TurnRanking, write_csv
 
 __all__ = [
     "score_stats",
@@ -35,7 +34,6 @@ __all__ = [
     "FeatureMatrix",
     "build_feature_matrix",
     "write_features",
-    "read_features",
 ]
 
 GRAM_RIDGE = 1e-8
@@ -210,14 +208,15 @@ class FeatureTable:
     has seen, so an ``id`` cannot be reused by another run while it lives.
     Each run has one row index, and each (kind, turn, top_n) one matrix of
     rows that grows as runs arrive. Missing rows come from
-    :func:`turn_features`.
+    :func:`turn_features`. :meth:`matrix` is the one place that assembles
+    a feature matrix.
     """
 
     def __init__(self):
         self._runs: list[ConversationRun] = []
         self._index: dict[int, int] = {}  # id(run) -> its row in every matrix
         # (kind, turn, top_n) -> (rows, which rows are filled)
-        self._blocks: dict[tuple[str, int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._blocks: dict[tuple[str, int, int], tuple[np.ndarray | None, np.ndarray]] = {}
 
     def _row_of(self, run: ConversationRun) -> int:
         row = self._index.get(id(run))
@@ -226,40 +225,48 @@ class FeatureTable:
             self._runs.append(run)
         return row
 
-    def block(self, runs, kind: str, turn: int, top_n: int) -> np.ndarray:
-        """The (len(runs), width) matrix of the turn's features, one row per run in order."""
-        rows = [self._row_of(run) for run in runs]
+    def _block(self, rows: np.ndarray, kind: str, turn: int, top_n: int) -> np.ndarray:
+        """The turn's feature rows of the runs at ``rows``, computing the missing ones."""
         key = (kind, turn, top_n)
         values, filled = self._blocks.get(key, (None, np.zeros(0, dtype=bool)))
-        for r, run in zip(rows, runs):
-            if r < len(filled) and filled[r]:
-                continue
-            row = turn_features(run, kind, turn, top_n)
-            if r >= len(filled):  # grow to hold every run seen so far
-                grown = np.empty((len(self._runs), len(row)))
+        filled = np.concatenate([filled, np.zeros(len(self._runs) - len(filled), dtype=bool)])
+        for r in dict.fromkeys(rows[~filled[rows]].tolist()):
+            row = turn_features(self._runs[r], kind, turn, top_n)
+            if values is None or len(values) < len(filled):  # grow to hold every run seen so far
+                grown = np.empty((len(filled), len(row)))
                 if values is not None:
                     grown[: len(values)] = values
-                filled = np.concatenate([filled, np.zeros(len(grown) - len(filled), dtype=bool)])
                 values = grown
-                self._blocks[key] = values, filled
             values[r] = row
             filled[r] = True
+        self._blocks[key] = values, filled
         return values[rows]
+
+    def matrix(self, runs, kind: str, upto_turn: int, top_n: int, mode: str) -> np.ndarray:
+        """One row per run, in order: the blocks of turns 1..upto_turn side by
+        side in ``"multi"`` mode, or the block of turn ``upto_turn`` alone in
+        ``"single"`` mode."""
+        if mode not in ("multi", "single"):
+            raise ValueError(f"mode must be 'multi' or 'single', got {mode!r}")
+        if upto_turn < 1:
+            raise ValueError(f"upto_turn must be >= 1, got {upto_turn}")
+        if not runs:
+            raise ValueError("no runs to build a feature matrix from")
+        for run in runs:
+            if upto_turn > run.n_turns:
+                raise ValueError(
+                    f"{run.conversation_id}: upto_turn {upto_turn} exceeds run length {run.n_turns}"
+                )
+        rows = np.array([self._row_of(run) for run in runs], dtype=np.intp)
+        first = 1 if mode == "multi" else upto_turn
+        return np.hstack([self._block(rows, kind, t, top_n) for t in range(first, upto_turn + 1)])
 
 
 def assemble_multiturn(
     run: ConversationRun, kind: str, upto_turn: int, top_n: int = 100
 ) -> np.ndarray:
     """Concatenated per-turn features of turns 1..upto_turn, in turn order."""
-    if upto_turn < 1:
-        raise ValueError(f"upto_turn must be >= 1, got {upto_turn}")
-    if upto_turn > run.n_turns:
-        raise ValueError(
-            f"{run.conversation_id}: upto_turn {upto_turn} exceeds run length {run.n_turns}"
-        )
-    return np.concatenate(
-        [turn_features(run, kind, t, top_n) for t in range(1, upto_turn + 1)]
-    )
+    return FeatureTable().matrix([run], kind, upto_turn, top_n, "multi")[0]
 
 
 @dataclass(eq=False)
@@ -275,15 +282,9 @@ class FeatureMatrix:
 def build_feature_matrix(
     runs, kind: str, upto_turn: int, top_n: int = 100, mode: str = "multi"
 ) -> FeatureMatrix:
-    if mode not in ("multi", "single"):
-        raise ValueError(f"mode must be 'multi' or 'single', got {mode!r}")
-    if mode == "multi":
-        rows = [assemble_multiturn(run, kind, upto_turn, top_n) for run in runs]
-    else:
-        rows = [turn_features(run, kind, upto_turn, top_n) for run in runs]
     return FeatureMatrix(
         conversation_ids=tuple(run.conversation_id for run in runs),
-        values=np.vstack(rows),
+        values=FeatureTable().matrix(runs, kind, upto_turn, top_n, mode),
         predictor=kind,
         upto_turn=upto_turn,
     )
@@ -298,23 +299,3 @@ def write_features(matrix: FeatureMatrix, path, header_comment: str | None = Non
     ]
     write_csv(path, header_comment, [columns] + rows)
 
-
-def read_features(path) -> FeatureMatrix:
-    name = Path(path).name
-    header, records = read_csv(path, "feature")
-    if header[:3] != ["conversation_id", "predictor", "upto_turn"]:
-        raise ValidationError(f"{name}: unexpected feature header {header[:3]}")
-    ids, rows, predictors, turns = [], [], set(), set()
-    for record in records:
-        ids.append(record[0])
-        predictors.add(record[1])
-        turns.add(int(record[2]))
-        rows.append([float(v) for v in record[3:]])
-    if not rows or len(predictors) != 1 or len(turns) != 1:
-        raise ValidationError(f"{name}: feature file must hold one predictor/turn block")
-    return FeatureMatrix(
-        conversation_ids=tuple(ids),
-        values=np.array(rows, dtype=np.float64),
-        predictor=predictors.pop(),
-        upto_turn=turns.pop(),
-    )

@@ -47,9 +47,6 @@ class LabelSet:
     def label_at(self, conversation_id: str, turn: int) -> int:
         return self.labels[conversation_id][turn - 1]
 
-    def final_label(self, conversation_id: str) -> int:
-        return self.labels[conversation_id][-1]
-
     def final_labels(self) -> dict[str, int]:
         return {cid: vec[-1] for cid, vec in self.labels.items()}
 

@@ -234,8 +234,10 @@ def _gini_split_brute(values, labels):
     gini_right = 1.0 - (right_ones / n_right) ** 2 - (1.0 - right_ones / n_right) ** 2
     weighted = (n_left * gini_left + n_right * gini_right) / n
     best = int(np.argmin(weighted))
-    with np.errstate(invalid="ignore"):  # the midpoint of -inf and inf is NaN
-        threshold = 0.5 * (v[cut[best]] + v[cut[best] + 1])
+    lower, upper = v[cut[best]], v[cut[best] + 1]
+    with np.errstate(invalid="ignore", over="ignore"):  # -inf + inf is NaN; a sum can overflow
+        mid = 0.5 * (lower + upper)
+        threshold = mid if lower < mid <= upper else upper
     return float(weighted[best]), threshold
 
 
@@ -267,8 +269,7 @@ def forest_brute(X, y, n_trees, seed):
     Each node takes its sample indices with bootstrap repeats and scores each
     of its candidate features in its own sort. A tree is returned as nested
     tuples: a leaf is its class counts (c0, c1), an internal node is
-    (feature, threshold, left, right). A tree that never stops splitting
-    raises RecursionError.
+    (feature, threshold, left, right).
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)

@@ -176,10 +176,18 @@ class TestForest:
         assert model.trees[0].counts.tolist() == [1.0, 1.0]
         assert predict_cls(model, np.array([[0.0], [5.0]])).tolist() == [0, 0]
 
-    def test_split_that_never_separates_raises(self):
-        # the midpoint of -inf and 0 is -inf, so every sample goes right, every time
-        with pytest.raises(ValueError, match="splits in a row sent every sample one way"):
-            train_forest(np.array([[-np.inf], [0.0]]), np.array([0, 1]), n_trees=4, seed=0)
+    @pytest.mark.parametrize("values", [
+        [-np.inf, 0.0],  # the midpoint is -inf
+        [1.0, np.nextafter(1.0, 2.0)],  # the midpoint rounds onto 1.0
+        [1e308, 1.5e308],  # the sum overflows to inf
+    ], ids=["minus-inf", "rounded", "overflow"])
+    def test_split_without_a_midpoint_between_values_separates(self, values):
+        X = np.array(values)[:, None]
+        model = train_forest(X, np.array([0, 1]), n_trees=25, seed=0)
+        split = model.feature >= 0
+        assert split.any()
+        assert np.all((values[0] < model.threshold[split]) & (model.threshold[split] <= values[1]))
+        assert predict_cls(model, X).tolist() == [0, 1]
 
 
 @st.composite
@@ -228,13 +236,7 @@ def test_forest_matches_recursive_builder(inputs):
     X, y, n_trees, seed = inputs
     served = TreeStreams()
     serve_other_forest(served, X, n_trees, seed)
-    try:
-        expected = forest_brute(X, y, n_trees, seed)
-    except RecursionError:  # a tree the recursive builder never finishes
-        for streams in (None, served):
-            with pytest.raises(ValueError, match="splits in a row"):
-                train_forest(X, y, n_trees=n_trees, seed=seed, streams=streams)
-        return
+    expected = forest_brute(X, y, n_trees, seed)
     for streams in (None, served):
         model = train_forest(X, y, n_trees=n_trees, seed=seed, streams=streams)
         assert len(model.trees) == len(expected)
@@ -252,10 +254,7 @@ def oracle_thresholds(tree):
 @given(forest_inputs(), st.data())
 def test_forest_predict_matches_row_walk(inputs, data):
     X, y, n_trees, seed = inputs
-    try:
-        expected = forest_brute(X, y, n_trees, seed)
-    except RecursionError:
-        return
+    expected = forest_brute(X, y, n_trees, seed)
     thresholds = sorted({t for tree in expected for t in oracle_thresholds(tree)}, key=repr)
     cell = st.one_of(
         st.floats(-1e3, 1e3),

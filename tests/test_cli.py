@@ -444,3 +444,16 @@ class TestExitCodes:
         code = main(["label", "--runs", str(bad), "--out", str(tmp_path / "l.csv")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["label", "--out", "labels.csv"],
+        ["features", "--predictor", "wand", "--upto-turn", "2", "--out", "features.csv"],
+    ], ids=["label", "features"])
+    def test_header_only_run_file_holds_no_conversations(self, tmp_path, capsys, command):
+        runs = tmp_path / "header_only.jsonl"
+        runs.write_text("# convpred gen n=0\n")
+        *args, out = command
+        code = main(args + [str(tmp_path / out), "--runs", str(runs)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {runs} holds no conversations\n"
+        assert not (tmp_path / out).exists()

@@ -9,11 +9,8 @@ from convpred.core import (
     ConversationRun,
     TurnRanking,
     ValidationError,
-    cosine_similarity,
-    found_by,
-    reciprocal_rank,
+    read_csv,
     round_half_up,
-    stored_rank,
     validate_run,
     validate_runs,
 )
@@ -27,8 +24,8 @@ from convpred.evaluation import (
     write_predictions,
     write_report,
 )
-from convpred.features import build_feature_matrix, read_features, write_features
-from convpred.scenario import LabelSet, read_labels, write_labels
+from convpred.features import build_feature_matrix, mean_pairwise_similarity, write_features
+from convpred.scenario import LabelSet, label_runs, read_labels, write_labels
 from helpers import make_ranking, make_run, oracle_run_dict, random_run
 
 vectors = st.lists(
@@ -36,6 +33,11 @@ vectors = st.lists(
     min_size=1,
     max_size=6,
 ).filter(lambda v: math.sqrt(sum(x * x for x in v)) > 1e-6)
+
+
+def cosine_similarity(a, b) -> float:
+    """The cosine of the coherence features: wand of a two-item ranking."""
+    return mean_pairwise_similarity(make_ranking([2.0, 1.0], np.array([a, b], dtype=np.float64)))
 
 
 class TestCosine:
@@ -47,10 +49,6 @@ class TestCosine:
 
     def test_half_diagonal(self):
         assert cosine_similarity([1, 1], [1, 0]) == pytest.approx(0.70710678, abs=1e-8)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            cosine_similarity([1, 0], [1, 0, 0])
 
     def test_zero_norm(self):
         with pytest.raises(ValueError, match="zero-norm"):
@@ -80,18 +78,12 @@ def three_item_ranking():
     return make_ranking([3.0, 2.0, 1.0], np.eye(3), ids=["a", "b", "c"])
 
 
+def found_by(ranking, target_id: str, cutoff: int) -> bool:
+    """Whether labelling finds the target in a one-turn run at the cutoff."""
+    return label_runs([make_run([ranking], target=target_id)], cutoff=cutoff).labels["c0"] == (1,)
+
+
 class TestRankOps:
-    def test_reciprocal_rank_top(self):
-        assert reciprocal_rank(three_item_ranking(), "a") == 1.0
-
-    def test_reciprocal_rank_position(self):
-        scores = [5.0, 4.0, 3.0, 2.0]
-        ranking = make_ranking(scores, np.eye(4))
-        assert reciprocal_rank(ranking, "i003") == 0.25
-
-    def test_reciprocal_rank_absent(self):
-        assert reciprocal_rank(three_item_ranking(), "missing") == 0.0
-
     def test_found_by_inclusive_boundary(self):
         n = 100
         ranking = make_ranking(list(range(n, 0, -1)), np.ones((n, 2)))
@@ -114,13 +106,6 @@ class TestRankOps:
             c1, c2 = c2, c1
         if found_by(ranking, target, c1):
             assert found_by(ranking, target, c2)
-
-    def test_reciprocal_rank_positive_iff_present(self):
-        ranking = three_item_ranking()
-        for target in ("a", "b", "c"):
-            assert reciprocal_rank(ranking, target) > 0
-            assert stored_rank(ranking, target) is not None
-        assert reciprocal_rank(ranking, "zz") == 0.0
 
 
 class TestValidation:
@@ -289,15 +274,22 @@ def _labels_view(labels):
     return labels.labels, labels.scenario, labels.cutoff, labels.forced
 
 
+def _read_features(path):
+    _, records = read_csv(path, "feature")
+    return [(cid, predictor, int(turn), [float(v) for v in values])
+            for cid, predictor, turn, *values in records]
+
+
 def _features_view(matrix):
-    return matrix.conversation_ids, matrix.values.tolist(), matrix.predictor, matrix.upto_turn
+    return [(cid, matrix.predictor, matrix.upto_turn, row)
+            for cid, row in zip(matrix.conversation_ids, matrix.values.tolist())]
 
 
 # artefact -> (writer, reader, written object, view of what was read, expected view)
 ARTEFACTS = {
     "runs": (write_runs, read_runs, RUNS, _runs_view, _runs_view(RUNS)),
     "labels": (write_labels, read_labels, LABELS, _labels_view, _labels_view(LABELS)),
-    "features": (write_features, read_features, FEATURES, _features_view, _features_view(FEATURES)),
+    "features": (write_features, _read_features, FEATURES, list, _features_view(FEATURES)),
     "report": (write_report, read_report, REPORT, list, REPORT.rows),
     "predictions": (write_predictions, read_predictions, REPORT, list, REPORT.predictions),
 }

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convpred.cli import main
-from convpred.core import ValidationError, found_by, runs_equal
+from convpred.core import ValidationError, runs_equal, stored_rank
 from convpred.data_io import (
     GenConfig,
     calibration_config,
@@ -333,8 +333,8 @@ class TestGenerator:
         runs = generate_synthetic(GenConfig(**SMALL))
         for run in runs:
             for ranking, rank in zip(run.turns, run.target_ranks):
-                in_top = found_by(ranking, run.target_id, SMALL["top_n"])
-                assert in_top == (rank <= SMALL["top_n"])
+                in_top = rank <= SMALL["top_n"]
+                assert stored_rank(ranking, run.target_id) == (rank if in_top else None)
 
 
 @pytest.mark.slow

@@ -191,8 +191,8 @@ class TestFeatureTable:
             for kind in ("apr", "score", "pooled"):
                 for turn in (1, 2, 3):
                     assert np.array_equal(
-                        shared.block(runs, kind, turn, 50),
-                        FeatureTable().block(runs, kind, turn, 50),
+                        shared.matrix(runs, kind, turn, 50, "single"),
+                        FeatureTable().matrix(runs, kind, turn, 50, "single"),
                     )
 
     def test_each_row_computed_once(self, both_scenarios, monkeypatch):
@@ -209,7 +209,7 @@ class TestFeatureTable:
                 for predictor, classifier in TABLE_ROWS:
                     run_turn_pair(runs, labels, predictor, classifier, split, pairs=TABLE_PAIRS,
                                   settings=SETTINGS, seed=11, table=table)
-                table.block(runs, "score", 2, 20)
+                table.matrix(runs, "score", 2, 20, "single")
         (runs, _, _), (modified, missing, _) = both_scenarios
         distinct = {id(run) for run in runs + modified}
         assert len(distinct) == len(runs) + len(missing.forced)
@@ -222,8 +222,8 @@ class TestFeatureTable:
     def test_replaced_run_gets_its_own_rows(self, both_scenarios):
         (runs, _, _), (modified, missing, _) = both_scenarios
         table = FeatureTable()
-        before = table.block(runs, "score", 6, 50)
-        after = table.block(modified, "score", 6, 50)
+        before = table.matrix(runs, "score", 6, 50, "single")
+        after = table.matrix(modified, "score", 6, 50, "single")
         for i, (run, new) in enumerate(zip(runs, modified)):
             if run.conversation_id in missing.forced:
                 assert new is not run

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convpred.core import read_csv
 from convpred.features import (
     FEATURE_KINDS,
+    FeatureTable,
     anchored_pair_ratio,
     assemble_multiturn,
     autocorrelation,
@@ -12,7 +14,6 @@ from convpred.features import (
     mean_pairwise_similarity,
     pooled_embedding,
     query_surrogate,
-    read_features,
     reciprocal_volume,
     score_stats,
     top_item_embedding,
@@ -196,6 +197,31 @@ class TestAssembly:
         with pytest.raises(ValueError, match="exceeds run length"):
             assemble_multiturn(run, "wand", 3)
 
+    @pytest.mark.parametrize("upto_turn,message", [(0, "upto_turn must be >= 1, got 0"),
+                                                   (3, "c1: upto_turn 3 exceeds run length 2")])
+    def test_single_mode_range_error_matches_multi(self, upto_turn, message):
+        runs = [random_run(11, n_turns=2, cid="c1")]
+        for mode in ("multi", "single"):
+            with pytest.raises(ValueError) as err:
+                build_feature_matrix(runs, "wand", upto_turn, mode=mode)
+            assert str(err.value) == message
+
+    def test_no_runs(self):
+        with pytest.raises(ValueError, match="no runs"):
+            build_feature_matrix([], "wand", 2)
+
+    @given(st.integers(0, 10_000), st.sampled_from(sorted(FEATURE_KINDS)),
+           st.sampled_from(["multi", "single"]), st.integers(1, 4), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_matrix_matches_per_turn_features(self, seed, kind, mode, upto_turn, n_runs):
+        runs = [random_run(seed + i, n_turns=4, n_items=5, dim=3, cid=f"c{i}")
+                for i in range(n_runs)]
+        turns = range(1, upto_turn + 1) if mode == "multi" else [upto_turn]
+        expected = [np.concatenate([turn_features(run, kind, t, 4) for t in turns]) for run in runs]
+        table = FeatureTable()
+        for _ in range(2):  # the second pass reads every row from the table
+            np.testing.assert_array_equal(table.matrix(runs, kind, upto_turn, 4, mode), expected)
+
     def test_unknown_kind(self):
         run = random_run(12)
         with pytest.raises(ValueError, match="unknown feature kind"):
@@ -255,11 +281,9 @@ class TestFeatureFiles:
         matrix = build_feature_matrix(runs, "score", 2)
         path = tmp_path / "features.csv"
         write_features(matrix, path, header_comment="features test")
-        back = read_features(path)
-        assert back.conversation_ids == matrix.conversation_ids
-        assert back.predictor == "score"
-        assert back.upto_turn == 2
-        np.testing.assert_array_equal(back.values, matrix.values)
+        _, records = read_csv(path, "feature")
+        assert [r[:3] for r in records] == [[cid, "score", "2"] for cid in matrix.conversation_ids]
+        np.testing.assert_array_equal([[float(v) for v in r[3:]] for r in records], matrix.values)
 
     def test_header_layout(self, tmp_path):
         runs = [random_run(1, cid="c1")]
