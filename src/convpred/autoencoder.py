@@ -4,14 +4,15 @@ A small encoder-decoder with a 2-way softmax head on the bottleneck code:
 input -> hidden (identity activation) -> bottleneck (ReLU) -> {reconstruction,
 class logits}. Training minimizes the joint loss
 
-    total = rec_weight * mean squared reconstruction error
-          + cls_weight * cross-entropy of the softmax head
+    total = rec + cls
 
-with full-batch Adam. Inputs are standardized per column with train-split
-statistics stored on the model; `forward`, `losses`, and `gradients` operate
-in that standardized network space, while `train` and `predict` accept raw
-feature rows. Training input is checked and standardized by the same helpers
-in :mod:`convpred.classifiers` as the linear trainers'.
+where ``rec`` is the mean squared reconstruction error and ``cls`` the
+cross-entropy of the softmax head, with full-batch Adam. Inputs are
+standardized per column with train-split statistics stored on the model;
+`forward_batch` and `gradients` operate in that standardized network space,
+while `mean_losses`, `train` and `predict` accept raw feature rows. Training
+input is checked and standardized by the same helpers in
+:mod:`convpred.classifiers` as the linear trainers'.
 """
 
 from __future__ import annotations
@@ -28,9 +29,7 @@ __all__ = [
     "AEModel",
     "TrainTrace",
     "init_model",
-    "forward",
     "forward_batch",
-    "losses",
     "mean_losses",
     "gradients",
     "train",
@@ -59,8 +58,6 @@ class AEConfig:
     learning_rate: float = 0.01
     epochs: int = 100
     seed: int = 0
-    rec_weight: float = 1.0
-    cls_weight: float = 1.0
 
     def __post_init__(self):
         if self.input_dim < 1:
@@ -144,50 +141,28 @@ def forward_batch(model: AEModel, batch) -> tuple[np.ndarray, np.ndarray, np.nda
     return recon, probs, code
 
 
-def forward(model: AEModel, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Single-instance forward pass; probabilities sum to 1 and are strictly positive."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size != model.config.input_dim:
-        raise ValueError(f"input shape {x.shape} incompatible with input_dim {model.config.input_dim}")
-    recon, probs, code = forward_batch(model, x[None, :])
-    return recon[0], probs[0], code[0]
-
-
-def losses(model: AEModel, x, label: int) -> tuple[float, float, float]:
-    """(reconstruction, classification, total) loss for one instance."""
-    if label not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {label!r}")
-    x = np.asarray(x, dtype=np.float64)
-    recon, probs, _ = forward(model, x)
-    l_rec = float(((recon - x) ** 2).mean())
-    l_cls = float(-np.log(probs[label]))
-    cfg = model.config
-    return l_rec, l_cls, cfg.rec_weight * l_rec + cfg.cls_weight * l_cls
-
-
-def _mean_losses_network(batch: np.ndarray, labels: np.ndarray, cache, config: AEConfig):
+def _mean_losses_network(batch: np.ndarray, labels: np.ndarray, cache):
     _, _, _, recon, probs = cache
     l_rec = float(((recon - batch) ** 2).mean())
     l_cls = float(-np.log(probs[np.arange(len(labels)), labels]).mean())
-    return l_rec, l_cls, config.rec_weight * l_rec + config.cls_weight * l_cls
+    return l_rec, l_cls, l_rec + l_cls
 
 
 def mean_losses(model: AEModel, X, y) -> tuple[float, float, float]:
     """Mean (rec, cls, total) losses over raw rows, standardized with the model stats."""
     X, labels = check_train_input(X, y, minimum=1)
     batch = standardize(X, model.input_mean, model.input_scale)
-    return _mean_losses_network(batch, labels, _forward_cache(model, batch), model.config)
+    return _mean_losses_network(batch, labels, _forward_cache(model, batch))
 
 
 def _backward(model: AEModel, batch: np.ndarray, labels: np.ndarray, cache) -> list[np.ndarray]:
     """Gradients of the mean total loss from a forward cache, in ``_PARAM_NAMES`` order."""
-    cfg = model.config
     n, d = batch.shape
     hidden, pre_code, code, recon, probs = cache
-    d_recon = (2.0 * cfg.rec_weight / (n * d)) * (recon - batch)
+    d_recon = (2.0 / (n * d)) * (recon - batch)
     one_hot = np.zeros_like(probs)
     one_hot[np.arange(n), labels] = 1.0
-    d_logits = (cfg.cls_weight / n) * (probs - one_hot)
+    d_logits = (1.0 / n) * (probs - one_hot)
 
     d_code = d_recon @ model.W3.T + d_logits @ model.W4.T
     d_pre = d_code * (pre_code > 0.0)
@@ -236,7 +211,7 @@ def train(X, y, config: AEConfig) -> tuple[AEModel, TrainTrace]:
 
     for epoch in range(config.epochs):
         cache = _forward_cache(model, batch)
-        history[:, epoch] = _mean_losses_network(batch, labels, cache, config)
+        history[:, epoch] = _mean_losses_network(batch, labels, cache)
         g = np.concatenate([grad.ravel() for grad in _backward(model, batch, labels, cache)])
         step = epoch + 1
         moment1 = ADAM_BETA1 * moment1 + (1.0 - ADAM_BETA1) * g

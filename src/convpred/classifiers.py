@@ -112,6 +112,8 @@ class TreeNode:
         return self.forest.counts[self.index] if self.is_leaf else None
 
 
+LOGISTIC_LR = 0.1  # gradient-descent step size on standardized columns
+LOGISTIC_ITERS = 500
 LASSO_TOL = 1e-12  # a sweep moving no weight by this much ends coordinate descent
 
 
@@ -165,12 +167,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def train_logistic(X, y, lr: float = 0.1, iters: int = 500) -> LinearModel:
+def train_logistic(X, y) -> LinearModel:
     """Full-batch gradient descent on the mean negative log-likelihood.
 
-    Deterministic: zero initialization, no penalty. Columns are standardized
-    internally with training statistics so the fixed step size is safe across
-    feature scales.
+    Deterministic: zero initialization, no penalty, LOGISTIC_ITERS steps of
+    size LOGISTIC_LR. Columns are standardized internally with training
+    statistics so the fixed step size is safe across feature scales.
     """
     X, y = check_train_input(X, y)
     Xs, mean, scale = standardize_fit(X)
@@ -178,13 +180,13 @@ def train_logistic(X, y, lr: float = 0.1, iters: int = 500) -> LinearModel:
     w = np.zeros(Xs.shape[1])
     b = 0.0
     history = []
-    for _ in range(iters):
+    for _ in range(LOGISTIC_ITERS):
         z = Xs @ w + b
         p = _sigmoid(z)
         history.append(_logistic_nll(z, y))
         resid = p - y
-        w -= lr * (Xs.T @ resid) / n
-        b -= lr * float(resid.mean())
+        w -= LOGISTIC_LR * (Xs.T @ resid) / n
+        b -= LOGISTIC_LR * float(resid.mean())
     return LinearModel("logistic", w, b, mean, scale, history=tuple(history))
 
 
@@ -319,27 +321,22 @@ class _Substreams:
             np.bincount(rng.integers(0, n_rows, size=n_rows), minlength=n_rows) for rng in self.rngs
         ])
         self.weights.flags.writeable = False
-        self.draws = [np.empty((4, self.n_candidates), dtype=np.int64) for _ in self.rngs]
-        self.made = [0] * n_trees
+        self.draws: list[list[np.ndarray]] = [[] for _ in self.rngs]
 
     def take(self, trees: list[int], used: list[int]) -> np.ndarray:
         """Each listed tree's next candidate draw, ``used[t]`` being its count so far.
 
-        A draw that no earlier forest of the key made is drawn now, into a
-        per-tree buffer that doubles when full.
+        A draw that no earlier forest of the key made is drawn now and
+        appended to the tree's list.
         """
         out = []
         for t in trees:
             j = used[t]
             used[t] = j + 1
-            if j == self.made[t]:
-                if j == len(self.draws[t]):
-                    self.draws[t] = np.resize(self.draws[t], (2 * j, self.n_candidates))
-                self.draws[t][j] = self.rngs[t].choice(
-                    self.n_features, size=self.n_candidates, replace=False
-                )
-                self.made[t] = j + 1
-            out.append(self.draws[t][j])
+            draws = self.draws[t]
+            if j == len(draws):
+                draws.append(self.rngs[t].choice(self.n_features, size=self.n_candidates, replace=False))
+            out.append(draws[j])
         return np.stack(out)
 
 

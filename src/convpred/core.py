@@ -24,7 +24,6 @@ __all__ = [
     "ValidationError",
     "TurnRanking",
     "ConversationRun",
-    "as_embedding",
     "stored_rank",
     "round_half_up",
     "validate_run",
@@ -40,7 +39,7 @@ class ValidationError(ValueError):
     """A run, ranking, or config violates a structural invariant."""
 
 
-def as_embedding(values) -> np.ndarray:
+def _as_embedding(values) -> np.ndarray:
     """Coerce ``values`` to a finite, non-empty 1-D float64 vector."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
@@ -90,7 +89,7 @@ class TurnRanking:
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "embeddings", embeddings)
         if self.query_embedding is not None:
-            object.__setattr__(self, "query_embedding", as_embedding(self.query_embedding))
+            object.__setattr__(self, "query_embedding", _as_embedding(self.query_embedding))
 
 
 @dataclass(frozen=True, eq=False)

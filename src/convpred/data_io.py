@@ -41,7 +41,6 @@ __all__ = [
     "generate_synthetic",
     "write_runs",
     "read_runs",
-    "run_from_dict",
 ]
 
 
@@ -183,7 +182,7 @@ def _turn_from_dict(tr: dict, cid: str) -> TurnRanking:
     )
 
 
-def run_from_dict(obj: dict, where: str = "run") -> ConversationRun:
+def _run_from_dict(obj: dict, where: str = "run") -> ConversationRun:
     try:
         cid = str(obj["conversation_id"])
         return ConversationRun(
@@ -272,6 +271,6 @@ def read_runs(path) -> list[ConversationRun]:
                 obj = json.loads(text)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"{path.name} line {lineno}: invalid JSON ({exc})") from exc
-            runs.append(run_from_dict(obj, where=f"{path.name} line {lineno}"))
+            runs.append(_run_from_dict(obj, where=f"{path.name} line {lineno}"))
     validate_runs(runs)
     return runs

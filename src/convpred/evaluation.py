@@ -74,7 +74,6 @@ class Split:
 
     train_ids: tuple[str, ...]
     test_ids: tuple[str, ...]
-    seed: int
     stratified: bool
     warnings: tuple[str, ...] = ()
 
@@ -124,8 +123,6 @@ class EvalSettings:
     ae_hidden_dim: int | None = None
     ae_bottleneck_dim: int | None = None
     lasso_lambda: float = 0.1
-    lasso_iters: int = 1000
-    logistic_iters: int = 500
     n_trees: int = 100
 
     def __post_init__(self):
@@ -186,9 +183,9 @@ def split_conversations(
                 members = by_class[label]
                 train.extend(members[: take[label]])
                 test.extend(members[take[label] :])
-            return Split(tuple(train), tuple(test), seed, True, warnings)
+            return Split(tuple(train), tuple(test), True, warnings)
 
-    return Split(tuple(shuffled[:n_train]), tuple(shuffled[n_train:]), seed, stratified, warnings)
+    return Split(tuple(shuffled[:n_train]), tuple(shuffled[n_train:]), stratified, warnings)
 
 
 def parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
@@ -232,11 +229,9 @@ def _fit_predict(classifier, X_train, y_train, X_test, settings: EvalSettings, c
         model, _ = autoencoder.train(X_train, y_train, config)
         return autoencoder.predict(model, X_test)
     if classifier == "logreg":
-        model = classifiers.train_logistic(X_train, y_train, iters=settings.logistic_iters)
+        model = classifiers.train_logistic(X_train, y_train)
     elif classifier == "lasso":
-        model = classifiers.train_lasso(
-            X_train, y_train, lam=settings.lasso_lambda, iters=settings.lasso_iters
-        )
+        model = classifiers.train_lasso(X_train, y_train, lam=settings.lasso_lambda)
     elif classifier == "forest":
         model = classifiers.train_forest(
             X_train, y_train, n_trees=settings.n_trees, seed=cell_seed, streams=streams
@@ -260,8 +255,10 @@ def _check_cells(runs, labels: LabelSet, split: Split, pairs):
     runs up to the last evaluation turn.
 
     A pair (T, T+1) is usable when 1 <= T and T+1 is within every run; the
-    others are skipped, and no usable pair at all is an error.
+    others are skipped, and no runs or no usable pair at all is an error.
     """
+    if not runs:
+        raise ValueError("no runs to evaluate")
     n_turns = min(run.n_turns for run in runs)
     usable = [(t, e) for t, e in pairs if e == t + 1 and 1 <= t and e <= n_turns]
     skipped = " ".join(f"{t},{e}" for t, e in pairs if (t, e) not in usable)

@@ -250,6 +250,8 @@ class FeatureTable:
             raise ValueError(f"mode must be 'multi' or 'single', got {mode!r}")
         if upto_turn < 1:
             raise ValueError(f"upto_turn must be >= 1, got {upto_turn}")
+        if top_n < 1:  # a setting, not a fault of any one conversation
+            raise ValueError(f"top_n must be >= 1, got {top_n}")
         if not runs:
             raise ValueError("no runs to build a feature matrix from")
         for run in runs:

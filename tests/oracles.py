@@ -124,12 +124,19 @@ def ae_forward_brute(model, x):
     return recon, probs, code
 
 
+def ae_loss_brute(model, x, label):
+    """Total loss of one instance: mean squared reconstruction error plus cross-entropy."""
+    x = [float(v) for v in x]
+    recon, probs, _ = ae_forward_brute(model, x)
+    rec = sum((r - v) ** 2 for r, v in zip(recon, x)) / len(recon)
+    return rec - math.log(probs[label])
+
+
 def finite_diff_gradients(model, batch, labels, step=1e-5):
     """Central differences of the mean total loss w.r.t. every parameter entry."""
-    from convpred.autoencoder import losses
 
     def mean_total():
-        return sum(losses(model, x, int(y))[2] for x, y in zip(batch, labels)) / len(batch)
+        return sum(ae_loss_brute(model, x, int(y)) for x, y in zip(batch, labels)) / len(batch)
 
     grads = {}
     for name, param in model.parameters().items():
@@ -185,13 +192,13 @@ def ae_train_brute(X, y, config):
         _, _, _, recon, probs = _ae_forward_cache(params, batch)
         l_rec = float(((recon - batch) ** 2).mean())
         l_cls = float(-np.log(probs[np.arange(n), labels]).mean())
-        history[:, epoch] = l_rec, l_cls, config.rec_weight * l_rec + config.cls_weight * l_cls
+        history[:, epoch] = l_rec, l_cls, l_rec + l_cls
 
         hidden, pre_code, code, recon, probs = _ae_forward_cache(params, batch)
-        d_recon = (2.0 * config.rec_weight / (n * d)) * (recon - batch)
+        d_recon = (2.0 / (n * d)) * (recon - batch)
         one_hot = np.zeros_like(probs)
         one_hot[np.arange(n), labels] = 1.0
-        d_logits = (config.cls_weight / n) * (probs - one_hot)
+        d_logits = (1.0 / n) * (probs - one_hot)
         grads = {
             "W3": code.T @ d_recon,
             "b3": d_recon.sum(axis=0),

@@ -7,12 +7,9 @@ from hypothesis import strategies as st
 
 from convpred.autoencoder import (
     AEConfig,
-    AEModel,
-    forward,
     forward_batch,
     gradients,
     init_model,
-    losses,
     mean_losses,
     predict,
     train,
@@ -24,6 +21,17 @@ def small_model(seed=0, input_dim=8, hidden=4, bottleneck=2):
     return init_model(
         AEConfig(input_dim=input_dim, hidden_dim=hidden, bottleneck_dim=bottleneck, seed=seed)
     )
+
+
+def forward_one(model, x):
+    """(reconstruction, probabilities, code) of one instance, through a one-row batch."""
+    recon, probs, code = forward_batch(model, x[None, :])
+    return recon[0], probs[0], code[0]
+
+
+def losses_one(model, x, label):
+    """(rec, cls, total) losses of one instance; an initialised model standardizes nothing."""
+    return mean_losses(model, x[None, :], [label])
 
 
 class TestConfig:
@@ -53,7 +61,7 @@ class TestForward:
         rng = np.random.default_rng(seed)
         model = small_model(seed)
         x = rng.standard_normal(8) * 3
-        _, probs, _ = forward(model, x)
+        _, probs, _ = forward_one(model, x)
         assert abs(float(probs.sum()) - 1.0) < 1e-12
         assert np.all(probs > 0.0) and np.all(probs < 1.0)
 
@@ -62,7 +70,7 @@ class TestForward:
         model.W2 = np.zeros_like(model.W2)
         model.b2 = np.full_like(model.b2, -1.0)
         x = np.random.default_rng(3).standard_normal(8)
-        recon, probs, code = forward(model, x)
+        recon, probs, code = forward_one(model, x)
         np.testing.assert_array_equal(code, np.zeros(2))
         np.testing.assert_array_equal(recon, model.b3)
         expected = np.exp(model.b4) / np.exp(model.b4).sum()
@@ -73,7 +81,7 @@ class TestForward:
         rng = np.random.default_rng(seed)
         model = small_model(seed)
         x = rng.standard_normal(8)
-        recon, probs, code = forward(model, x)
+        recon, probs, code = forward_one(model, x)
         recon_b, probs_b, code_b = ae_forward_brute(model, x)
         np.testing.assert_allclose(recon, recon_b, atol=1e-12)
         np.testing.assert_allclose(probs, probs_b, atol=1e-12)
@@ -81,26 +89,26 @@ class TestForward:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            forward(small_model(), np.zeros(9))
+            forward_batch(small_model(), np.zeros((1, 9)))
 
 
 class TestLosses:
     def test_perfect_point(self):
         model = small_model(1)
         x = np.random.default_rng(1).standard_normal(8)
-        _, _, code = forward(model, x)
+        _, _, code = forward_one(model, x)
         model.W3 = np.zeros_like(model.W3)
         model.b3 = x.copy()  # exact reconstruction regardless of code
         model.W4 = np.zeros_like(model.W4)
         model.b4 = np.array([1000.0, -1000.0])  # probs = (1, 0) exactly in float
-        assert losses(model, x, 0) == (0.0, 0.0, 0.0)
+        assert losses_one(model, x, 0) == (0.0, 0.0, 0.0)
 
     def test_uniform_logits(self):
         model = small_model(2)
         model.W4 = np.zeros_like(model.W4)
         model.b4 = np.zeros_like(model.b4)
         x = np.random.default_rng(2).standard_normal(8)
-        _, l_cls, _ = losses(model, x, 1)
+        _, l_cls, _ = losses_one(model, x, 1)
         assert l_cls == pytest.approx(math.log(2.0), abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -109,15 +117,15 @@ class TestLosses:
         model = small_model(seed)
         x = rng.standard_normal(8)
         label = int(rng.integers(2))
-        recon, probs, _ = forward(model, x)
-        l_rec, l_cls, l_tot = losses(model, x, label)
+        recon, probs, _ = forward_one(model, x)
+        l_rec, l_cls, l_tot = losses_one(model, x, label)
         assert l_rec == pytest.approx(float(np.mean((recon - x) ** 2)), abs=1e-12)
         assert l_cls == pytest.approx(-math.log(probs[label]), abs=1e-12)
         assert l_tot == pytest.approx(l_rec + l_cls, abs=1e-12)
 
     def test_bad_label(self):
         with pytest.raises(ValueError):
-            losses(small_model(), np.zeros(8), 2)
+            losses_one(small_model(), np.zeros(8), 2)
 
 
 class TestGradients:
@@ -133,35 +141,6 @@ class TestGradients:
             denom = np.maximum(1.0, np.abs(analytic[name]))
             err = np.abs(analytic[name] - numeric[name]) / denom
             assert err.max() < 1e-4, f"{name}: max rel err {err.max()}"
-
-    def test_weighted_loss_gradients(self):
-        rng = np.random.default_rng(7)
-        X = rng.standard_normal((5, 8))
-        y = rng.integers(0, 2, size=5)
-        base = init_model(
-            AEConfig(input_dim=8, hidden_dim=4, bottleneck_dim=2, seed=7,
-                     rec_weight=0.0, cls_weight=1.0)
-        )
-        doubled = init_model(
-            AEConfig(input_dim=8, hidden_dim=4, bottleneck_dim=2, seed=7,
-                     rec_weight=0.0, cls_weight=2.0)
-        )
-        g1 = gradients(base, X, y)
-        g2 = gradients(doubled, X, y)
-        np.testing.assert_allclose(g2["W4"], 2.0 * g1["W4"], atol=1e-12)
-        np.testing.assert_allclose(g2["b4"], 2.0 * g1["b4"], atol=1e-12)
-
-    def test_zero_weight_surface_keeps_params(self):
-        rng = np.random.default_rng(8)
-        X = rng.standard_normal((4, 8))
-        y = rng.integers(0, 2, size=4)
-        config = AEConfig(input_dim=8, hidden_dim=4, bottleneck_dim=2, seed=8,
-                          epochs=3, rec_weight=0.0, cls_weight=0.0)
-        model, trace = train(X, y, config)
-        reference = init_model(config)
-        for name, param in model.parameters().items():
-            np.testing.assert_array_equal(param, getattr(reference, name))
-        assert np.all(trace.total == 0.0)
 
 
 class TestTrain:
@@ -226,9 +205,8 @@ class TestTrainOracle:
     @pytest.mark.parametrize(
         "overrides",
         [
-            dict(rec_weight=0.3, cls_weight=2.5),
             dict(hidden_dim=7, bottleneck_dim=5, learning_rate=0.05),
-            dict(hidden_dim=1, bottleneck_dim=1, rec_weight=0.0),
+            dict(hidden_dim=1, bottleneck_dim=1),
         ],
     )
     def test_matches_with_settings(self, overrides):

@@ -91,6 +91,13 @@ class TestFeatures:
             f"error: {first} turn 1: ac needs at least 2 items, top_n 1 keeps 1\n"
         )
 
+    def test_top_n_below_one_names_the_setting(self, workspace, tmp_path, capsys):
+        _, runs_path, _ = workspace
+        code = main(["features", "--runs", str(runs_path), "--predictor", "apr",
+                     "--upto-turn", "3", "--top-n", "0", "--out", str(tmp_path / "apr.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: top_n must be >= 1, got 0\n"
+
 
 class TestEval:
     def _eval(self, workspace, tmp_path, name, extra):
@@ -199,6 +206,13 @@ class TestEvalInputErrors:
         assert capsys.readouterr().err == (
             f"error: {first} turn 1: wand needs at least 2 items, top_n 1 keeps 1\n"
         )
+
+    def test_top_n_below_one_names_the_setting(self, workspace, tmp_path, capsys):
+        _, runs_path, labels_path = workspace
+        code = self._eval(tmp_path, runs_path, "--labels", str(labels_path), "--predictor", "apr",
+                          "--classifier", "logreg", "--pairs", "2-2", "--top-n", "0")
+        assert code == 1
+        assert capsys.readouterr().err == "error: top_n must be >= 1, got 0\n"
 
     def test_ae_predictor_rejects_another_classifier(self, workspace, tmp_path, capsys):
         _, runs_path, labels_path = workspace

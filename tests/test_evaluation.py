@@ -12,6 +12,7 @@ from convpred.evaluation import (
     EvalReport,
     EvalSettings,
     PredictionRecord,
+    Split,
     accuracy,
     cutoff_sensitivity,
     mcnemar,
@@ -26,14 +27,14 @@ from convpred.evaluation import (
     write_report,
 )
 from convpred.features import FeatureTable, turn_features
-from convpred.scenario import induce_missing, label_runs
+from convpred.scenario import LabelSet, induce_missing, label_runs
 
 
 SMALL_GEN = GenConfig(
     n_conversations=24, dim=4, catalogue_size=300, n_turns=6, top_n=50,
     easy_fraction=0.5, pull_rate_easy=0.6, pull_rate_hard=0.01, noise_sigma=0.1, seed=13,
 )
-SETTINGS = EvalSettings(top_n=50, ae_epochs=15, n_trees=10, lasso_iters=100, logistic_iters=100)
+SETTINGS = EvalSettings(top_n=50, ae_epochs=15, n_trees=10)
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +153,10 @@ class TestTurnPair:
         broken = type(labels)(labels=partial, scenario="base", cutoff=labels.cutoff)
         with pytest.raises(ValidationError, match="labels missing"):
             run_turn_pair(runs, broken, "wand", "logreg", split, pairs=[(2, 3)], settings=SETTINGS)
+
+    def test_no_runs(self):
+        with pytest.raises(ValueError, match="^no runs to evaluate$"):
+            run_turn_pair([], LabelSet({}), "wand", "logreg", Split((), (), True), pairs=[(2, 3)])
 
     def test_deterministic_reports(self, small_world):
         runs, labels, split = small_world
@@ -320,6 +325,10 @@ class TestCutoffSensitivity:
             sum(label_runs(runs, cutoff=c).final_labels().values()) for c in (1, 20, 100)
         ]
         assert found_counts == sorted(found_counts)
+
+    def test_no_runs(self):
+        with pytest.raises(ValueError, match="^no runs to evaluate$"):
+            cutoff_sensitivity([], Split((), (), True), settings=SETTINGS)
 
     def test_rows_use_relabeled_ground_truth(self, small_world):
         runs, _, split = small_world
