@@ -205,6 +205,7 @@ class TestTrainOracle:
     @pytest.mark.parametrize(
         "overrides",
         [
+            dict(learning_rate=0.5),
             dict(hidden_dim=7, bottleneck_dim=5, learning_rate=0.05),
             dict(hidden_dim=1, bottleneck_dim=1),
         ],
