@@ -9,8 +9,16 @@ starting with '#' are header comments and are skipped on read):
                 "items": [{"id": str, "score": num, "embedding": [num]}]}]}
 
 ``target_ranks[t-1]`` is the full-catalogue rank of the target at turn t when
-known, null otherwise. Floats are emitted with Python's shortest round-trip
-repr, so write -> read is value-exact.
+known, null otherwise. ``turn`` must be a JSON integer and every ``num`` a
+JSON number (not a string or boolean). Floats are emitted with Python's
+shortest round-trip repr, so write -> read is value-exact.
+
+Consecutive turns retrieve the same items again, so a file repeats the same
+embedding arrays many times. The writer encodes each item's row once per file
+and the reader decodes each distinct ``"embedding"`` array text once per
+file. Lines in another layout (whitespace around that key, the key first in
+its object, any backslash escape) read through plain ``json.loads``: slower,
+to the same runs and errors.
 
 The generator stands in for a trained retrieval model plus user simulator at
 desk scale: a latent query vector is pulled toward the target item each turn,
@@ -20,6 +28,7 @@ catalogue is scored by cosine against that query.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -164,36 +173,61 @@ def generate_synthetic(config: GenConfig) -> list[ConversationRun]:
     return runs
 
 
-def _turn_from_dict(tr: dict, cid: str) -> TurnRanking:
+_NUMBER_TYPES = frozenset((int, float))  # what json.loads makes of a JSON number
+
+
+def _numbers(values, what: str) -> list:
+    """``values`` if it is a JSON array of numbers (booleans are not); else TypeError."""
+    if type(values) is list and _NUMBER_TYPES.issuperset(map(type, values)):
+        return values
+    raise TypeError(f"{what} must be JSON numbers, got {values!r}")
+
+
+def _embedding_row(value) -> list:
+    return _numbers(value, "embedding")
+
+
+def _turn_from_dict(tr: dict, cid: str, row) -> TurnRanking:
+    turn = tr["turn"]
+    if type(turn) is not int:
+        raise TypeError(f"{cid}: turn must be a JSON integer, got {turn!r}")
     items = tr["items"]
-    embeddings = [it["embedding"] for it in items]
-    lengths = sorted({len(row) for row in embeddings})
+    try:
+        embeddings = [row(it["embedding"]) for it in items]
+        scores = _numbers([it["score"] for it in items], "scores")
+        query = tr.get("query_embedding")
+        if query is not None:
+            _numbers(query, "query_embedding")
+    except TypeError as exc:
+        raise TypeError(f"{cid} turn {turn}: {exc}") from exc
+    lengths = sorted({len(r) for r in embeddings})
     if len(lengths) > 1:
         raise ValidationError(
-            f"{cid} turn {tr['turn']}: dimension mismatch among item embeddings {lengths}"
+            f"{cid} turn {turn}: dimension mismatch among item embeddings {lengths}"
         )
     return TurnRanking(
-        turn=int(tr["turn"]),
+        turn=turn,
         items=tuple(str(it["id"]) for it in items),
-        scores=[it["score"] for it in items],
+        scores=scores,
         embeddings=embeddings,
-        query_embedding=tr.get("query_embedding"),
+        query_embedding=query,
         critique=tr.get("critique"),
     )
 
 
-def _run_from_dict(obj: dict, where: str = "run") -> ConversationRun:
+def _run_from_dict(obj: dict, where: str = "run", row=_embedding_row) -> ConversationRun:
+    """The run in ``obj``; ``row`` turns each item's ``"embedding"`` value into its row."""
     try:
         cid = str(obj["conversation_id"])
         return ConversationRun(
             conversation_id=cid,
             target_id=str(obj["target_id"]),
-            turns=tuple(_turn_from_dict(tr, cid) for tr in obj["turns"]),
+            turns=tuple(_turn_from_dict(tr, cid, row) for tr in obj["turns"]),
             target_ranks=obj.get("target_ranks"),
         )
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{where}: malformed run record ({exc})") from exc
 
 
@@ -258,19 +292,76 @@ def write_runs(runs, path, header_comment: str | None = None) -> None:
             )
 
 
+_EMBEDDING = ',"embedding":['
+
+
+def _decode_line(text: str, rows: dict):
+    """``json.loads(text)`` with each distinct embedding array decoded once per file.
+
+    ``rows`` maps each embedding array text seen so far in the file to its
+    checked row. Each ``,"embedding":[...]`` array of ``text`` is looked up
+    there, the new ones are decoded together, and the rest of the line is
+    parsed with each array replaced by its ordinal. Returns that object and
+    a function from an ordinal to its row (a float64 vector), or None for a
+    line that cannot be shown to decode as ``json.loads`` would: one with a
+    backslash (which could spell a key another way), a ``"embedding"`` not
+    written as above, an array holding a string or an array, or new rows
+    that do not parse, hold a non-number or differ in length.
+    """
+    parts = text.split(_EMBEDDING)
+    if "\\" in text or text.count('"embedding"') != len(parts) - 1:
+        return None
+    texts, skeleton = [], [parts[0]]
+    for k, part in enumerate(parts[1:]):
+        end = part.find("]")
+        if end < 0:
+            return None
+        texts.append(part[:end])
+        # the space ends the ordinal, so what follows the array cannot extend it
+        skeleton.append(f',"embedding":{k} {part[end + 1:]}')
+    new = [t for t in dict.fromkeys(texts) if t not in rows]
+    if any('"' in t or "[" in t for t in new):
+        return None
+    try:
+        if new:
+            decoded = json.loads("[[" + "],[".join(new) + "]]")
+            if not _NUMBER_TYPES.issuperset(map(type, itertools.chain.from_iterable(decoded))):
+                return None
+            rows.update(zip(new, np.array(decoded, dtype=np.float64)))
+        obj = json.loads("".join(skeleton))
+    except (ValueError, OverflowError):  # bad JSON, ragged rows, an int beyond float range
+        return None
+    return obj, [rows[t] for t in texts].__getitem__
+
+
 def read_runs(path) -> list[ConversationRun]:
-    """Read and validate a run file; raises ValidationError with context."""
+    """Read and validate a run file; raises ValidationError with context.
+
+    Each distinct embedding array text is decoded once per file (see
+    :func:`_decode_line`); a line that path cannot take is read with plain
+    ``json.loads``, to the same runs and errors.
+    """
     path = Path(path)
     runs: list[ConversationRun] = []
-    with path.open("r", encoding="utf-8") as fh:
+    rows: dict = {}
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            where = f"{path.name} line {lineno}"
+            if not line.isascii():
+                try:  # undo the escaping to name the first byte that is not UTF-8
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ValidationError(f"{where}: not UTF-8 ({exc})") from None
             text = line.strip()
             if not text or text.startswith("#"):
                 continue
-            try:
-                obj = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path.name} line {lineno}: invalid JSON ({exc})") from exc
-            runs.append(_run_from_dict(obj, where=f"{path.name} line {lineno}"))
+            decoded = _decode_line(text, rows)
+            if decoded is None:
+                try:
+                    decoded = json.loads(text), _embedding_row
+                except json.JSONDecodeError as exc:
+                    raise ValidationError(f"{where}: invalid JSON ({exc})") from exc
+            obj, row = decoded
+            runs.append(_run_from_dict(obj, where, row))
     validate_runs(runs)
     return runs

@@ -459,6 +459,16 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_run_file_that_is_not_utf8_names_the_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'# runs\n{"conversation_id": "c\xff0"}\n')
+        code = main(["label", "--runs", str(bad), "--out", str(tmp_path / "l.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: bad.jsonl line 2: not UTF-8 ('utf-8' codec can't decode byte 0xff"
+            " in position 22: invalid start byte)\n"
+        )
+
     @pytest.mark.parametrize("command", [
         ["label", "--out", "labels.csv"],
         ["features", "--predictor", "wand", "--upto-turn", "2", "--out", "features.csv"],

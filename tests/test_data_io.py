@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convpred import data_io
 from convpred.cli import main
-from convpred.core import ValidationError, runs_equal, stored_rank
+from convpred.core import ValidationError, runs_equal, stored_rank, validate_runs
 from convpred.data_io import (
     GenConfig,
     calibration_config,
@@ -112,13 +113,19 @@ class TestRoundTrip:
         assert runs_equal(read_runs(path)[0], runs[0])
 
 
+def _canonical(record) -> str:
+    """A run file line in the writer's layout: no whitespace, keys in order."""
+    return json.dumps(record, separators=(",", ":"))
+
+
 class TestReadValidation:
     def _write_lines(self, tmp_path, lines):
         path = tmp_path / "runs.jsonl"
         path.write_text("\n".join(lines) + "\n")
         return path
 
-    def _record(self, **overrides):
+    @staticmethod
+    def _record(**overrides):
         record = {
             "conversation_id": "c0",
             "target_id": "i000",
@@ -184,22 +191,61 @@ class TestReadValidation:
         with pytest.raises(ValidationError, match="malformed"):
             read_runs(path)
 
-    @pytest.mark.parametrize("field,value", [("score", "abc"), ("embedding", ["abc", 1.0])])
-    def test_non_numeric_value_names_file_and_line(self, tmp_path, field, value):
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            pytest.param("score", "abc", "c0 turn 2: scores must be JSON numbers", id="score-abc"),
+            pytest.param("embedding", ["abc", 1.0], "c0 turn 2: embedding must be JSON numbers",
+                         id="embedding-value1"),
+            pytest.param("score", "2.5", "c0 turn 2: scores must be JSON numbers", id="score-2.5"),
+            pytest.param("score", True, "c0 turn 2: scores must be JSON numbers", id="score-true"),
+            pytest.param("score", 10**400, "int too large to convert to float",
+                         id="score-beyond-float"),
+            pytest.param("embedding", ["1.0", "0.0"], "c0 turn 2: embedding must be JSON numbers",
+                         id="embedding-strings"),
+            pytest.param("embedding", [True, 0.0], "c0 turn 2: embedding must be JSON numbers",
+                         id="embedding-true"),
+            pytest.param("embedding", [10**400, 0.0], "int too large to convert to float",
+                         id="embedding-beyond-float"),
+            pytest.param("query_embedding", ["1.0", "0.0"],
+                         "c0 turn 2: query_embedding must be JSON numbers", id="query-strings"),
+            pytest.param("query_embedding", [False, 1.0],
+                         "c0 turn 2: query_embedding must be JSON numbers", id="query-false"),
+        ],
+    )
+    def test_non_numeric_value_names_file_and_line(self, tmp_path, field, value, message):
         bad = self._record()
-        bad["turns"][1]["items"][0][field] = value
-        path = self._write_lines(tmp_path, ["# header", json.dumps(bad)])
-        with pytest.raises(ValidationError, match=r"runs\.jsonl line 2: malformed run record"):
+        target = bad["turns"][1] if field == "query_embedding" else bad["turns"][1]["items"][0]
+        target[field] = value
+        for layout in (json.dumps, _canonical):
+            path = self._write_lines(tmp_path, ["# header", layout(bad)])
+            with pytest.raises(ValidationError) as err:
+                read_runs(path)
+            assert str(err.value).startswith("runs.jsonl line 2: malformed run record (")
+            assert message in str(err.value)
+
+    @pytest.mark.parametrize("layout", [json.dumps, _canonical])
+    @pytest.mark.parametrize("turn", [1.9, 1.0, "1", True])
+    def test_turn_must_be_a_json_integer(self, tmp_path, layout, turn):
+        bad = self._record()
+        bad["turns"][0]["turn"] = turn
+        path = self._write_lines(tmp_path, [layout(bad)])
+        with pytest.raises(ValidationError) as err:
             read_runs(path)
+        assert str(err.value) == (
+            "runs.jsonl line 1: malformed run record "
+            f"(c0: turn must be a JSON integer, got {turn!r})"
+        )
 
     def test_ragged_embeddings_within_a_turn(self, tmp_path):
         bad = self._record()
         bad["turns"][1]["items"][1]["embedding"] = [0.0, 1.0, 0.0]
-        path = self._write_lines(tmp_path, [json.dumps(bad)])
-        with pytest.raises(ValidationError, match="dimension mismatch") as err:
-            read_runs(path)
-        assert "c0 turn 2" in str(err.value)
-        assert "inhomogeneous" not in str(err.value)
+        for layout in (json.dumps, _canonical):
+            path = self._write_lines(tmp_path, [layout(bad)])
+            with pytest.raises(ValidationError, match="dimension mismatch") as err:
+                read_runs(path)
+            assert "c0 turn 2" in str(err.value)
+            assert "inhomogeneous" not in str(err.value)
 
 
 # Written by hand: awkward floats (0.1, 1e-300, the smallest subnormal, -0.0 in a
@@ -240,8 +286,8 @@ _SCORES = st.sampled_from([0.0, -0.0, 5e-324, 0.75, -1e-300, 2.0])
 
 
 @st.composite
-def _run_sets(draw):
-    ids = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
+def _run_sets(draw, text=_TEXT):
+    ids = draw(st.lists(text, min_size=1, max_size=4, unique=True))
     rows = draw(st.lists(_ROWS, min_size=1, max_size=3))
     runs = []
     for c in range(draw(st.integers(1, 3))):
@@ -256,11 +302,11 @@ def _run_sets(draw):
                 turn=t,
                 ids=[i for _, i in ranked],
                 query=draw(st.none() | st.sampled_from(rows).map(list)),
-                critique=draw(st.none() | _TEXT),
+                critique=draw(st.none() | text),
             ))
         ranks = draw(st.none() | st.lists(st.none() | st.integers(1, 10**6),
                                           min_size=n_turns, max_size=n_turns))
-        runs.append(make_run(turns, cid=f"c{c}{draw(_TEXT)}", target=draw(_TEXT),
+        runs.append(make_run(turns, cid=f"c{c}{draw(text)}", target=draw(text),
                              target_ranks=ranks))
     return runs
 
@@ -274,6 +320,107 @@ def test_each_written_line_equals_the_reference_serializer(tmp_path_factory, run
         json.dumps(oracle_run_dict(run), separators=(",", ":"), allow_nan=False) for run in runs
     ]
     assert path.read_text(encoding="utf-8").split("\n") == expected + [""]
+
+
+def _reference_read(path):
+    """The plain reader: ``json.loads`` on each line, then the record checks."""
+    runs = []
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        if line.strip() and not line.startswith("#"):
+            where = f"{path.name} line {lineno}"
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValidationError(f"{where}: invalid JSON ({exc})") from exc
+            runs.append(data_io._run_from_dict(obj, where))
+    validate_runs(runs)
+    return runs
+
+
+def _outcome(read, path):
+    try:
+        return read(path), None
+    except ValidationError as exc:
+        return None, str(exc)
+
+
+_ITEM_0 = '{"id":"i000","score":2.0,"embedding":[1.0,0.0]}'
+
+
+class TestDecodeOnceMatchesJsonLoads:
+    """Lines in the writer's layout read as ``json.loads`` would read them."""
+
+    def _canonical_text(self):
+        record = TestReadValidation._record()
+        other = TestReadValidation._record(conversation_id="c1")
+        return _canonical(record), _canonical(other)
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ("[0.0,1.0]}]}]", "[0.0,1.0,0.0]}]}]"),  # ragged rows within turn 2
+            ("[0.0,1.0]}]}]", "[0.0,true]}]}]"),  # a non-numeric embedding
+            ("[0.0,1.0]}]}]", '[0.0,"1.0"]}]}]'),
+            ("[0.0,1.0]}]}]", "[0.0,,1.0]}]}]"),  # not JSON
+            ("[0.0,1.0]}]}]", "[0.0,1.0]2}]}]"),
+            ("[0.0,1.0]}]}]", "[0.0,1.0]}]}],"),
+            ("[0.0,1.0]}]}]", "[0.0,[1.0]]}]}]"),
+            ("[0.0,1.0]}]}]", "[]}]}]"),  # an empty row
+            ("[0.0,1.0]}]}]", "[0.0,1e400]}]}]"),  # beyond float range
+            (_ITEM_0, _ITEM_0[:-1] + ',"embedding":[3.0,4.0]}'),  # the last key wins
+            (_ITEM_0, _ITEM_0.replace("[1.0,0.0]", "[1.0,0.0,5.0]", 1)[:-1]
+             + ',"embedding":[3.0,4.0]}'),
+            (_ITEM_0, _ITEM_0.replace('"i000"', '"\\u0069000"')),  # an escaped id: a duplicate
+            (_ITEM_0, _ITEM_0.replace('"embedding"', '"embe\\u0064ding"')),  # an escaped key
+            (_ITEM_0, _ITEM_0.replace('"score":2.0,', "").replace("}", ',"score":2.0}')),
+            ('"critique":null', '"critique":"embedding"'),
+            ('"critique":null', '"embedding":[7.0,7.0],"critique":null'),
+        ],
+    )
+    def test_edited_canonical_line(self, tmp_path, old, new):
+        first, second = self._canonical_text()
+        assert old in first
+        path = tmp_path / "runs.jsonl"
+        path.write_text(f"# header\n{first.replace(old, new)}\n{second}\n", encoding="utf-8")
+        got, got_error = _outcome(read_runs, path)
+        want, want_error = _outcome(_reference_read, path)
+        assert got_error == want_error
+        if want is not None:
+            assert len(got) == len(want) and all(runs_equal(a, b) for a, b in zip(got, want))
+
+    def test_canonical_lines_take_the_decode_once_path(self):
+        first, second = self._canonical_text()
+        rows = {}
+        obj, row = data_io._decode_line(first, rows)
+        assert sorted(rows) == ["0.0,1.0", "1.0,0.0"]
+        assert obj["turns"][1]["items"][1]["embedding"] == 3
+        assert row(3) is rows["0.0,1.0"]
+        cached = dict(rows)
+        assert data_io._decode_line(second, rows) is not None
+        assert rows == cached  # the second line's rows are all known
+        for spaced in (json.dumps(json.loads(first)), first.replace('"c0"', '"\\u0063\\u0030"')):
+            assert data_io._decode_line(spaced, {}) is None
+
+    # ids and critiques from _TEXT need escapes, which the decode-once path leaves alone
+    @given(
+        runs=_run_sets() | _run_sets(text=st.text(alphabet="ab ,:[]{}", min_size=1, max_size=3)),
+        order=st.permutations(["id", "score", "embedding"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_other_layouts_read_to_the_same_runs(self, tmp_path_factory, runs, order):
+        folder = tmp_path_factory.mktemp("layouts")
+        canonical = folder / "canonical.jsonl"
+        write_runs(runs, canonical, header_comment="layouts")
+        records = [json.loads(line) for line in canonical.read_text().split("\n")[1:-1]]
+        spaced, reordered = folder / "spaced.jsonl", folder / "reordered.jsonl"
+        spaced.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        for rec in records:
+            for turn in rec["turns"]:
+                turn["items"] = [{key: item[key] for key in order} for item in turn["items"]]
+        reordered.write_text("".join(_canonical(rec) + "\n" for rec in records))
+        for path in (canonical, spaced, reordered):
+            back = read_runs(path)
+            assert len(back) == len(runs) and all(runs_equal(a, b) for a, b in zip(runs, back))
 
 
 def test_generated_file_round_trips_byte_for_byte(tmp_path):
