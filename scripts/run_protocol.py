@@ -5,7 +5,7 @@ Generates a calibration-scale run set, labels it, induces the missing-target
 scenario, trains one classifier per turn pair for a grid of predictor rows,
 and renders an accuracy grid per scenario plus a McNemar comparison of the
 autoencoder against the strongest baseline row. Takes under a minute at the
-default scale (12-15 s and 122 MB peak RSS on a 2-core machine with one
+default scale (12-16 s and 131 MB peak RSS on a 2-core machine with one
 BLAS thread); everything is seeded and reproducible.
 
 Usage:
@@ -21,7 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
-from convpred import classifiers, data_io, evaluation, features, scenario
+from convpred import classifiers, data_io, evaluation, scenario
 from convpred.core import ValidationError
 
 # predictor rows mirroring the usual comparison: coherence and score features
@@ -50,12 +50,12 @@ def split_for(runs, labels, seed):
     return split
 
 
-def evaluate_scenario(runs, labels, split, seed, pairs, settings, table, streams):
+def evaluate_scenario(runs, labels, split, seed, pairs, settings, streams):
     combined = evaluation.EvalReport()
     for predictor, classifier in GRID:
         report = evaluation.run_turn_pair(
             runs, labels, predictor, classifier, split,
-            pairs=pairs, settings=settings, seed=seed, table=table, streams=streams,
+            pairs=pairs, settings=settings, seed=seed, streams=streams,
         )
         mean_acc = np.mean([row.accuracy for row in report.rows])
         label = f"{predictor}/{classifier}"
@@ -116,15 +116,12 @@ def run(args) -> int:
 
     base_labels = scenario.label_runs(runs, cutoff=100)
     base_split = split_for(runs, base_labels, args.seed)
-    # one feature table for both scenarios: the runs that induction leaves
-    # untouched are the same objects, so their rows are computed once
-    table = features.FeatureTable()
     # one tree-substream store for the grid: every forest of a turn pair has
     # the same cell seed, so they share bootstraps and candidate draws
     streams = classifiers.TreeStreams()
     print("base scenario:")
     base_report = evaluate_scenario(
-        runs, base_labels, base_split, args.seed, pairs, settings, table, streams
+        runs, base_labels, base_split, args.seed, pairs, settings, streams
     )
 
     modified, missing_labels = scenario.induce_missing(
@@ -133,7 +130,7 @@ def run(args) -> int:
     print(f"missing-target scenario ({len(missing_labels.forced)} targets removed):")
     missing_split = split_for(modified, missing_labels, args.seed)
     missing_report = evaluate_scenario(
-        modified, missing_labels, missing_split, args.seed, pairs, settings, table, streams
+        modified, missing_labels, missing_split, args.seed, pairs, settings, streams
     )
 
     combined = evaluation.EvalReport()

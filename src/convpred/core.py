@@ -197,7 +197,7 @@ def validate_run(run: ConversationRun) -> int | None:
                 f"{cid}: target_ranks length {len(run.target_ranks)} != number of turns {k}"
             )
         for t, rank in enumerate(run.target_ranks, start=1):
-            if rank is not None and (not isinstance(rank, int) or rank < 1):
+            if rank is not None and (type(rank) is not int or rank < 1):
                 raise ValidationError(f"{cid} turn {t}: target rank must be a positive int or null")
     return dim
 

@@ -9,8 +9,9 @@ starting with '#' are header comments and are skipped on read):
                 "items": [{"id": str, "score": num, "embedding": [num]}]}]}
 
 ``target_ranks[t-1]`` is the full-catalogue rank of the target at turn t when
-known, null otherwise. ``turn`` must be a JSON integer and every ``num`` a
-JSON number (not a string or boolean). Floats are emitted with Python's
+known, null otherwise. ``turn`` and each rank must be JSON integers, every
+``str`` a JSON string and every ``num`` a JSON number (not a string or
+boolean). Floats are emitted with Python's
 shortest round-trip repr, so write -> read is value-exact.
 
 Consecutive turns retrieve the same items again, so a file repeats the same
@@ -187,17 +188,28 @@ def _embedding_row(value) -> list:
     return _numbers(value, "embedding")
 
 
+def _string(value, what: str) -> str:
+    """``value`` if it is a JSON string; else TypeError."""
+    if type(value) is str:
+        return value
+    raise TypeError(f"{what} must be a JSON string, got {value!r}")
+
+
 def _turn_from_dict(tr: dict, cid: str, row) -> TurnRanking:
     turn = tr["turn"]
     if type(turn) is not int:
         raise TypeError(f"{cid}: turn must be a JSON integer, got {turn!r}")
     items = tr["items"]
     try:
+        ids = tuple(_string(it["id"], "item id") for it in items)
         embeddings = [row(it["embedding"]) for it in items]
         scores = _numbers([it["score"] for it in items], "scores")
         query = tr.get("query_embedding")
         if query is not None:
             _numbers(query, "query_embedding")
+        critique = tr.get("critique")
+        if critique is not None:
+            _string(critique, "critique")
     except TypeError as exc:
         raise TypeError(f"{cid} turn {turn}: {exc}") from exc
     lengths = sorted({len(r) for r in embeddings})
@@ -207,21 +219,21 @@ def _turn_from_dict(tr: dict, cid: str, row) -> TurnRanking:
         )
     return TurnRanking(
         turn=turn,
-        items=tuple(str(it["id"]) for it in items),
+        items=ids,
         scores=scores,
         embeddings=embeddings,
         query_embedding=query,
-        critique=tr.get("critique"),
+        critique=critique,
     )
 
 
 def _run_from_dict(obj: dict, where: str = "run", row=_embedding_row) -> ConversationRun:
     """The run in ``obj``; ``row`` turns each item's ``"embedding"`` value into its row."""
     try:
-        cid = str(obj["conversation_id"])
+        cid = _string(obj["conversation_id"], "conversation_id")
         return ConversationRun(
             conversation_id=cid,
-            target_id=str(obj["target_id"]),
+            target_id=_string(obj["target_id"], "target_id"),
             turns=tuple(_turn_from_dict(tr, cid, row) for tr in obj["turns"]),
             target_ranks=obj.get("target_ranks"),
         )
@@ -359,7 +371,7 @@ def read_runs(path) -> list[ConversationRun]:
             if decoded is None:
                 try:
                     decoded = json.loads(text), _embedding_row
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:  # bad JSON, or an integer literal too long to convert
                     raise ValidationError(f"{where}: invalid JSON ({exc})") from exc
             obj, row = decoded
             runs.append(_run_from_dict(obj, where, row))

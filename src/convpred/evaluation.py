@@ -16,13 +16,13 @@ the split and the labels cover the runs and keeps the usable pairs;
 mode, pair, cutoff) cell per usable pair and builds its report row and
 prediction records. ``run_turn_pair`` (multi and single mode) and
 ``cutoff_sensitivity`` (one label set per cutoff) both call it. Its feature
-matrices come from a :class:`~convpred.features.FeatureTable`; callers that
-evaluate the same runs again pass one table, so each turn's features are
-computed once, and one :class:`~convpred.classifiers.TreeStreams`, so
-forests of one cell seed draw their bootstraps and candidates once. A
-cell is named ``predictor|classifier|scenario|mode|T,E|cutoffC``;
-``paired_predictions`` matches cells on the last four fields, and a
-trainer's error names its cell.
+matrices come from :func:`~convpred.features.build_feature_matrix`, which
+keeps each turn's row on its ranking, so every call over the same runs
+computes each row once. Callers that evaluate the same runs again pass one
+:class:`~convpred.classifiers.TreeStreams`, so forests of one cell seed
+draw their bootstraps and candidates once. A cell is named
+``predictor|classifier|scenario|mode|T,E|cutoffC``; ``paired_predictions``
+matches cells on the last four fields, and a trainer's error names its cell.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import autoencoder, classifiers
 from .core import ValidationError, read_csv, round_half_up, write_csv
-from .features import FEATURE_KINDS, FeatureTable
+from .features import FEATURE_KINDS, build_feature_matrix
 from .features import turn_features  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .scenario import LabelSet, label_runs
 
@@ -280,7 +280,7 @@ def _check_cells(runs, labels: LabelSet, split: Split, pairs):
 
 def _evaluate(
     runs, labels: LabelSet, split: Split, pairs, predictor, classifier, kind, mode, settings,
-    seed, table: FeatureTable, streams,
+    seed, streams,
 ) -> EvalReport:
     """One cell per usable pair (T, E): fit the classifier on the train rows
     of the turn-T feature matrix against the found-by-turn-E label and score
@@ -295,7 +295,7 @@ def _evaluate(
     report = EvalReport(warnings=warnings)
     for turn_train, turn_eval in pairs:
         cell = f"{predictor}|{classifier}|{labels.scenario}|{mode}|{turn_train},{turn_eval}|cutoff{labels.cutoff}"
-        X = table.matrix(runs, kind, turn_train, settings.top_n, mode)
+        X = build_feature_matrix(runs, kind, turn_train, settings.top_n, mode).values
         y_train = np.array([labels.label_at(cid, turn_eval) for cid in split.train_ids])
         y_test = np.array([labels.label_at(cid, turn_eval) for cid in split.test_ids])
         cell_seed = _cell_seed(seed, turn_train, labels.cutoff)
@@ -331,7 +331,6 @@ def run_turn_pair(
     settings: EvalSettings = EvalSettings(),
     seed: int = 0,
     mode: str = "multi",
-    table: FeatureTable | None = None,
     streams: classifiers.TreeStreams | None = None,
 ) -> EvalReport:
     """Train and evaluate one classifier per turn pair (T, T+1).
@@ -340,21 +339,18 @@ def run_turn_pair(
     Both fit on the train split against the found-by-turn-(T+1) label and
     score the test split on the same label. One report row per pair, plus
     per-instance prediction records for significance testing. Pairs past the
-    end of the runs are skipped and named in the report's warnings. Feature
-    rows come from ``table``, a fresh one when None; pass one table to every
-    call over the same runs to compute each row once. Forests draw from
-    ``streams`` (see :class:`~convpred.classifiers.TreeStreams`); pass one
-    store to every call of a grid so that forests of one cell seed share
-    their substreams.
+    end of the runs are skipped and named in the report's warnings. Forests
+    draw from ``streams`` (see :class:`~convpred.classifiers.TreeStreams`);
+    pass one store to every call of a grid so that forests of one cell seed
+    share their substreams.
     """
     if mode not in ("multi", "single"):
         raise ValueError(f"mode must be 'multi' or 'single', got {mode!r}")
     if predictor == "ae" and classifier != "ae-head":
         raise ValueError("the ae predictor implies the ae-head classifier")
     kind = _feature_kind(predictor)
-    table = FeatureTable() if table is None else table
     return _evaluate(
-        runs, labels, split, pairs, predictor, classifier, kind, mode, settings, seed, table, streams
+        runs, labels, split, pairs, predictor, classifier, kind, mode, settings, seed, streams
     )
 
 
@@ -386,13 +382,11 @@ def cutoff_sensitivity(
     model is trained on the train turn's top-1 item embedding (single-turn
     protocol). One report row per cutoff.
     """
-    table = FeatureTable()
     report = EvalReport()
     for cutoff in cutoffs:
         labels = label_runs(runs, cutoff=cutoff)
         report.extend(_evaluate(
-            runs, labels, split, [pair], "ae-top1", "ae-head", "top1", "single", settings, seed,
-            table, None,
+            runs, labels, split, [pair], "ae-top1", "ae-head", "top1", "single", settings, seed, None,
         ))
     return report
 

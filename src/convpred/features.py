@@ -11,6 +11,7 @@ same keys.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,7 +29,6 @@ __all__ = [
     "pooled_embedding",
     "top_item_embedding",
     "turn_features",
-    "FeatureTable",
     "assemble_multiturn",
     "FEATURE_KINDS",
     "FeatureMatrix",
@@ -38,6 +38,12 @@ __all__ = [
 
 GRAM_RIDGE = 1e-8
 RATIO_GUARD = 1e-12
+
+# ranking -> {(kind, top_n): feature row}; an entry dies with its ranking.
+# Rankings are immutable, so a row stays valid while its ranking lives. No
+# row may refer to its ranking (a view of its arrays is fine), or the entry
+# would keep the ranking alive.
+_ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _top(ranking: TurnRanking, top_n: int, minimum: int) -> tuple[np.ndarray, np.ndarray]:
@@ -199,76 +205,11 @@ def turn_features(run: ConversationRun, kind: str, turn: int, top_n: int = 100) 
     return np.asarray(values, dtype=np.float64)
 
 
-class FeatureTable:
-    """Per-turn feature rows, each computed once per (run, kind, turn, top_n).
-
-    Rows are keyed by the run object, not its conversation id: a run that
-    scenario induction replaced gets rows of its own, while one it left
-    untouched (the same object) shares them. The table holds each run it
-    has seen, so an ``id`` cannot be reused by another run while it lives.
-    Each run has one row index, and each (kind, turn, top_n) one matrix of
-    rows that grows as runs arrive. Missing rows come from
-    :func:`turn_features`. :meth:`matrix` is the one place that assembles
-    a feature matrix.
-    """
-
-    def __init__(self):
-        self._runs: list[ConversationRun] = []
-        self._index: dict[int, int] = {}  # id(run) -> its row in every matrix
-        # (kind, turn, top_n) -> (rows, which rows are filled)
-        self._blocks: dict[tuple[str, int, int], tuple[np.ndarray | None, np.ndarray]] = {}
-
-    def _row_of(self, run: ConversationRun) -> int:
-        row = self._index.get(id(run))
-        if row is None:
-            row = self._index[id(run)] = len(self._runs)
-            self._runs.append(run)
-        return row
-
-    def _block(self, rows: np.ndarray, kind: str, turn: int, top_n: int) -> np.ndarray:
-        """The turn's feature rows of the runs at ``rows``, computing the missing ones."""
-        key = (kind, turn, top_n)
-        values, filled = self._blocks.get(key, (None, np.zeros(0, dtype=bool)))
-        filled = np.concatenate([filled, np.zeros(len(self._runs) - len(filled), dtype=bool)])
-        for r in dict.fromkeys(rows[~filled[rows]].tolist()):
-            row = turn_features(self._runs[r], kind, turn, top_n)
-            if values is None or len(values) < len(filled):  # grow to hold every run seen so far
-                grown = np.empty((len(filled), len(row)))
-                if values is not None:
-                    grown[: len(values)] = values
-                values = grown
-            values[r] = row
-            filled[r] = True
-        self._blocks[key] = values, filled
-        return values[rows]
-
-    def matrix(self, runs, kind: str, upto_turn: int, top_n: int, mode: str) -> np.ndarray:
-        """One row per run, in order: the blocks of turns 1..upto_turn side by
-        side in ``"multi"`` mode, or the block of turn ``upto_turn`` alone in
-        ``"single"`` mode."""
-        if mode not in ("multi", "single"):
-            raise ValueError(f"mode must be 'multi' or 'single', got {mode!r}")
-        if upto_turn < 1:
-            raise ValueError(f"upto_turn must be >= 1, got {upto_turn}")
-        if top_n < 1:  # a setting, not a fault of any one conversation
-            raise ValueError(f"top_n must be >= 1, got {top_n}")
-        if not runs:
-            raise ValueError("no runs to build a feature matrix from")
-        for run in runs:
-            if upto_turn > run.n_turns:
-                raise ValueError(
-                    f"{run.conversation_id}: upto_turn {upto_turn} exceeds run length {run.n_turns}"
-                )
-        rows = np.array([self._row_of(run) for run in runs], dtype=np.intp)
-        first = 1 if mode == "multi" else upto_turn
-        return np.hstack([self._block(rows, kind, t, top_n) for t in range(first, upto_turn + 1)])
-
-
 def assemble_multiturn(
     run: ConversationRun, kind: str, upto_turn: int, top_n: int = 100
 ) -> np.ndarray:
     """Concatenated per-turn features of turns 1..upto_turn, in turn order."""
-    return FeatureTable().matrix([run], kind, upto_turn, top_n, "multi")[0]
+    return build_feature_matrix([run], kind, upto_turn, top_n).values[0]
 
 
 @dataclass(eq=False)
@@ -284,9 +225,40 @@ class FeatureMatrix:
 def build_feature_matrix(
     runs, kind: str, upto_turn: int, top_n: int = 100, mode: str = "multi"
 ) -> FeatureMatrix:
+    """One row per run, in order: the features of turns 1..upto_turn side by
+    side in ``"multi"`` mode, or of turn ``upto_turn`` alone in ``"single"``
+    mode.
+
+    Each turn's row comes from :func:`turn_features` once per (ranking,
+    kind, top_n) and is kept in a memo on the ranking while the ranking
+    lives, so every matrix over the same rankings shares it.
+    """
+    if mode not in ("multi", "single"):
+        raise ValueError(f"mode must be 'multi' or 'single', got {mode!r}")
+    if upto_turn < 1:
+        raise ValueError(f"upto_turn must be >= 1, got {upto_turn}")
+    if top_n < 1:  # a setting, not a fault of any one conversation
+        raise ValueError(f"top_n must be >= 1, got {top_n}")
+    if not runs:
+        raise ValueError("no runs to build a feature matrix from")
+    for run in runs:
+        if upto_turn > run.n_turns:
+            raise ValueError(
+                f"{run.conversation_id}: upto_turn {upto_turn} exceeds run length {run.n_turns}"
+            )
+    blocks = []
+    for turn in range(1 if mode == "multi" else upto_turn, upto_turn + 1):
+        rows = []
+        for run in runs:
+            memo = _ROWS.setdefault(run.turns[turn - 1], {})
+            row = memo.get((kind, top_n))
+            if row is None:
+                row = memo[kind, top_n] = turn_features(run, kind, turn, top_n)
+            rows.append(row)
+        blocks.append(np.vstack(rows))
     return FeatureMatrix(
         conversation_ids=tuple(run.conversation_id for run in runs),
-        values=FeatureTable().matrix(runs, kind, upto_turn, top_n, mode),
+        values=np.hstack(blocks),
         predictor=kind,
         upto_turn=upto_turn,
     )

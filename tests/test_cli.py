@@ -340,6 +340,18 @@ class TestCutoffsOption:
         )
 
 
+def test_protocol_script_run_twice_in_one_process_writes_the_same_bytes(tmp_path, monkeypatch):
+    """Nothing a module keeps from the first run, such as feature rows, changes the second."""
+    module = _load_protocol_script()
+    outputs = []
+    for outdir in (tmp_path / "first", tmp_path / "second"):
+        monkeypatch.setattr("sys.argv", ["run_protocol.py", "--n", "25", "--pairs", "2-3",
+                                         "--outdir", str(outdir)])
+        assert module.main() == 0
+        outputs.append([(outdir / name).read_bytes() for name in ("report.csv", "predictions.csv")])
+    assert outputs[0] == outputs[1]
+
+
 def test_protocol_script_reports_training_error_in_one_line(tmp_path, capsys, monkeypatch):
     module = _load_protocol_script()
     monkeypatch.setattr("sys.argv", ["run_protocol.py", "--n", "2", "--pairs", "2-2",
@@ -468,6 +480,17 @@ class TestExitCodes:
             "error: bad.jsonl line 2: not UTF-8 ('utf-8' codec can't decode byte 0xff"
             " in position 22: invalid start byte)\n"
         )
+
+    def test_integer_too_long_to_convert_names_the_line(self, tmp_path, capsys):
+        runs = tmp_path / "runs.jsonl"
+        assert main(["gen", *GEN_ARGS, "--out", str(runs)]) == 0
+        lines = runs.read_text().splitlines(keepends=True)
+        lines[2] = re.sub(r'"score":[^,]+', '"score":' + "9" * 5000, lines[2], count=1)
+        runs.write_text("".join(lines))
+        capsys.readouterr()
+        code = main(["label", "--runs", str(runs), "--out", str(tmp_path / "l.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: runs.jsonl line 3: invalid JSON (")
 
     @pytest.mark.parametrize("command", [
         ["label", "--out", "labels.csv"],

@@ -179,6 +179,16 @@ class TestValidation:
         with pytest.raises(ValidationError, match="target_ranks length"):
             validate_run(run)
 
+    @pytest.mark.parametrize("ranks,bad", [((True, 1), 1), ((1, 2.0), 2), ((0, 1), 1)],
+                             ids=["true", "float", "zero"])
+    def test_target_rank_must_be_a_positive_int(self, ranks, bad):
+        run = make_run(
+            [make_ranking([1.0], [[1.0, 0.0]], turn=t) for t in (1, 2)], target_ranks=ranks
+        )
+        with pytest.raises(ValidationError) as err:
+            validate_run(run)
+        assert str(err.value) == f"c0 turn {bad}: target rank must be a positive int or null"
+
     def test_all_none_target_ranks_collapse(self):
         run = make_run(
             [make_ranking([1.0], [[1.0, 0.0]], turn=t) for t in (1, 2)],

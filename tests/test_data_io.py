@@ -237,6 +237,33 @@ class TestReadValidation:
             f"(c0: turn must be a JSON integer, got {turn!r})"
         )
 
+    @pytest.mark.parametrize("layout", [json.dumps, _canonical])
+    @pytest.mark.parametrize("field,value,message", [
+        pytest.param("conversation_id", 5, "conversation_id must be a JSON string, got 5",
+                     id="conversation_id-5"),
+        pytest.param("target_id", 5, "target_id must be a JSON string, got 5", id="target_id-5"),
+        pytest.param("id", 5, "c0 turn 2: item id must be a JSON string, got 5", id="item-id-5"),
+        pytest.param("critique", 7, "c0 turn 2: critique must be a JSON string, got 7",
+                     id="critique-7"),
+        pytest.param("critique", ["x"], "c0 turn 2: critique must be a JSON string, got ['x']",
+                     id="critique-list"),
+    ])
+    def test_string_fields_must_be_json_strings(self, tmp_path, layout, field, value, message):
+        bad = self._record()
+        target = {"id": bad["turns"][1]["items"][0], "critique": bad["turns"][1]}.get(field, bad)
+        target[field] = value
+        path = self._write_lines(tmp_path, [layout(bad)])
+        with pytest.raises(ValidationError) as err:
+            read_runs(path)
+        assert str(err.value) == f"runs.jsonl line 1: malformed run record ({message})"
+
+    @pytest.mark.parametrize("layout", [json.dumps, _canonical])
+    def test_boolean_target_rank_is_refused(self, tmp_path, layout):
+        path = self._write_lines(tmp_path, [layout(self._record(target_ranks=[True, 1]))])
+        with pytest.raises(ValidationError) as err:
+            read_runs(path)
+        assert str(err.value) == "c0 turn 1: target rank must be a positive int or null"
+
     def test_ragged_embeddings_within_a_turn(self, tmp_path):
         bad = self._record()
         bad["turns"][1]["items"][1]["embedding"] = [0.0, 1.0, 0.0]

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -26,7 +28,7 @@ from convpred.evaluation import (
     write_predictions,
     write_report,
 )
-from convpred.features import FeatureTable, turn_features
+from convpred.features import FEATURE_KINDS, build_feature_matrix, turn_features
 from convpred.scenario import LabelSet, induce_missing, label_runs
 
 
@@ -167,9 +169,11 @@ class TestTurnPair:
         assert a.predictions == b.predictions
 
 
-@pytest.fixture(scope="module")
-def both_scenarios(small_world):
-    runs, labels, split = small_world
+def _fresh_scenarios():
+    """Both scenarios of SMALL_GEN, on rankings this call builds."""
+    runs = generate_synthetic(SMALL_GEN)
+    labels = label_runs(runs, cutoff=20)
+    split = split_conversations([r.conversation_id for r in runs], labels.final_labels(), seed=13)
     modified, missing = induce_missing(runs, labels, fraction=0.5, seed=3)
     assert 0 < len(missing.forced) < len(runs)
     missing_split = split_conversations(
@@ -178,29 +182,36 @@ def both_scenarios(small_world):
     return (runs, labels, split), (modified, missing, missing_split)
 
 
+@pytest.fixture(scope="module")
+def both_scenarios():
+    return _fresh_scenarios()
+
+
 TABLE_ROWS = [("apr", "logreg"), ("score", "forest"), ("ae", "ae-head")]
 TABLE_PAIRS = [(2, 3), (3, 4)]
 
 
 class TestFeatureTable:
+    """The per-ranking memo of feature rows behind ``build_feature_matrix``."""
+
     def test_shared_table_matches_fresh_tables(self, both_scenarios):
-        shared = FeatureTable()
-        for runs, labels, split in both_scenarios:
+        fresh_scenarios = _fresh_scenarios()  # the same values on rankings with no rows yet
+        for (runs, labels, split), (fresh_runs, _, _) in zip(both_scenarios, fresh_scenarios):
             for predictor, classifier in TABLE_ROWS:
                 kwargs = dict(pairs=TABLE_PAIRS, settings=SETTINGS, seed=11)
-                fresh = run_turn_pair(runs, labels, predictor, classifier, split, **kwargs)
-                reused = run_turn_pair(runs, labels, predictor, classifier, split,
-                                       table=shared, **kwargs)
-                assert reused.rows == fresh.rows
-                assert reused.predictions == fresh.predictions
+                first = run_turn_pair(fresh_runs, labels, predictor, classifier, split, **kwargs)
+                reused = run_turn_pair(fresh_runs, labels, predictor, classifier, split, **kwargs)
+                other = run_turn_pair(runs, labels, predictor, classifier, split, **kwargs)
+                assert reused.rows == first.rows == other.rows
+                assert reused.predictions == first.predictions == other.predictions
             for kind in ("apr", "score", "pooled"):
                 for turn in (1, 2, 3):
                     assert np.array_equal(
-                        shared.matrix(runs, kind, turn, 50, "single"),
-                        FeatureTable().matrix(runs, kind, turn, 50, "single"),
+                        build_feature_matrix(runs, kind, turn, 50, "single").values,
+                        [turn_features(run, kind, turn, 50) for run in runs],
                     )
 
-    def test_each_row_computed_once(self, both_scenarios, monkeypatch):
+    def test_each_row_computed_once(self, monkeypatch):
         calls = Counter()
 
         def counted(run, kind, turn, top_n=100):
@@ -208,14 +219,14 @@ class TestFeatureTable:
             return turn_features(run, kind, turn, top_n)
 
         monkeypatch.setattr(features, "turn_features", counted)
-        table = FeatureTable()
+        scenarios = _fresh_scenarios()
         for _ in range(2):
-            for runs, labels, split in both_scenarios:
+            for runs, labels, split in scenarios:
                 for predictor, classifier in TABLE_ROWS:
                     run_turn_pair(runs, labels, predictor, classifier, split, pairs=TABLE_PAIRS,
-                                  settings=SETTINGS, seed=11, table=table)
-                table.matrix(runs, "score", 2, 20, "single")
-        (runs, _, _), (modified, missing, _) = both_scenarios
+                                  settings=SETTINGS, seed=11)
+                build_feature_matrix(runs, "score", 2, 20, "single")
+        (runs, _, _), (modified, missing, _) = scenarios
         distinct = {id(run) for run in runs + modified}
         assert len(distinct) == len(runs) + len(missing.forced)
         expected = {(rid, kind, turn, 50) for rid in distinct
@@ -226,9 +237,8 @@ class TestFeatureTable:
 
     def test_replaced_run_gets_its_own_rows(self, both_scenarios):
         (runs, _, _), (modified, missing, _) = both_scenarios
-        table = FeatureTable()
-        before = table.matrix(runs, "score", 6, 50, "single")
-        after = table.matrix(modified, "score", 6, 50, "single")
+        before = build_feature_matrix(runs, "score", 6, 50, "single").values
+        after = build_feature_matrix(modified, "score", 6, 50, "single").values
         for i, (run, new) in enumerate(zip(runs, modified)):
             if run.conversation_id in missing.forced:
                 assert new is not run
@@ -237,6 +247,21 @@ class TestFeatureTable:
             else:
                 assert new is run
                 assert np.array_equal(after[i], before[i])
+
+    def test_rows_die_with_their_rankings(self):
+        gc.collect()
+        held = len(features._ROWS)
+        runs = generate_synthetic(SMALL_GEN)
+        for kind in FEATURE_KINDS:
+            build_feature_matrix(runs, kind, 3, 50)
+        rankings = [weakref.ref(turn) for run in runs for turn in run.turns[:3]]
+        assert all(features._ROWS[r()].keys() == {(k, 50) for k in FEATURE_KINDS}
+                   for r in rankings)
+        assert len(features._ROWS) == held + len(rankings)
+        del runs
+        gc.collect()
+        assert all(r() is None for r in rankings)
+        assert len(features._ROWS) == held
 
 
 class TestSingleTurn:

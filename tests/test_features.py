@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from convpred.core import read_csv
 from convpred.features import (
     FEATURE_KINDS,
-    FeatureTable,
     anchored_pair_ratio,
     assemble_multiturn,
     autocorrelation,
@@ -218,9 +217,10 @@ class TestAssembly:
                 for i in range(n_runs)]
         turns = range(1, upto_turn + 1) if mode == "multi" else [upto_turn]
         expected = [np.concatenate([turn_features(run, kind, t, 4) for t in turns]) for run in runs]
-        table = FeatureTable()
-        for _ in range(2):  # the second pass reads every row from the table
-            np.testing.assert_array_equal(table.matrix(runs, kind, upto_turn, 4, mode), expected)
+        for _ in range(2):  # the second pass reads every row from the rankings' memo
+            np.testing.assert_array_equal(
+                build_feature_matrix(runs, kind, upto_turn, 4, mode).values, expected
+            )
 
     def test_unknown_kind(self):
         run = random_run(12)
