@@ -5,7 +5,7 @@ Generates a calibration-scale run set, labels it, induces the missing-target
 scenario, trains one classifier per turn pair for a grid of predictor rows,
 and renders an accuracy grid per scenario plus a McNemar comparison of the
 autoencoder against the strongest baseline row. Takes under a minute at the
-default scale (12-16 s and 131 MB peak RSS on a 2-core machine with one
+default scale (17-18 s and 126 MB peak RSS on a 2-core machine with one
 BLAS thread); everything is seeded and reproducible.
 
 Usage:

@@ -159,12 +159,9 @@ def standardize(X, mean: np.ndarray, scale: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so exp never overflows
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def train_logistic(X, y) -> LinearModel:
@@ -177,22 +174,18 @@ def train_logistic(X, y) -> LinearModel:
     X, y = check_train_input(X, y)
     Xs, mean, scale = standardize_fit(X)
     n = len(y)
+    target = y.astype(np.float64)
     w = np.zeros(Xs.shape[1])
     b = 0.0
-    history = []
-    for _ in range(LOGISTIC_ITERS):
-        z = Xs @ w + b
-        p = _sigmoid(z)
-        history.append(_logistic_nll(z, y))
-        resid = p - y
+    z = np.empty((LOGISTIC_ITERS, n))  # each step's linear scores, for the history
+    for step in range(LOGISTIC_ITERS):
+        np.add(Xs @ w, b, out=z[step])
+        resid = _sigmoid(z[step]) - target
         w -= LOGISTIC_LR * (Xs.T @ resid) / n
-        b -= LOGISTIC_LR * float(resid.mean())
-    return LinearModel("logistic", w, b, mean, scale, history=tuple(history))
-
-
-def _logistic_nll(z: np.ndarray, y: np.ndarray) -> float:
-    # mean -[y log p + (1-y) log(1-p)] via the numerically stable softplus form
-    return float((np.logaddexp(0.0, z) - y * z).mean())
+        b -= LOGISTIC_LR * float(np.add.reduce(resid) / n)
+    # mean -[y log p + (1-y) log(1-p)] per step via the numerically stable softplus form
+    history = (np.logaddexp(0.0, z) - y * z).mean(axis=1)
+    return LinearModel("logistic", w, b, mean, scale, history=tuple(history.tolist()))
 
 
 def train_lasso(X, y, lam: float = 0.1, iters: int = 1000) -> LinearModel:
@@ -311,7 +304,10 @@ def _class_counts(weights: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 class _Substreams:
-    """One forest key's trees: each tree's RNG, bootstrap and candidate draws so far."""
+    """One forest key's trees: each tree's RNG, bootstrap and candidate draws so far.
+
+    ``table[t, j]`` is tree t's j-th candidate draw, for j below ``drawn[t]``.
+    """
 
     def __init__(self, seed: int, n_trees: int, n_rows: int, n_features: int):
         self.n_features = n_features
@@ -321,23 +317,30 @@ class _Substreams:
             np.bincount(rng.integers(0, n_rows, size=n_rows), minlength=n_rows) for rng in self.rngs
         ])
         self.weights.flags.writeable = False
-        self.draws: list[list[np.ndarray]] = [[] for _ in self.rngs]
+        self.table = np.zeros((n_trees, 0, self.n_candidates), dtype=np.int64)
+        self.drawn = np.zeros(n_trees, dtype=np.intp)
 
-    def take(self, trees: list[int], used: list[int]) -> np.ndarray:
+    def take(self, trees: np.ndarray, used: np.ndarray) -> np.ndarray:
         """Each listed tree's next candidate draw, ``used[t]`` being its count so far.
 
         A draw that no earlier forest of the key made is drawn now and
-        appended to the tree's list.
+        added to the table.
         """
-        out = []
-        for t in trees:
-            j = used[t]
-            used[t] = j + 1
-            draws = self.draws[t]
-            if j == len(draws):
-                draws.append(self.rngs[t].choice(self.n_features, size=self.n_candidates, replace=False))
-            out.append(draws[j])
-        return np.stack(out)
+        j = used[trees]
+        used[trees] += 1
+        fresh = trees[j == self.drawn[trees]]
+        if fresh.size:
+            width = self.table.shape[1]
+            if j.max() >= width:
+                grown = np.zeros((len(self.table), 2 * width + 1, self.n_candidates), dtype=np.int64)
+                grown[:, :width] = self.table
+                self.table = grown
+            for t in fresh.tolist():
+                self.table[t, self.drawn[t]] = self.rngs[t].choice(
+                    self.n_features, size=self.n_candidates, replace=False
+                )
+            self.drawn[fresh] += 1
+        return self.table[trees, j]
 
 
 class TreeStreams:
@@ -390,15 +393,23 @@ def train_forest(
     weights = substreams.weights
     counts = [_class_counts(weights, y)]  # class counts of the nodes made, in node order
     splits = []  # per wave: (nodes, feature, threshold, first left child)
-    # per tree, its nodes still to split: (node, row multiplicities)
-    splittable = counts[0].all(axis=1).tolist()
-    stacks = [[(t, weights[t])] if splittable[t] else [] for t in range(n_trees)]
-    used = [0] * n_trees
+    # The nodes still to split wait in a pool of (node, row multiplicities)
+    # slots; each tree's stack holds its slots, ``height[t]`` of them. A tree's
+    # waiting nodes hold disjoint rows, two at least, so n // 2 + 1 is room.
+    growing = np.flatnonzero(counts[0].all(axis=1))
+    pool, pool_node = weights[growing], growing.copy()
+    free = np.empty(0, dtype=np.intp)
+    stack = np.zeros((n_trees, n // 2 + 1), dtype=np.intp)
+    height = np.zeros(n_trees, dtype=np.intp)
+    stack[growing, 0] = np.arange(len(growing))
+    height[growing] = 1
+    used = np.zeros(n_trees, dtype=np.intp)
     n_nodes = n_trees
-    growing = [t for t in range(n_trees) if stacks[t]]
-    while growing:
-        nodes, weights = zip(*(stacks[t].pop() for t in growing))
-        weights = np.stack(weights)
+    while growing.size:
+        height[growing] -= 1
+        slots = stack[growing, height[growing]]
+        nodes, weights = pool_node[slots], pool[slots]
+        free = np.concatenate([free, slots])
         feature, threshold = _best_splits(cols, weights, substreams.take(growing, used))
         split = np.flatnonzero(feature >= 0)  # the rest are leaves
         m = len(split)
@@ -407,14 +418,25 @@ def train_forest(
         children = np.concatenate([left, weights - left])  # lefts, then rights
         child_counts = _class_counts(children, y)
         counts.append(child_counts)
-        splits.append((np.array(nodes)[split], feature, threshold, n_nodes))
-        can_split = child_counts.all(axis=1).tolist()
-        for k, i in enumerate(split.tolist()):
-            for j in (m + k, k):  # the left child goes on top
-                if can_split[j]:
-                    stacks[growing[i]].append((n_nodes + j, children[j]))
+        splits.append((nodes[split], feature, threshold, n_nodes))
+        # stack the children that can split, each node's right child first so the left is on top
+        can_split = child_counts.all(axis=1)
+        right_left = np.column_stack([m + np.arange(m), np.arange(m)]).ravel()
+        child = right_left[can_split[right_left]]
+        tree = growing[split[child % m]]
+        at = height[tree] + ((child < m) & can_split[m + child % m])
+        if len(child) > len(free):  # grow the pool, at least doubling it
+            grow = max(len(child) - len(free), len(pool))
+            free = np.concatenate([free, np.arange(len(pool), len(pool) + grow)])
+            pool = np.concatenate([pool, np.empty((grow, n), dtype=pool.dtype)])
+            pool_node = np.concatenate([pool_node, np.empty(grow, dtype=pool_node.dtype)])
+        keep = len(free) - len(child)
+        taken, free = free[keep:], free[:keep]
+        pool[taken], pool_node[taken] = children[child], n_nodes + child
+        stack[tree, at] = taken
+        height[growing[split]] += can_split.reshape(2, m).sum(axis=0)
         n_nodes += 2 * m
-        growing = [t for t in growing if stacks[t]]
+        growing = np.flatnonzero(height)
     forest = Forest(
         roots=np.arange(n_trees),
         feature=np.full(n_nodes, -1),

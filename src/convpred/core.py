@@ -41,7 +41,7 @@ class ValidationError(ValueError):
 
 def _as_embedding(values) -> np.ndarray:
     """Coerce ``values`` to a finite, non-empty 1-D float64 vector."""
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.array(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError("embedding must be a non-empty 1-D vector")
     if not np.all(np.isfinite(arr)):
@@ -58,6 +58,7 @@ class TurnRanking:
     belonging to ``items[i]``. Items must be sorted by score, non-increasing,
     with exact score ties broken by item id ascending (checked by
     :func:`validate_run`). An empty ranking has a ``(0, 0)`` embedding matrix.
+    The arrays are read-only copies, so a ranking cannot change once made.
     ``query_embedding`` is optional: externally produced runs may supply the
     live query vector; otherwise features fall back to a centroid surrogate.
     """
@@ -71,8 +72,8 @@ class TurnRanking:
 
     def __post_init__(self):
         items = tuple(self.items)
-        scores = np.asarray(self.scores, dtype=np.float64)
-        embeddings = np.asarray(self.embeddings, dtype=np.float64)
+        scores = np.array(self.scores, dtype=np.float64)
+        embeddings = np.array(self.embeddings, dtype=np.float64)
         if not items:
             embeddings = embeddings.reshape(0, 0)
         n = len(items)
@@ -85,11 +86,14 @@ class TurnRanking:
             raise ValidationError("embedding must be a non-empty 1-D vector")
         if not np.all(np.isfinite(embeddings)):
             raise ValidationError("embedding has non-finite entries")
+        query = None if self.query_embedding is None else _as_embedding(self.query_embedding)
+        for array in (scores, embeddings, query):
+            if array is not None:
+                array.flags.writeable = False
         object.__setattr__(self, "items", items)
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "embeddings", embeddings)
-        if self.query_embedding is not None:
-            object.__setattr__(self, "query_embedding", _as_embedding(self.query_embedding))
+        object.__setattr__(self, "query_embedding", query)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,19 +143,20 @@ def _check_turn(ranking: TurnRanking, dim: int | None, where: str) -> int | None
     ids, scores, embeddings = ranking.items, ranking.scores, ranking.embeddings
     if ids:
         n, d = embeddings.shape
-        duplicate = np.ones(n, dtype=bool)
-        duplicate[np.unique(np.array(ids, dtype=object), return_index=True)[1]] = False
         ties = np.flatnonzero(scores[:-1] == scores[1:])
         bad_tie = np.zeros(n, dtype=bool)
         bad_tie[ties + 1] = [ids[i] >= ids[i + 1] for i in ties]
-        checks = (
-            (duplicate, "duplicate item_id {!r}"),
+        checks = [
             (~np.isfinite(scores), "non-finite score for item {!r}"),
             ([dim not in (None, d)] * n, f"dimension mismatch for item {{!r}} ({d} vs {dim})"),
             (np.linalg.norm(embeddings, axis=1) == 0.0, "zero-norm embedding for item {!r}"),
-            (np.insert(scores[:-1] < scores[1:], 0, False), "items not sorted by score"),
+            (np.concatenate(([False], scores[:-1] < scores[1:])), "items not sorted by score"),
             (bad_tie, "items not sorted (score tie must break by item_id ascending)"),
-        )
+        ]
+        if len(set(ids)) < n:
+            duplicate = np.ones(n, dtype=bool)
+            duplicate[np.unique(np.array(ids, dtype=object), return_index=True)[1]] = False
+            checks.insert(0, (duplicate, "duplicate item_id {!r}"))
         flagged = np.logical_or.reduce([flags for flags, _ in checks])
         if flagged.any():
             i = int(np.argmax(flagged))

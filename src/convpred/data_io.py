@@ -141,7 +141,7 @@ def generate_synthetic(config: GenConfig) -> list[ConversationRun]:
     is_easy = np.zeros(n, dtype=bool)
     is_easy[perm[: math.ceil(config.easy_fraction * n)]] = True
 
-    tie_break = np.arange(config.catalogue_size)
+    kth = config.top_n - 1
     runs: list[ConversationRun] = []
     for i, child in enumerate(conv_root.spawn(n)):
         rng = np.random.default_rng(child)
@@ -158,11 +158,17 @@ def generate_synthetic(config: GenConfig) -> list[ConversationRun]:
             q = (1.0 - rate) * q + rate * catalogue[target] + config.noise_sigma * g
             q /= np.linalg.norm(q) or 1.0
             scores = catalogue @ q
-            order = np.lexsort((tie_break, -scores))
-            target_ranks.append(1 + int(np.nonzero(order == target)[0][0]))
-            top = order[: config.top_n]
+            neg = -scores
+            # the top_n lowest of -scores, every tie at the boundary included, then a
+            # stable sort of those by -score, so equal scores keep catalogue order
+            held = np.flatnonzero(neg <= np.partition(neg, kth)[kth])
+            top = held[np.argsort(neg[held], kind="stable")[: config.top_n]]
+            s = scores[target]
+            target_ranks.append(
+                1 + int(np.count_nonzero(scores > s)) + int(np.count_nonzero(scores[:target] == s))
+            )
             items = tuple(item_ids[j] for j in top)
-            turns.append(TurnRanking(t, items, scores[top], catalogue[top], q.copy()))
+            turns.append(TurnRanking(t, items, scores[top], catalogue[top], q))
         runs.append(
             ConversationRun(
                 conversation_id=f"conv_{i:05d}",

@@ -5,7 +5,9 @@ deliberately sharing no code with the package, so agreement is meaningful.
 The forest oracle is the package's earlier recursive builder, which scores
 one node and one candidate feature at a time. The autoencoder training
 oracle is the package's earlier loop: two forward passes and a separate
-Adam update per parameter array in every epoch.
+Adam update per parameter array in every epoch. The generator oracle sorts
+the whole catalogue each turn, and the logistic oracle is the earlier
+per-step loop with masked sigmoid branches.
 """
 
 import itertools
@@ -307,3 +309,84 @@ def forest_predict_brute(trees, X):
             votes += 1 if node[1] > node[0] else 0
         out.append(1 if 2 * votes > len(trees) else 0)
     return out
+
+
+def generate_brute(config):
+    """The package's earlier generator: a full ``lexsort`` of the catalogue per turn.
+
+    Items are ordered by score, descending, then by catalogue index; the
+    ranking keeps the first top_n and the target's rank is its position in
+    the full order. Only the run types come from the package.
+    """
+    from convpred.core import ConversationRun, TurnRanking
+
+    root = np.random.SeedSequence(config.seed)
+    cat_ss, order_ss, conv_root = root.spawn(3)
+    catalogue = np.random.default_rng(cat_ss).standard_normal((config.catalogue_size, config.dim))
+    norms = np.linalg.norm(catalogue, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    catalogue = catalogue / norms
+    item_ids = [f"item_{i:06d}" for i in range(config.catalogue_size)]
+    n = config.n_conversations
+    perm = np.random.default_rng(order_ss).permutation(n)
+    is_easy = np.zeros(n, dtype=bool)
+    is_easy[perm[: math.ceil(config.easy_fraction * n)]] = True
+    tie_break = np.arange(config.catalogue_size)
+    runs = []
+    for i, child in enumerate(conv_root.spawn(n)):
+        rng = np.random.default_rng(child)
+        target = int(rng.integers(config.catalogue_size))
+        q = rng.standard_normal(config.dim)
+        q /= np.linalg.norm(q) or 1.0
+        base_rate = config.pull_rate_easy if is_easy[i] else config.pull_rate_hard
+        turns, target_ranks = [], []
+        for t in range(1, config.n_turns + 1):
+            rate = base_rate * config.pull_decay ** (t - 1)
+            g = rng.standard_normal(config.dim)
+            q = (1.0 - rate) * q + rate * catalogue[target] + config.noise_sigma * g
+            q /= np.linalg.norm(q) or 1.0
+            scores = catalogue @ q
+            order = np.lexsort((tie_break, -scores))
+            target_ranks.append(1 + int(np.nonzero(order == target)[0][0]))
+            top = order[: config.top_n]
+            items = tuple(item_ids[j] for j in top)
+            turns.append(TurnRanking(t, items, scores[top], catalogue[top], q.copy()))
+        runs.append(ConversationRun(f"conv_{i:05d}", item_ids[target], tuple(turns),
+                                    tuple(target_ranks)))
+    return runs
+
+
+def _sigmoid_brute(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def logistic_brute(X, y, lr=0.1, iters=500):
+    """The package's earlier logistic loop: masked sigmoid branches and an NLL per step.
+
+    Columns are standardized with training statistics (a constant column
+    gets scale 1). Returns (weights, intercept, history), the history being
+    the mean negative log-likelihood at the parameters entering each step.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y).astype(np.int64)
+    mean = X.mean(axis=0)
+    scale = X.std(axis=0)
+    scale[scale == 0.0] = 1.0
+    Xs = (X - mean) / scale
+    n = len(y)
+    w = np.zeros(Xs.shape[1])
+    b = 0.0
+    history = []
+    for _ in range(iters):
+        z = Xs @ w + b
+        p = _sigmoid_brute(z)
+        history.append(float((np.logaddexp(0.0, z) - y * z).mean()))
+        resid = p - y
+        w -= lr * (Xs.T @ resid) / n
+        b -= lr * float(resid.mean())
+    return w, b, tuple(history)

@@ -14,7 +14,7 @@ from convpred.classifiers import (
     train_lasso,
     train_logistic,
 )
-from oracles import forest_brute, forest_predict_brute
+from oracles import forest_brute, forest_predict_brute, logistic_brute
 
 
 def separable_1d(n=40, margin=1.0, seed=0):
@@ -59,6 +59,42 @@ class TestLogistic:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             train_logistic(np.zeros((0, 2)), [])
+
+
+def wide_separable(width):
+    """Two opposite rows copied into ``width`` columns plus a constant one: the first
+    step moves every weight alike, so the linear score reaches about 0.05 * width."""
+    X = np.hstack([np.array([[1.0], [-1.0]]).repeat(width, axis=1), np.full((2, 1), 3.0)])
+    return X, np.array([1, 0])
+
+
+def random_with_constant_columns(seed, max_rows=40):
+    rng = np.random.default_rng(seed)
+    n, p = rng.integers(2, max_rows), rng.integers(1, 8)
+    X = rng.standard_normal((n, p)) * rng.choice([1e-3, 1.0, 1e3], size=p)
+    X[:, rng.random(p) < 0.3] = rng.standard_normal()
+    return X, rng.integers(0, 2, size=n)
+
+
+LOGISTIC_CASES = {
+    **{f"random-{seed}": random_with_constant_columns(seed) for seed in range(8)},
+    "many-rows": random_with_constant_columns(8, max_rows=400),  # sums past one pairwise block
+    "constant-only": (np.full((5, 2), 4.0), np.array([0, 1, 1, 0, 1])),
+    "single-class": (np.array([[0.5], [1.5], [-1.0]]), np.array([1, 1, 1])),
+    "exp-overflow": wide_separable(15000),
+}
+
+
+@pytest.mark.parametrize("case", list(LOGISTIC_CASES))
+def test_logistic_matches_masked_loop(case):
+    X, y = LOGISTIC_CASES[case]
+    model = train_logistic(X, y)
+    weights, intercept, history = logistic_brute(X, y)
+    assert np.array_equal(model.weights, weights)
+    assert model.intercept == intercept
+    assert model.history == history
+    if case == "exp-overflow":  # past this, exp(|z|) overflows
+        assert abs(model.intercept + model.weights @ ((X[0] - X.mean(0)) / model.input_scale)) > 710
 
 
 class TestLasso:
@@ -242,6 +278,22 @@ def test_forest_matches_recursive_builder(inputs):
         assert len(model.trees) == len(expected)
         for tree, oracle_tree in zip(model.trees, expected):
             assert_same_tree(tree, oracle_tree)
+
+
+def test_store_grows_its_draw_table_and_serves_shorter_forests():
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((30, 9))
+    short_y = np.r_[1, np.zeros(29, dtype=int)]  # a tree splits off row 0, if it holds it
+    long_y = rng.integers(0, 2, size=30)
+    streams = TreeStreams()
+    drawn = []
+    for y in (short_y, long_y, short_y):
+        model = train_forest(X, y, n_trees=6, seed=4, streams=streams)
+        for tree, oracle_tree in zip(model.trees, forest_brute(X, y, 6, 4), strict=True):
+            assert_same_tree(tree, oracle_tree)
+        substreams = streams.of(4, 6, 30, 9)
+        drawn.append((substreams.table.shape[1], substreams.drawn.max()))
+    assert drawn[0] < drawn[1] == drawn[2]  # the long forest grew the table
 
 
 def oracle_thresholds(tree):

@@ -108,6 +108,28 @@ class TestRankOps:
             assert found_by(ranking, target, c2)
 
 
+class TestRankingColumnsReadOnly:
+    @pytest.mark.parametrize("column", ["scores", "embeddings", "query_embedding"])
+    def test_in_place_write_raises(self, column):
+        ranking = make_ranking([2.0, 1.0], np.eye(2), query=[1.0, 0.0])
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ranking, column)[0] = 5.0
+
+    def test_columns_are_copies_of_the_given_arrays(self):
+        scores, embeddings, query = np.array([2.0, 1.0]), np.eye(2), np.array([1.0, 0.0])
+        ranking = make_ranking(scores, embeddings, query=query)
+        scores[0], embeddings[0, 0], query[0] = 9.0, 9.0, 9.0  # the caller's arrays stay writeable
+        assert ranking.scores.tolist() == [2.0, 1.0]
+        assert ranking.embeddings.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert ranking.query_embedding.tolist() == [1.0, 0.0]
+
+    def test_built_feature_rows_cannot_go_stale(self):
+        run = random_run(0)
+        build_feature_matrix([run], "score", 1, run.n_turns, "single")
+        with pytest.raises(ValueError, match="read-only"):
+            run.turns[0].scores *= 2.0
+
+
 class TestValidation:
     def _two_turns(self, first=None, second=None):
         t1 = first if first is not None else make_ranking([2.0, 1.0], np.eye(2), turn=1)

@@ -16,6 +16,7 @@ from convpred.data_io import (
     write_runs,
 )
 from helpers import make_ranking, make_run, oracle_run_dict, random_run
+from oracles import generate_brute
 
 
 class TestGenConfig:
@@ -509,6 +510,33 @@ class TestGenerator:
             for ranking, rank in zip(run.turns, run.target_ranks):
                 in_top = rank <= SMALL["top_n"]
                 assert stored_rank(ranking, run.target_id) == (rank if in_top else None)
+
+
+@st.composite
+def tie_heavy_configs(draw):
+    """Small generator configs; at dim 1 every catalogue row is +1 or -1, so scores tie."""
+    catalogue_size = draw(st.integers(1, 60))
+    return GenConfig(
+        n_conversations=draw(st.integers(1, 3)),
+        dim=draw(st.sampled_from([1, 1, 1, 2, 3])),
+        catalogue_size=catalogue_size,
+        n_turns=draw(st.integers(2, 4)),
+        top_n=draw(st.integers(1, catalogue_size)),
+        easy_fraction=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        pull_rate_easy=draw(st.sampled_from([0.35, 1.0])),
+        noise_sigma=draw(st.sampled_from([0.0, 0.15, 2.0])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_configs())
+def test_generator_matches_full_sort(config):
+    runs, expected = generate_synthetic(config), generate_brute(config)
+    assert len(runs) == len(expected)
+    for run, oracle in zip(runs, expected):
+        assert runs_equal(run, oracle)
+        assert run.target_ranks == oracle.target_ranks
 
 
 @pytest.mark.slow
