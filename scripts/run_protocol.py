@@ -5,7 +5,7 @@ Generates a calibration-scale run set, labels it, induces the missing-target
 scenario, trains one classifier per turn pair for a grid of predictor rows,
 and renders an accuracy grid per scenario plus a McNemar comparison of the
 autoencoder against the strongest baseline row. Takes under a minute at the
-default scale (17-18 s and 126 MB peak RSS on a 2-core machine with one
+default scale (15-17 s and 125 MB peak RSS on a 2-core machine with one
 BLAS thread); everything is seeded and reproducible.
 
 Usage:
@@ -103,8 +103,8 @@ def main():
 
 def run(args) -> int:
     pairs = evaluation.parse_pairs(args.pairs)
-    args.outdir.mkdir(parents=True, exist_ok=True)
     settings = evaluation.EvalSettings(ae_epochs=args.epochs)
+    args.outdir.mkdir(parents=True, exist_ok=True)
 
     config = data_io.GenConfig(
         n_conversations=args.n, dim=32, catalogue_size=2000, seed=args.seed

@@ -68,8 +68,8 @@ class AEConfig:
             object.__setattr__(self, "bottleneck_dim", max(2, -(-self.input_dim // 4)))
         if self.hidden_dim < 1 or self.bottleneck_dim < 1:
             raise ValueError("hidden_dim and bottleneck_dim must be >= 1")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
 
@@ -115,19 +115,60 @@ def init_model(config: AEConfig) -> AEModel:
     return AEModel(config, *arrays, input_mean=np.zeros(d), input_scale=np.ones(d))
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expd = np.exp(shifted)
-    return expd / expd.sum(axis=1, keepdims=True)
+class _Workspace:
+    """Every array one forward pass over an n-row batch writes and, given the
+    labels, the arrays of its losses and backward pass.
+
+    ``train`` makes one per fit and reuses it each epoch; the public functions
+    make one per call, so both run the same code. ``grad`` is one flat vector
+    that ``grads`` view in ``_PARAM_NAMES`` order.
+    """
+
+    def __init__(self, model: AEModel, n: int, labels=None):
+        config = model.config
+        d, h, z = config.input_dim, config.hidden_dim, config.bottleneck_dim
+        self.hidden, self.recon = np.empty((n, h)), np.empty((n, d))
+        self.pre_code, self.code = np.empty((n, z)), np.empty((n, z))
+        self.probs, self.column = np.empty((n, 2)), np.empty((n, 1))
+        if labels is None:
+            return
+        rows = np.arange(n)
+        self.one_hot = np.zeros((n, 2))
+        self.one_hot[rows, labels] = 1.0
+        self.picked = 2 * rows + labels  # flat index of each row's label probability
+        self.resid, self.d_hidden = np.empty((n, d)), np.empty((n, h))
+        self.d_code, self.d_code_cls = np.empty((n, z)), np.empty((n, z))
+        self.d_logits = np.empty((n, 2))
+        self.active = np.empty((n, z), dtype=bool)
+        shapes = [param.shape for param in model.parameters().values()]
+        self.grad = np.empty(sum(math.prod(shape) for shape in shapes))
+        self.grads = _views(self.grad, shapes)
 
 
-def _forward_cache(model: AEModel, batch: np.ndarray):
-    hidden = batch @ model.W1 + model.b1
-    pre_code = hidden @ model.W2 + model.b2
-    code = np.maximum(pre_code, 0.0)
-    recon = code @ model.W3 + model.b3
-    probs = _softmax(code @ model.W4 + model.b4)
-    return hidden, pre_code, code, recon, probs
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive reshaped views of a flat vector."""
+    views, offset = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[offset : offset + size].reshape(shape))
+        offset += size
+    return views
+
+
+def _forward_cache(model: AEModel, batch: np.ndarray, work: _Workspace) -> None:
+    """Fill ``work.hidden``, ``pre_code``, ``code``, ``recon`` and ``probs`` (softmax)."""
+    np.matmul(batch, model.W1, out=work.hidden)
+    work.hidden += model.b1
+    np.matmul(work.hidden, model.W2, out=work.pre_code)
+    work.pre_code += model.b2
+    np.maximum(work.pre_code, 0.0, out=work.code)
+    np.matmul(work.code, model.W3, out=work.recon)
+    work.recon += model.b3
+    probs = np.matmul(work.code, model.W4, out=work.probs)
+    probs += model.b4
+    probs -= probs.max(axis=1, keepdims=True, out=work.column)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True, out=work.column)
 
 
 def forward_batch(model: AEModel, batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -137,14 +178,23 @@ def forward_batch(model: AEModel, batch) -> tuple[np.ndarray, np.ndarray, np.nda
         raise ValueError(
             f"batch shape {batch.shape} incompatible with input_dim {model.config.input_dim}"
         )
-    _, _, code, recon, probs = _forward_cache(model, batch)
-    return recon, probs, code
+    work = _Workspace(model, len(batch))
+    _forward_cache(model, batch, work)
+    return work.recon, work.probs, work.code
 
 
-def _mean_losses_network(batch: np.ndarray, labels: np.ndarray, cache):
-    _, _, _, recon, probs = cache
-    l_rec = float(((recon - batch) ** 2).mean())
-    l_cls = float(-np.log(probs[np.arange(len(labels)), labels]).mean())
+def _loss_sums(batch: np.ndarray, work: _Workspace, picked: np.ndarray) -> float:
+    """Squared-error sum of a forward pass; each row's label probability goes to ``picked``."""
+    sq = np.subtract(work.recon, batch, out=work.resid)
+    np.square(sq, out=sq)
+    np.take(work.probs, work.picked, out=picked, mode="clip")
+    return np.add.reduce(sq, axis=None)
+
+
+def _mean_losses_network(sq_sum, picked: np.ndarray, size: int):
+    """(rec, cls, total) from ``_loss_sums``' parts; a leading epoch axis gives one per epoch."""
+    l_rec = sq_sum / size
+    l_cls = -np.log(picked).mean(axis=-1)
     return l_rec, l_cls, l_rec + l_cls
 
 
@@ -152,44 +202,56 @@ def mean_losses(model: AEModel, X, y) -> tuple[float, float, float]:
     """Mean (rec, cls, total) losses over raw rows, standardized with the model stats."""
     X, labels = check_train_input(X, y, minimum=1)
     batch = standardize(X, model.input_mean, model.input_scale)
-    return _mean_losses_network(batch, labels, _forward_cache(model, batch))
+    work = _Workspace(model, len(batch), labels)
+    _forward_cache(model, batch, work)
+    picked = np.empty(len(batch))
+    losses = _mean_losses_network(_loss_sums(batch, work, picked), picked, batch.size)
+    return tuple(float(loss) for loss in losses)
 
 
-def _backward(model: AEModel, batch: np.ndarray, labels: np.ndarray, cache) -> list[np.ndarray]:
-    """Gradients of the mean total loss from a forward cache, in ``_PARAM_NAMES`` order."""
+def _backward(model: AEModel, batch: np.ndarray, work: _Workspace) -> None:
+    """Gradients of the mean total loss after ``_forward_cache``, into ``work.grads``."""
     n, d = batch.shape
-    hidden, pre_code, code, recon, probs = cache
-    d_recon = (2.0 / (n * d)) * (recon - batch)
-    one_hot = np.zeros_like(probs)
-    one_hot[np.arange(n), labels] = 1.0
-    d_logits = (1.0 / n) * (probs - one_hot)
+    g_W1, g_b1, g_W2, g_b2, g_W3, g_b3, g_W4, g_b4 = work.grads
+    d_recon = np.subtract(work.recon, batch, out=work.resid)
+    d_recon *= 2.0 / (n * d)
+    d_logits = np.subtract(work.probs, work.one_hot, out=work.d_logits)
+    d_logits *= 1.0 / n
 
-    d_code = d_recon @ model.W3.T + d_logits @ model.W4.T
-    d_pre = d_code * (pre_code > 0.0)
-    d_hidden = d_pre @ model.W2.T
-    return [
-        batch.T @ d_hidden, d_hidden.sum(axis=0),
-        hidden.T @ d_pre, d_pre.sum(axis=0),
-        code.T @ d_recon, d_recon.sum(axis=0),
-        code.T @ d_logits, d_logits.sum(axis=0),
-    ]
+    d_code = np.matmul(d_recon, model.W3.T, out=work.d_code)
+    d_code += np.matmul(d_logits, model.W4.T, out=work.d_code_cls)
+    d_code *= np.greater(work.pre_code, 0.0, out=work.active)  # now d_pre
+    d_hidden = np.matmul(d_code, model.W2.T, out=work.d_hidden)
+    np.matmul(batch.T, d_hidden, out=g_W1)
+    d_hidden.sum(axis=0, out=g_b1)
+    np.matmul(work.hidden.T, d_code, out=g_W2)
+    d_code.sum(axis=0, out=g_b2)
+    np.matmul(work.code.T, d_recon, out=g_W3)
+    d_recon.sum(axis=0, out=g_b3)
+    np.matmul(work.code.T, d_logits, out=g_W4)
+    d_logits.sum(axis=0, out=g_b4)
 
 
 def gradients(model: AEModel, X, y) -> dict[str, np.ndarray]:
     """Analytic gradients of the mean total loss over a network-space batch."""
     batch, labels = check_train_input(X, y, minimum=1)
-    grads = _backward(model, batch, labels, _forward_cache(model, batch))
-    return dict(zip(_PARAM_NAMES, grads))
+    work = _Workspace(model, len(batch), labels)
+    _forward_cache(model, batch, work)
+    _backward(model, batch, work)
+    return dict(zip(_PARAM_NAMES, work.grads))
 
 
 def train(X, y, config: AEConfig) -> tuple[AEModel, TrainTrace]:
     """Full-batch Adam on the joint loss; bit-reproducible given (data, config).
 
-    Each epoch runs one forward pass: its cache gives both the epoch's trace
-    entry and the gradients. The parameters live in one flat vector that
-    ``W1..b4`` view, so one Adam step is a few whole-vector operations. They
-    are element-wise, in the same order as a per-parameter update, so the
-    result is the same to the bit.
+    Every array an epoch writes is made once per fit: the forward and
+    backward passes fill a ``_Workspace``, whose gradients are views of one
+    flat vector, and the weights ``W1..b4`` are views of another. Adam updates
+    its two moments and the weights in place through two scratch vectors. An
+    epoch keeps only its squared-error sum and each row's label probability;
+    the trace's means are taken once after the loop. Each expression is the
+    one a per-parameter update with fresh temporaries evaluates, in the same
+    order, so weights and trace are the same to the bit.
     """
     X, labels = check_train_input(X, y)
     if X.shape[1] != config.input_dim:
@@ -198,29 +260,37 @@ def train(X, y, config: AEConfig) -> tuple[AEModel, TrainTrace]:
 
     model = init_model(config)
     model.input_mean, model.input_scale = mean, scale
-    initial = model.parameters()
-    flat = np.concatenate([p.ravel() for p in initial.values()])
-    offset = 0
-    for name, param in initial.items():
-        setattr(model, name, flat[offset : offset + param.size].reshape(param.shape))
-        offset += param.size
+    initial = model.parameters().values()
+    flat = np.concatenate([param.ravel() for param in initial])
+    for name, view in zip(_PARAM_NAMES, _views(flat, [param.shape for param in initial])):
+        setattr(model, name, view)
 
-    moment1 = np.zeros_like(flat)
-    moment2 = np.zeros_like(flat)
-    history = np.empty((3, config.epochs))  # rec, cls, total
+    work = _Workspace(model, len(batch), labels)
+    g = work.grad
+    moment1, moment2 = np.zeros_like(flat), np.zeros_like(flat)
+    scratch1, scratch2 = np.empty_like(flat), np.empty_like(flat)
+    sq_sums = np.empty(config.epochs)
+    picked = np.empty((config.epochs, len(batch)))
 
     for epoch in range(config.epochs):
-        cache = _forward_cache(model, batch)
-        history[:, epoch] = _mean_losses_network(batch, labels, cache)
-        g = np.concatenate([grad.ravel() for grad in _backward(model, batch, labels, cache)])
+        _forward_cache(model, batch, work)
+        sq_sums[epoch] = _loss_sums(batch, work, picked[epoch])
+        _backward(model, batch, work)
         step = epoch + 1
-        moment1 = ADAM_BETA1 * moment1 + (1.0 - ADAM_BETA1) * g
-        moment2 = ADAM_BETA2 * moment2 + (1.0 - ADAM_BETA2) * g * g
-        m_hat = moment1 / (1.0 - ADAM_BETA1**step)
-        v_hat = moment2 / (1.0 - ADAM_BETA2**step)
-        flat -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        moment1 *= ADAM_BETA1
+        moment1 += np.multiply(1.0 - ADAM_BETA1, g, out=scratch1)
+        moment2 *= ADAM_BETA2
+        np.multiply(1.0 - ADAM_BETA2, g, out=scratch2)
+        moment2 += np.multiply(scratch2, g, out=scratch2)
+        m_hat = np.divide(moment1, 1.0 - ADAM_BETA1**step, out=scratch1)
+        v_hat = np.divide(moment2, 1.0 - ADAM_BETA2**step, out=scratch2)
+        m_hat *= config.learning_rate
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += ADAM_EPS
+        m_hat /= v_hat
+        flat -= m_hat
 
-    return model, TrainTrace(*history)
+    return model, TrainTrace(*_mean_losses_network(sq_sums, picked, batch.size))
 
 
 def predict(model: AEModel, X) -> np.ndarray:

@@ -197,8 +197,8 @@ def train_lasso(X, y, lam: float = 0.1, iters: int = 1000) -> LinearModel:
     sweeps; ``iters`` bounds the number of full sweeps, and a sweep that
     moves no weight by LASSO_TOL or more is the last.
     """
-    if lam < 0.0:
-        raise ValueError("lam must be >= 0")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
     X, y = check_train_input(X, y)
     Xs, mean, scale = standardize_fit(X)
     n, p = Xs.shape

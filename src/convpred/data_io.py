@@ -94,8 +94,8 @@ class GenConfig:
             raise ValidationError("pull_rate_easy must be in (0, 1]")
         if not 0.0 <= self.pull_rate_hard < 1.0:
             raise ValidationError("pull_rate_hard must be in [0, 1)")
-        if self.noise_sigma < 0.0:
-            raise ValidationError("noise_sigma must be >= 0")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValidationError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if not 0.0 < self.pull_decay <= 1.0:
             raise ValidationError("pull_decay must be in (0, 1]")
         if self.seed < 0:

@@ -27,6 +27,7 @@ matches cells on the last four fields, and a trainer's error names its cell.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,9 +127,17 @@ class EvalSettings:
     n_trees: int = 100
 
     def __post_init__(self):
-        # a setting every forest cell shares is an error before any cell runs
+        # a setting every cell of its trainer shares is an error before any cell runs
         if self.n_trees < 1:
             raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
+        if self.ae_epochs < 1:
+            raise ValueError(f"ae_epochs must be >= 1, got {self.ae_epochs}")
+        if not 0.0 < self.ae_learning_rate < math.inf:
+            raise ValueError(
+                f"ae_learning_rate must be finite and > 0, got {self.ae_learning_rate}"
+            )
+        if not 0.0 <= self.lasso_lambda < math.inf:
+            raise ValueError(f"lasso_lambda must be finite and >= 0, got {self.lasso_lambda}")
 
 
 def split_conversations(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,9 @@ class TestConfig:
             AEConfig(input_dim=0)
         with pytest.raises(ValueError):
             AEConfig(input_dim=4, learning_rate=0.0)
+        for lr in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
+                AEConfig(input_dim=4, learning_rate=lr)
         with pytest.raises(ValueError):
             AEConfig(input_dim=4, epochs=0)
 
@@ -180,6 +184,19 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(np.zeros((0, 4)), [], AEConfig(input_dim=4))
 
+    def test_wide_fit_keeps_no_per_epoch_arrays(self):
+        """100 epochs of a 140 x 288 batch would be 32 MB as an (epochs, n, d) record."""
+        rng = np.random.default_rng(14)
+        X = rng.standard_normal((140, 288))
+        y = np.arange(140) % 2
+        tracemalloc.start()
+        try:
+            train(X, y, AEConfig(input_dim=288, epochs=100))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000, f"peak {peak} bytes"
+
 
 def _assert_same_training(X, y, config):
     model, trace = train(X, y, config)
@@ -216,6 +233,26 @@ class TestTrainOracle:
         X[:, 3] = 2.0  # a constant column keeps scale 1
         y = rng.integers(0, 2, size=17)
         _assert_same_training(X, y, AEConfig(input_dim=12, epochs=20, seed=4, **overrides))
+
+    def test_matches_at_the_smallest_shape(self):
+        X = np.array([[0.5], [-1.5]])
+        config = AEConfig(input_dim=1, hidden_dim=1, bottleneck_dim=1, epochs=1, seed=2)
+        _assert_same_training(X, [0, 1], config)
+
+    def test_consecutive_fits_share_no_state(self):
+        rng = np.random.default_rng(21)
+        X, y = rng.standard_normal((9, 5)), np.arange(9) % 2
+        config = AEConfig(input_dim=5, epochs=15, seed=3)
+        first, first_trace = train(X, y, config)
+        kept = {name: param.copy() for name, param in first.parameters().items()}
+        train(rng.standard_normal((6, 3)), np.arange(6) % 2, AEConfig(input_dim=3, epochs=4))
+        second, second_trace = train(X, y, config)
+        for name, param in second.parameters().items():
+            assert np.array_equal(param, kept[name]), name
+            assert np.array_equal(getattr(first, name), kept[name]), name
+        for name in ("rec", "cls", "total"):
+            assert np.array_equal(getattr(first_trace, name), getattr(second_trace, name)), name
+        _assert_same_training(X, y, config)
 
     @given(
         st.integers(2, 30), st.integers(1, 40), st.integers(1, 12), st.integers(0, 2**32 - 1)

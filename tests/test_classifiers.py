@@ -158,6 +158,11 @@ class TestLasso:
         with pytest.raises(ValueError):
             train_lasso(np.zeros((3, 2)), [0, 1, 0], lam=-1.0)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_lambda(self, lam):
+        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+            train_lasso(np.zeros((3, 2)), [0, 1, 0], lam=lam)
+
 
 def leaf_forest(counts, n_features):
     """A forest of one-leaf trees, one per (label 0, label 1) count pair."""

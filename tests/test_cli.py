@@ -43,6 +43,15 @@ class TestGen:
         assert main(["gen", *GEN_ARGS, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_names_the_setting(self, tmp_path, capsys, sigma):
+        out = tmp_path / "runs.jsonl"
+        assert main(["gen", "--n", "3", "--sigma", sigma, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: noise_sigma must be finite and >= 0, got {sigma}\n"
+        )
+        assert not out.exists()
+
 
 class TestLabelAndScenario:
     def test_label_output(self, workspace):
@@ -197,6 +206,23 @@ class TestEvalInputErrors:
         assert code == 1
         assert capsys.readouterr().err == f"error: n_trees must be >= 1, got {n_trees}\n"
 
+    @pytest.mark.parametrize("row, option, value, message", [
+        ("ae", "--lr", "nan", "ae_learning_rate must be finite and > 0, got nan"),
+        ("ae", "--lr", "inf", "ae_learning_rate must be finite and > 0, got inf"),
+        ("ae", "--epochs", "0", "ae_epochs must be >= 1, got 0"),
+        ("lasso", "--lasso-lambda", "nan", "lasso_lambda must be finite and >= 0, got nan"),
+        ("lasso", "--lasso-lambda", "inf", "lasso_lambda must be finite and >= 0, got inf"),
+    ], ids=["lr-nan", "lr-inf", "epochs-0", "lambda-nan", "lambda-inf"])
+    def test_training_setting_named_before_any_cell(self, workspace, tmp_path, capsys,
+                                                    row, option, value, message):
+        _, runs_path, labels_path = workspace
+        predictor, classifier = ("ae", "ae-head") if row == "ae" else ("apr", "lasso")
+        code = self._eval(tmp_path, runs_path, "--labels", str(labels_path), "--predictor", predictor,
+                          "--classifier", classifier, "--pairs", "2-2", option, value)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "r.csv").exists()
+
     def test_depth_below_the_kind_minimum(self, workspace, tmp_path, capsys):
         _, runs_path, labels_path = workspace
         first = read_runs(runs_path)[0].conversation_id
@@ -326,6 +352,18 @@ class TestPairsOption:
         assert captured.out == ""
         assert captured.err == _bad_pairs_error(pairs)
         assert not outdir.exists()
+
+
+def test_protocol_script_rejects_zero_epochs(tmp_path, capsys, monkeypatch):
+    module = _load_protocol_script()
+    outdir = tmp_path / "out"
+    monkeypatch.setattr("sys.argv", ["run_protocol.py", "--n", "12", "--pairs", "2-2",
+                                     "--epochs", "0", "--outdir", str(outdir)])
+    assert module.main() == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ae_epochs must be >= 1, got 0\n"
+    assert not outdir.exists()
 
 
 class TestCutoffsOption:

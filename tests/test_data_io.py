@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -42,6 +43,8 @@ class TestGenConfig:
             {"pull_rate_hard": 1.0},
             {"noise_sigma": -0.1},
             {"pull_decay": 0.0},
+            {"noise_sigma": math.nan},
+            {"noise_sigma": math.inf},
         ],
     )
     def test_bad_rates(self, kwargs):
