@@ -4,9 +4,11 @@
 Generates a calibration-scale run set, labels it, induces the missing-target
 scenario, trains one classifier per turn pair for a grid of predictor rows,
 and renders an accuracy grid per scenario plus a McNemar comparison of the
-autoencoder against the strongest baseline row. Takes under a minute at the
-default scale (15-17 s and 125 MB peak RSS on a 2-core machine with one
-BLAS thread); everything is seeded and reproducible.
+autoencoder against the strongest baseline row. Both scenarios are evaluated
+together, so that each turn pair's cells of a grid row train as one stack.
+Takes under a minute at the default scale (11.4-12.6 s and 128 MB peak RSS
+on a 2-core machine with one BLAS thread); everything is seeded and
+reproducible.
 
 Usage:
     python scripts/run_protocol.py --seed 7 --outdir out/
@@ -40,28 +42,51 @@ GRID = [
 LABEL_WIDTH = max(len(f"{predictor}/{classifier}") for predictor, classifier in GRID)
 
 
-def split_for(runs, labels, seed):
-    """The seeded stratified split; its warnings go to stderr."""
-    split = evaluation.split_conversations(
+def warn(warnings):
+    for warning in warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+
+
+def split_of(runs, labels, seed):
+    """The seeded stratified split."""
+    return evaluation.split_conversations(
         [r.conversation_id for r in runs], labels.final_labels(), seed=seed
     )
-    for warning in split.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+
+
+def split_for(runs, labels, seed):
+    """The seeded stratified split; its warnings go to stderr."""
+    split = split_of(runs, labels, seed)
+    warn(split.warnings)
     return split
 
 
-def evaluate_scenario(runs, labels, split, seed, pairs, settings, streams):
-    combined = evaluation.EvalReport()
+def evaluate_scenarios(scenarios, seed, pairs, settings, streams):
+    """One report per (runs, labels, split) scenario over every grid row.
+
+    Each grid row evaluates all scenarios in one call, so that their cells of
+    a pair train as one stack.
+    """
+    runs, labels, splits = zip(*scenarios)
+    reports = [evaluation.EvalReport() for _ in scenarios]
     for predictor, classifier in GRID:
         report = evaluation.run_turn_pair(
-            runs, labels, predictor, classifier, split,
+            runs, labels, predictor, classifier, splits,
             pairs=pairs, settings=settings, seed=seed, streams=streams,
         )
-        mean_acc = np.mean([row.accuracy for row in report.rows])
+        for combined, label_set in zip(reports, labels):
+            combined.extend(report.of_scenario(label_set.scenario))
+    return reports
+
+
+def print_means(report):
+    """One line per grid row: its mean accuracy over the report's pairs."""
+    for predictor, classifier in GRID:
+        accuracies = [row.accuracy for row in report.rows
+                      if (row.predictor, row.classifier) == (predictor, classifier)]
         label = f"{predictor}/{classifier}"
-        print(f"  {label:{LABEL_WIDTH}s} [{labels.scenario}] mean accuracy {mean_acc:.3f}")
-        combined.extend(report)
-    return combined
+        print(f"  {label:{LABEL_WIDTH}s} [{report.rows[0].scenario}] mean accuracy "
+              f"{np.mean(accuracies):.3f}")
 
 
 def mcnemar_vs_best_baseline(report):
@@ -116,28 +141,29 @@ def run(args) -> int:
 
     base_labels = scenario.label_runs(runs, cutoff=100)
     base_split = split_for(runs, base_labels, args.seed)
-    # one tree-substream store for the grid: every forest of a turn pair has
-    # the same cell seed, so they share bootstraps and candidate draws
-    streams = classifiers.TreeStreams()
-    print("base scenario:")
-    base_report = evaluate_scenario(
-        runs, base_labels, base_split, args.seed, pairs, settings, streams
-    )
-
     modified, missing_labels = scenario.induce_missing(
         runs, base_labels, fraction=args.fraction, seed=args.seed
     )
-    print(f"missing-target scenario ({len(missing_labels.forced)} targets removed):")
-    missing_split = split_for(modified, missing_labels, args.seed)
-    missing_report = evaluate_scenario(
-        modified, missing_labels, missing_split, args.seed, pairs, settings, streams
+    missing_split = split_of(modified, missing_labels, args.seed)
+    # one tree-substream store for the grid: every forest of a turn pair, in
+    # either scenario, has the same cell seed, so they share bootstraps and
+    # candidate draws
+    streams = classifiers.TreeStreams()
+    print("base scenario:")
+    base_report, missing_report = evaluate_scenarios(
+        [(runs, base_labels, base_split), (modified, missing_labels, missing_split)],
+        args.seed, pairs, settings, streams,
     )
+    print_means(base_report)
+    print(f"missing-target scenario ({len(missing_labels.forced)} targets removed):")
+    # printed where a run that evaluates the scenarios one after another would print them
+    warn(missing_split.warnings)
+    print_means(missing_report)
 
     combined = evaluation.EvalReport()
     combined.extend(base_report)
     combined.extend(missing_report)
-    for warning in combined.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    warn(combined.warnings)
 
     # cutoff mode relabels at each cutoff; its split comes from the cutoff-100 base labels
     cutoff_report = evaluation.cutoff_sensitivity(runs, base_split, settings=settings, seed=args.seed)

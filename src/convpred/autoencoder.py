@@ -12,17 +12,18 @@ standardized per column with train-split statistics stored on the model;
 `forward_batch` and `gradients` operate in that standardized network space,
 while `mean_losses`, `train` and `predict` accept raw feature rows. Training
 input is checked and standardized by the same helpers in
-:mod:`convpred.classifiers` as the linear trainers'.
+:mod:`convpred.classifiers` as the linear trainers'. Like them, `train`
+takes a stack of problems of one shape and fits them together.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classifiers import check_train_input, standardize, standardize_fit
+from .classifiers import _stack, check_train_input, standardize, standardize_fit
 
 __all__ = [
     "AEConfig",
@@ -39,6 +40,11 @@ __all__ = [
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Problems of a stack train together while their parameters number at most this
+# many (256 KB per parameter-sized array; Adam sweeps six of them per epoch):
+# past it, one fit's arrays outgrow a core's cache and a stack trains slower
+# than its problems one at a time (measured on a 2 MB L2, 140 rows x 288 columns).
+STACK_PARAMS = 2**15
 
 _PARAM_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3", "W4", "b4")
 
@@ -115,60 +121,75 @@ def init_model(config: AEConfig) -> AEModel:
     return AEModel(config, *arrays, input_mean=np.zeros(d), input_scale=np.ones(d))
 
 
+def _shapes(config: AEConfig) -> list[tuple[int, int]]:
+    """The parameter shapes in ``_PARAM_NAMES`` order, each bias as one row."""
+    d, h, z = config.input_dim, config.hidden_dim, config.bottleneck_dim
+    return [(d, h), (1, h), (h, z), (1, z), (z, d), (1, d), (z, 2), (1, 2)]
+
+
+def _network(model: AEModel) -> list[np.ndarray]:
+    """The model's parameters as a stack of one, in the shapes of ``_shapes``."""
+    return [param.reshape((1, *shape)) for param, shape in
+            zip(model.parameters().values(), _shapes(model.config))]
+
+
 class _Workspace:
-    """Every array one forward pass over an n-row batch writes and, given the
-    labels, the arrays of its losses and backward pass.
+    """Every array one forward pass over a stack of P n-row batches writes and,
+    given the labels, the arrays of its losses and backward pass.
 
     ``train`` makes one per fit and reuses it each epoch; the public functions
     make one per call, so both run the same code. ``grad`` is one flat vector
-    that ``grads`` view in ``_PARAM_NAMES`` order.
+    per problem, which ``grads`` view in ``_PARAM_NAMES`` order.
     """
 
-    def __init__(self, model: AEModel, n: int, labels=None):
-        config = model.config
+    def __init__(self, config: AEConfig, P: int, n: int, labels=None):
         d, h, z = config.input_dim, config.hidden_dim, config.bottleneck_dim
-        self.hidden, self.recon = np.empty((n, h)), np.empty((n, d))
-        self.pre_code, self.code = np.empty((n, z)), np.empty((n, z))
-        self.probs, self.column = np.empty((n, 2)), np.empty((n, 1))
+        self.hidden, self.recon = np.empty((P, n, h)), np.empty((P, n, d))
+        self.pre_code, self.code = np.empty((P, n, z)), np.empty((P, n, z))
+        self.probs, self.column = np.empty((P, n, 2)), np.empty((P, n, 1))
         if labels is None:
             return
-        rows = np.arange(n)
-        self.one_hot = np.zeros((n, 2))
-        self.one_hot[rows, labels] = 1.0
-        self.picked = 2 * rows + labels  # flat index of each row's label probability
-        self.resid, self.d_hidden = np.empty((n, d)), np.empty((n, h))
-        self.d_code, self.d_code_cls = np.empty((n, z)), np.empty((n, z))
-        self.d_logits = np.empty((n, 2))
-        self.active = np.empty((n, z), dtype=bool)
-        shapes = [param.shape for param in model.parameters().values()]
-        self.grad = np.empty(sum(math.prod(shape) for shape in shapes))
+        self.one_hot = np.stack([labels == 0, labels == 1], axis=-1).astype(np.float64)
+        # flat index of each row's label probability
+        self.picked = 2 * np.arange(P * n).reshape(P, n) + labels
+        self.resid, self.d_hidden = np.empty((P, n, d)), np.empty((P, n, h))
+        self.d_code, self.d_code_cls = np.empty((P, n, z)), np.empty((P, n, z))
+        self.d_logits = np.empty((P, n, 2))
+        self.active = np.empty((P, n, z), dtype=bool)
+        shapes = _shapes(config)
+        self.grad = np.empty((P, sum(math.prod(shape) for shape in shapes)))
         self.grads = _views(self.grad, shapes)
 
 
 def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Consecutive reshaped views of a flat vector."""
+    """Consecutive reshaped views of a flat vector, or of each row of a stack of them."""
     views, offset = [], 0
     for shape in shapes:
         size = math.prod(shape)
-        views.append(flat[offset : offset + size].reshape(shape))
+        views.append(flat[..., offset : offset + size].reshape(flat.shape[:-1] + shape))
         offset += size
     return views
 
 
-def _forward_cache(model: AEModel, batch: np.ndarray, work: _Workspace) -> None:
-    """Fill ``work.hidden``, ``pre_code``, ``code``, ``recon`` and ``probs`` (softmax)."""
-    np.matmul(batch, model.W1, out=work.hidden)
-    work.hidden += model.b1
-    np.matmul(work.hidden, model.W2, out=work.pre_code)
-    work.pre_code += model.b2
+def _forward_cache(net, batch: np.ndarray, work: _Workspace) -> None:
+    """Fill ``work.hidden``, ``pre_code``, ``code``, ``recon`` and ``probs`` (softmax).
+
+    ``net`` holds the eight parameters of a stack, each with a leading
+    problem axis before the shape ``_shapes`` gives it.
+    """
+    W1, b1, W2, b2, W3, b3, W4, b4 = net
+    np.matmul(batch, W1, out=work.hidden)
+    work.hidden += b1
+    np.matmul(work.hidden, W2, out=work.pre_code)
+    work.pre_code += b2
     np.maximum(work.pre_code, 0.0, out=work.code)
-    np.matmul(work.code, model.W3, out=work.recon)
-    work.recon += model.b3
-    probs = np.matmul(work.code, model.W4, out=work.probs)
-    probs += model.b4
-    probs -= probs.max(axis=1, keepdims=True, out=work.column)
+    np.matmul(work.code, W3, out=work.recon)
+    work.recon += b3
+    probs = np.matmul(work.code, W4, out=work.probs)
+    probs += b4
+    probs -= probs.max(axis=2, keepdims=True, out=work.column)
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=1, keepdims=True, out=work.column)
+    probs /= probs.sum(axis=2, keepdims=True, out=work.column)
 
 
 def forward_batch(model: AEModel, batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -178,21 +199,22 @@ def forward_batch(model: AEModel, batch) -> tuple[np.ndarray, np.ndarray, np.nda
         raise ValueError(
             f"batch shape {batch.shape} incompatible with input_dim {model.config.input_dim}"
         )
-    work = _Workspace(model, len(batch))
-    _forward_cache(model, batch, work)
-    return work.recon, work.probs, work.code
+    work = _Workspace(model.config, 1, len(batch))
+    _forward_cache(_network(model), batch[None], work)
+    return work.recon[0], work.probs[0], work.code[0]
 
 
-def _loss_sums(batch: np.ndarray, work: _Workspace, picked: np.ndarray) -> float:
-    """Squared-error sum of a forward pass; each row's label probability goes to ``picked``."""
+def _loss_sums(batch: np.ndarray, work: _Workspace, picked: np.ndarray) -> np.ndarray:
+    """Each problem's squared-error sum of a forward pass; each row's label
+    probability goes to ``picked``."""
     sq = np.subtract(work.recon, batch, out=work.resid)
     np.square(sq, out=sq)
     np.take(work.probs, work.picked, out=picked, mode="clip")
-    return np.add.reduce(sq, axis=None)
+    return np.add.reduce(sq.reshape(len(sq), -1), axis=1)
 
 
 def _mean_losses_network(sq_sum, picked: np.ndarray, size: int):
-    """(rec, cls, total) from ``_loss_sums``' parts; a leading epoch axis gives one per epoch."""
+    """(rec, cls, total) from ``_loss_sums``' parts; leading axes give one per epoch or problem."""
     l_rec = sq_sum / size
     l_cls = -np.log(picked).mean(axis=-1)
     return l_rec, l_cls, l_rec + l_cls
@@ -201,81 +223,109 @@ def _mean_losses_network(sq_sum, picked: np.ndarray, size: int):
 def mean_losses(model: AEModel, X, y) -> tuple[float, float, float]:
     """Mean (rec, cls, total) losses over raw rows, standardized with the model stats."""
     X, labels = check_train_input(X, y, minimum=1)
-    batch = standardize(X, model.input_mean, model.input_scale)
-    work = _Workspace(model, len(batch), labels)
-    _forward_cache(model, batch, work)
-    picked = np.empty(len(batch))
-    losses = _mean_losses_network(_loss_sums(batch, work, picked), picked, batch.size)
-    return tuple(float(loss) for loss in losses)
+    batch = standardize(X, model.input_mean, model.input_scale)[None]
+    work = _Workspace(model.config, 1, len(X), labels[None])
+    _forward_cache(_network(model), batch, work)
+    picked = np.empty((1, len(X)))
+    losses = _mean_losses_network(_loss_sums(batch, work, picked), picked, X.size)
+    return tuple(float(loss[0]) for loss in losses)
 
 
-def _backward(model: AEModel, batch: np.ndarray, work: _Workspace) -> None:
-    """Gradients of the mean total loss after ``_forward_cache``, into ``work.grads``."""
-    n, d = batch.shape
+def _backward(net, batch: np.ndarray, work: _Workspace) -> None:
+    """Gradients of each problem's mean total loss after ``_forward_cache``, into ``work.grads``."""
+    _, n, d = batch.shape
+    _, _, W2, _, W3, _, W4, _ = net
     g_W1, g_b1, g_W2, g_b2, g_W3, g_b3, g_W4, g_b4 = work.grads
     d_recon = np.subtract(work.recon, batch, out=work.resid)
     d_recon *= 2.0 / (n * d)
     d_logits = np.subtract(work.probs, work.one_hot, out=work.d_logits)
     d_logits *= 1.0 / n
 
-    d_code = np.matmul(d_recon, model.W3.T, out=work.d_code)
-    d_code += np.matmul(d_logits, model.W4.T, out=work.d_code_cls)
+    d_code = np.matmul(d_recon, W3.swapaxes(1, 2), out=work.d_code)
+    d_code += np.matmul(d_logits, W4.swapaxes(1, 2), out=work.d_code_cls)
     d_code *= np.greater(work.pre_code, 0.0, out=work.active)  # now d_pre
-    d_hidden = np.matmul(d_code, model.W2.T, out=work.d_hidden)
-    np.matmul(batch.T, d_hidden, out=g_W1)
-    d_hidden.sum(axis=0, out=g_b1)
-    np.matmul(work.hidden.T, d_code, out=g_W2)
-    d_code.sum(axis=0, out=g_b2)
-    np.matmul(work.code.T, d_recon, out=g_W3)
-    d_recon.sum(axis=0, out=g_b3)
-    np.matmul(work.code.T, d_logits, out=g_W4)
-    d_logits.sum(axis=0, out=g_b4)
+    d_hidden = np.matmul(d_code, W2.swapaxes(1, 2), out=work.d_hidden)
+    np.matmul(batch.swapaxes(1, 2), d_hidden, out=g_W1)
+    d_hidden.sum(axis=1, keepdims=True, out=g_b1)
+    np.matmul(work.hidden.swapaxes(1, 2), d_code, out=g_W2)
+    d_code.sum(axis=1, keepdims=True, out=g_b2)
+    np.matmul(work.code.swapaxes(1, 2), d_recon, out=g_W3)
+    d_recon.sum(axis=1, keepdims=True, out=g_b3)
+    np.matmul(work.code.swapaxes(1, 2), d_logits, out=g_W4)
+    d_logits.sum(axis=1, keepdims=True, out=g_b4)
 
 
 def gradients(model: AEModel, X, y) -> dict[str, np.ndarray]:
     """Analytic gradients of the mean total loss over a network-space batch."""
     batch, labels = check_train_input(X, y, minimum=1)
-    work = _Workspace(model, len(batch), labels)
-    _forward_cache(model, batch, work)
-    _backward(model, batch, work)
-    return dict(zip(_PARAM_NAMES, work.grads))
+    work, net = _Workspace(model.config, 1, len(batch), labels[None]), _network(model)
+    _forward_cache(net, batch[None], work)
+    _backward(net, batch[None], work)
+    return {name: grad.reshape(param.shape) for (name, param), grad in
+            zip(model.parameters().items(), work.grads)}
 
 
-def train(X, y, config: AEConfig) -> tuple[AEModel, TrainTrace]:
+def train(X, y, config: AEConfig, seeds=None):
     """Full-batch Adam on the joint loss; bit-reproducible given (data, config).
+
+    Returns ``(model, trace)``. A stack of P problems, X of shape (P, n, d)
+    and y of shape (P, n), returns a list of P such pairs; ``seeds`` gives
+    each problem's initialization seed (all ``config.seed`` when None), and
+    each problem's model carries its seed in its config. The problems run
+    every epoch's forward, backward and Adam steps together, in groups of
+    at most ``STACK_PARAMS`` parameters (one problem at a time past it).
 
     Every array an epoch writes is made once per fit: the forward and
     backward passes fill a ``_Workspace``, whose gradients are views of one
-    flat vector, and the weights ``W1..b4`` are views of another. Adam updates
-    its two moments and the weights in place through two scratch vectors. An
-    epoch keeps only its squared-error sum and each row's label probability;
-    the trace's means are taken once after the loop. Each expression is the
-    one a per-parameter update with fresh temporaries evaluates, in the same
-    order, so weights and trace are the same to the bit.
+    flat vector per problem, and the weights ``W1..b4`` are views of
+    another. Adam updates its two moments and the weights in place through
+    two scratch vectors. An epoch keeps only its squared-error sums and each
+    row's label probability; the trace's means are taken once after the
+    loop. Each expression is the one a per-parameter update of one problem
+    with fresh temporaries evaluates, in the same order, so weights and
+    trace are the same to the bit.
     """
-    X, labels = check_train_input(X, y)
-    if X.shape[1] != config.input_dim:
-        raise ValueError(f"feature width {X.shape[1]} does not match input_dim {config.input_dim}")
+    X, labels, stacked = _stack(*check_train_input(X, y))
+    P, n, d = X.shape
+    if d != config.input_dim:
+        raise ValueError(f"feature width {d} does not match input_dim {config.input_dim}")
+    seeds = [config.seed] * P if seeds is None else list(seeds)
+    if len(seeds) != P:
+        raise ValueError(f"{len(seeds)} seeds for a stack of {P} problems")
     batch, mean, scale = standardize_fit(X)
 
-    model = init_model(config)
-    model.input_mean, model.input_scale = mean, scale
-    initial = model.parameters().values()
-    flat = np.concatenate([param.ravel() for param in initial])
-    for name, view in zip(_PARAM_NAMES, _views(flat, [param.shape for param in initial])):
-        setattr(model, name, view)
+    models = [init_model(replace(config, seed=seed)) for seed in seeds]
+    flat = np.stack([
+        np.concatenate([param.ravel() for param in model.parameters().values()]) for model in models
+    ])
+    public = [param.shape for param in models[0].parameters().values()]
+    for model, row, row_mean, row_scale in zip(models, flat, mean, scale):
+        for name, view in zip(_PARAM_NAMES, _views(row, public)):
+            setattr(model, name, view)
+        model.input_mean, model.input_scale = row_mean, row_scale
+    sq_sums = np.empty((config.epochs, P))
+    picked = np.empty((config.epochs, P, n))
+    group = max(1, STACK_PARAMS // flat.shape[1])
+    for lo in range(0, P, group):
+        part = slice(lo, lo + group)
+        _adam(flat[part], batch[part], labels[part], config, sq_sums[:, part], picked[:, part])
+    losses = [loss.T for loss in _mean_losses_network(sq_sums, picked, n * d)]
+    fits = [(model, TrainTrace(*(loss[p] for loss in losses))) for p, model in enumerate(models)]
+    return fits if stacked else fits[0]
 
-    work = _Workspace(model, len(batch), labels)
+
+def _adam(flat, batch, labels, config: AEConfig, sq_sums, picked) -> None:
+    """Run ``config.epochs`` Adam steps on a stack's flat weights in place,
+    writing each epoch's squared-error sums and label probabilities."""
+    net = _views(flat, _shapes(config))
+    work = _Workspace(config, *labels.shape, labels)
     g = work.grad
     moment1, moment2 = np.zeros_like(flat), np.zeros_like(flat)
     scratch1, scratch2 = np.empty_like(flat), np.empty_like(flat)
-    sq_sums = np.empty(config.epochs)
-    picked = np.empty((config.epochs, len(batch)))
-
     for epoch in range(config.epochs):
-        _forward_cache(model, batch, work)
+        _forward_cache(net, batch, work)
         sq_sums[epoch] = _loss_sums(batch, work, picked[epoch])
-        _backward(model, batch, work)
+        _backward(net, batch, work)
         step = epoch + 1
         moment1 *= ADAM_BETA1
         moment1 += np.multiply(1.0 - ADAM_BETA1, g, out=scratch1)
@@ -289,8 +339,6 @@ def train(X, y, config: AEConfig) -> tuple[AEModel, TrainTrace]:
         v_hat += ADAM_EPS
         m_hat /= v_hat
         flat -= m_hat
-
-    return model, TrainTrace(*_mean_losses_network(sq_sums, picked, batch.size))
 
 
 def predict(model: AEModel, X) -> np.ndarray:

@@ -6,6 +6,13 @@ Every trainer, the autoencoder's included, checks its input with
 :func:`standardize_fit`: logistic regression, the L1 classifier and the
 autoencoder. The forest does not: its splits depend only on the order of
 each column's values.
+
+Every trainer also takes a stack of P problems of equal row count and width,
+X of shape (P, n, F) and y of shape (P, n), and fits them in one pass; a 2-D
+X is a stack of one and runs the same code. Each problem's model is bit for
+bit the one a fit of that problem alone gives. A stacked call returns a list
+of models, one per problem, except the forest's: a :class:`Forest` holds
+the trees of every problem of its stack.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ __all__ = [
     "TreeNode",
     "Forest",
     "TreeStreams",
+    "ProblemError",
     "check_train_input",
     "standardize_fit",
     "standardize",
@@ -54,12 +62,13 @@ class LinearModel:
 class Forest:
     """Every tree of a forest as parallel node arrays, the layout of scikit-learn's ``tree_``.
 
-    Tree t starts at node ``roots[t]``. Node i is a leaf when ``feature[i]``
-    is -1; otherwise rows with ``X[:, feature[i]] < threshold[i]`` go to node
-    ``left[i]`` and the rest, NaN included, to ``right[i]``. ``counts[i]``
-    holds the node's (label 0, label 1) bootstrap counts. A leaf predicts
-    the larger count, an equal count giving 0, and the forest the majority
-    of its trees' votes, an exact tie giving 0.
+    Tree t starts at node ``roots[t]``; the forests of a stack of P problems
+    share the node arrays, and ``roots`` is (P, n_trees). Node i is a leaf
+    when ``feature[i]`` is -1; otherwise rows with ``X[:, feature[i]] <
+    threshold[i]`` go to node ``left[i]`` and the rest, NaN included, to
+    ``right[i]``. ``counts[i]`` holds the node's (label 0, label 1) bootstrap
+    counts. A leaf predicts the larger count, an equal count giving 0, and
+    the forest the majority of its trees' votes, an exact tie giving 0.
     """
 
     roots: np.ndarray
@@ -72,8 +81,8 @@ class Forest:
 
     @property
     def trees(self) -> list["TreeNode"]:
-        """A cursor on each tree's root, in tree order."""
-        return [TreeNode(self, int(root)) for root in self.roots]
+        """A cursor on each tree's root, in tree order (problem by problem in a stack)."""
+        return [TreeNode(self, int(root)) for root in self.roots.ravel()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,6 +126,14 @@ LOGISTIC_ITERS = 500
 LASSO_TOL = 1e-12  # a sweep moving no weight by this much ends coordinate descent
 
 
+class ProblemError(ValueError):
+    """A trainer's error about one problem of a stack; ``problem`` is its index."""
+
+    def __init__(self, problem: int, message: str):
+        super().__init__(message)
+        self.problem = problem
+
+
 def _as_rows(X, width: int | None = None) -> np.ndarray:
     """X as float64 rows (a 1-D X is one column), ``width`` columns wide if given."""
     X = np.asarray(X, dtype=np.float64)
@@ -129,28 +146,47 @@ def _as_rows(X, width: int | None = None) -> np.ndarray:
 def check_train_input(X, y, minimum: int = 2) -> tuple[np.ndarray, np.ndarray]:
     """Training rows as a float64 matrix (a 1-D X is one column) and labels as int64.
 
-    Raises ValueError unless there are at least ``minimum`` rows, one label
-    per row and every label is 0 or 1.
+    A 3-D X is a stack of P such matrices of one shape, with labels of shape
+    (P, n). Raises ValueError unless there are at least ``minimum`` rows,
+    one label per row and every label is 0 or 1.
     """
     X = _as_rows(X)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("training data must be a non-empty 2-D array")
-    if X.shape[0] < minimum:
+    if X.ndim not in (2, 3) or 0 in X.shape[:-1]:
+        raise ValueError("training data must be a non-empty 2-D array or a stack of them")
+    if X.shape[-2] < minimum:
         raise ValueError(f"training needs at least {minimum} sample(s)")
     y = np.asarray(y)
-    if y.shape != (X.shape[0],):
+    if y.shape != X.shape[:-1]:
         raise ValueError("labels must align with rows")
     if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
     return X, y.astype(np.int64)
 
 
+def _stack(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Checked training input as a stack, and whether it came as one."""
+    return (X, y, True) if X.ndim == 3 else (X[None], y[None], False)
+
+
 def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(standardized X, column means, column scales); a constant column gets scale 1."""
-    mean = X.mean(axis=0)
-    scale = X.std(axis=0)
+    """(standardized X, column means, column scales); a constant column gets scale 1.
+
+    Over a stack (P, n, F) the means and scales are (P, F), each problem's
+    own. A column whose spread is not finite (a NaN or infinite value, or
+    values whose squares overflow) raises :class:`ProblemError`, naming the
+    column and, through ``problem``, the first problem of the stack that
+    holds one.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X.mean(axis=-2)
+        scale = X.std(axis=-2)
+    bad = ~np.isfinite(scale)
+    if bad.any():
+        problem, column = np.argwhere(bad.reshape(-1, X.shape[-1]))[0]
+        value = scale.reshape(-1, X.shape[-1])[problem, column]
+        raise ProblemError(int(problem), f"column {column} has no finite spread (std {value})")
     scale[scale == 0.0] = 1.0
-    return (X - mean) / scale, mean, scale
+    return (X - mean[..., None, :]) / scale[..., None, :], mean, scale
 
 
 def standardize(X, mean: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -164,43 +200,56 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def train_logistic(X, y) -> LinearModel:
+def train_logistic(X, y) -> LinearModel | list[LinearModel]:
     """Full-batch gradient descent on the mean negative log-likelihood.
 
     Deterministic: zero initialization, no penalty, LOGISTIC_ITERS steps of
     size LOGISTIC_LR. Columns are standardized internally with training
-    statistics so the fixed step size is safe across feature scales.
+    statistics so the fixed step size is safe across feature scales. The
+    problems of a stack take each step together.
     """
-    X, y = check_train_input(X, y)
+    X, y, stacked = _stack(*check_train_input(X, y))
     Xs, mean, scale = standardize_fit(X)
-    n = len(y)
+    n = y.shape[1]
     target = y.astype(np.float64)
-    w = np.zeros(Xs.shape[1])
-    b = 0.0
-    z = np.empty((LOGISTIC_ITERS, n))  # each step's linear scores, for the history
+    w = np.zeros((len(y), Xs.shape[2]))
+    b = np.zeros(len(y))
+    z = np.empty((LOGISTIC_ITERS, *y.shape))  # each step's linear scores, for the history
+    Xs_T = Xs.swapaxes(1, 2)
     for step in range(LOGISTIC_ITERS):
-        np.add(Xs @ w, b, out=z[step])
+        np.add(np.matmul(Xs, w[..., None])[..., 0], b[:, None], out=z[step])
         resid = _sigmoid(z[step]) - target
-        w -= LOGISTIC_LR * (Xs.T @ resid) / n
-        b -= LOGISTIC_LR * float(np.add.reduce(resid) / n)
+        w -= LOGISTIC_LR * np.matmul(Xs_T, resid[..., None])[..., 0] / n
+        b -= LOGISTIC_LR * (np.add.reduce(resid, axis=1) / n)
     # mean -[y log p + (1-y) log(1-p)] per step via the numerically stable softplus form
-    history = (np.logaddexp(0.0, z) - y * z).mean(axis=1)
-    return LinearModel("logistic", w, b, mean, scale, history=tuple(history.tolist()))
+    history = (np.logaddexp(0.0, z) - y * z).mean(axis=2)
+    models = [
+        LinearModel("logistic", w[p], float(b[p]), mean[p], scale[p],
+                    history=tuple(history[:, p].tolist()))
+        for p in range(len(y))
+    ]
+    return models if stacked else models[0]
 
 
-def train_lasso(X, y, lam: float = 0.1, iters: int = 1000) -> LinearModel:
+def train_lasso(X, y, lam: float = 0.1, iters: int = 1000) -> LinearModel | list[LinearModel]:
     """Coordinate descent on 0.5 * mean squared error + lam * sum |w_i|.
 
     Targets are the {0,1} labels; the intercept is unpenalized and columns are
     standardized internally, so each coordinate update is the exact soft
     threshold w_j = S(rho_j, lam). The objective is non-increasing across
     sweeps; ``iters`` bounds the number of full sweeps, and a sweep that
-    moves no weight by LASSO_TOL or more is the last.
+    moves no weight by LASSO_TOL or more is the last. The problems of a
+    stack are standardized together and descend one after another.
     """
     if not 0.0 <= lam < math.inf:
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
-    X, y = check_train_input(X, y)
+    X, y, stacked = _stack(*check_train_input(X, y))
     Xs, mean, scale = standardize_fit(X)
+    models = [_lasso(Xs[p], y[p], mean[p], scale[p], lam, iters) for p in range(len(y))]
+    return models if stacked else models[0]
+
+
+def _lasso(Xs, y, mean, scale, lam: float, iters: int) -> LinearModel:
     n, p = Xs.shape
     yf = y.astype(np.float64)
     w = np.zeros(p)
@@ -235,7 +284,11 @@ def _lasso_objective(residual: np.ndarray, w: np.ndarray, lam: float) -> float:
 
 @dataclass(eq=False)
 class _SortedColumns:
-    """Each training column's row order, stably sorted by value (NaN last)."""
+    """Each training column's row order, stably sorted by value (NaN last).
+
+    The columns of a stack (P, n, F) are listed problem by problem: column
+    ``p * F + f`` is problem p's column f.
+    """
 
     rows: np.ndarray  # (F, n) row indices
     values: np.ndarray  # (F, n) the column's values in that order
@@ -244,20 +297,21 @@ class _SortedColumns:
     n_valued: np.ndarray  # (F,) non-NaN values per column
 
     @classmethod
-    def of(cls, X: np.ndarray, y: np.ndarray) -> "_SortedColumns":
-        rows = np.argsort(X.T, axis=1, kind="stable")
-        values = np.take_along_axis(X.T, rows, axis=1)
-        return cls(rows, values, y[rows], values[:, :-1] < values[:, 1:],
-                   (~np.isnan(values)).sum(axis=1))
+    def of(cls, columns: np.ndarray, labels: np.ndarray) -> "_SortedColumns":
+        """From (F, n) columns and each column's (F, n) row labels."""
+        rows = np.argsort(columns, axis=1, kind="stable")
+        values = np.take_along_axis(columns, rows, axis=1)
+        return cls(rows, values, np.take_along_axis(labels, rows, axis=1),
+                   values[:, :-1] < values[:, 1:], (~np.isnan(values)).sum(axis=1))
 
 
 def _best_splits(cols: _SortedColumns, weights: np.ndarray, candidates: np.ndarray):
-    """Lowest weighted-Gini split of each node: (feature, threshold), feature -1 if none.
+    """Lowest weighted-Gini split of each node: (column, threshold), column -1 if none.
 
     ``weights`` (S, n) holds each node's bootstrap multiplicity per training
-    row and ``candidates`` (S, k) its candidate features, in draw order. A
-    cut lies between two consecutive distinct values of the node's rows; the
-    first candidate whose lowest impurity is lowest wins, then its first
+    row and ``candidates`` (S, k) its candidate columns of ``cols``, in draw
+    order. A cut lies between two consecutive distinct values of the node's
+    rows; the first candidate whose lowest impurity is lowest wins, then its first
     lowest cut. With ``lower`` and ``upper`` the node's values on either
     side of that cut, the threshold is their midpoint ``m`` when
     ``lower < m <= upper`` and ``upper`` otherwise (a -inf, overflowing or
@@ -297,9 +351,9 @@ def _best_splits(cols: _SortedColumns, weights: np.ndarray, candidates: np.ndarr
     return np.where(lowest[node, best] < np.inf, feature, -1), threshold
 
 
-def _class_counts(weights: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Float (count of label 0, count of label 1) per row of multiplicities."""
-    ones = weights @ y
+def _class_counts(weights: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Float (count of label 0, count of label 1) per row of multiplicities and its row labels."""
+    ones = np.einsum("ij,ij->i", weights, labels)
     return np.stack([weights.sum(axis=-1) - ones, ones], axis=-1).astype(np.float64)
 
 
@@ -369,56 +423,75 @@ class TreeStreams:
 
 
 def train_forest(
-    X, y, n_trees: int = 100, seed: int = 0, streams: TreeStreams | None = None
+    X, y, n_trees: int = 100, seed=0, streams: TreeStreams | None = None
 ) -> Forest:
     """Bootstrap-aggregated Gini trees over ceil(sqrt(F)) feature candidates per split.
 
     Trees grow until pure or down to fewer than 2 samples; everything is
     deterministic given the seed, with one substream per tree, taken from
-    ``streams`` (a fresh store when None). A node is its bootstrap
-    multiplicity per training row. All trees grow together in waves: each
-    tree pops the next node off its own depth-first stack (left child
-    first) and draws that node's candidate features, then one batched
-    search scores every popped node. Only nodes holding both labels are
-    stacked; the rest become leaves when they are made. Nodes are numbered
-    as they are made, the roots first, and written straight into the
-    forest's arrays.
+    ``streams`` (a fresh store when None). A stack of problems takes one
+    seed, or a sequence of one per problem; problems of one seed share their
+    key's substreams. A node is its bootstrap multiplicity per training row.
+    All trees, of every problem, grow together in waves: each tree pops the
+    next node off its own depth-first stack (left child first) and draws that
+    node's candidate features, then one batched search scores every popped
+    node. Only nodes holding both labels are stacked; the rest become leaves
+    when they are made. Nodes are numbered as they are made, the roots
+    first, and written straight into the forest's arrays; a problem's own
+    nodes come in the order a forest of it alone numbers them.
     """
     if n_trees < 1:
         raise ValueError(f"n_trees must be >= 1, got {n_trees}")
-    X, y = check_train_input(X, y, minimum=1)
-    n, n_features = X.shape
-    cols = _SortedColumns.of(X, y)
-    substreams = (TreeStreams() if streams is None else streams).of(seed, n_trees, n, n_features)
-    weights = substreams.weights
-    counts = [_class_counts(weights, y)]  # class counts of the nodes made, in node order
-    splits = []  # per wave: (nodes, feature, threshold, first left child)
+    X, y, stacked = _stack(*check_train_input(X, y, minimum=1))
+    n_problems, n, n_features = X.shape
+    seeds = [seed] * n_problems if np.ndim(seed) == 0 else list(seed)
+    if len(seeds) != n_problems:
+        raise ValueError(f"{len(seeds)} seeds for a stack of {n_problems} problems")
+    store = TreeStreams() if streams is None else streams
+    substreams = [store.of(int(s), n_trees, n, n_features) for s in seeds]
+    # column p * n_features + f is problem p's column f; tree slot p * n_trees + t its tree t
+    columns = X.swapaxes(1, 2).reshape(n_problems * n_features, n)
+    cols = _SortedColumns.of(columns, np.repeat(y, n_features, axis=0))
+    n_slots = n_problems * n_trees
+    slot_labels = np.repeat(y, n_trees, axis=0)
+    first_slot = np.arange(n_problems + 1) * n_trees
+    weights = np.concatenate([sub.weights for sub in substreams])
+    counts = [_class_counts(weights, slot_labels)]  # class counts of the nodes made, in node order
+    splits = []  # per wave: (nodes, column, threshold, first left child)
     # The nodes still to split wait in a pool of (node, row multiplicities)
     # slots; each tree's stack holds its slots, ``height[t]`` of them. A tree's
     # waiting nodes hold disjoint rows, two at least, so n // 2 + 1 is room.
     growing = np.flatnonzero(counts[0].all(axis=1))
     pool, pool_node = weights[growing], growing.copy()
     free = np.empty(0, dtype=np.intp)
-    stack = np.zeros((n_trees, n // 2 + 1), dtype=np.intp)
-    height = np.zeros(n_trees, dtype=np.intp)
+    stack = np.zeros((n_slots, n // 2 + 1), dtype=np.intp)
+    height = np.zeros(n_slots, dtype=np.intp)
     stack[growing, 0] = np.arange(len(growing))
     height[growing] = 1
-    used = np.zeros(n_trees, dtype=np.intp)
-    n_nodes = n_trees
+    used = np.zeros(n_slots, dtype=np.intp)
+    n_nodes = n_slots
     while growing.size:
         height[growing] -= 1
         slots = stack[growing, height[growing]]
         nodes, weights = pool_node[slots], pool[slots]
         free = np.concatenate([free, slots])
-        feature, threshold = _best_splits(cols, weights, substreams.take(growing, used))
-        split = np.flatnonzero(feature >= 0)  # the rest are leaves
+        # a tree pops one node a wave until it is done, so in every problem of
+        # a key, its j-th draw is taken in wave j: the first to take it draws it
+        bounds = np.searchsorted(growing, first_slot)
+        candidates = np.concatenate([
+            sub.take(growing[lo:hi] - first_slot[p], used[first_slot[p] : first_slot[p + 1]])
+            + p * n_features
+            for p, (sub, lo, hi) in enumerate(zip(substreams, bounds, bounds[1:]))
+        ])
+        column, threshold = _best_splits(cols, weights, candidates)
+        split = np.flatnonzero(column >= 0)  # the rest are leaves
         m = len(split)
-        feature, threshold, weights = feature[split], threshold[split], weights[split]
-        left = weights * (X.T[feature] < threshold[:, None])
+        column, threshold, weights = column[split], threshold[split], weights[split]
+        left = weights * (columns[column] < threshold[:, None])
         children = np.concatenate([left, weights - left])  # lefts, then rights
-        child_counts = _class_counts(children, y)
+        child_counts = _class_counts(children, np.tile(slot_labels[growing[split]], (2, 1)))
         counts.append(child_counts)
-        splits.append((nodes[split], feature, threshold, n_nodes))
+        splits.append((nodes[split], column, threshold, n_nodes))
         # stack the children that can split, each node's right child first so the left is on top
         can_split = child_counts.all(axis=1)
         right_left = np.column_stack([m + np.arange(m), np.arange(m)]).ravel()
@@ -437,8 +510,9 @@ def train_forest(
         height[growing[split]] += can_split.reshape(2, m).sum(axis=0)
         n_nodes += 2 * m
         growing = np.flatnonzero(height)
+    roots = np.arange(n_slots).reshape(n_problems, n_trees)
     forest = Forest(
-        roots=np.arange(n_trees),
+        roots=roots if stacked else roots[0],
         feature=np.full(n_nodes, -1),
         threshold=np.zeros(n_nodes),
         left=np.full(n_nodes, -1),
@@ -446,17 +520,23 @@ def train_forest(
         counts=np.concatenate(counts),
         n_features=n_features,
     )
-    for nodes, feature, threshold, first in splits:
-        forest.feature[nodes], forest.threshold[nodes] = feature, threshold
+    for nodes, column, threshold, first in splits:
+        forest.feature[nodes], forest.threshold[nodes] = column % n_features, threshold
         forest.left[nodes] = first + np.arange(len(nodes))
         forest.right[nodes] = forest.left[nodes] + len(nodes)
     return forest
 
 
-def _forest_votes(forest: Forest, X: np.ndarray) -> np.ndarray:
-    """Label 1 votes per row: every (tree, row) pair walks down one level per step."""
-    node = np.repeat(forest.roots, len(X))
-    row = np.tile(np.arange(len(X)), len(forest.roots))
+def _forest_votes(roots: np.ndarray, forest: Forest, X: np.ndarray) -> np.ndarray:
+    """Label 1 votes per row of each problem, for (P, n_trees) roots and (P, m, F) rows.
+
+    Every (tree, row) pair walks down one level per step.
+    """
+    n_problems, m, _ = X.shape
+    n_trees = roots.shape[1]
+    node = np.repeat(roots, m)
+    row = np.tile(np.arange(m), roots.size) + np.repeat(np.arange(n_problems) * m, n_trees * m)
+    X = X.reshape(n_problems * m, -1)
     walking = np.flatnonzero(forest.feature[node] >= 0)
     while walking.size:
         at = node[walking]
@@ -464,17 +544,28 @@ def _forest_votes(forest: Forest, X: np.ndarray) -> np.ndarray:
         node[walking] = np.where(goes_left, forest.left[at], forest.right[at])
         walking = walking[forest.feature[node[walking]] >= 0]
     leaf_votes = forest.counts[node, 1] > forest.counts[node, 0]  # equal counts resolve to 0
-    return leaf_votes.reshape(len(forest.roots), len(X)).sum(axis=0)
+    return leaf_votes.reshape(n_problems, n_trees, m).sum(axis=1)
 
 
 def predict_cls(model, X) -> np.ndarray:
-    """Predicted labels per row; see LinearModel / Forest for the tie rules."""
+    """Predicted labels per row; see LinearModel / Forest for the tie rules.
+
+    A forest of a stack of P problems predicts a stack of P row sets,
+    (P, m, F) rows giving (P, m) labels.
+    """
     if isinstance(model, LinearModel):
         z = standardize(X, model.input_mean, model.input_scale) @ model.weights + model.intercept
         if model.kind == "logistic":
             return (_sigmoid(z) >= 0.5).astype(np.int64)
         return (z >= 0.5).astype(np.int64)
     if isinstance(model, Forest):
-        votes = _forest_votes(model, _as_rows(X, model.n_features))
-        return (votes * 2 > len(model.roots)).astype(np.int64)  # exact ties go to 0
+        stacked = model.roots.ndim == 2
+        roots = model.roots if stacked else model.roots[None]
+        X = np.asarray(X, dtype=np.float64) if stacked else _as_rows(X, model.n_features)[None]
+        if X.ndim != 3 or len(X) != len(roots) or X.shape[2] != model.n_features:
+            raise ValueError(f"feature shape {X.shape} does not match a stack of {len(roots)} "
+                             f"forests of training width {model.n_features}")
+        votes = _forest_votes(roots, model, X)
+        labels = (votes * 2 > roots.shape[1]).astype(np.int64)  # exact ties go to 0
+        return labels if stacked else labels[0]
     raise TypeError(f"unsupported model type {type(model).__name__}")

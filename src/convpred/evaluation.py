@@ -14,8 +14,12 @@ Every cell of a report goes through one path. ``_check_cells`` checks that
 the split and the labels cover the runs and keeps the usable pairs;
 ``_evaluate`` then fits and scores one (predictor, classifier, scenario,
 mode, pair, cutoff) cell per usable pair and builds its report row and
-prediction records. ``run_turn_pair`` (multi and single mode) and
-``cutoff_sensitivity`` (one label set per cutoff) both call it. Its feature
+prediction records. It takes several (runs, labels, split) problems at once
+and fits the cells of one pair whose train and test matrices have one shape
+as one stack (see :mod:`convpred.classifiers`), which gives each cell the
+model a fit of it alone gives. ``run_turn_pair`` (multi and single mode, one
+or several scenarios) and ``cutoff_sensitivity`` (one label set per cutoff)
+both call it. Its feature
 matrices come from :func:`~convpred.features.build_feature_matrix`, which
 keeps each turn's row on its ranking, so every call over the same runs
 computes each row once. Callers that evaluate the same runs again pass one
@@ -112,6 +116,14 @@ class EvalReport:
         self.rows.extend(other.rows)
         self.predictions.extend(other.predictions)
         self.warnings.extend(w for w in other.warnings if w not in self.warnings)
+
+    def of_scenario(self, scenario: str) -> "EvalReport":
+        """The rows and prediction records of one scenario, with every warning."""
+        return EvalReport(
+            [row for row in self.rows if row.scenario == scenario],
+            [rec for rec in self.predictions if rec.cell_id.split("|")[2] == scenario],
+            list(self.warnings),
+        )
 
 
 @dataclass(frozen=True)
@@ -224,30 +236,31 @@ def _cell_seed(seed: int, turn_train: int, cutoff: int) -> int:
     return int(np.random.SeedSequence((seed, turn_train, cutoff)).generate_state(1)[0])
 
 
-def _fit_predict(classifier, X_train, y_train, X_test, settings: EvalSettings, cell_seed: int,
-                 streams: classifiers.TreeStreams | None):
+def _fit_predict(classifier, X_train, y_train, X_test, settings: EvalSettings, cell_seeds,
+                 streams: classifiers.TreeStreams | None) -> np.ndarray:
+    """Fit a stack of (P, n, F) train rows and predict its (P, m, F) test rows: (P, m) labels."""
     if classifier == "ae-head":
         config = autoencoder.AEConfig(
-            input_dim=X_train.shape[1],
+            input_dim=X_train.shape[2],
             hidden_dim=settings.ae_hidden_dim,
             bottleneck_dim=settings.ae_bottleneck_dim,
             learning_rate=settings.ae_learning_rate,
             epochs=settings.ae_epochs,
-            seed=cell_seed,
         )
-        model, _ = autoencoder.train(X_train, y_train, config)
-        return autoencoder.predict(model, X_test)
+        fits = autoencoder.train(X_train, y_train, config, seeds=cell_seeds)
+        return np.array([autoencoder.predict(model, X) for (model, _), X in zip(fits, X_test)])
+    if classifier == "forest":
+        forest = classifiers.train_forest(
+            X_train, y_train, n_trees=settings.n_trees, seed=cell_seeds, streams=streams
+        )
+        return classifiers.predict_cls(forest, X_test)
     if classifier == "logreg":
-        model = classifiers.train_logistic(X_train, y_train)
+        models = classifiers.train_logistic(X_train, y_train)
     elif classifier == "lasso":
-        model = classifiers.train_lasso(X_train, y_train, lam=settings.lasso_lambda)
-    elif classifier == "forest":
-        model = classifiers.train_forest(
-            X_train, y_train, n_trees=settings.n_trees, seed=cell_seed, streams=streams
-        )
+        models = classifiers.train_lasso(X_train, y_train, lam=settings.lasso_lambda)
     else:
         raise ValueError(f"unknown classifier {classifier!r}; valid: {CLASSIFIERS}")
-    return classifiers.predict_cls(model, X_test)
+    return np.array([classifiers.predict_cls(model, X) for model, X in zip(models, X_test)])
 
 
 def _feature_kind(predictor: str) -> str:
@@ -288,45 +301,65 @@ def _check_cells(runs, labels: LabelSet, split: Split, pairs):
 
 
 def _evaluate(
-    runs, labels: LabelSet, split: Split, pairs, predictor, classifier, kind, mode, settings,
-    seed, streams,
+    problems, pairs, predictor, classifier, kind, mode, settings, seed, streams,
 ) -> EvalReport:
-    """One cell per usable pair (T, E): fit the classifier on the train rows
-    of the turn-T feature matrix against the found-by-turn-E label and score
-    the test rows, giving a report row and its prediction records.
+    """One cell per (runs, labels, split) problem and usable pair (T, E): fit
+    the classifier on the train rows of the turn-T feature matrix against the
+    found-by-turn-E label and score the test rows, giving a report row and its
+    prediction records. The report lists each problem's cells in turn.
 
-    The cell seed depends on (seed, T, cutoff) only. A trainer's ValueError
-    is raised again with the cell id in front.
+    At each pair, the cells whose train and test matrices have one shape are
+    fitted as one stack. The cell seed depends on (seed, T, cutoff) only. A
+    trainer's ValueError is raised again with the id of its cell in front
+    (the stack's first cell when the error names no problem).
     """
-    pairs, by_id, warnings = _check_cells(runs, labels, split, pairs)
-    train = [by_id[cid] for cid in split.train_ids]
-    test = [by_id[cid] for cid in split.test_ids]
-    report = EvalReport(warnings=warnings)
+    checked = [_check_cells(runs, labels, split, pairs) for runs, labels, split in problems]
+    reports = [EvalReport(warnings=warnings) for _, _, warnings in checked]
     for turn_train, turn_eval in pairs:
-        cell = f"{predictor}|{classifier}|{labels.scenario}|{mode}|{turn_train},{turn_eval}|cutoff{labels.cutoff}"
-        X = build_feature_matrix(runs, kind, turn_train, settings.top_n, mode).values
-        y_train = np.array([labels.label_at(cid, turn_eval) for cid in split.train_ids])
-        y_test = np.array([labels.label_at(cid, turn_eval) for cid in split.test_ids])
-        cell_seed = _cell_seed(seed, turn_train, labels.cutoff)
-        try:
-            preds = _fit_predict(classifier, X[train], y_train, X[test], settings, cell_seed, streams)
-        except ValueError as exc:
-            raise ValueError(f"{cell}: {exc}") from exc
-        report.rows.append(ReportRow(
-            predictor=predictor,
-            classifier=classifier,
-            scenario=labels.scenario,
-            mode=mode,
-            turn_train=turn_train,
-            turn_eval=turn_eval,
-            cutoff=labels.cutoff,
-            accuracy=accuracy(preds, y_test),
-            n_test=len(y_test),
-        ))
-        report.predictions.extend(
-            PredictionRecord(cell, cid, int(p), int(a))
-            for cid, p, a in zip(split.test_ids, preds, y_test)
-        )
+        stacks: dict[tuple, list] = {}
+        for i, ((runs, labels, split), (usable, by_id, _)) in enumerate(zip(problems, checked)):
+            if (turn_train, turn_eval) not in usable:
+                continue
+            X = build_feature_matrix(runs, kind, turn_train, settings.top_n, mode).values
+            X_train = X[[by_id[cid] for cid in split.train_ids]]
+            X_test = X[[by_id[cid] for cid in split.test_ids]]
+            stacks.setdefault((X_train.shape, X_test.shape), []).append((i, X_train, X_test))
+        for stack in stacks.values():
+            cells, y_train, y_test, cell_seeds = [], [], [], []
+            for i, _, _ in stack:
+                _, labels, split = problems[i]
+                cells.append(f"{predictor}|{classifier}|{labels.scenario}|{mode}|"
+                             f"{turn_train},{turn_eval}|cutoff{labels.cutoff}")
+                y_train.append([labels.label_at(cid, turn_eval) for cid in split.train_ids])
+                y_test.append(np.array([labels.label_at(cid, turn_eval) for cid in split.test_ids]))
+                cell_seeds.append(_cell_seed(seed, turn_train, labels.cutoff))
+            try:
+                preds = _fit_predict(
+                    classifier, np.stack([X for _, X, _ in stack]), np.array(y_train),
+                    np.stack([X for _, _, X in stack]), settings, cell_seeds, streams,
+                )
+            except ValueError as exc:
+                raise ValueError(f"{cells[getattr(exc, 'problem', 0)]}: {exc}") from exc
+            for (i, _, _), cell, cell_preds, actual in zip(stack, cells, preds, y_test):
+                _, labels, split = problems[i]
+                reports[i].rows.append(ReportRow(
+                    predictor=predictor,
+                    classifier=classifier,
+                    scenario=labels.scenario,
+                    mode=mode,
+                    turn_train=turn_train,
+                    turn_eval=turn_eval,
+                    cutoff=labels.cutoff,
+                    accuracy=accuracy(cell_preds, actual),
+                    n_test=len(actual),
+                ))
+                reports[i].predictions.extend(
+                    PredictionRecord(cell, cid, int(p), int(a))
+                    for cid, p, a in zip(split.test_ids, cell_preds, actual)
+                )
+    report = EvalReport()
+    for part in reports:
+        report.extend(part)
     return report
 
 
@@ -352,15 +385,20 @@ def run_turn_pair(
     draw from ``streams`` (see :class:`~convpred.classifiers.TreeStreams`);
     pass one store to every call of a grid so that forests of one cell seed
     share their substreams.
+
+    ``runs``, ``labels`` and ``split`` may instead be equal-length sequences,
+    one entry per scenario; the scenarios' cells of a pair are fitted
+    together, and the report lists each scenario's rows in turn.
     """
     if mode not in ("multi", "single"):
         raise ValueError(f"mode must be 'multi' or 'single', got {mode!r}")
     if predictor == "ae" and classifier != "ae-head":
         raise ValueError("the ae predictor implies the ae-head classifier")
     kind = _feature_kind(predictor)
-    return _evaluate(
-        runs, labels, split, pairs, predictor, classifier, kind, mode, settings, seed, streams
-    )
+    if isinstance(labels, LabelSet):
+        runs, labels, split = [runs], [labels], [split]
+    problems = list(zip(runs, labels, split))
+    return _evaluate(problems, pairs, predictor, classifier, kind, mode, settings, seed, streams)
 
 
 def run_single_turn(
@@ -389,15 +427,11 @@ def cutoff_sensitivity(
 
     For each cutoff the ground truth is recomputed at that cutoff and a fresh
     model is trained on the train turn's top-1 item embedding (single-turn
-    protocol). One report row per cutoff.
+    protocol); the cutoffs' models train as one stack. One report row per
+    cutoff.
     """
-    report = EvalReport()
-    for cutoff in cutoffs:
-        labels = label_runs(runs, cutoff=cutoff)
-        report.extend(_evaluate(
-            runs, labels, split, [pair], "ae-top1", "ae-head", "top1", "single", settings, seed, None,
-        ))
-    return report
+    problems = [(runs, label_runs(runs, cutoff=cutoff), split) for cutoff in cutoffs]
+    return _evaluate(problems, [pair], "ae-top1", "ae-head", "top1", "single", settings, seed, None)
 
 
 def accuracy(preds, actuals) -> float:

@@ -1,5 +1,6 @@
-"""Builders for toy rankings and runs used across the test modules."""
+"""Builders for toy rankings and runs, and a forest tree check, used across the test modules."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -74,3 +75,15 @@ def random_run(seed, n_turns=3, n_items=4, dim=3, cid="c0", with_query=False,
     if with_ranks:
         ranks = tuple(int(rng.integers(1, 50)) if rng.random() < 0.8 else None for _ in range(n_turns))
     return make_run(turns, cid=cid, target="i001", target_ranks=ranks)
+
+
+def assert_same_tree(node, expected):
+    """A built tree against the oracle's nested tuples: same shape, features, thresholds, counts."""
+    if len(expected) == 2:
+        assert node.is_leaf and node.counts.tolist() == list(expected)
+        return
+    feature, threshold, left, right = expected
+    assert not node.is_leaf and node.feature == feature
+    assert node.threshold == threshold or (math.isnan(node.threshold) and math.isnan(threshold))
+    assert_same_tree(node.left, left)
+    assert_same_tree(node.right, right)

@@ -14,6 +14,7 @@ from convpred.classifiers import (
     train_lasso,
     train_logistic,
 )
+from helpers import assert_same_tree
 from oracles import forest_brute, forest_predict_brute, logistic_brute
 
 
@@ -249,18 +250,6 @@ def forest_inputs(draw):
     label = st.just(draw(st.integers(0, 1))) if single else st.integers(0, 1)
     y = np.array(draw(st.lists(label, min_size=n, max_size=n)))
     return X, y, draw(st.integers(1, 6)), draw(st.integers(0, 2**32 - 1))
-
-
-def assert_same_tree(node, expected):
-    """A built tree against the oracle's nested tuples: same shape, features, thresholds, counts."""
-    if len(expected) == 2:
-        assert node.is_leaf and node.counts.tolist() == list(expected)
-        return
-    feature, threshold, left, right = expected
-    assert not node.is_leaf and node.feature == feature
-    assert node.threshold == threshold or (math.isnan(node.threshold) and math.isnan(threshold))
-    assert_same_tree(node.left, left)
-    assert_same_tree(node.right, right)
 
 
 def serve_other_forest(streams, X, n_trees, seed):

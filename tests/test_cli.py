@@ -1,5 +1,6 @@
 import importlib.util
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -435,6 +436,24 @@ class TestTrainerErrors:
             "error: apr|logreg|base|multi|2,3|cutoff100: training needs at least 2 sample(s)\n"
         )
 
+
+    def test_overflowing_rv_column_is_refused_without_a_warning(self, tmp_path, capsys):
+        # rv of 100 items in 32 dimensions is about 1e265, so its column's squares overflow
+        runs_path, labels_path = tmp_path / "runs.jsonl", tmp_path / "labels.csv"
+        assert main(["gen", "--n", "30", "--seed", "3", "--out", str(runs_path)]) == 0
+        assert main(["label", "--runs", str(runs_path), "--out", str(labels_path)]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["eval", "--runs", str(runs_path), "--labels", str(labels_path),
+                         "--predictor", "rv", "--classifier", "logreg", "--pairs", "2-3",
+                         "--report", str(tmp_path / "r.csv"),
+                         "--predictions", str(tmp_path / "p.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: rv|logreg|base|multi|2,3|cutoff100: column 0 has no finite spread (std inf)\n"
+        )
+        assert not (tmp_path / "r.csv").exists()
 
 @pytest.fixture(scope="module")
 def two_runs(workspace, tmp_path_factory):

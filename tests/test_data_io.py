@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -378,6 +379,13 @@ def _outcome(read, path):
 _ITEM_0 = '{"id":"i000","score":2.0,"embedding":[1.0,0.0]}'
 
 
+_MUTATIONS = st.sampled_from([
+    ",", ":", "[", "]", "{", "}", '"', " ", "\\", "0", "-", ".", "e",
+    '"embedding"', '"embedding":', ',"embedding":[1.0,0.0]', ',"embedding":[0.0,1.0]',
+    "true", "NaN", "1e400", "-1e400", "[1e400]", "null", "",
+])
+
+
 class TestDecodeOnceMatchesJsonLoads:
     """Lines in the writer's layout read as ``json.loads`` would read them."""
 
@@ -415,6 +423,30 @@ class TestDecodeOnceMatchesJsonLoads:
         path.write_text(f"# header\n{first.replace(old, new)}\n{second}\n", encoding="utf-8")
         got, got_error = _outcome(read_runs, path)
         want, want_error = _outcome(_reference_read, path)
+        assert got_error == want_error
+        if want is not None:
+            assert len(got) == len(want) and all(runs_equal(a, b) for a, b in zip(got, want))
+
+    @given(edits=st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.integers(0, 4), _MUTATIONS), min_size=1, max_size=3,
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_canonical_lines_read_as_json_loads_reads_them(self, tmp_path_factory, edits):
+        """Canonical lines with splices of JSON punctuation, embedding keys and
+        arrays, ``true``, ``NaN`` and ``1e400``: the decode-once path and plain
+        ``json.loads`` give the same runs or the same error text."""
+        first, second = self._canonical_text()
+        lines = [first, second]
+        for where, cut, text in edits:
+            at = round(where * (len(lines[0]) + len(lines[1])))
+            k = 0 if at <= len(lines[0]) else 1
+            at -= k * len(lines[0])
+            lines[k] = lines[k][:at] + text + lines[k][at + cut:]
+        path = tmp_path_factory.mktemp("mutated") / "runs.jsonl"
+        path.write_text("# header\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        got, got_error = _outcome(read_runs, path)
+        with mock.patch.object(data_io, "_decode_line", lambda text, rows: None):
+            want, want_error = _outcome(read_runs, path)  # every line through json.loads
         assert got_error == want_error
         if want is not None:
             assert len(got) == len(want) and all(runs_equal(a, b) for a, b in zip(got, want))

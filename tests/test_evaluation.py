@@ -1,6 +1,8 @@
 import gc
+import warnings
 import weakref
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -262,6 +264,61 @@ class TestFeatureTable:
         gc.collect()
         assert all(r() is None for r in rankings)
         assert len(features._ROWS) == held
+
+
+STACK_ROWS = [("apr", "logreg"), ("apr", "lasso"), ("score", "forest"), ("ae", "ae-head")]
+
+
+class TestStackedScenarios:
+    """Several scenarios in one ``run_turn_pair`` call: their cells of a pair fit as one stack."""
+
+    @staticmethod
+    def _one_at_a_time(scenarios, predictor, classifier, **kwargs):
+        report = EvalReport()
+        for runs, labels, split in scenarios:
+            report.extend(run_turn_pair(runs, labels, predictor, classifier, split, **kwargs))
+        return report
+
+    @pytest.mark.parametrize("predictor,classifier", STACK_ROWS)
+    def test_stacked_scenarios_match_one_at_a_time(self, both_scenarios, predictor, classifier):
+        base, missing = both_scenarios
+        # a third problem with another split size cannot join the stack; it is fitted alone
+        runs, labels, _ = base
+        other_split = split_conversations(
+            [r.conversation_id for r in runs], labels.final_labels(), ratio=0.5, seed=5
+        )
+        scenarios = [base, missing, (runs, labels, other_split)]
+        kwargs = dict(pairs=TABLE_PAIRS + [(9, 10)], settings=SETTINGS, seed=11)
+        runs_each, labels_each, splits = zip(*scenarios)
+        stacked = run_turn_pair(runs_each, labels_each, predictor, classifier, splits, **kwargs)
+        alone = self._one_at_a_time(scenarios, predictor, classifier, **kwargs)
+        assert stacked.rows == alone.rows
+        assert stacked.predictions == alone.predictions
+        assert stacked.warnings == alone.warnings == [
+            "skipped turn pairs 9,10 (runs have 6 turns)"
+        ]
+        assert [r.scenario for r in stacked.of_scenario("missing_target").rows] == [
+            "missing_target"
+        ] * len(TABLE_PAIRS)
+
+    def test_error_names_the_cell_of_the_failing_problem(self, both_scenarios):
+        """In the second scenario a train conversation's scores are huge, so the
+        spread of its turn-1 score mean and max overflows."""
+        (runs, labels, split), _ = both_scenarios
+        huge = 2.0**990  # 50 of them sum exactly, so a ranking's own std stays 0
+        at = [run.conversation_id for run in runs].index(split.train_ids[0])
+        blown_runs = list(runs)
+        blown_runs[at] = replace(runs[at], turns=tuple(
+            replace(turn, scores=np.full(len(turn.items), huge)) for turn in runs[at].turns
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=(
+                r"^score\|logreg\|blown\|multi\|2,3\|cutoff20: column 0 has no finite spread "
+                r"\(std inf\)$"
+            )):
+                run_turn_pair([runs, blown_runs], [labels, replace(labels, scenario="blown")],
+                              "score", "logreg", [split, split], pairs=[(2, 3)], settings=SETTINGS)
 
 
 class TestSingleTurn:

@@ -1,10 +1,17 @@
-"""The trainer layer as a whole: the four trainers share one input check."""
+"""The trainer layer as a whole: the four trainers share one input check, take
+stacks of problems that fit as if alone, and refuse columns without a finite
+spread."""
+
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from convpred import autoencoder, classifiers
 from convpred.autoencoder import AEConfig
+from helpers import assert_same_tree
+from oracles import ae_train_brute, forest_brute, forest_predict_brute, logistic_brute
 
 TRAINERS = {
     "ae-head": lambda X, y: autoencoder.train(X, y, AEConfig(input_dim=3, epochs=2)),
@@ -28,3 +35,172 @@ def test_trainers_reject_the_same_bad_input(trainer, case):
     X, y, message = BAD_INPUT[case]
     with pytest.raises(ValueError, match=message):
         TRAINERS[trainer](X, y)
+
+
+# ---- stacks: P problems of one shape fitted together, each as if alone ----
+
+SEEDS = (5, 6, 7)
+
+
+def _problems(P, n=18, width=6, seed=0):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((P, n, width)) * rng.uniform(0.5, 50.0, width)
+    return X, rng.integers(0, 2, size=(P, n))
+
+
+def _constant_column():
+    X, y = _problems(2, seed=1)
+    X[1, :, 2] = 4.0
+    return X, y
+
+
+def _one_class():
+    X, y = _problems(2, seed=2)
+    y[0] = 0
+    return X, y
+
+
+STACKS = {
+    "one": lambda: _problems(1, seed=3),
+    "three seeds": lambda: _problems(3, seed=4),
+    "constant column": _constant_column,
+    "one class": _one_class,
+}
+
+
+@pytest.mark.parametrize("case", list(STACKS))
+def test_stacked_autoencoder_matches_oracle(case):
+    X, y = STACKS[case]()
+    config = AEConfig(input_dim=X.shape[2], epochs=20)
+    fits = autoencoder.train(X, y, config, seeds=SEEDS[: len(X)])
+    assert len(fits) == len(X)
+    for (model, trace), X_p, y_p, seed in zip(fits, X, y, SEEDS):
+        params, history = ae_train_brute(X_p, y_p, replace(config, seed=seed))
+        assert model.config.seed == seed
+        for name, value in params.items():
+            np.testing.assert_array_equal(getattr(model, name), value)
+        np.testing.assert_array_equal(np.stack([trace.rec, trace.cls, trace.total]), history)
+
+
+def test_stack_wider_than_one_fit_trains_its_problems_one_at_a_time():
+    X, y = _problems(2, width=160, seed=5)  # 22762 parameters each, over half of STACK_PARAMS
+    config = AEConfig(input_dim=160, epochs=5)
+    assert 2 * sum(p.size for p in autoencoder.init_model(config).parameters().values()) > (
+        autoencoder.STACK_PARAMS
+    )
+    fits = autoencoder.train(X, y, config, seeds=SEEDS[:2])
+    for (model, _), X_p, y_p, seed in zip(fits, X, y, SEEDS):
+        params, _ = ae_train_brute(X_p, y_p, replace(config, seed=seed))
+        for name, value in params.items():
+            np.testing.assert_array_equal(getattr(model, name), value)
+
+
+@pytest.mark.parametrize("case", list(STACKS))
+def test_stacked_logistic_matches_oracle(case):
+    X, y = STACKS[case]()
+    models = classifiers.train_logistic(X, y)
+    assert len(models) == len(X)
+    for model, X_p, y_p in zip(models, X, y):
+        weights, intercept, history = logistic_brute(X_p, y_p)
+        np.testing.assert_array_equal(model.weights, weights)
+        assert model.intercept == intercept and model.history == history
+
+
+@pytest.mark.parametrize("case", list(STACKS))
+def test_stacked_lasso_matches_lone_fits(case):
+    X, y = STACKS[case]()
+    for model, X_p, y_p in zip(classifiers.train_lasso(X, y), X, y):
+        alone = classifiers.train_lasso(X_p, y_p)
+        np.testing.assert_array_equal(model.weights, alone.weights)
+        assert (model.intercept, model.history, model.nonzero) == (
+            alone.intercept, alone.history, alone.nonzero
+        )
+
+
+def _assert_stacked_forest(forest, X, y, n_trees, seeds):
+    trees = forest.trees
+    assert forest.roots.shape == (len(X), n_trees) and len(trees) == len(X) * n_trees
+    query = np.random.default_rng(9).standard_normal((len(X), 5, X.shape[2]))
+    predicted = classifiers.predict_cls(forest, query)
+    for p, (X_p, y_p, seed) in enumerate(zip(X, y, seeds)):
+        expected = forest_brute(X_p, y_p, n_trees, seed)
+        for tree, oracle_tree in zip(trees[p * n_trees : (p + 1) * n_trees], expected, strict=True):
+            assert_same_tree(tree, oracle_tree)
+        assert predicted[p].tolist() == forest_predict_brute(expected, query[p])
+
+
+@pytest.mark.parametrize("case", list(STACKS))
+def test_stacked_forest_matches_oracle(case):
+    X, y = STACKS[case]()
+    forest = classifiers.train_forest(X, y, n_trees=7, seed=SEEDS[: len(X)])
+    _assert_stacked_forest(forest, X, y, 7, SEEDS)
+
+
+def test_stacked_forests_of_one_key_share_draws_and_serve_a_later_forest():
+    """Two problems of one seed share one key's substreams. The first grows
+    few waves (a tree splits off row 0 if it holds it), the second many.
+
+    A tree pops one node per wave until it is done, so both problems take
+    tree t's j-th draw in wave j: the first to take it draws it and the other
+    reads it from the table. The store then holds, per tree, as many draws
+    as the deeper of the two, and a later forest of the key draws nothing.
+    """
+    rng = np.random.default_rng(21)
+    X = rng.standard_normal((2, 30, 9))
+    y = np.stack([np.r_[1, np.zeros(29, dtype=int)], rng.integers(0, 2, size=30)])
+    streams = classifiers.TreeStreams()
+    forest = classifiers.train_forest(X, y, n_trees=6, seed=4, streams=streams)
+    _assert_stacked_forest(forest, X, y, 6, (4, 4))
+    alone = []
+    for X_p, y_p in zip(X, y):
+        own = classifiers.TreeStreams()
+        classifiers.train_forest(X_p, y_p, n_trees=6, seed=4, streams=own)
+        alone.append(own.of(4, 6, 30, 9).drawn)
+    substreams = streams.of(4, 6, 30, 9)
+    assert alone[0].max() < alone[1].max()  # the problems grow different numbers of waves
+    np.testing.assert_array_equal(substreams.drawn, np.maximum(*alone))
+    drawn = substreams.drawn.copy()
+    later = classifiers.train_forest(X[1], y[1], n_trees=6, seed=4, streams=streams)
+    for tree, oracle_tree in zip(later.trees, forest_brute(X[1], y[1], 6, 4), strict=True):
+        assert_same_tree(tree, oracle_tree)
+    np.testing.assert_array_equal(substreams.drawn, drawn)
+
+
+def test_stack_needs_a_seed_per_problem():
+    X, y = _problems(2)
+    with pytest.raises(ValueError, match="^3 seeds for a stack of 2 problems$"):
+        autoencoder.train(X, y, AEConfig(input_dim=6, epochs=1), seeds=SEEDS)
+    with pytest.raises(ValueError, match="^3 seeds for a stack of 2 problems$"):
+        classifiers.train_forest(X, y, n_trees=2, seed=SEEDS)
+
+
+# ---- columns without a finite spread ----
+
+SPREADLESS = {
+    "overflowing squares": [1e265, 4e265, 2e265, 3e265],
+    "inf": [1.0, np.inf, 2.0, 3.0],
+    "nan": [1.0, 2.0, np.nan, 3.0],
+}
+STANDARDIZING = ["ae-head", "logreg", "lasso"]
+
+
+@pytest.mark.parametrize("values", list(SPREADLESS))
+@pytest.mark.parametrize("trainer", STANDARDIZING)
+def test_standardizing_trainers_refuse_a_column_without_finite_spread(trainer, values):
+    X = ROWS.copy()
+    X[:, 1] = SPREADLESS[values]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no numpy warning on the way
+        with pytest.raises(ValueError, match=r"^column 1 has no finite spread \(std (inf|nan)\)$"):
+            TRAINERS[trainer](X, [0, 1, 0, 1])
+
+
+def test_a_stack_names_the_problem_holding_a_column_without_finite_spread():
+    X = np.stack([ROWS, ROWS, ROWS])
+    X[1, :, 2] = SPREADLESS["overflowing squares"]
+    X[2, :, 0] = SPREADLESS["inf"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(classifiers.ProblemError, match="^column 2 has no") as caught:
+            classifiers.standardize_fit(X)
+    assert caught.value.problem == 1
