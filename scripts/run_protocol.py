@@ -4,9 +4,10 @@
 Generates a calibration-scale run set, labels it, induces the missing-target
 scenario, trains one classifier per turn pair for a grid of predictor rows,
 and renders an accuracy grid per scenario plus a McNemar comparison of the
-autoencoder against the strongest baseline row. Both scenarios are evaluated
-together, so that each turn pair's cells of a grid row train as one stack.
-Takes under a minute at the default scale (11.4-12.6 s and 128 MB peak RSS
+autoencoder against the strongest baseline row. The whole grid, every row
+under both scenarios, is one ``run_turn_pair`` call, so that each turn pair's
+cells of a grid row train as one stack and forests of one key share draws.
+Takes under a minute at the default scale (14.8-16.1 s and 128 MB peak RSS
 on a 2-core machine with one BLAS thread); everything is seeded and
 reproducible.
 
@@ -23,7 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
-from convpred import classifiers, data_io, evaluation, scenario
+from convpred import data_io, evaluation, scenario
 from convpred.core import ValidationError
 
 # predictor rows mirroring the usual comparison: coherence and score features
@@ -54,45 +55,21 @@ def split_of(runs, labels, seed):
     )
 
 
-def split_for(runs, labels, seed):
-    """The seeded stratified split; its warnings go to stderr."""
-    split = split_of(runs, labels, seed)
-    warn(split.warnings)
-    return split
-
-
-def evaluate_scenarios(scenarios, seed, pairs, settings, streams):
-    """One report per (runs, labels, split) scenario over every grid row.
-
-    Each grid row evaluates all scenarios in one call, so that their cells of
-    a pair train as one stack.
-    """
-    runs, labels, splits = zip(*scenarios)
-    reports = [evaluation.EvalReport() for _ in scenarios]
-    for predictor, classifier in GRID:
-        report = evaluation.run_turn_pair(
-            runs, labels, predictor, classifier, splits,
-            pairs=pairs, settings=settings, seed=seed, streams=streams,
-        )
-        for combined, label_set in zip(reports, labels):
-            combined.extend(report.of_scenario(label_set.scenario))
-    return reports
-
-
-def print_means(report):
-    """One line per grid row: its mean accuracy over the report's pairs."""
+def print_means(report, scenario_name):
+    """One line per grid row: its mean accuracy over the scenario's pairs."""
     for predictor, classifier in GRID:
         accuracies = [row.accuracy for row in report.rows
-                      if (row.predictor, row.classifier) == (predictor, classifier)]
+                      if (row.predictor, row.classifier, row.scenario)
+                      == (predictor, classifier, scenario_name)]
         label = f"{predictor}/{classifier}"
-        print(f"  {label:{LABEL_WIDTH}s} [{report.rows[0].scenario}] mean accuracy "
+        print(f"  {label:{LABEL_WIDTH}s} [{scenario_name}] mean accuracy "
               f"{np.mean(accuracies):.3f}")
 
 
-def mcnemar_vs_best_baseline(report):
+def mcnemar_vs_best_baseline(predictions):
     """Per-cell McNemar of the AE row against the best-mean-accuracy baseline row."""
     by_row = defaultdict(list)
-    for record in report.predictions:
+    for record in predictions:
         predictor, classifier, _ = record.cell_id.split("|", 2)
         by_row[(predictor, classifier)].append(record)
 
@@ -140,50 +117,39 @@ def run(args) -> int:
                        header_comment=f"protocol gen seed={args.seed} n={args.n}")
 
     base_labels = scenario.label_runs(runs, cutoff=100)
-    base_split = split_for(runs, base_labels, args.seed)
+    base_split = split_of(runs, base_labels, args.seed)
+    warn(base_split.warnings)
     modified, missing_labels = scenario.induce_missing(
         runs, base_labels, fraction=args.fraction, seed=args.seed
     )
     missing_split = split_of(modified, missing_labels, args.seed)
-    # one tree-substream store for the grid: every forest of a turn pair, in
-    # either scenario, has the same cell seed, so they share bootstraps and
-    # candidate draws
-    streams = classifiers.TreeStreams()
     print("base scenario:")
-    base_report, missing_report = evaluate_scenarios(
-        [(runs, base_labels, base_split), (modified, missing_labels, missing_split)],
-        args.seed, pairs, settings, streams,
-    )
-    print_means(base_report)
+    scenarios = [(runs, base_labels, base_split), (modified, missing_labels, missing_split)]
+    # one problem per (scenario, grid row), the base scenario's rows first
+    problems = [(scen_runs, labels, predictor, classifier, split)
+                for scen_runs, labels, split in scenarios for predictor, classifier in GRID]
+    report = evaluation.run_turn_pair(*zip(*problems), pairs=pairs, settings=settings, seed=args.seed)
+    print_means(report, base_labels.scenario)
     print(f"missing-target scenario ({len(missing_labels.forced)} targets removed):")
     # printed where a run that evaluates the scenarios one after another would print them
     warn(missing_split.warnings)
-    print_means(missing_report)
-
-    combined = evaluation.EvalReport()
-    combined.extend(base_report)
-    combined.extend(missing_report)
-    warn(combined.warnings)
+    print_means(report, missing_labels.scenario)
+    warn(report.warnings)
+    significance = mcnemar_vs_best_baseline(report.predictions)
 
     # cutoff mode relabels at each cutoff; its split comes from the cutoff-100 base labels
     cutoff_report = evaluation.cutoff_sensitivity(runs, base_split, settings=settings, seed=args.seed)
     print("cutoff sensitivity (top-1 input, single turn):")
     for row in cutoff_report.rows:
         print(f"  found at {row.cutoff:3d}: accuracy {row.accuracy:.3f}")
-    combined.extend(cutoff_report)
+    report.extend(cutoff_report)
 
-    evaluation.write_report(combined, args.outdir / "report.csv",
+    evaluation.write_report(report, args.outdir / "report.csv",
                             header_comment=f"protocol seed={args.seed}")
-    evaluation.write_predictions(combined, args.outdir / "predictions.csv",
+    evaluation.write_predictions(report, args.outdir / "predictions.csv",
                                  header_comment=f"protocol seed={args.seed}")
 
-    _, grid_text = evaluation.render_grid(combined.rows)
-    significance = mcnemar_vs_best_baseline(
-        evaluation.EvalReport(
-            rows=base_report.rows + missing_report.rows,
-            predictions=base_report.predictions + missing_report.predictions,
-        )
-    )
+    _, grid_text = evaluation.render_grid(report.rows)
     text = grid_text + "\n\n" + significance + "\n"
     (args.outdir / "grid.txt").write_text(text)
     print()

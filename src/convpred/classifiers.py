@@ -26,7 +26,6 @@ __all__ = [
     "LinearModel",
     "TreeNode",
     "Forest",
-    "TreeStreams",
     "ProblemError",
     "check_train_input",
     "standardize_fit",
@@ -360,7 +359,12 @@ def _class_counts(weights: np.ndarray, labels: np.ndarray) -> np.ndarray:
 class _Substreams:
     """One forest key's trees: each tree's RNG, bootstrap and candidate draws so far.
 
-    ``table[t, j]`` is tree t's j-th candidate draw, for j below ``drawn[t]``.
+    A forest's bootstrap and each tree's j-th candidate draw depend only on
+    its key (seed, n_trees, n_rows, n_features), not on X or y: the draws of
+    a tree are a prefix of one fixed stream. So forests of one key share one
+    instance, and ``rng.choice`` runs only past the longest prefix an earlier
+    forest of the key used. ``table[t, j]`` is tree t's j-th candidate draw,
+    for j below ``drawn[t]``.
     """
 
     def __init__(self, seed: int, n_trees: int, n_rows: int, n_features: int):
@@ -374,64 +378,40 @@ class _Substreams:
         self.table = np.zeros((n_trees, 0, self.n_candidates), dtype=np.int64)
         self.drawn = np.zeros(n_trees, dtype=np.intp)
 
-    def take(self, trees: np.ndarray, used: np.ndarray) -> np.ndarray:
-        """Each listed tree's next candidate draw, ``used[t]`` being its count so far.
+    def take(self, trees: np.ndarray, wave: int) -> np.ndarray:
+        """Each listed tree's draw number ``wave``, for a non-empty ``trees``.
 
-        A draw that no earlier forest of the key made is drawn now and
-        added to the table.
+        A tree pops one node a wave until it is done, so its j-th draw is
+        taken in wave j. A draw that no earlier forest of the key made is
+        drawn now and added to the table.
         """
-        j = used[trees]
-        used[trees] += 1
-        fresh = trees[j == self.drawn[trees]]
+        fresh = trees[self.drawn[trees] == wave]
         if fresh.size:
             width = self.table.shape[1]
-            if j.max() >= width:
+            if wave >= width:
                 grown = np.zeros((len(self.table), 2 * width + 1, self.n_candidates), dtype=np.int64)
                 grown[:, :width] = self.table
                 self.table = grown
             for t in fresh.tolist():
-                self.table[t, self.drawn[t]] = self.rngs[t].choice(
+                self.table[t, wave] = self.rngs[t].choice(
                     self.n_features, size=self.n_candidates, replace=False
                 )
             self.drawn[fresh] += 1
-        return self.table[trees, j]
-
-
-class TreeStreams:
-    """The per-tree RNG substreams of forests, kept so that later forests reuse their draws.
-
-    A forest's bootstrap and each tree's j-th candidate draw depend only on
-    (seed, n_trees, n_rows, n_features), not on X or y: the draws of a tree
-    are a prefix of one fixed stream. So forests of one key, such as every
-    forest row of a protocol grid at one turn pair, share one set of
-    substreams, and ``rng.choice`` runs only past the longest prefix an
-    earlier forest of the key used. A store lives as long as its caller
-    keeps it; one made per forest gives the same draws, reusing none. The
-    caller makes it because a key has no object to live on, and it pays:
-    against a store per forest, one store for the benchmark's protocol
-    workload cuts it from 0.98 s to 0.79 s in-process (about 19%, 2 cores).
-    """
-
-    def __init__(self):
-        self._keys: dict[tuple[int, int, int, int], _Substreams] = {}
-
-    def of(self, seed: int, n_trees: int, n_rows: int, n_features: int) -> _Substreams:
-        key = (seed, n_trees, n_rows, n_features)
-        if key not in self._keys:
-            self._keys[key] = _Substreams(*key)
-        return self._keys[key]
+        return self.table[trees, wave]
 
 
 def train_forest(
-    X, y, n_trees: int = 100, seed=0, streams: TreeStreams | None = None
+    X, y, n_trees: int = 100, seed=0, streams: dict | None = None
 ) -> Forest:
     """Bootstrap-aggregated Gini trees over ceil(sqrt(F)) feature candidates per split.
 
     Trees grow until pure or down to fewer than 2 samples; everything is
-    deterministic given the seed, with one substream per tree, taken from
-    ``streams`` (a fresh store when None). A stack of problems takes one
-    seed, or a sequence of one per problem; problems of one seed share their
-    key's substreams. A node is its bootstrap multiplicity per training row.
+    deterministic given the seed, with one substream per tree. ``streams``
+    maps each key to its :class:`_Substreams` (a fresh dict when None), so
+    forests trained through one dict share the draws of their key. A stack
+    of problems takes one seed, or a sequence of one per problem; problems
+    of one seed share their key's substreams. A node is its bootstrap
+    multiplicity per training row.
     All trees, of every problem, grow together in waves: each tree pops the
     next node off its own depth-first stack (left child first) and draws that
     node's candidate features, then one batched search scores every popped
@@ -447,8 +427,10 @@ def train_forest(
     seeds = [seed] * n_problems if np.ndim(seed) == 0 else list(seed)
     if len(seeds) != n_problems:
         raise ValueError(f"{len(seeds)} seeds for a stack of {n_problems} problems")
-    store = TreeStreams() if streams is None else streams
-    substreams = [store.of(int(s), n_trees, n, n_features) for s in seeds]
+    streams = {} if streams is None else streams
+    for key in {(int(s), n_trees, n, n_features) for s in seeds} - streams.keys():
+        streams[key] = _Substreams(*key)
+    substreams = [streams[int(s), n_trees, n, n_features] for s in seeds]
     # column p * n_features + f is problem p's column f; tree slot p * n_trees + t its tree t
     columns = X.swapaxes(1, 2).reshape(n_problems * n_features, n)
     cols = _SortedColumns.of(columns, np.repeat(y, n_features, axis=0))
@@ -468,20 +450,18 @@ def train_forest(
     height = np.zeros(n_slots, dtype=np.intp)
     stack[growing, 0] = np.arange(len(growing))
     height[growing] = 1
-    used = np.zeros(n_slots, dtype=np.intp)
-    n_nodes = n_slots
+    n_nodes, wave = n_slots, 0
     while growing.size:
         height[growing] -= 1
         slots = stack[growing, height[growing]]
         nodes, weights = pool_node[slots], pool[slots]
         free = np.concatenate([free, slots])
-        # a tree pops one node a wave until it is done, so in every problem of
-        # a key, its j-th draw is taken in wave j: the first to take it draws it
+        # in every problem of a key, tree t's draw of this wave is its draw
+        # number ``wave``: the first problem to take it draws it
         bounds = np.searchsorted(growing, first_slot)
         candidates = np.concatenate([
-            sub.take(growing[lo:hi] - first_slot[p], used[first_slot[p] : first_slot[p + 1]])
-            + p * n_features
-            for p, (sub, lo, hi) in enumerate(zip(substreams, bounds, bounds[1:]))
+            sub.take(growing[lo:hi] - first_slot[p], wave) + p * n_features
+            for p, (sub, lo, hi) in enumerate(zip(substreams, bounds, bounds[1:])) if lo < hi
         ])
         column, threshold = _best_splits(cols, weights, candidates)
         split = np.flatnonzero(column >= 0)  # the rest are leaves
@@ -510,6 +490,7 @@ def train_forest(
         height[growing[split]] += can_split.reshape(2, m).sum(axis=0)
         n_nodes += 2 * m
         growing = np.flatnonzero(height)
+        wave += 1
     roots = np.arange(n_slots).reshape(n_problems, n_trees)
     forest = Forest(
         roots=roots if stacked else roots[0],

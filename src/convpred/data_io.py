@@ -373,10 +373,11 @@ def read_runs(path) -> list[ConversationRun]:
             text = line.strip()
             if not text or text.startswith("#"):
                 continue
-            decoded = _decode_line(text, rows)
+            # both parsers take the line as read, so an error's column is the line's own
+            decoded = _decode_line(line, rows)
             if decoded is None:
                 try:
-                    decoded = json.loads(text), _embedding_row
+                    decoded = json.loads(line), _embedding_row
                 except ValueError as exc:  # bad JSON, or an integer literal too long to convert
                     raise ValidationError(f"{where}: invalid JSON ({exc})") from exc
             obj, row = decoded

@@ -14,25 +14,26 @@ Every cell of a report goes through one path. ``_check_cells`` checks that
 the split and the labels cover the runs and keeps the usable pairs;
 ``_evaluate`` then fits and scores one (predictor, classifier, scenario,
 mode, pair, cutoff) cell per usable pair and builds its report row and
-prediction records. It takes several (runs, labels, split) problems at once
-and fits the cells of one pair whose train and test matrices have one shape
-as one stack (see :mod:`convpred.classifiers`), which gives each cell the
-model a fit of it alone gives. ``run_turn_pair`` (multi and single mode, one
-or several scenarios) and ``cutoff_sensitivity`` (one label set per cutoff)
-both call it. Its feature
-matrices come from :func:`~convpred.features.build_feature_matrix`, which
-keeps each turn's row on its ranking, so every call over the same runs
-computes each row once. Callers that evaluate the same runs again pass one
-:class:`~convpred.classifiers.TreeStreams`, so forests of one cell seed
-draw their bootstraps and candidates once. A cell is named
-``predictor|classifier|scenario|mode|T,E|cutoffC``; ``paired_predictions``
-matches cells on the last four fields, and a trainer's error names its cell.
+prediction records. It takes several (runs, labels, split, predictor,
+classifier, kind) problems at once and fits the cells of one row and pair
+whose train and test matrices have one shape as one stack (see
+:mod:`convpred.classifiers`), which gives each cell the model a fit of it
+alone gives. ``run_turn_pair`` (multi and single mode, one problem or a
+whole grid) and ``cutoff_sensitivity`` (one label set per cutoff) both call
+it. Its feature matrices come from
+:func:`~convpred.features.build_feature_matrix`, which keeps each turn's row
+on its ranking, so every call over the same runs computes each row once;
+the forests of one call draw each bootstrap and candidate set of a cell
+seed once. A cell is named ``predictor|classifier|scenario|mode|T,E|cutoffC``;
+``paired_predictions`` matches cells on the last four fields, and a
+trainer's error names its cell.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -116,14 +117,6 @@ class EvalReport:
         self.rows.extend(other.rows)
         self.predictions.extend(other.predictions)
         self.warnings.extend(w for w in other.warnings if w not in self.warnings)
-
-    def of_scenario(self, scenario: str) -> "EvalReport":
-        """The rows and prediction records of one scenario, with every warning."""
-        return EvalReport(
-            [row for row in self.rows if row.scenario == scenario],
-            [rec for rec in self.predictions if rec.cell_id.split("|")[2] == scenario],
-            list(self.warnings),
-        )
 
 
 @dataclass(frozen=True)
@@ -237,7 +230,7 @@ def _cell_seed(seed: int, turn_train: int, cutoff: int) -> int:
 
 
 def _fit_predict(classifier, X_train, y_train, X_test, settings: EvalSettings, cell_seeds,
-                 streams: classifiers.TreeStreams | None) -> np.ndarray:
+                 streams: dict) -> np.ndarray:
     """Fit a stack of (P, n, F) train rows and predict its (P, m, F) test rows: (P, m) labels."""
     if classifier == "ae-head":
         config = autoencoder.AEConfig(
@@ -263,7 +256,9 @@ def _fit_predict(classifier, X_train, y_train, X_test, settings: EvalSettings, c
     return np.array([classifiers.predict_cls(model, X) for model, X in zip(models, X_test)])
 
 
-def _feature_kind(predictor: str) -> str:
+def _feature_kind(predictor: str, classifier: str) -> str:
+    if predictor == "ae" and classifier != "ae-head":
+        raise ValueError("the ae predictor implies the ae-head classifier")
     if predictor == "ae":
         return "pooled"
     if predictor in FEATURE_KINDS:
@@ -300,24 +295,31 @@ def _check_cells(runs, labels: LabelSet, split: Split, pairs):
     return usable, by_id, warnings
 
 
-def _evaluate(
-    problems, pairs, predictor, classifier, kind, mode, settings, seed, streams,
-) -> EvalReport:
-    """One cell per (runs, labels, split) problem and usable pair (T, E): fit
-    the classifier on the train rows of the turn-T feature matrix against the
-    found-by-turn-E label and score the test rows, giving a report row and its
-    prediction records. The report lists each problem's cells in turn.
+def _evaluate(problems, pairs, mode, settings, seed) -> EvalReport:
+    """One cell per (runs, labels, split, predictor, classifier, kind) problem
+    and usable pair (T, E): fit the classifier on the train rows of the
+    turn-T feature matrix against the found-by-turn-E label and score the
+    test rows, giving a report row and its prediction records. The report
+    lists each problem's cells in turn.
 
-    At each pair, the cells whose train and test matrices have one shape are
-    fitted as one stack. The cell seed depends on (seed, T, cutoff) only. A
-    trainer's ValueError is raised again with the id of its cell in front
-    (the stack's first cell when the error names no problem).
+    Problems of one (predictor, classifier) run together, pair by pair, in
+    order of first appearance; a pair's cells whose matrices have one shape
+    fit as one stack. The cell seed depends on (seed, T, cutoff) only, and
+    the call's forests share one draw store. A trainer's ValueError is
+    raised again with the id of its cell in front (the stack's first cell
+    when the error names no problem).
     """
-    checked = [_check_cells(runs, labels, split, pairs) for runs, labels, split in problems]
+    checked = [_check_cells(runs, labels, split, pairs) for runs, labels, split, *_ in problems]
     reports = [EvalReport(warnings=warnings) for _, _, warnings in checked]
-    for turn_train, turn_eval in pairs:
+    groups: dict[tuple, list[int]] = {}
+    for i, (_, _, _, predictor, classifier, _) in enumerate(problems):
+        groups.setdefault((predictor, classifier), []).append(i)
+    streams: dict = {}
+    for ((predictor, classifier), members), (turn_train, turn_eval) in product(groups.items(), pairs):
         stacks: dict[tuple, list] = {}
-        for i, ((runs, labels, split), (usable, by_id, _)) in enumerate(zip(problems, checked)):
+        for i in members:
+            runs, _, split, _, _, kind = problems[i]
+            usable, by_id, _ = checked[i]
             if (turn_train, turn_eval) not in usable:
                 continue
             X = build_feature_matrix(runs, kind, turn_train, settings.top_n, mode).values
@@ -327,7 +329,7 @@ def _evaluate(
         for stack in stacks.values():
             cells, y_train, y_test, cell_seeds = [], [], [], []
             for i, _, _ in stack:
-                _, labels, split = problems[i]
+                _, labels, split, *_ = problems[i]
                 cells.append(f"{predictor}|{classifier}|{labels.scenario}|{mode}|"
                              f"{turn_train},{turn_eval}|cutoff{labels.cutoff}")
                 y_train.append([labels.label_at(cid, turn_eval) for cid in split.train_ids])
@@ -341,7 +343,7 @@ def _evaluate(
             except ValueError as exc:
                 raise ValueError(f"{cells[getattr(exc, 'problem', 0)]}: {exc}") from exc
             for (i, _, _), cell, cell_preds, actual in zip(stack, cells, preds, y_test):
-                _, labels, split = problems[i]
+                _, labels, split, *_ = problems[i]
                 reports[i].rows.append(ReportRow(
                     predictor=predictor,
                     classifier=classifier,
@@ -373,7 +375,6 @@ def run_turn_pair(
     settings: EvalSettings = EvalSettings(),
     seed: int = 0,
     mode: str = "multi",
-    streams: classifiers.TreeStreams | None = None,
 ) -> EvalReport:
     """Train and evaluate one classifier per turn pair (T, T+1).
 
@@ -381,24 +382,22 @@ def run_turn_pair(
     Both fit on the train split against the found-by-turn-(T+1) label and
     score the test split on the same label. One report row per pair, plus
     per-instance prediction records for significance testing. Pairs past the
-    end of the runs are skipped and named in the report's warnings. Forests
-    draw from ``streams`` (see :class:`~convpred.classifiers.TreeStreams`);
-    pass one store to every call of a grid so that forests of one cell seed
-    share their substreams.
+    end of the runs are skipped and named in the report's warnings.
 
-    ``runs``, ``labels`` and ``split`` may instead be equal-length sequences,
-    one entry per scenario; the scenarios' cells of a pair are fitted
-    together, and the report lists each scenario's rows in turn.
+    ``runs``, ``labels``, ``predictor``, ``classifier`` and ``split`` may
+    instead be equal-length sequences, one entry per problem, such as every
+    (scenario, grid row) of a protocol grid. Each grid row's cells of a pair
+    are fitted together, forests of one key share their draws, and the
+    report lists each problem's rows in turn. Unequal lengths raise
+    ValueError.
     """
     if mode not in ("multi", "single"):
         raise ValueError(f"mode must be 'multi' or 'single', got {mode!r}")
-    if predictor == "ae" and classifier != "ae-head":
-        raise ValueError("the ae predictor implies the ae-head classifier")
-    kind = _feature_kind(predictor)
     if isinstance(labels, LabelSet):
-        runs, labels, split = [runs], [labels], [split]
-    problems = list(zip(runs, labels, split))
-    return _evaluate(problems, pairs, predictor, classifier, kind, mode, settings, seed, streams)
+        runs, labels, predictor, classifier, split = [runs], [labels], [predictor], [classifier], [split]
+    zipped = list(zip(runs, labels, predictor, classifier, split, strict=True))
+    problems = [(r, lab, s, p, c, _feature_kind(p, c)) for r, lab, p, c, s in zipped]
+    return _evaluate(problems, pairs, mode, settings, seed)
 
 
 def run_single_turn(
@@ -430,8 +429,9 @@ def cutoff_sensitivity(
     protocol); the cutoffs' models train as one stack. One report row per
     cutoff.
     """
-    problems = [(runs, label_runs(runs, cutoff=cutoff), split) for cutoff in cutoffs]
-    return _evaluate(problems, [pair], "ae-top1", "ae-head", "top1", "single", settings, seed, None)
+    problems = [(runs, label_runs(runs, cutoff=cutoff), split, "ae-top1", "ae-head", "top1")
+                for cutoff in cutoffs]
+    return _evaluate(problems, [pair], "single", settings, seed)
 
 
 def accuracy(preds, actuals) -> float:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from convpred.classifiers import (
     Forest,
     LinearModel,
-    TreeStreams,
     predict_cls,
     train_forest,
     train_lasso,
@@ -264,7 +263,7 @@ def serve_other_forest(streams, X, n_trees, seed):
 @given(forest_inputs())
 def test_forest_matches_recursive_builder(inputs):
     X, y, n_trees, seed = inputs
-    served = TreeStreams()
+    served = {}
     serve_other_forest(served, X, n_trees, seed)
     expected = forest_brute(X, y, n_trees, seed)
     for streams in (None, served):
@@ -279,13 +278,13 @@ def test_store_grows_its_draw_table_and_serves_shorter_forests():
     X = rng.standard_normal((30, 9))
     short_y = np.r_[1, np.zeros(29, dtype=int)]  # a tree splits off row 0, if it holds it
     long_y = rng.integers(0, 2, size=30)
-    streams = TreeStreams()
+    streams = {}
     drawn = []
     for y in (short_y, long_y, short_y):
         model = train_forest(X, y, n_trees=6, seed=4, streams=streams)
         for tree, oracle_tree in zip(model.trees, forest_brute(X, y, 6, 4), strict=True):
             assert_same_tree(tree, oracle_tree)
-        substreams = streams.of(4, 6, 30, 9)
+        substreams = streams[4, 6, 30, 9]
         drawn.append((substreams.table.shape[1], substreams.drawn.max()))
     assert drawn[0] < drawn[1] == drawn[2]  # the long forest grew the table
 

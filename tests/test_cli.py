@@ -279,8 +279,9 @@ class TestSplitWarnings:
         _, runs_path, labels_path = workspace
         module = _load_protocol_script()
         labels = read_labels(_one_found_labels(labels_path, tmp_path / "one_found.csv"))
-        split = module.split_for(read_runs(runs_path), labels, seed=1)
+        split = module.split_of(read_runs(runs_path), labels, seed=1)
         assert not split.stratified
+        module.warn(split.warnings)
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("warning: stratification fell back")

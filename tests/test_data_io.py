@@ -189,6 +189,14 @@ class TestReadValidation:
         with pytest.raises(ValidationError, match="invalid JSON"):
             read_runs(path)
 
+    def test_invalid_json_column_counts_leading_spaces(self, tmp_path):
+        line = '   {"conversation_id": x}'
+        with pytest.raises(json.JSONDecodeError, match=r"column 24 \(char 23\)"):
+            json.loads(line)
+        path = self._write_lines(tmp_path, [line])
+        with pytest.raises(ValidationError, match=r"line 1: invalid JSON \(.* column 24 \(char 23\)\)$"):
+            read_runs(path)
+
     def test_missing_key(self, tmp_path):
         bad = self._record()
         del bad["target_id"]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convpred import features
+from convpred import classifiers, features
 from convpred.core import ValidationError
 from convpred.data_io import GenConfig, generate_synthetic
 from convpred.evaluation import (
@@ -266,44 +266,64 @@ class TestFeatureTable:
         assert len(features._ROWS) == held
 
 
-STACK_ROWS = [("apr", "logreg"), ("apr", "lasso"), ("score", "forest"), ("ae", "ae-head")]
+# ac and apr have one width, so their forests of a cell seed share one draw key
+GRID_ROWS = [("score", "forest"), ("ac", "forest"), ("apr", "forest"), ("apr", "logreg"),
+             ("apr", "lasso"), ("ae", "ae-head")]
+GRID_PAIRS = [(4, 5), (5, 6)]  # wide enough that a tree's draws pick among its columns
 
 
 class TestStackedScenarios:
-    """Several scenarios in one ``run_turn_pair`` call: their cells of a pair fit as one stack."""
+    """A grid of (scenario, row) problems in one ``run_turn_pair`` call: each
+    row's cells of a pair fit as one stack, and its forests share draws."""
 
-    @staticmethod
-    def _one_at_a_time(scenarios, predictor, classifier, **kwargs):
-        report = EvalReport()
-        for runs, labels, split in scenarios:
-            report.extend(run_turn_pair(runs, labels, predictor, classifier, split, **kwargs))
-        return report
-
-    @pytest.mark.parametrize("predictor,classifier", STACK_ROWS)
-    def test_stacked_scenarios_match_one_at_a_time(self, both_scenarios, predictor, classifier):
+    def test_grid_matches_one_call_per_problem(self, both_scenarios, monkeypatch):
         base, missing = both_scenarios
-        # a third problem with another split size cannot join the stack; it is fitted alone
+        # a problem with another split size cannot join its row's stack; it is fitted alone
         runs, labels, _ = base
         other_split = split_conversations(
             [r.conversation_id for r in runs], labels.final_labels(), ratio=0.5, seed=5
         )
-        scenarios = [base, missing, (runs, labels, other_split)]
-        kwargs = dict(pairs=TABLE_PAIRS + [(9, 10)], settings=SETTINGS, seed=11)
-        runs_each, labels_each, splits = zip(*scenarios)
-        stacked = run_turn_pair(runs_each, labels_each, predictor, classifier, splits, **kwargs)
-        alone = self._one_at_a_time(scenarios, predictor, classifier, **kwargs)
-        assert stacked.rows == alone.rows
-        assert stacked.predictions == alone.predictions
-        assert stacked.warnings == alone.warnings == [
-            "skipped turn pairs 9,10 (runs have 6 turns)"
+        problems = [(r, lab, p, c, s) for r, lab, s in (base, missing) for p, c in GRID_ROWS]
+        problems.append((runs, labels, "apr", "forest", other_split))
+        kwargs = dict(pairs=GRID_PAIRS + [(9, 10)], settings=SETTINGS, seed=11)
+        keys = []
+
+        class Counted(classifiers._Substreams):
+            def __init__(self, *key):
+                keys.append(key)
+                super().__init__(*key)
+
+        monkeypatch.setattr(classifiers, "_Substreams", Counted)
+        grid = run_turn_pair(*zip(*problems), **kwargs)
+        # per pair: score's key, ac's and apr's shared key, and the other split's key
+        assert len(keys) == len(set(keys)) == 3 * len(GRID_PAIRS)
+        alone = EvalReport()
+        for problem in problems:
+            alone.extend(run_turn_pair(*problem, **kwargs))
+        assert grid.rows == alone.rows
+        assert grid.predictions == alone.predictions
+        assert grid.warnings == alone.warnings == ["skipped turn pairs 9,10 (runs have 6 turns)"]
+        assert [(r.predictor, r.classifier, r.scenario, r.n_test) for r in grid.rows] == [
+            (p, c, lab.scenario, len(s.test_ids)) for _, lab, p, c, s in problems for _ in GRID_PAIRS
         ]
-        assert [r.scenario for r in stacked.of_scenario("missing_target").rows] == [
-            "missing_target"
-        ] * len(TABLE_PAIRS)
+
+    @pytest.mark.parametrize("case", ["a label set short", "a predictor long", "one row string"])
+    def test_sequences_of_unequal_length_raise(self, both_scenarios, case):
+        (runs, labels, split), (modified, missing, missing_split) = both_scenarios
+        args = {
+            "a label set short": ([runs, modified], [labels], ["apr", "apr"], ["logreg", "logreg"],
+                                  [split, split]),
+            "a predictor long": ([runs], [labels], ["apr", "apr"], ["logreg"], [split]),
+            # one predictor and classifier for all problems: each string is a sequence too
+            "one row string": ([runs, modified], [labels, missing], "apr", "logreg",
+                               [split, missing_split]),
+        }[case]
+        with pytest.raises(ValueError, match=r"^zip\(\) argument \d is (shorter|longer)"):
+            run_turn_pair(*args, pairs=[(2, 3)], settings=SETTINGS)
 
     def test_error_names_the_cell_of_the_failing_problem(self, both_scenarios):
-        """In the second scenario a train conversation's scores are huge, so the
-        spread of its turn-1 score mean and max overflows."""
+        """In the grid's blown scenario a train conversation's scores are huge,
+        so the spread of its turn-1 score mean and max overflows."""
         (runs, labels, split), _ = both_scenarios
         huge = 2.0**990  # 50 of them sum exactly, so a ranking's own std stays 0
         at = [run.conversation_id for run in runs].index(split.train_ids[0])
@@ -311,14 +331,16 @@ class TestStackedScenarios:
         blown_runs[at] = replace(runs[at], turns=tuple(
             replace(turn, scores=np.full(len(turn.items), huge)) for turn in runs[at].turns
         ))
+        scenarios = [(runs, labels, split), (blown_runs, replace(labels, scenario="blown"), split)]
+        problems = [(r, lab, p, c, s) for r, lab, s in scenarios
+                    for p, c in [("apr", "logreg"), ("score", "logreg")]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=(
                 r"^score\|logreg\|blown\|multi\|2,3\|cutoff20: column 0 has no finite spread "
                 r"\(std inf\)$"
             )):
-                run_turn_pair([runs, blown_runs], [labels, replace(labels, scenario="blown")],
-                              "score", "logreg", [split, split], pairs=[(2, 3)], settings=SETTINGS)
+                run_turn_pair(*zip(*problems), pairs=[(2, 3)], settings=SETTINGS)
 
 
 class TestSingleTurn:

@@ -148,15 +148,16 @@ def test_stacked_forests_of_one_key_share_draws_and_serve_a_later_forest():
     rng = np.random.default_rng(21)
     X = rng.standard_normal((2, 30, 9))
     y = np.stack([np.r_[1, np.zeros(29, dtype=int)], rng.integers(0, 2, size=30)])
-    streams = classifiers.TreeStreams()
+    streams = {}
     forest = classifiers.train_forest(X, y, n_trees=6, seed=4, streams=streams)
     _assert_stacked_forest(forest, X, y, 6, (4, 4))
     alone = []
     for X_p, y_p in zip(X, y):
-        own = classifiers.TreeStreams()
+        own = {}
         classifiers.train_forest(X_p, y_p, n_trees=6, seed=4, streams=own)
-        alone.append(own.of(4, 6, 30, 9).drawn)
-    substreams = streams.of(4, 6, 30, 9)
+        alone.append(own[4, 6, 30, 9].drawn)
+    assert list(streams) == [(4, 6, 30, 9)]
+    substreams = streams[4, 6, 30, 9]
     assert alone[0].max() < alone[1].max()  # the problems grow different numbers of waves
     np.testing.assert_array_equal(substreams.drawn, np.maximum(*alone))
     drawn = substreams.drawn.copy()
