@@ -270,11 +270,39 @@ class TestFeatureTable:
 GRID_ROWS = [("score", "forest"), ("ac", "forest"), ("apr", "forest"), ("apr", "logreg"),
              ("apr", "lasso"), ("ae", "ae-head")]
 GRID_PAIRS = [(4, 5), (5, 6)]  # wide enough that a tree's draws pick among its columns
+STACK_ROWS = [("apr", "logreg"), ("apr", "lasso"), ("score", "forest"), ("ae", "ae-head")]
 
 
 class TestStackedScenarios:
     """A grid of (scenario, row) problems in one ``run_turn_pair`` call: each
     row's cells of a pair fit as one stack, and its forests share draws."""
+
+    @pytest.mark.parametrize("predictor,classifier", STACK_ROWS)
+    def test_stacked_scenarios_match_one_at_a_time(self, both_scenarios, predictor, classifier):
+        base, missing = both_scenarios
+        # a third problem with another split size cannot join the stack; it is fitted alone
+        runs, labels, _ = base
+        other_split = split_conversations(
+            [r.conversation_id for r in runs], labels.final_labels(), ratio=0.5, seed=5
+        )
+        scenarios = [base, missing, (runs, labels, other_split)]
+        kwargs = dict(pairs=TABLE_PAIRS + [(9, 10)], settings=SETTINGS, seed=11)
+        runs_each, labels_each, splits = zip(*scenarios)
+        n = len(scenarios)
+        stacked = run_turn_pair(runs_each, labels_each, [predictor] * n, [classifier] * n,
+                                splits, **kwargs)
+        alone = EvalReport()
+        for runs_one, labels_one, split in scenarios:
+            alone.extend(run_turn_pair(runs_one, labels_one, predictor, classifier, split,
+                                       **kwargs))
+        assert stacked.rows == alone.rows
+        assert stacked.predictions == alone.predictions
+        assert stacked.warnings == alone.warnings == [
+            "skipped turn pairs 9,10 (runs have 6 turns)"
+        ]
+        assert [r.scenario for r in stacked.rows if r.scenario == "missing_target"] == [
+            "missing_target"
+        ] * len(TABLE_PAIRS)
 
     def test_grid_matches_one_call_per_problem(self, both_scenarios, monkeypatch):
         base, missing = both_scenarios
