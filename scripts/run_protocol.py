@@ -7,8 +7,7 @@ and renders an accuracy grid per scenario plus a McNemar comparison of the
 autoencoder against the strongest baseline row. The whole grid, every row
 under both scenarios, is one ``run_turn_pair`` call, so that each turn pair's
 cells of a grid row train as one stack and forests of one key share draws.
-Takes under a minute at the default scale (14.8-16.1 s and 128 MB peak RSS
-on a 2-core machine with one BLAS thread); everything is seeded and
+Takes under a minute at the default scale; everything is seeded and
 reproducible.
 
 Usage:
@@ -18,6 +17,7 @@ Usage:
 import argparse
 import sys
 from collections import defaultdict
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -108,9 +108,7 @@ def run(args) -> int:
     settings = evaluation.EvalSettings(ae_epochs=args.epochs)
     args.outdir.mkdir(parents=True, exist_ok=True)
 
-    config = data_io.GenConfig(
-        n_conversations=args.n, dim=32, catalogue_size=2000, seed=args.seed
-    )
+    config = replace(data_io.calibration_config(args.seed), n_conversations=args.n)
     print(f"generating {args.n} conversations (seed {args.seed}) ...")
     runs = data_io.generate_synthetic(config)
     data_io.write_runs(runs, args.outdir / "runs.jsonl",

@@ -88,8 +88,8 @@ class Forest:
 class TreeNode:
     """A read-only cursor on node ``index`` of a forest, for walking one tree.
 
-    Internal nodes have ``feature``, ``threshold`` and ``left``/``right``
-    cursors; leaves have ``counts``, and None for the children.
+    The node's split and counts are the forest's arrays at ``index``; a leaf
+    has None for its ``left`` and ``right`` cursors.
     """
 
     forest: Forest
@@ -100,24 +100,12 @@ class TreeNode:
         return bool(self.forest.feature[self.index] < 0)
 
     @property
-    def feature(self) -> int:
-        return int(self.forest.feature[self.index])
-
-    @property
-    def threshold(self) -> float:
-        return float(self.forest.threshold[self.index])
-
-    @property
     def left(self) -> "TreeNode | None":
         return None if self.is_leaf else TreeNode(self.forest, int(self.forest.left[self.index]))
 
     @property
     def right(self) -> "TreeNode | None":
         return None if self.is_leaf else TreeNode(self.forest, int(self.forest.right[self.index]))
-
-    @property
-    def counts(self) -> np.ndarray | None:
-        return self.forest.counts[self.index] if self.is_leaf else None
 
 
 LOGISTIC_LR = 0.1  # gradient-descent step size on standardized columns
@@ -363,8 +351,8 @@ class _Substreams:
     its key (seed, n_trees, n_rows, n_features), not on X or y: the draws of
     a tree are a prefix of one fixed stream. So forests of one key share one
     instance, and ``rng.choice`` runs only past the longest prefix an earlier
-    forest of the key used. ``table[t, j]`` is tree t's j-th candidate draw,
-    for j below ``drawn[t]``.
+    forest of the key used. ``waves[j][t]`` is tree t's j-th candidate draw,
+    -1 until drawn.
     """
 
     def __init__(self, seed: int, n_trees: int, n_rows: int, n_features: int):
@@ -375,29 +363,21 @@ class _Substreams:
             np.bincount(rng.integers(0, n_rows, size=n_rows), minlength=n_rows) for rng in self.rngs
         ])
         self.weights.flags.writeable = False
-        self.table = np.zeros((n_trees, 0, self.n_candidates), dtype=np.int64)
-        self.drawn = np.zeros(n_trees, dtype=np.intp)
+        self.waves: list[np.ndarray] = []
 
     def take(self, trees: np.ndarray, wave: int) -> np.ndarray:
         """Each listed tree's draw number ``wave``, for a non-empty ``trees``.
 
         A tree pops one node a wave until it is done, so its j-th draw is
-        taken in wave j. A draw that no earlier forest of the key made is
-        drawn now and added to the table.
+        taken in wave j, and a forest reaches wave j only after waves 0..j-1.
+        A draw that no earlier forest of the key made is drawn now.
         """
-        fresh = trees[self.drawn[trees] == wave]
-        if fresh.size:
-            width = self.table.shape[1]
-            if wave >= width:
-                grown = np.zeros((len(self.table), 2 * width + 1, self.n_candidates), dtype=np.int64)
-                grown[:, :width] = self.table
-                self.table = grown
-            for t in fresh.tolist():
-                self.table[t, wave] = self.rngs[t].choice(
-                    self.n_features, size=self.n_candidates, replace=False
-                )
-            self.drawn[fresh] += 1
-        return self.table[trees, wave]
+        if wave == len(self.waves):
+            self.waves.append(np.full((len(self.rngs), self.n_candidates), -1, dtype=np.int64))
+        draws = self.waves[wave]
+        for t in trees[draws[:, 0][trees] < 0].tolist():
+            draws[t] = self.rngs[t].choice(self.n_features, size=self.n_candidates, replace=False)
+        return draws[trees]
 
 
 def train_forest(

@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 
@@ -427,8 +428,12 @@ def cutoff_sensitivity(
     For each cutoff the ground truth is recomputed at that cutoff and a fresh
     model is trained on the train turn's top-1 item embedding (single-turn
     protocol); the cutoffs' models train as one stack. One report row per
-    cutoff.
+    cutoff. A cutoff given twice raises ValueError.
     """
+    cutoffs = tuple(cutoffs)
+    repeated = next((c for i, c in enumerate(cutoffs) if c in cutoffs[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"cutoff {repeated} is given more than once")
     problems = [(runs, label_runs(runs, cutoff=cutoff), split, "ae-top1", "ae-head", "top1")
                 for cutoff in cutoffs]
     return _evaluate(problems, [pair], "single", settings, seed)
@@ -464,43 +469,66 @@ def mcnemar(preds_a, preds_b, actuals) -> tuple[float, bool]:
     return float(chi2), chi2 >= MCNEMAR_CRITICAL
 
 
+def _bit(field: str) -> int:
+    if field not in ("0", "1"):
+        raise ValueError(field)
+    return int(field)
+
+
+# each record file's columns, in file order, and the parser of each column's fields
+_REPORT_COLUMNS = {"predictor": str, "classifier": str, "scenario": str, "mode": str,
+                   "turn_train": int, "turn_eval": int, "cutoff": int, "accuracy": float,
+                   "n_test": int}
+_PREDICTION_COLUMNS = {"cell_id": str, "conversation_id": str, "predicted": _bit, "actual": _bit}
+_MUST_BE = {int: "an integer", float: "a number", _bit: "0 or 1"}
+
+
+def _read_records(path, what: str, columns: dict, record_type) -> list:
+    """The records of a report or predictions file, each a ``record_type`` of its parsed fields.
+
+    Raises ValidationError naming the file, the record (counted from 1,
+    comment lines skipped) and the column when the column names are not
+    ``columns``, a record has another number of fields, or a field does not
+    parse.
+    """
+    name = Path(path).name
+    header, records = read_csv(path, what)
+    if header != list(columns):
+        raise ValidationError(f"{name}: unexpected {what} header {header}")
+    parsed = []
+    for number, record in enumerate(records, 1):
+        if len(record) != len(columns):
+            raise ValidationError(
+                f"{name}: record {number}: {len(record)} field(s), the header names {len(columns)}"
+            )
+        fields = {}
+        for (column, parse), value in zip(columns.items(), record):
+            try:
+                fields[column] = parse(value)
+            except ValueError:
+                raise ValidationError(
+                    f"{name}: record {number}: {column} must be {_MUST_BE[parse]}, got {value!r}"
+                ) from None
+        parsed.append(record_type(**fields))
+    return parsed
+
+
 def write_report(report: EvalReport, path, header_comment: str | None = None) -> None:
-    columns = ["predictor", "classifier", "scenario", "mode", "turn_train", "turn_eval",
-               "cutoff", "accuracy", "n_test"]
-    rows = [
-        [row.predictor, row.classifier, row.scenario, row.mode, row.turn_train,
-         row.turn_eval, row.cutoff, repr(row.accuracy), row.n_test]
-        for row in report.rows
-    ]
-    write_csv(path, header_comment, [columns] + rows)
+    rows = [[getattr(row, column) for column in _REPORT_COLUMNS] for row in report.rows]
+    write_csv(path, header_comment, [list(_REPORT_COLUMNS)] + rows)
 
 
 def read_report(path) -> list[ReportRow]:
-    _, records = read_csv(path, "report")
-    return [
-        ReportRow(
-            predictor=record[0],
-            classifier=record[1],
-            scenario=record[2],
-            mode=record[3],
-            turn_train=int(record[4]),
-            turn_eval=int(record[5]),
-            cutoff=int(record[6]),
-            accuracy=float(record[7]),
-            n_test=int(record[8]),
-        )
-        for record in records
-    ]
+    return _read_records(path, "report", _REPORT_COLUMNS, ReportRow)
 
 
 def write_predictions(report: EvalReport, path, header_comment: str | None = None) -> None:
-    rows = [[rec.cell_id, rec.conversation_id, rec.predicted, rec.actual] for rec in report.predictions]
-    write_csv(path, header_comment, [["cell_id", "conversation_id", "predicted", "actual"]] + rows)
+    rows = [[getattr(rec, column) for column in _PREDICTION_COLUMNS] for rec in report.predictions]
+    write_csv(path, header_comment, [list(_PREDICTION_COLUMNS)] + rows)
 
 
 def read_predictions(path) -> list[PredictionRecord]:
-    _, records = read_csv(path, "predictions")
-    return [PredictionRecord(record[0], record[1], int(record[2]), int(record[3])) for record in records]
+    return _read_records(path, "predictions", _PREDICTION_COLUMNS, PredictionRecord)
 
 
 def paired_predictions(records_a, records_b) -> dict[str, tuple[list[int], list[int], list[int]]]:

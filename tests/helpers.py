@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from convpred import classifiers
 from convpred.core import ConversationRun, TurnRanking
 
 
@@ -77,13 +78,45 @@ def random_run(seed, n_turns=3, n_items=4, dim=3, cid="c0", with_query=False,
     return make_run(turns, cid=cid, target="i001", target_ranks=ranks)
 
 
-def assert_same_tree(node, expected):
-    """A built tree against the oracle's nested tuples: same shape, features, thresholds, counts."""
+def assert_same_tree(forest, node, expected):
+    """The tree at index ``node`` of a forest's node arrays against the oracle's nested tuples:
+    same shape, features, thresholds and counts."""
     if len(expected) == 2:
-        assert node.is_leaf and node.counts.tolist() == list(expected)
+        assert forest.feature[node] < 0 and forest.counts[node].tolist() == list(expected)
         return
     feature, threshold, left, right = expected
-    assert not node.is_leaf and node.feature == feature
-    assert node.threshold == threshold or (math.isnan(node.threshold) and math.isnan(threshold))
-    assert_same_tree(node.left, left)
-    assert_same_tree(node.right, right)
+    assert forest.feature[node] == feature
+    value = forest.threshold[node]
+    assert value == threshold or (math.isnan(value) and math.isnan(threshold))
+    assert_same_tree(forest, forest.left[node], left)
+    assert_same_tree(forest, forest.right[node], right)
+
+
+def assert_same_trees(forest, roots, expected):
+    """The trees at ``roots`` against the oracle's trees, one for one."""
+    for root, oracle_tree in zip(roots, expected, strict=True):
+        assert_same_tree(forest, root, oracle_tree)
+
+
+class CountedChoices:
+    """A tree's RNG that counts its ``choice`` calls, one per candidate draw."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def choice(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.choice(*args, **kwargs)
+
+
+def counted_store(streams, key):
+    """A fresh forest draw store for ``key``, put in ``streams``, whose RNGs count their draws."""
+    store = classifiers._Substreams(*key)
+    store.rngs = [CountedChoices(rng) for rng in store.rngs]
+    streams[key] = store
+    return store
+
+
+def drawn_mask(store):
+    """(waves, trees) booleans: which tree's draw of which wave the store holds."""
+    return np.array([draws[:, 0] >= 0 for draws in store.waves]).reshape(-1, len(store.rngs))

@@ -13,7 +13,7 @@ from convpred.classifiers import (
     train_lasso,
     train_logistic,
 )
-from helpers import assert_same_tree
+from helpers import assert_same_trees, counted_store, drawn_mask
 from oracles import forest_brute, forest_predict_brute, logistic_brute
 
 
@@ -175,7 +175,7 @@ def leaf_forest(counts, n_features):
 class TestForest:
     def test_single_sample_predicts_its_label(self):
         model = train_forest(np.array([[1.0, 2.0]]), np.array([1]), n_trees=10, seed=0)
-        assert all(tree.is_leaf for tree in model.trees)
+        assert (model.feature[model.roots] < 0).all()
         assert predict_cls(model, np.array([[0.0, 0.0], [9.0, 9.0]])).tolist() == [1, 1]
 
     def test_separable_toy_perfect_train_accuracy(self):
@@ -214,7 +214,7 @@ class TestForest:
         # equal rows with both labels cannot be split: the bootstrap of seed 1 holds
         # each row once, so the single leaf has one sample of each label
         model = train_forest(np.array([[0.0], [0.0]]), np.array([0, 1]), n_trees=1, seed=1)
-        assert model.trees[0].counts.tolist() == [1.0, 1.0]
+        assert model.counts[model.roots[0]].tolist() == [1.0, 1.0]
         assert predict_cls(model, np.array([[0.0], [5.0]])).tolist() == [0, 0]
 
     @pytest.mark.parametrize("values", [
@@ -268,25 +268,25 @@ def test_forest_matches_recursive_builder(inputs):
     expected = forest_brute(X, y, n_trees, seed)
     for streams in (None, served):
         model = train_forest(X, y, n_trees=n_trees, seed=seed, streams=streams)
-        assert len(model.trees) == len(expected)
-        for tree, oracle_tree in zip(model.trees, expected):
-            assert_same_tree(tree, oracle_tree)
+        assert_same_trees(model, model.roots, expected)
 
 
-def test_store_grows_its_draw_table_and_serves_shorter_forests():
+def test_store_adds_waves_and_serves_shorter_forests():
     rng = np.random.default_rng(12)
     X = rng.standard_normal((30, 9))
     short_y = np.r_[1, np.zeros(29, dtype=int)]  # a tree splits off row 0, if it holds it
     long_y = rng.integers(0, 2, size=30)
     streams = {}
-    drawn = []
+    store = counted_store(streams, (4, 6, 30, 9))
+    grown = []
     for y in (short_y, long_y, short_y):
         model = train_forest(X, y, n_trees=6, seed=4, streams=streams)
-        for tree, oracle_tree in zip(model.trees, forest_brute(X, y, 6, 4), strict=True):
-            assert_same_tree(tree, oracle_tree)
-        substreams = streams[4, 6, 30, 9]
-        drawn.append((substreams.table.shape[1], substreams.drawn.max()))
-    assert drawn[0] < drawn[1] == drawn[2]  # the long forest grew the table
+        assert_same_trees(model, model.roots, forest_brute(X, y, 6, 4))
+        calls = [tree_rng.calls for tree_rng in store.rngs]
+        assert calls == drawn_mask(store).sum(axis=0).tolist()  # each (tree, wave) drawn once
+        grown.append((len(store.waves), sum(calls)))
+    # the long forest added waves, and the short forest after it drew nothing
+    assert grown[0] < grown[1] == grown[2]
 
 
 def oracle_thresholds(tree):

@@ -1,4 +1,6 @@
+import csv
 import importlib.util
+import io
 import re
 import warnings
 from pathlib import Path
@@ -379,6 +381,15 @@ class TestCutoffsOption:
             f"error: bad --cutoffs '{cutoffs}' (expected comma-separated integers >= 1)\n"
         )
 
+    def test_eval_refuses_a_repeated_cutoff(self, workspace, tmp_path, capsys):
+        _, runs_path, _ = workspace
+        code = main(["eval", "--runs", str(runs_path), "--mode", "cutoff", "--cutoffs", "20,1,20",
+                     "--epochs", "2", "--report", str(tmp_path / "r.csv"),
+                     "--predictions", str(tmp_path / "p.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: cutoff 20 is given more than once\n"
+        assert not (tmp_path / "r.csv").exists()
+
 
 def test_protocol_script_run_twice_in_one_process_writes_the_same_bytes(tmp_path, monkeypatch):
     """Nothing a module keeps from the first run, such as feature rows, changes the second."""
@@ -474,6 +485,16 @@ def two_runs(workspace, tmp_path_factory):
     return root, outputs
 
 
+def _edit_record(path, out, number, edit):
+    """Copy a record file to ``out``, record ``number`` (from 1) replaced by edit(its fields)."""
+    lines = path.read_text().splitlines()
+    at = [i for i, line in enumerate(lines) if not line.startswith("#")][number]
+    text = io.StringIO()
+    csv.writer(text, lineterminator="").writerow(edit(next(csv.reader([lines[at]]))))
+    lines[at] = text.getvalue()
+    out.write_text("\n".join(lines) + "\n")
+
+
 class TestCompareAndReport:
     def test_compare(self, two_runs, capsys):
         root, outputs = two_runs
@@ -508,6 +529,42 @@ class TestCompareAndReport:
         assert rows[0].startswith("scenario,predictor,classifier,mode,cutoff")
         assert "2,3" in rows[0]
         assert grid_text.read_text().startswith("#")
+
+    @pytest.mark.parametrize("number, edit, message", [
+        (1, lambda fields: fields[:5], "record 1: 5 field(s), the header names 9"),
+        (2, lambda fields: fields[:8] + ["x"], "record 2: n_test must be an integer, got 'x'"),
+        (3, lambda fields: fields[:7] + ["most"] + fields[8:],
+         "record 3: accuracy must be a number, got 'most'"),
+    ], ids=["short", "non-integer", "non-number"])
+    def test_report_names_the_bad_record(self, two_runs, tmp_path, capsys, number, edit, message):
+        _, outputs = two_runs
+        bad = tmp_path / "bad_report.csv"
+        _edit_record(outputs["wand"][0], bad, number, edit)
+        code = main(["report", "--inputs", str(outputs["score"][0]), str(bad)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: bad_report.csv: {message}\n"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda fields: fields[:3], "record 2: 3 field(s), the header names 4"),
+        (lambda fields: fields[:2] + ["2", fields[3]], "record 2: predicted must be 0 or 1, got '2'"),
+        (lambda fields: fields[:3] + ["yes"], "record 2: actual must be 0 or 1, got 'yes'"),
+    ], ids=["short", "predicted-2", "actual-yes"])
+    def test_compare_names_the_bad_record(self, two_runs, tmp_path, capsys, edit, message):
+        _, outputs = two_runs
+        bad = tmp_path / "bad_preds.csv"
+        _edit_record(outputs["score"][1], bad, 2, edit)
+        code = main(["compare", "--a", str(outputs["wand"][1]), "--b", str(bad)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: bad_preds.csv: {message}\n"
+
+    def test_compare_refuses_a_report_as_predictions(self, two_runs, capsys):
+        _, outputs = two_runs
+        code = main(["compare", "--a", str(outputs["wand"][0]), "--b", str(outputs["score"][1])])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: wand_report.csv: unexpected predictions header ['predictor', 'classifier',"
+            " 'scenario', 'mode', 'turn_train', 'turn_eval', 'cutoff', 'accuracy', 'n_test']\n"
+        )
 
 
 class TestExitCodes:

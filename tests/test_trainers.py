@@ -10,7 +10,7 @@ import pytest
 
 from convpred import autoencoder, classifiers
 from convpred.autoencoder import AEConfig
-from helpers import assert_same_tree
+from helpers import assert_same_trees, counted_store, drawn_mask
 from oracles import ae_train_brute, forest_brute, forest_predict_brute, logistic_brute
 
 TRAINERS = {
@@ -118,14 +118,12 @@ def test_stacked_lasso_matches_lone_fits(case):
 
 
 def _assert_stacked_forest(forest, X, y, n_trees, seeds):
-    trees = forest.trees
-    assert forest.roots.shape == (len(X), n_trees) and len(trees) == len(X) * n_trees
+    assert forest.roots.shape == (len(X), n_trees)
     query = np.random.default_rng(9).standard_normal((len(X), 5, X.shape[2]))
     predicted = classifiers.predict_cls(forest, query)
     for p, (X_p, y_p, seed) in enumerate(zip(X, y, seeds)):
         expected = forest_brute(X_p, y_p, n_trees, seed)
-        for tree, oracle_tree in zip(trees[p * n_trees : (p + 1) * n_trees], expected, strict=True):
-            assert_same_tree(tree, oracle_tree)
+        assert_same_trees(forest, forest.roots[p], expected)
         assert predicted[p].tolist() == forest_predict_brute(expected, query[p])
 
 
@@ -142,29 +140,37 @@ def test_stacked_forests_of_one_key_share_draws_and_serve_a_later_forest():
 
     A tree pops one node per wave until it is done, so both problems take
     tree t's j-th draw in wave j: the first to take it draws it and the other
-    reads it from the table. The store then holds, per tree, as many draws
-    as the deeper of the two, and a later forest of the key draws nothing.
+    reads it from the store. The store then holds the waves of the deeper of
+    the two, with each tree's draws of either, and a later forest of the key
+    draws nothing.
     """
     rng = np.random.default_rng(21)
     X = rng.standard_normal((2, 30, 9))
     y = np.stack([np.r_[1, np.zeros(29, dtype=int)], rng.integers(0, 2, size=30)])
+    key = (4, 6, 30, 9)
     streams = {}
+    store = counted_store(streams, key)
     forest = classifiers.train_forest(X, y, n_trees=6, seed=4, streams=streams)
     _assert_stacked_forest(forest, X, y, 6, (4, 4))
     alone = []
     for X_p, y_p in zip(X, y):
         own = {}
         classifiers.train_forest(X_p, y_p, n_trees=6, seed=4, streams=own)
-        alone.append(own[4, 6, 30, 9].drawn)
-    assert list(streams) == [(4, 6, 30, 9)]
-    substreams = streams[4, 6, 30, 9]
-    assert alone[0].max() < alone[1].max()  # the problems grow different numbers of waves
-    np.testing.assert_array_equal(substreams.drawn, np.maximum(*alone))
-    drawn = substreams.drawn.copy()
+        alone.append(own[key])
+    assert list(streams) == [key]
+    assert len(alone[0].waves) < len(alone[1].waves) == len(store.waves)
+    expected = np.zeros((len(store.waves), 6), dtype=bool)
+    for own in alone:
+        expected[: len(own.waves)] |= drawn_mask(own)
+        for shared, draws in zip(store.waves, own.waves):
+            made = draws[:, 0] >= 0
+            np.testing.assert_array_equal(shared[made], draws[made])
+    np.testing.assert_array_equal(drawn_mask(store), expected)
+    calls = [tree_rng.calls for tree_rng in store.rngs]
+    assert calls == expected.sum(axis=0).tolist()  # each (tree, wave) drawn once
     later = classifiers.train_forest(X[1], y[1], n_trees=6, seed=4, streams=streams)
-    for tree, oracle_tree in zip(later.trees, forest_brute(X[1], y[1], 6, 4), strict=True):
-        assert_same_tree(tree, oracle_tree)
-    np.testing.assert_array_equal(substreams.drawn, drawn)
+    assert_same_trees(later, later.roots, forest_brute(X[1], y[1], 6, 4))
+    assert [tree_rng.calls for tree_rng in store.rngs] == calls
 
 
 def test_stack_needs_a_seed_per_problem():
