@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +58,15 @@ class TurnRanking:
     belonging to ``items[i]``. Items must be sorted by score, non-increasing,
     with exact score ties broken by item id ascending (checked by
     :func:`validate_run`). An empty ranking has a ``(0, 0)`` embedding matrix.
-    The arrays are read-only copies, so a ranking cannot change once made.
+
+    The embeddings are stored as an item table ``item_rows`` plus an optional
+    ``(n,)`` intp index ``rows``. With ``rows=None`` the table is the
+    ranking's own ``(n, d)`` matrix, kept as a read-only copy. Otherwise row
+    i is ``item_rows[rows[i]]``, so rankings over one catalogue share its
+    ``(m, d)`` table instead of each copying its rows; such a table is not
+    copied and must already be a read-only 2-D float64 array. Every array is
+    read-only, so a ranking cannot change once made. ``embeddings`` gathers
+    a new read-only matrix on each access; bind it once per ranking.
     ``query_embedding`` is optional: externally produced runs may supply the
     live query vector; otherwise features fall back to a centroid surrogate.
     """
@@ -66,34 +74,71 @@ class TurnRanking:
     turn: int
     items: tuple[str, ...]
     scores: np.ndarray
-    embeddings: np.ndarray
+    item_rows: np.ndarray
+    rows: np.ndarray | None = field(default=None, kw_only=True)
     query_embedding: np.ndarray | None = None
     critique: str | None = None
 
     def __post_init__(self):
         items = tuple(self.items)
-        scores = np.array(self.scores, dtype=np.float64)
-        embeddings = np.array(self.embeddings, dtype=np.float64)
-        if not items:
-            embeddings = embeddings.reshape(0, 0)
         n = len(items)
-        if scores.shape != (n,) or embeddings.ndim != 2 or len(embeddings) != n:
+        scores = np.array(self.scores, dtype=np.float64)
+        if self.rows is None:
+            table = np.array(self.item_rows, dtype=np.float64)
+            if not items:
+                table = table.reshape(0, 0)
+            rows, held = None, table
+        else:
+            table, rows = self.item_rows, self._shared_rows(n)
+            held = table.take(rows, axis=0)
+        if scores.shape != (n,) or held.ndim != 2 or len(held) != n:
             raise ValidationError(
                 f"turn {self.turn}: {n} item ids need {n} scores and {n} embedding rows, "
-                f"got shapes {scores.shape} and {embeddings.shape}"
+                f"got shapes {scores.shape} and {held.shape}"
             )
-        if n and not embeddings.shape[1]:
+        if n and not held.shape[1]:
             raise ValidationError("embedding must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(embeddings)):
+        if not np.all(np.isfinite(held)):
             raise ValidationError("embedding has non-finite entries")
         query = None if self.query_embedding is None else _as_embedding(self.query_embedding)
-        for array in (scores, embeddings, query):
+        for array in (scores, table, rows, query):
             if array is not None:
                 array.flags.writeable = False
         object.__setattr__(self, "items", items)
         object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "embeddings", embeddings)
+        object.__setattr__(self, "item_rows", table)
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "query_embedding", query)
+
+    def _shared_rows(self, n: int) -> np.ndarray:
+        """``rows`` as a new intp array, once the shared table and the index are checked."""
+        table, rows = self.item_rows, np.asarray(self.rows)
+        where = f"turn {self.turn}"
+        if not (
+            isinstance(table, np.ndarray) and table.ndim == 2
+            and table.dtype == np.float64 and not table.flags.writeable
+        ):
+            raise ValidationError(
+                f"{where}: a shared item table must be a read-only 2-D float64 array"
+            )
+        if rows.shape != (n,) or (n and rows.dtype.kind not in "iu"):
+            raise ValidationError(
+                f"{where}: {n} item ids need {n} integer rows, got {rows.dtype} shape {rows.shape}"
+            )
+        if n and not (rows.min() >= 0 and rows.max() < len(table)):
+            raise ValidationError(f"{where}: rows must lie in [0, {len(table)})")
+        return rows.astype(np.intp)
+
+    @property
+    def embeddings(self) -> np.ndarray:
+        """The ``(n, d)`` item embeddings in rank order, read-only."""
+        if self.rows is None:
+            return self.item_rows
+        if not self.items:
+            return self.item_rows[:0, :0]
+        held = self.item_rows.take(self.rows, axis=0)
+        held.flags.writeable = False
+        return held
 
 
 @dataclass(frozen=True, eq=False)

@@ -124,8 +124,9 @@ def generate_synthetic(config: GenConfig) -> list[ConversationRun]:
 
     with a_t the conversation's pull rate (optionally decayed per turn) and
     g_t i.i.d. standard normal. Turn scores are cosine(q_t, e_i) over the
-    whole catalogue; the ranking stores the top_n items and the target's
-    full-catalogue rank is kept per turn. Per-conversation substreams make
+    whole catalogue; the ranking stores the top_n items, indexing their rows
+    of the one read-only catalogue table, and the target's full-catalogue
+    rank is kept per turn. Per-conversation substreams make
     generation order-independent and reproducible.
     """
     root = np.random.SeedSequence(config.seed)
@@ -134,6 +135,7 @@ def generate_synthetic(config: GenConfig) -> list[ConversationRun]:
     catalogue = _unit_rows(
         np.random.default_rng(cat_ss).standard_normal((config.catalogue_size, config.dim))
     )
+    catalogue.flags.writeable = False  # every ranking indexes this one table
     item_ids = [f"item_{i:06d}" for i in range(config.catalogue_size)]
 
     n = config.n_conversations
@@ -168,7 +170,7 @@ def generate_synthetic(config: GenConfig) -> list[ConversationRun]:
                 1 + int(np.count_nonzero(scores > s)) + int(np.count_nonzero(scores[:target] == s))
             )
             items = tuple(item_ids[j] for j in top)
-            turns.append(TurnRanking(t, items, scores[top], catalogue[top], q))
+            turns.append(TurnRanking(t, items, scores[top], catalogue, q, rows=top))
         runs.append(
             ConversationRun(
                 conversation_id=f"conv_{i:05d}",
@@ -227,7 +229,7 @@ def _turn_from_dict(tr: dict, cid: str, row) -> TurnRanking:
         turn=turn,
         items=ids,
         scores=scores,
-        embeddings=embeddings,
+        item_rows=embeddings,
         query_embedding=query,
         critique=critique,
     )

@@ -475,12 +475,27 @@ def _bit(field: str) -> int:
     return int(field)
 
 
+def _share(field: str) -> float:
+    value = float(field)
+    if not 0.0 <= value <= 1.0:  # nan fails too
+        raise ValueError(field)
+    return value
+
+
+def _count(field: str) -> int:
+    value = int(field)
+    if value < 1:
+        raise ValueError(field)
+    return value
+
+
 # each record file's columns, in file order, and the parser of each column's fields
 _REPORT_COLUMNS = {"predictor": str, "classifier": str, "scenario": str, "mode": str,
-                   "turn_train": int, "turn_eval": int, "cutoff": int, "accuracy": float,
-                   "n_test": int}
+                   "turn_train": int, "turn_eval": int, "cutoff": int, "accuracy": _share,
+                   "n_test": _count}
 _PREDICTION_COLUMNS = {"cell_id": str, "conversation_id": str, "predicted": _bit, "actual": _bit}
-_MUST_BE = {int: "an integer", float: "a number", _bit: "0 or 1"}
+_MUST_BE = {int: "an integer", _share: "a number in [0, 1]", _count: "an integer >= 1",
+            _bit: "0 or 1"}
 
 
 def _read_records(path, what: str, columns: dict, record_type) -> list:
@@ -538,17 +553,25 @@ def paired_predictions(records_a, records_b) -> dict[str, tuple[list[int], list[
     (``scenario|mode|T,E|cutoffC``). Returns, for each cell both sides hold
     and in the order ``records_a`` first holds them, the predictions of a, of
     b and the ground truth, over the cell's conversations in id order.
-    Raises ValidationError when no cell is shared, or a shared cell's
-    conversations or ground truth differ between the sides.
+    Raises ValidationError when no cell is shared, a shared cell's
+    conversations or ground truth differ between the sides, or one side
+    holds two records of one conversation in one cell (as a file of several
+    grid rows does).
     """
 
-    def by_cell(records):
+    def by_cell(records, side):
         cells: dict[str, dict[str, PredictionRecord]] = {}
         for rec in records:
-            cells.setdefault(rec.cell_id.split("|", 2)[2], {})[rec.conversation_id] = rec
+            cell = rec.cell_id.split("|", 2)[2]
+            held = cells.setdefault(cell, {})
+            if rec.conversation_id in held:
+                raise ValidationError(
+                    f"cell {cell}: side {side} has two records for {rec.conversation_id!r}"
+                )
+            held[rec.conversation_id] = rec
         return cells
 
-    cells_a, cells_b = by_cell(records_a), by_cell(records_b)
+    cells_a, cells_b = by_cell(records_a, "a"), by_cell(records_b, "b")
     paired = {}
     for cell, ra in cells_a.items():
         rb = cells_b.get(cell)

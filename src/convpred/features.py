@@ -42,7 +42,8 @@ RATIO_GUARD = 1e-12
 # ranking -> {(kind, top_n): feature row}; an entry dies with its ranking.
 # Rankings are immutable, so a row stays valid while its ranking lives. No
 # row may refer to its ranking (a view of its arrays is fine), or the entry
-# would keep the ranking alive.
+# would keep the ranking alive; nor may it be a view of a gathered block of
+# rows, which would keep the whole block alive for one row.
 _ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -55,7 +56,8 @@ def _top(ranking: TurnRanking, top_n: int, minimum: int) -> tuple[np.ndarray, np
         raise ValueError(
             f"needs at least {minimum} item{'s' if minimum > 1 else ''}, top_n {top_n} keeps {n}"
         )
-    return ranking.scores[:n], ranking.embeddings[:n]
+    table, rows = ranking.item_rows, ranking.rows
+    return ranking.scores[:n], table[:n] if rows is None else table.take(rows[:n], axis=0)
 
 
 @lru_cache(maxsize=None)
@@ -170,8 +172,8 @@ def pooled_embedding(ranking: TurnRanking, top_n: int = 100) -> np.ndarray:
 
 
 def top_item_embedding(ranking: TurnRanking, top_n: int = 100) -> np.ndarray:
-    """The top-ranked item's embedding."""
-    return _top(ranking, top_n, minimum=1)[1][0]
+    """The top-ranked item's embedding, as a copy that holds no other row."""
+    return _top(ranking, top_n, minimum=1)[1][0].copy()
 
 
 FEATURE_KINDS = {

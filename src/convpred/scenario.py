@@ -95,12 +95,14 @@ def identify_easy(labels: LabelSet) -> set[str]:
 
 
 def _delete_target(run: ConversationRun) -> ConversationRun:
+    """``run`` without its target; each ranking keeps its item table and drops the target's row."""
     turns = []
     for ranking in run.turns:
         keep = np.array(ranking.items, dtype=object) != run.target_id
         items = tuple(compress(ranking.items, keep))
-        scores, embeddings = ranking.scores[keep], ranking.embeddings[keep]
-        turns.append(replace(ranking, items=items, scores=scores, embeddings=embeddings))
+        # a ranking's own matrix is a read-only table too, so both forms come out sharing
+        rows = np.flatnonzero(keep) if ranking.rows is None else ranking.rows[keep]
+        turns.append(replace(ranking, items=items, scores=ranking.scores[keep], rows=rows))
     return ConversationRun(
         conversation_id=run.conversation_id,
         target_id=run.target_id,

@@ -16,7 +16,7 @@ def make_ranking(scores, embeddings, turn=1, query=None, ids=None, critique=None
         turn=turn,
         items=tuple(ids),
         scores=scores,
-        embeddings=embeddings,
+        item_rows=embeddings,
         query_embedding=query,
         critique=critique,
     )

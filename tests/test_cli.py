@@ -532,10 +532,17 @@ class TestCompareAndReport:
 
     @pytest.mark.parametrize("number, edit, message", [
         (1, lambda fields: fields[:5], "record 1: 5 field(s), the header names 9"),
-        (2, lambda fields: fields[:8] + ["x"], "record 2: n_test must be an integer, got 'x'"),
+        (2, lambda fields: fields[:8] + ["x"], "record 2: n_test must be an integer >= 1, got 'x'"),
         (3, lambda fields: fields[:7] + ["most"] + fields[8:],
-         "record 3: accuracy must be a number, got 'most'"),
-    ], ids=["short", "non-integer", "non-number"])
+         "record 3: accuracy must be a number in [0, 1], got 'most'"),
+        (1, lambda fields: fields[:7] + ["nan"] + fields[8:],
+         "record 1: accuracy must be a number in [0, 1], got 'nan'"),
+        (2, lambda fields: fields[:7] + ["1.5"] + fields[8:],
+         "record 2: accuracy must be a number in [0, 1], got '1.5'"),
+        (3, lambda fields: fields[:8] + ["0"], "record 3: n_test must be an integer >= 1, got '0'"),
+        (1, lambda fields: fields[:8] + ["-4"], "record 1: n_test must be an integer >= 1, got '-4'"),
+    ], ids=["short", "non-integer", "non-number", "accuracy-nan", "accuracy-1.5", "n_test-0",
+            "n_test-negative"])
     def test_report_names_the_bad_record(self, two_runs, tmp_path, capsys, number, edit, message):
         _, outputs = two_runs
         bad = tmp_path / "bad_report.csv"
@@ -556,6 +563,31 @@ class TestCompareAndReport:
         code = main(["compare", "--a", str(outputs["wand"][1]), "--b", str(bad)])
         assert code == 1
         assert capsys.readouterr().err == f"error: bad_preds.csv: {message}\n"
+
+    def test_compare_refuses_a_repeated_record(self, two_runs, tmp_path, capsys):
+        _, outputs = two_runs
+        text = outputs["score"][1].read_text()
+        cell_id, cid, predicted, actual = list(csv.reader(text.splitlines()))[-1]
+        bad = tmp_path / "repeated_preds.csv"
+        with bad.open("w", newline="") as fh:
+            fh.write(text)
+            csv.writer(fh).writerow([cell_id, cid, 1 - int(predicted), actual])
+        code = main(["compare", "--a", str(outputs["wand"][1]), "--b", str(bad)])
+        assert code == 1
+        cell = cell_id.split("|", 2)[2]
+        assert capsys.readouterr().err == f"error: cell {cell}: side b has two records for '{cid}'\n"
+
+    def test_compare_refuses_several_grid_rows_in_one_file(self, two_runs, tmp_path, capsys):
+        """Both predictors' records in one file hold each shared cell's conversations twice."""
+        _, outputs = two_runs
+        wand_lines = [l for l in outputs["wand"][1].read_text().splitlines() if not l.startswith("#")]
+        both = tmp_path / "grid_preds.csv"
+        both.write_text(outputs["score"][1].read_text() + "\n".join(wand_lines[1:]) + "\n")
+        code = main(["compare", "--a", str(both), "--b", str(outputs["wand"][1])])
+        assert code == 1
+        cell_id, cid = next(csv.reader(wand_lines[1:]))[:2]
+        cell = cell_id.split("|", 2)[2]
+        assert capsys.readouterr().err == f"error: cell {cell}: side a has two records for '{cid}'\n"
 
     def test_compare_refuses_a_report_as_predictions(self, two_runs, capsys):
         _, outputs = two_runs

@@ -11,6 +11,7 @@ from convpred.core import (
     ValidationError,
     read_csv,
     round_half_up,
+    runs_equal,
     validate_run,
     validate_runs,
 )
@@ -128,6 +129,65 @@ class TestRankingColumnsReadOnly:
         build_feature_matrix([run], "score", 1, run.n_turns, "single")
         with pytest.raises(ValueError, match="read-only"):
             run.turns[0].scores *= 2.0
+
+    def test_shared_table_and_its_rows_are_read_only(self):
+        table = np.arange(6.0).reshape(3, 2) + 1.0
+        table.flags.writeable = False
+        rows = np.array([2, 0])
+        ranking = TurnRanking(1, ("a", "b"), [2.0, 1.0], table, rows=rows)
+        assert ranking.item_rows is table  # shared, not copied
+        rows[0] = 1  # the caller's index stays writeable and is not the ranking's
+        assert ranking.rows.tolist() == [2, 0] and ranking.rows.dtype == np.intp
+        assert ranking.embeddings.tolist() == [[5.0, 6.0], [1.0, 2.0]]
+        for array in (ranking.rows, ranking.embeddings):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 5
+
+
+def _read_only(array):
+    array = np.array(array)
+    array.flags.writeable = False
+    return array
+
+
+TABLE = _read_only(np.eye(3))
+
+
+class TestSharedItemTable:
+    @pytest.mark.parametrize("table, rows, message", [
+        (np.eye(3), [0, 1], "shared item table must be a read-only 2-D float64 array"),
+        (_read_only(np.eye(3, dtype=np.float32)), [0, 1], "read-only 2-D float64"),
+        (_read_only(np.ones(3)), [0, 1], "read-only 2-D float64"),
+        ([[1.0, 0.0], [0.0, 1.0]], [0, 1], "read-only 2-D float64"),
+        (TABLE, [-1, 0], r"rows must lie in \[0, 3\)"),
+        (TABLE, [0, 3], r"rows must lie in \[0, 3\)"),
+        (TABLE, [0.0, 1.0], "2 item ids need 2 integer rows, got float64 shape"),
+        (TABLE, [True, False], "2 item ids need 2 integer rows, got bool shape"),
+        (TABLE, [0], r"2 item ids need 2 integer rows, got int64 shape \(1,\)"),
+        (TABLE, [[0, 1]], r"shape \(1, 2\)"),
+    ], ids=["writable", "float32", "1-D", "list", "negative", "past-end", "float", "bool",
+            "short", "2-D"])
+    def test_refuses(self, table, rows, message):
+        with pytest.raises(ValidationError, match=f"^turn 4: .*{message}"):
+            TurnRanking(4, ("a", "b"), [2.0, 1.0], table, rows=rows)
+
+    def test_finiteness_is_checked_on_the_referenced_rows(self):
+        table = _read_only([[1.0, 0.0], [np.nan, 1.0], [0.0, 1.0]])
+        ranking = TurnRanking(1, ("a", "b"), [2.0, 1.0], table, rows=[2, 0])
+        assert ranking.embeddings.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        with pytest.raises(ValidationError, match="non-finite"):
+            TurnRanking(1, ("a", "b"), [2.0, 1.0], table, rows=[1, 0])
+
+    def test_empty_ranking_has_no_embedding_columns(self):
+        ranking = TurnRanking(1, (), [], TABLE, rows=np.array([], dtype=np.intp))
+        assert ranking.embeddings.shape == (0, 0)
+
+    def test_validates_and_compares_like_its_own_rows(self):
+        shared = make_run([TurnRanking(t, ("i000", "i001"), [2.0, 1.0], TABLE, rows=[2, 0])
+                           for t in (1, 2)])
+        own = make_run([make_ranking([2.0, 1.0], TABLE[[2, 0]], turn=t) for t in (1, 2)])
+        assert validate_run(shared) == 3
+        assert runs_equal(shared, own)
 
 
 class TestValidation:

@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -553,6 +555,20 @@ class TestGenerator:
             for ranking, rank in zip(run.turns, run.target_ranks):
                 in_top = rank <= SMALL["top_n"]
                 assert stored_rank(ranking, run.target_id) == (rank if in_top else None)
+
+
+    def test_rankings_index_one_catalogue_table(self):
+        """50 conversations of 10 turns hold 500 top-100 rankings; copies of their rows
+        would take 12.8 MB, the one 2000 x 32 table 0.5 MB."""
+        config = replace(calibration_config(seed=7), n_conversations=50)
+        tracemalloc.start()
+        try:
+            runs = generate_synthetic(config)
+            live, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert live < 5e6
+        assert len({id(ranking.item_rows) for run in runs for ranking in run.turns}) == 1
 
 
 @st.composite

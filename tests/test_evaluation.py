@@ -516,3 +516,13 @@ class TestPairedPredictions:
         other = "ae|ae-head|base|multi|3,4|cutoff20"
         with pytest.raises(ValidationError, match="share no evaluation cells"):
             paired_predictions(a, self._records(other, [("c0", 0, 1), ("c1", 1, 1)]))
+
+    def test_repeated_records_raise(self):
+        """A repeat within a side raises, also across grid rows that share a cell."""
+        a = self._records(self.CELL_A, [("c0", 0, 1), ("c1", 1, 1)])
+        b = self._records(self.CELL_B, [("c0", 0, 1), ("c1", 1, 1), ("c0", 1, 1)])
+        with pytest.raises(ValidationError, match=r"\|cutoff20: side b has two records for 'c0'"):
+            paired_predictions(a, b)
+        rows = a + self._records("score|forest|base|multi|2,3|cutoff20", [("c1", 0, 1)])
+        with pytest.raises(ValidationError, match="side a has two records for 'c1'"):
+            paired_predictions(rows, b[:2])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convpred import features
 from convpred.core import read_csv
 from convpred.data_io import GenConfig, generate_synthetic
 from convpred.features import (
@@ -170,6 +171,17 @@ class TestPooled:
         ranking = make_ranking([2.0, 1.0], [[2.0, 0.0], [0.0, 2.0]])
         np.testing.assert_array_equal(top_item_embedding(ranking), [2.0, 0.0])
 
+    def test_top1_memo_row_is_a_one_row_copy(self):
+        """The memo row of a ranking over a shared table holds only its own row."""
+        runs = generate_synthetic(GenConfig(n_conversations=2, dim=4, catalogue_size=30,
+                                            n_turns=2, top_n=10, seed=1))
+        build_feature_matrix(runs, "top1", 2)
+        for run in runs:
+            for ranking in run.turns:
+                row = features._ROWS[ranking]["top1", 100]
+                assert row.base is None and row.shape == (4,)
+                np.testing.assert_array_equal(row, ranking.embeddings[0])
+
 
 class TestAssembly:
     def test_wand_multiturn_equals_per_turn(self):
@@ -311,7 +323,7 @@ def rotated_runs():
     rotation, _ = np.linalg.qr(np.random.default_rng(6).standard_normal((32, 32)))
     rotated = [
         replace(run, turns=tuple(
-            replace(turn, embeddings=turn.embeddings @ rotation,
+            replace(turn, item_rows=turn.embeddings @ rotation, rows=None,
                     query_embedding=turn.query_embedding @ rotation)
             for turn in run.turns
         ))

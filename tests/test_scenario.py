@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from convpred.core import ValidationError, round_half_up, runs_equal
+from convpred.core import TurnRanking, ValidationError, round_half_up, runs_equal
 from convpred.data_io import GenConfig, generate_synthetic, write_runs
 from convpred.features import assemble_multiturn
 from convpred.scenario import (
@@ -165,6 +165,37 @@ class TestInduceMissing:
                 assert not np.array_equal(before, after)
             else:
                 assert np.array_equal(before, after)
+
+
+class TestSharedItemTable:
+    def test_generated_rankings_share_one_table_and_induction_keeps_it(self):
+        cfg = GenConfig(n_conversations=12, dim=4, catalogue_size=60, n_turns=4,
+                        top_n=10, easy_fraction=0.8, pull_rate_easy=0.9, seed=5)
+        runs = generate_synthetic(cfg)
+        modified, missing = induce_missing(runs, label_runs(runs, cutoff=10), fraction=0.5, seed=5)
+        assert missing.forced
+        tables = {id(ranking.item_rows) for run in runs + modified for ranking in run.turns}
+        assert len(tables) == 1
+        for original, new in zip(runs, modified):
+            for before, after in zip(original.turns, new.turns):
+                forced = original.conversation_id in missing.forced
+                keep = [not forced or item != original.target_id for item in before.items]
+                assert after.rows.tolist() == before.rows[keep].tolist()
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["own-rows", "shared-table"])
+    def test_deleting_the_only_item_leaves_no_embedding_columns(self, shared):
+        table = np.eye(2)
+        table.flags.writeable = False
+        turns = [
+            TurnRanking(t, ("target",), [1.0], table, rows=[1]) if shared
+            else make_ranking([1.0], table[1:], turn=t, ids=["target"])
+            for t in (1, 2)
+        ]
+        runs = [make_run(turns, target="target")]
+        modified, _ = induce_missing(runs, label_runs(runs, cutoff=1), fraction=1.0)
+        for ranking in modified[0].turns:
+            assert ranking.items == ()
+            assert ranking.embeddings.shape == (0, 0)
 
 
 class TestLabelFiles:
