@@ -59,14 +59,17 @@ class TurnRanking:
     with exact score ties broken by item id ascending (checked by
     :func:`validate_run`). An empty ranking has a ``(0, 0)`` embedding matrix.
 
-    The embeddings are stored as an item table ``item_rows`` plus an optional
-    ``(n,)`` intp index ``rows``. With ``rows=None`` the table is the
-    ranking's own ``(n, d)`` matrix, kept as a read-only copy. Otherwise row
-    i is ``item_rows[rows[i]]``, so rankings over one catalogue share its
-    ``(m, d)`` table instead of each copying its rows; such a table is not
-    copied and must already be a read-only 2-D float64 array. Every array is
-    read-only, so a ranking cannot change once made. ``embeddings`` gathers
-    a new read-only matrix on each access; bind it once per ranking.
+    The embeddings are stored as an ``(m, d)`` float64 item table
+    ``item_rows`` plus an ``(n,)`` intp index ``rows``: row i is
+    ``item_rows[rows[i]]``. With ``rows=None`` the given matrix holds the
+    ranking's own rows; it is copied into a new read-only table indexed by
+    ``arange(n)``. Given ``rows``, the table is shared, not copied, so that
+    rankings over one catalogue hold one table instead of each copying its
+    rows. Such a table must already be a read-only 2-D float64 array, and
+    whoever made it must not write to it later through another reference (a
+    writable base, or its flag set back), since the ranking checked the rows
+    as they were. Every array a ranking holds is read-only. ``embeddings``
+    gathers a new read-only matrix on each access; bind it once per ranking.
     ``query_embedding`` is optional: externally produced runs may supply the
     live query vector; otherwise features fall back to a centroid surrogate.
     """
@@ -85,9 +88,9 @@ class TurnRanking:
         scores = np.array(self.scores, dtype=np.float64)
         if self.rows is None:
             table = np.array(self.item_rows, dtype=np.float64)
-            if not items:
-                table = table.reshape(0, 0)
-            rows, held = None, table
+            if not items and not table.size:
+                table = np.empty((0, 0))
+            rows, held = np.arange(n, dtype=np.intp), table
         else:
             table, rows = self.item_rows, self._shared_rows(n)
             held = table.take(rows, axis=0)
@@ -132,8 +135,6 @@ class TurnRanking:
     @property
     def embeddings(self) -> np.ndarray:
         """The ``(n, d)`` item embeddings in rank order, read-only."""
-        if self.rows is None:
-            return self.item_rows
         if not self.items:
             return self.item_rows[:0, :0]
         held = self.item_rows.take(self.rows, axis=0)

@@ -56,8 +56,7 @@ def _top(ranking: TurnRanking, top_n: int, minimum: int) -> tuple[np.ndarray, np
         raise ValueError(
             f"needs at least {minimum} item{'s' if minimum > 1 else ''}, top_n {top_n} keeps {n}"
         )
-    table, rows = ranking.item_rows, ranking.rows
-    return ranking.scores[:n], table[:n] if rows is None else table.take(rows[:n], axis=0)
+    return ranking.scores[:n], ranking.embeddings[:n]
 
 
 @lru_cache(maxsize=None)

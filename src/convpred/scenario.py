@@ -100,9 +100,9 @@ def _delete_target(run: ConversationRun) -> ConversationRun:
     for ranking in run.turns:
         keep = np.array(ranking.items, dtype=object) != run.target_id
         items = tuple(compress(ranking.items, keep))
-        # a ranking's own matrix is a read-only table too, so both forms come out sharing
-        rows = np.flatnonzero(keep) if ranking.rows is None else ranking.rows[keep]
-        turns.append(replace(ranking, items=items, scores=ranking.scores[keep], rows=rows))
+        turns.append(
+            replace(ranking, items=items, scores=ranking.scores[keep], rows=ranking.rows[keep])
+        )
     return ConversationRun(
         conversation_id=run.conversation_id,
         target_id=run.target_id,

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -181,6 +182,20 @@ class TestSharedItemTable:
     def test_empty_ranking_has_no_embedding_columns(self):
         ranking = TurnRanking(1, (), [], TABLE, rows=np.array([], dtype=np.intp))
         assert ranking.embeddings.shape == (0, 0)
+        assert TurnRanking(1, (), [], []).embeddings.shape == (0, 0)
+
+    def test_refuses_own_rows_without_items(self):
+        with pytest.raises(ValidationError, match=r"^turn 3: 0 item ids need 0 scores and 0 "):
+            TurnRanking(3, (), [], [[1.0, 2.0]])
+
+    def test_own_rows_become_a_table_that_replace_shares(self):
+        own = make_ranking([2.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], query=[1.0, 0.0])
+        shared = TurnRanking(1, ("a", "b"), [2.0, 1.0], TABLE, [1.0, 0.0], rows=[2, 0])
+        for ranking in (own, shared):
+            bare = replace(ranking, query_embedding=None)
+            assert bare.query_embedding is None
+            assert np.array_equal(bare.embeddings, ranking.embeddings)
+        assert own.rows.tolist() == [0, 1] and replace(own, critique="x").item_rows is own.item_rows
 
     def test_validates_and_compares_like_its_own_rows(self):
         shared = make_run([TurnRanking(t, ("i000", "i001"), [2.0, 1.0], TABLE, rows=[2, 0])
