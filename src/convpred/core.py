@@ -64,12 +64,13 @@ class TurnRanking:
     ``item_rows[rows[i]]``. With ``rows=None`` the given matrix holds the
     ranking's own rows; it is copied into a new read-only table indexed by
     ``arange(n)``. Given ``rows``, the table is shared, not copied, so that
-    rankings over one catalogue hold one table instead of each copying its
-    rows. Such a table must already be a read-only 2-D float64 array, and
-    whoever made it must not write to it later through another reference (a
-    writable base, or its flag set back), since the ranking checked the rows
-    as they were. Every array a ranking holds is read-only. ``embeddings``
-    gathers a new read-only matrix on each access; bind it once per ranking.
+    rankings over one catalogue, or read from one run file, hold one table
+    instead of each copying its rows. Such a table must already be a
+    read-only 2-D float64 array, and whoever made it must not write to it
+    later through another reference (a writable base, or its flag set back),
+    since the ranking checked the rows as they were. Every array a ranking
+    holds is read-only. ``embeddings`` gathers a new read-only matrix on each
+    access; bind it once per ranking.
     ``query_embedding`` is optional: externally produced runs may supply the
     live query vector; otherwise features fall back to a centroid surrogate.
     """

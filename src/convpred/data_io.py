@@ -16,10 +16,12 @@ shortest round-trip repr, so write -> read is value-exact.
 
 Consecutive turns retrieve the same items again, so a file repeats the same
 embedding arrays many times. The writer encodes each item's row once per file
-and the reader decodes each distinct ``"embedding"`` array text once per
-file. Lines in another layout (whitespace around that key, the key first in
-its object, any backslash escape) read through plain ``json.loads``: slower,
-to the same runs and errors.
+and writes a line turn by turn, never holding a whole line. The reader
+decodes each distinct ``"embedding"`` array text once per file into one
+read-only item table, which the rankings of those lines index. Lines in
+another layout (whitespace around that key, the key first in its object, any
+backslash escape) read through plain ``json.loads``: slower, to the same
+runs and errors, each ranking with its own table.
 
 The generator stands in for a trained retrieval model plus user simulator at
 desk scale: a latent query vector is pulled toward the target item each turn,
@@ -192,10 +194,6 @@ def _numbers(values, what: str) -> list:
     raise TypeError(f"{what} must be JSON numbers, got {values!r}")
 
 
-def _embedding_row(value) -> list:
-    return _numbers(value, "embedding")
-
-
 def _string(value, what: str) -> str:
     """``value`` if it is a JSON string; else TypeError."""
     if type(value) is str:
@@ -203,14 +201,18 @@ def _string(value, what: str) -> str:
     raise TypeError(f"{what} must be a JSON string, got {value!r}")
 
 
-def _turn_from_dict(tr: dict, cid: str, row) -> TurnRanking:
+def _turn_from_dict(tr: dict, cid: str, table) -> TurnRanking:
+    """The ranking in ``tr``; with ``table``, each item's ``"embedding"`` is its row there."""
     turn = tr["turn"]
     if type(turn) is not int:
         raise TypeError(f"{cid}: turn must be a JSON integer, got {turn!r}")
     items = tr["items"]
     try:
         ids = tuple(_string(it["id"], "item id") for it in items)
-        embeddings = [row(it["embedding"]) for it in items]
+        if table is None:
+            rows = [_numbers(it["embedding"], "embedding") for it in items]
+        else:
+            rows = [it["embedding"] for it in items]
         scores = _numbers([it["score"] for it in items], "scores")
         query = tr.get("query_embedding")
         if query is not None:
@@ -220,7 +222,10 @@ def _turn_from_dict(tr: dict, cid: str, row) -> TurnRanking:
             _string(critique, "critique")
     except TypeError as exc:
         raise TypeError(f"{cid} turn {turn}: {exc}") from exc
-    lengths = sorted({len(r) for r in embeddings})
+    if table is not None:
+        return TurnRanking(turn, ids, scores, table, rows=rows,
+                           query_embedding=query, critique=critique)
+    lengths = sorted({len(r) for r in rows})
     if len(lengths) > 1:
         raise ValidationError(
             f"{cid} turn {turn}: dimension mismatch among item embeddings {lengths}"
@@ -229,20 +234,20 @@ def _turn_from_dict(tr: dict, cid: str, row) -> TurnRanking:
         turn=turn,
         items=ids,
         scores=scores,
-        item_rows=embeddings,
+        item_rows=rows,
         query_embedding=query,
         critique=critique,
     )
 
 
-def _run_from_dict(obj: dict, where: str = "run", row=_embedding_row) -> ConversationRun:
-    """The run in ``obj``; ``row`` turns each item's ``"embedding"`` value into its row."""
+def _run_from_dict(obj: dict, where: str = "run", table=None) -> ConversationRun:
+    """The run in ``obj``; with ``table``, each item's ``"embedding"`` is its row there."""
     try:
         cid = _string(obj["conversation_id"], "conversation_id")
         return ConversationRun(
             conversation_id=cid,
             target_id=_string(obj["target_id"], "target_id"),
-            turns=tuple(_turn_from_dict(tr, cid, row) for tr in obj["turns"]),
+            turns=tuple(_turn_from_dict(tr, cid, table) for tr in obj["turns"]),
             target_ranks=obj.get("target_ranks"),
         )
     except ValidationError as exc:
@@ -295,7 +300,8 @@ def write_runs(runs, path, header_comment: str | None = None) -> None:
 
     Each line is the run file format's object with keys in the documented
     order and no whitespace. Each item id's embedding is encoded once per
-    file, however many turns retrieve it.
+    file, however many turns retrieve it. A line is written turn by turn, so
+    no string the size of a whole line is built.
     """
     validate_runs(runs)
     path = Path(path)
@@ -304,66 +310,106 @@ def write_runs(runs, path, header_comment: str | None = None) -> None:
         write_header(fh, header_comment)
         for run in runs:
             ranks = [None] * run.n_turns if run.target_ranks is None else list(run.target_ranks)
-            turns = ",".join(_turn_text(ranking, items) for ranking in run.turns)
             fh.write(
                 f'{{"conversation_id":{_encode(run.conversation_id)},'
                 f'"target_id":{_encode(run.target_id)},'
-                f'"target_ranks":{_encode(ranks)},"turns":[{turns}]}}\n'
+                f'"target_ranks":{_encode(ranks)},"turns":['
             )
+            for k, ranking in enumerate(run.turns):
+                if k:
+                    fh.write(",")
+                fh.write(_turn_text(ranking, items))
+            fh.write("]}\n")
+
+
+class _ItemTable:
+    """The distinct embedding rows of one run file, in the order first read.
+
+    ``index`` maps each ``"embedding"`` array text to its row. New rows go
+    into a buffer that doubles when full, and ``view`` is a read-only view
+    of the rows filled so far. Appends write only past that view and a grown
+    buffer is a new array, so a view handed out never changes.
+    """
+
+    def __init__(self):
+        self.index: dict[str, int] = {}
+        self._buffer = np.empty((0, 0))
+        self.view = self._buffer[:0]
+        self.view.flags.writeable = False
+
+    def append(self, texts: list, block: np.ndarray) -> bool:
+        """Add the rows ``block`` of ``texts``; False, adding none, if their width differs."""
+        n, (k, d) = len(self.index), block.shape
+        if n and d != self._buffer.shape[1]:
+            return False
+        if n + k > len(self._buffer):  # double, or grow to fit; reshape gives the empty start d
+            self._buffer = np.concatenate((self.view.reshape(n, d), np.empty((max(n, k), d))))
+        self._buffer[n : n + k] = block
+        self.index.update(zip(texts, range(n, n + k)))
+        self.view = self._buffer[: n + k]
+        self.view.flags.writeable = False
+        return True
 
 
 _EMBEDDING = ',"embedding":['
 
 
-def _decode_line(text: str, rows: dict):
+def _decode_line(text: str, table: _ItemTable):
     """``json.loads(text)`` with each distinct embedding array decoded once per file.
 
-    ``rows`` maps each embedding array text seen so far in the file to its
-    checked row. Each ``,"embedding":[...]`` array of ``text`` is looked up
-    there, the new ones are decoded together, and the rest of the line is
-    parsed with each array replaced by its ordinal. Returns that object and
-    a function from an ordinal to its row (a float64 vector), or None for a
-    line that cannot be shown to decode as ``json.loads`` would: one with a
-    backslash (which could spell a key another way), a ``"embedding"`` not
-    written as above, an array holding a string or an array, or new rows
-    that do not parse, hold a non-number or differ in length.
+    Each ``,"embedding":[...]`` array of ``text`` is looked up in ``table``,
+    the new ones are decoded together and appended, and the rest of the line
+    is parsed with each array replaced by its row in the table. Returns that
+    object and ``table.view``, or None for a line that cannot be shown to
+    decode as ``json.loads`` would: one with a backslash (which could spell
+    a key another way), a ``"embedding"`` not written as above, an array
+    holding a string or an array, or new rows that do not parse, hold a
+    non-number or differ in length from each other or from the table's.
     """
     parts = text.split(_EMBEDDING)
     if "\\" in text or text.count('"embedding"') != len(parts) - 1:
         return None
-    texts, skeleton = [], [parts[0]]
-    for k, part in enumerate(parts[1:]):
+    texts, tails = [], []
+    for part in parts[1:]:
         end = part.find("]")
         if end < 0:
             return None
         texts.append(part[:end])
-        # the space ends the ordinal, so what follows the array cannot extend it
-        skeleton.append(f',"embedding":{k} {part[end + 1:]}')
-    new = [t for t in dict.fromkeys(texts) if t not in rows]
+        tails.append(part[end + 1 :])
+    index = table.index
+    new = [t for t in dict.fromkeys(texts) if t not in index]
     if any('"' in t or "[" in t for t in new):
         return None
-    try:
-        if new:
+    if new:
+        try:
             decoded = json.loads("[[" + "],[".join(new) + "]]")
             if not _NUMBER_TYPES.issuperset(map(type, itertools.chain.from_iterable(decoded))):
                 return None
-            rows.update(zip(new, np.array(decoded, dtype=np.float64)))
-        obj = json.loads("".join(skeleton))
-    except (ValueError, OverflowError):  # bad JSON, ragged rows, an int beyond float range
+            block = np.array(decoded, dtype=np.float64)
+        except (ValueError, OverflowError):  # bad JSON, ragged rows, an int beyond float range
+            return None
+        if not table.append(new, block):
+            return None
+    # the space ends the row number, so what follows the array cannot extend it
+    skeleton = "".join(f',"embedding":{index[t]} {tail}' for t, tail in zip(texts, tails))
+    try:
+        return json.loads(parts[0] + skeleton), table.view
+    except ValueError:
         return None
-    return obj, [rows[t] for t in texts].__getitem__
 
 
 def read_runs(path) -> list[ConversationRun]:
     """Read and validate a run file; raises ValidationError with context.
 
-    Each distinct embedding array text is decoded once per file (see
-    :func:`_decode_line`); a line that path cannot take is read with plain
-    ``json.loads``, to the same runs and errors.
+    Each distinct embedding array text is decoded once per file into one
+    read-only item table, which every ranking of those lines indexes (see
+    :func:`_decode_line`). A line that path cannot take is read with plain
+    ``json.loads``, to the same runs and errors, its rankings each holding
+    its own table.
     """
     path = Path(path)
     runs: list[ConversationRun] = []
-    rows: dict = {}
+    table = _ItemTable()
     with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             where = f"{path.name} line {lineno}"
@@ -376,13 +422,13 @@ def read_runs(path) -> list[ConversationRun]:
             if not text or text.startswith("#"):
                 continue
             # both parsers take the line as read, so an error's column is the line's own
-            decoded = _decode_line(line, rows)
+            decoded = _decode_line(line, table)
             if decoded is None:
                 try:
-                    decoded = json.loads(line), _embedding_row
+                    decoded = json.loads(line), None
                 except ValueError as exc:  # bad JSON, or an integer literal too long to convert
                     raise ValidationError(f"{where}: invalid JSON ({exc})") from exc
-            obj, row = decoded
-            runs.append(_run_from_dict(obj, where, row))
+            obj, item_rows = decoded
+            runs.append(_run_from_dict(obj, where, item_rows))
     validate_runs(runs)
     return runs

@@ -491,11 +491,10 @@ def _count(field: str) -> int:
 
 # each record file's columns, in file order, and the parser of each column's fields
 _REPORT_COLUMNS = {"predictor": str, "classifier": str, "scenario": str, "mode": str,
-                   "turn_train": int, "turn_eval": int, "cutoff": int, "accuracy": _share,
+                   "turn_train": _count, "turn_eval": _count, "cutoff": _count, "accuracy": _share,
                    "n_test": _count}
 _PREDICTION_COLUMNS = {"cell_id": str, "conversation_id": str, "predicted": _bit, "actual": _bit}
-_MUST_BE = {int: "an integer", _share: "a number in [0, 1]", _count: "an integer >= 1",
-            _bit: "0 or 1"}
+_MUST_BE = {_share: "a number in [0, 1]", _count: "an integer >= 1", _bit: "0 or 1"}
 
 
 def _read_records(path, what: str, columns: dict, record_type) -> list:

@@ -541,8 +541,14 @@ class TestCompareAndReport:
          "record 2: accuracy must be a number in [0, 1], got '1.5'"),
         (3, lambda fields: fields[:8] + ["0"], "record 3: n_test must be an integer >= 1, got '0'"),
         (1, lambda fields: fields[:8] + ["-4"], "record 1: n_test must be an integer >= 1, got '-4'"),
+        (2, lambda fields: fields[:4] + ["-2", "0", "-5"] + fields[7:],
+         "record 2: turn_train must be an integer >= 1, got '-2'"),
+        (3, lambda fields: fields[:5] + ["0"] + fields[6:],
+         "record 3: turn_eval must be an integer >= 1, got '0'"),
+        (1, lambda fields: fields[:6] + ["0"] + fields[7:],
+         "record 1: cutoff must be an integer >= 1, got '0'"),
     ], ids=["short", "non-integer", "non-number", "accuracy-nan", "accuracy-1.5", "n_test-0",
-            "n_test-negative"])
+            "n_test-negative", "pair-and-cutoff-negative", "turn_eval-0", "cutoff-0"])
     def test_report_names_the_bad_record(self, two_runs, tmp_path, capsys, number, edit, message):
         _, outputs = two_runs
         bad = tmp_path / "bad_report.csv"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from convpred import data_io
 from convpred.cli import main
-from convpred.core import ValidationError, runs_equal, stored_rank, validate_runs
+from convpred.core import TurnRanking, ValidationError, runs_equal, stored_rank, validate_runs
 from convpred.data_io import (
     GenConfig,
     calibration_config,
@@ -463,16 +464,30 @@ class TestDecodeOnceMatchesJsonLoads:
 
     def test_canonical_lines_take_the_decode_once_path(self):
         first, second = self._canonical_text()
-        rows = {}
-        obj, row = data_io._decode_line(first, rows)
-        assert sorted(rows) == ["0.0,1.0", "1.0,0.0"]
-        assert obj["turns"][1]["items"][1]["embedding"] == 3
-        assert row(3) is rows["0.0,1.0"]
-        cached = dict(rows)
-        assert data_io._decode_line(second, rows) is not None
-        assert rows == cached  # the second line's rows are all known
+        table = data_io._ItemTable()
+        obj, rows = data_io._decode_line(first, table)
+        assert table.index == {"1.0,0.0": 0, "0.0,1.0": 1}
+        assert obj["turns"][1]["items"][1]["embedding"] == 1
+        assert rows.tolist() == [[1.0, 0.0], [0.0, 1.0]] and not rows.flags.writeable
+        assert data_io._decode_line(second, table)[1] is rows  # its rows are all known
+        assert table.index == {"1.0,0.0": 0, "0.0,1.0": 1}
         for spaced in (json.dumps(json.loads(first)), first.replace('"c0"', '"\\u0063\\u0030"')):
-            assert data_io._decode_line(spaced, {}) is None
+            assert data_io._decode_line(spaced, data_io._ItemTable()) is None
+
+    @pytest.mark.parametrize("wide", [["[0.0,1.0]"], ["[1.0,0.0]", "[0.0,1.0]"]],
+                             ids=["one-row", "every-row"])
+    def test_second_line_wider_than_the_table(self, tmp_path, wide):
+        """A line whose new rows are wider than the rows read before it reads
+        through ``json.loads``, to its error."""
+        first, second = self._canonical_text()
+        for row in wide:
+            second = second.replace(row, row[:-1] + ",0.5]")
+        path = tmp_path / "runs.jsonl"
+        path.write_text(f"{first}\n{second}\n", encoding="utf-8")
+        got, got_error = _outcome(read_runs, path)
+        want, want_error = _outcome(_reference_read, path)
+        assert got is want is None
+        assert got_error == want_error and "dimension mismatch" in got_error
 
     # ids and critiques from _TEXT need escapes, which the decode-once path leaves alone
     @given(
@@ -504,6 +519,53 @@ def test_generated_file_round_trips_byte_for_byte(tmp_path):
     copy = tmp_path / "copy.jsonl"
     write_runs(read_runs(source), copy, header_comment=header)
     assert copy.read_bytes() == source.read_bytes()
+
+
+def test_writer_holds_no_whole_line(tmp_path):
+    """One conversation of 40 turns over a 100-item table is a 2.7 MB line;
+    written turn by turn, the writer's traced peak stays under a quarter of it."""
+    rng = np.random.default_rng(0)
+    table = rng.standard_normal((100, 32))
+    table.flags.writeable = False
+    turns = []
+    for t in range(1, 41):
+        order = rng.permutation(100)
+        scores = np.sort(rng.random(100))[::-1]
+        turns.append(TurnRanking(t, tuple(f"i{k:03d}" for k in order), scores, table, rows=order))
+    path = tmp_path / "long.jsonl"
+    tracemalloc.start()
+    try:
+        write_runs([make_run(turns)], path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    data = path.read_bytes()
+    assert peak < len(data) / 4
+    assert hashlib.sha256(data).hexdigest() == (
+        "42bc7d21b8d5e2b2558843acad5c4ccd1c022510bafd739ee3bc5ca7dfa87b5e"
+    )
+
+
+def test_reader_shares_one_table_per_file(tmp_path):
+    """50 conversations of 10 turns hold 500 top-100 rankings over 2000 distinct rows.
+    Copies of their rows would take 12.8 MB; the file's one table takes 0.5 MB,
+    about 2 MB with the buffers its doubling leaves, and ids and scores about 4 MB."""
+    path = tmp_path / "runs.jsonl"
+    write_runs(generate_synthetic(replace(calibration_config(seed=7), n_conversations=50)), path)
+    tracemalloc.start()
+    try:
+        runs = read_runs(path)
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert live < 9e6
+    views = {id(ranking.item_rows): ranking.item_rows for run in runs for ranking in run.turns}
+    assert len(views) <= len(runs)  # a line's rankings share one view
+    last = runs[-1].turns[-1].item_rows
+    assert len(last) == 2000
+    for view in views.values():  # each a read-only view of a prefix of the file's table
+        assert view.base is not None and not view.flags.writeable
+        assert np.array_equal(view, last[: len(view)])
 
 
 class TestGenerator:
