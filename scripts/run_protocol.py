@@ -91,10 +91,10 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--outdir", type=Path, default=Path("out"))
-    parser.add_argument("--n", type=int, default=200)
+    parser.add_argument("--n", type=int, default=data_io.calibration_config().n_conversations)
     parser.add_argument("--fraction", type=float, default=0.3)
     parser.add_argument("--pairs", default="2-9", help="train-turn range")
-    parser.add_argument("--epochs", type=int, default=100)
+    parser.add_argument("--epochs", type=int, default=evaluation.EvalSettings().ae_epochs)
     args = parser.parse_args()
     try:
         return run(args)

@@ -16,15 +16,27 @@ from .evaluation import CLASSIFIERS, PREDICTORS, EvalSettings
 
 FEATURE_CHOICES = tuple(features.FEATURE_KINDS)
 
+# each setting flag's dest, in flag and header order, and the config field it sets
+GEN_FLAGS = {"n": "n_conversations", "turns": "n_turns", "dim": "dim",
+             "catalogue": "catalogue_size", "top_n": "top_n", "easy_fraction": "easy_fraction",
+             "pull_easy": "pull_rate_easy", "pull_hard": "pull_rate_hard", "sigma": "noise_sigma",
+             "pull_decay": "pull_decay", "seed": "seed"}
+EVAL_FLAGS = {"top_n": "top_n", "epochs": "ae_epochs", "lr": "ae_learning_rate",
+              "lasso_lambda": "lasso_lambda", "n_trees": "n_trees"}
 
-def _settings_from_args(args) -> EvalSettings:
-    return EvalSettings(
-        top_n=args.top_n,
-        ae_epochs=args.epochs,
-        ae_learning_rate=args.lr,
-        lasso_lambda=args.lasso_lambda,
-        n_trees=args.n_trees,
-    )
+
+def _add_flags(parser, flags: dict, defaults) -> None:
+    """One ``--dest`` flag per entry, typed and defaulted by its field of ``defaults``."""
+    for dest, name in flags.items():
+        value = getattr(defaults, name)
+        flag = "--" + dest.replace("_", "-")
+        parser.add_argument(flag, type=type(value), default=value, help=name)
+
+
+def _from_flags(config_type, flags: dict, args):
+    """The ``config_type`` that ``flags`` set from ``args``, and its ``dest=value`` fields."""
+    config = config_type(**{name: getattr(args, dest) for dest, name in flags.items()})
+    return config, " ".join(f"{dest}={getattr(config, name)}" for dest, name in flags.items())
 
 
 def _read_runs(path):
@@ -35,27 +47,9 @@ def _read_runs(path):
 
 
 def cmd_gen(args) -> int:
-    config = data_io.GenConfig(
-        n_conversations=args.n,
-        dim=args.dim,
-        catalogue_size=args.catalogue,
-        n_turns=args.turns,
-        top_n=args.top_n,
-        easy_fraction=args.easy_fraction,
-        pull_rate_easy=args.pull_easy,
-        pull_rate_hard=args.pull_hard,
-        noise_sigma=args.sigma,
-        pull_decay=args.pull_decay,
-        seed=args.seed,
-    )
+    config, recorded = _from_flags(data_io.GenConfig, GEN_FLAGS, args)
     runs = data_io.generate_synthetic(config)
-    header = (
-        f"# convpred gen n={config.n_conversations} turns={config.n_turns} dim={config.dim} "
-        f"catalogue={config.catalogue_size} top_n={config.top_n} easy_fraction={config.easy_fraction} "
-        f"pull_easy={config.pull_rate_easy} pull_hard={config.pull_rate_hard} "
-        f"sigma={config.noise_sigma} pull_decay={config.pull_decay} seed={config.seed}"
-    )
-    data_io.write_runs(runs, args.out, header_comment=header)
+    data_io.write_runs(runs, args.out, header_comment=f"# convpred gen {recorded}")
     print(f"wrote {args.out} ({len(runs)} conversations)")
     return 0
 
@@ -107,12 +101,11 @@ def cmd_eval(args) -> int:
     else:
         pairs = evaluation.parse_pairs(args.pairs)
     runs = _read_runs(args.runs)
-    settings = _settings_from_args(args)
+    settings, recorded = _from_flags(EvalSettings, EVAL_FLAGS, args)
     header = (
         f"# convpred eval runs={args.runs} labels={args.labels} predictor={args.predictor} "
         f"classifier={args.classifier} mode={args.mode} pairs={args.pairs} seed={args.seed} "
-        f"split_ratio={args.split_ratio} stratified={not args.no_stratify} top_n={args.top_n} "
-        f"epochs={args.epochs} lr={args.lr} lasso_lambda={args.lasso_lambda} n_trees={args.n_trees}"
+        f"split_ratio={args.split_ratio} stratified={not args.no_stratify} {recorded}"
     )
     if args.mode == "cutoff":
         labels = scenario.label_runs(runs, cutoff=max(cutoffs))
@@ -215,17 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic run file")
-    p.add_argument("--n", type=int, default=200, help="number of conversations")
-    p.add_argument("--turns", type=int, default=10)
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--catalogue", type=int, default=2000)
-    p.add_argument("--top-n", type=int, default=100, dest="top_n")
-    p.add_argument("--easy-fraction", type=float, default=0.7, dest="easy_fraction")
-    p.add_argument("--pull-easy", type=float, default=0.35, dest="pull_easy")
-    p.add_argument("--pull-hard", type=float, default=0.02, dest="pull_hard")
-    p.add_argument("--sigma", type=float, default=0.15)
-    p.add_argument("--pull-decay", type=float, default=1.0, dest="pull_decay")
-    p.add_argument("--seed", type=int, default=0)
+    _add_flags(p, GEN_FLAGS, data_io.calibration_config())
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
@@ -248,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", required=True)
     p.add_argument("--predictor", choices=FEATURE_CHOICES, required=True)
     p.add_argument("--upto-turn", type=int, required=True, dest="upto_turn")
-    p.add_argument("--top-n", type=int, default=100, dest="top_n")
+    p.add_argument("--top-n", type=int, default=EvalSettings().top_n, dest="top_n")
     p.add_argument("--mode", choices=("multi", "single"), default="multi")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_features)
@@ -265,11 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split-ratio", type=float, default=0.7, dest="split_ratio")
     p.add_argument("--no-stratify", action="store_true", dest="no_stratify")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--top-n", type=int, default=100, dest="top_n")
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--lasso-lambda", type=float, default=0.1, dest="lasso_lambda")
-    p.add_argument("--n-trees", type=int, default=100, dest="n_trees")
+    _add_flags(p, EVAL_FLAGS, EvalSettings())
     p.add_argument("--report", required=True)
     p.add_argument("--predictions", required=True)
     p.set_defaults(func=cmd_eval)

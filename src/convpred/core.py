@@ -8,7 +8,8 @@ conversations can be processed concurrently without coordination.
 
 Every artefact file opens with the settings that produced it as ``#`` comment
 lines; :func:`write_header` writes them and :func:`write_csv` and
-:func:`read_csv` frame the CSV artefacts around them.
+:func:`read_csv` frame the CSV artefacts around them. :func:`parse_records`
+checks the fields of labels, report and predictions records alike.
 """
 
 from __future__ import annotations
@@ -32,6 +33,11 @@ __all__ = [
     "write_header",
     "write_csv",
     "read_csv",
+    "parse_bit",
+    "parse_count",
+    "parse_share",
+    "parse_records",
+    "read_records",
 ]
 
 
@@ -319,3 +325,59 @@ def read_csv(path, what: str) -> tuple[list[str], list[list[str]]]:
         if header is None:
             raise ValidationError(f"{path.name}: empty {what} file")
         return header, list(reader)
+
+
+def parse_bit(field: str) -> int:
+    if field not in ("0", "1"):
+        raise ValueError(field)
+    return int(field)
+
+
+def parse_share(field: str) -> float:
+    value = float(field)
+    if not 0.0 <= value <= 1.0:  # nan fails too
+        raise ValueError(field)
+    return value
+
+
+def parse_count(field: str) -> int:
+    value = int(field)
+    if value < 1:
+        raise ValueError(field)
+    return value
+
+
+# what each field parser accepts, for the error it raises on another value
+_MUST_BE = {parse_share: "a number in [0, 1]", parse_count: "an integer >= 1", parse_bit: "0 or 1"}
+
+
+def parse_records(name: str, what: str, columns: dict, header: list, records: list) -> list[list]:
+    """Each record's fields, parsed by ``columns``: column name -> parser, in file order.
+
+    Raises ValidationError naming the file ``name``, the record (counted from
+    1, comment lines skipped) and the column when ``header`` is not the column
+    names, a record has another number of fields, or a field does not parse.
+    """
+    if header != list(columns):
+        raise ValidationError(f"{name}: unexpected {what} header {header}")
+    parsed = []
+    for number, record in enumerate(records, 1):
+        if len(record) != len(columns):
+            raise ValidationError(
+                f"{name}: record {number}: {len(record)} field(s), the header names {len(columns)}"
+            )
+        values = []
+        for (column, parse), value in zip(columns.items(), record):
+            try:
+                values.append(parse(value))
+            except ValueError:
+                raise ValidationError(
+                    f"{name}: record {number}: {column} must be {_MUST_BE[parse]}, got {value!r}"
+                ) from None
+        parsed.append(values)
+    return parsed
+
+
+def read_records(path, what: str, columns: dict) -> list[list]:
+    """The parsed records of the CSV artefact at ``path`` (see :func:`parse_records`)."""
+    return parse_records(Path(path).name, what, columns, *read_csv(path, what))

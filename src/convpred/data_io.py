@@ -21,7 +21,8 @@ decodes each distinct ``"embedding"`` array text once per file into one
 read-only item table, which the rankings of those lines index. Lines in
 another layout (whitespace around that key, the key first in its object, any
 backslash escape) read through plain ``json.loads``: slower, to the same
-runs and errors, each ranking with its own table.
+runs and errors, each ranking with its own table. On both paths the rankings
+of one file share one string per distinct item id.
 
 The generator stands in for a trained retrieval model plus user simulator at
 desk scale: a latent query vector is pulled toward the target item each turn,
@@ -201,14 +202,15 @@ def _string(value, what: str) -> str:
     raise TypeError(f"{what} must be a JSON string, got {value!r}")
 
 
-def _turn_from_dict(tr: dict, cid: str, table) -> TurnRanking:
-    """The ranking in ``tr``; with ``table``, each item's ``"embedding"`` is its row there."""
+def _turn_from_dict(tr: dict, cid: str, table, names: dict) -> TurnRanking:
+    """The ranking in ``tr``, each item id the string ``names`` keeps for it; with
+    ``table``, each item's ``"embedding"`` is its row there."""
     turn = tr["turn"]
     if type(turn) is not int:
         raise TypeError(f"{cid}: turn must be a JSON integer, got {turn!r}")
     items = tr["items"]
     try:
-        ids = tuple(_string(it["id"], "item id") for it in items)
+        ids = tuple(names.setdefault(i, i) for i in (_string(it["id"], "item id") for it in items))
         if table is None:
             rows = [_numbers(it["embedding"], "embedding") for it in items]
         else:
@@ -240,14 +242,16 @@ def _turn_from_dict(tr: dict, cid: str, table) -> TurnRanking:
     )
 
 
-def _run_from_dict(obj: dict, where: str = "run", table=None) -> ConversationRun:
-    """The run in ``obj``; with ``table``, each item's ``"embedding"`` is its row there."""
+def _run_from_dict(obj: dict, where: str = "run", table=None, names=None) -> ConversationRun:
+    """The run in ``obj``; with ``table``, each item's ``"embedding"`` is its row there,
+    and with ``names``, each item id is the string kept for it there."""
+    names = {} if names is None else names
     try:
         cid = _string(obj["conversation_id"], "conversation_id")
         return ConversationRun(
             conversation_id=cid,
             target_id=_string(obj["target_id"], "target_id"),
-            turns=tuple(_turn_from_dict(tr, cid, table) for tr in obj["turns"]),
+            turns=tuple(_turn_from_dict(tr, cid, table, names) for tr in obj["turns"]),
             target_ranks=obj.get("target_ranks"),
         )
     except ValidationError as exc:
@@ -409,7 +413,7 @@ def read_runs(path) -> list[ConversationRun]:
     """
     path = Path(path)
     runs: list[ConversationRun] = []
-    table = _ItemTable()
+    table, names = _ItemTable(), {}
     with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             where = f"{path.name} line {lineno}"
@@ -429,6 +433,6 @@ def read_runs(path) -> list[ConversationRun]:
                 except ValueError as exc:  # bad JSON, or an integer literal too long to convert
                     raise ValidationError(f"{where}: invalid JSON ({exc})") from exc
             obj, item_rows = decoded
-            runs.append(_run_from_dict(obj, where, item_rows))
+            runs.append(_run_from_dict(obj, where, item_rows, names))
     validate_runs(runs)
     return runs

@@ -34,12 +34,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 
 from . import autoencoder, classifiers
-from .core import ValidationError, read_csv, round_half_up, write_csv
+from .core import ValidationError, read_records, round_half_up, write_csv
+from .core import parse_bit, parse_count, parse_share
 from .features import FEATURE_KINDS, build_feature_matrix
 from .features import turn_features  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .scenario import LabelSet, label_runs
@@ -469,62 +469,12 @@ def mcnemar(preds_a, preds_b, actuals) -> tuple[float, bool]:
     return float(chi2), chi2 >= MCNEMAR_CRITICAL
 
 
-def _bit(field: str) -> int:
-    if field not in ("0", "1"):
-        raise ValueError(field)
-    return int(field)
-
-
-def _share(field: str) -> float:
-    value = float(field)
-    if not 0.0 <= value <= 1.0:  # nan fails too
-        raise ValueError(field)
-    return value
-
-
-def _count(field: str) -> int:
-    value = int(field)
-    if value < 1:
-        raise ValueError(field)
-    return value
-
-
 # each record file's columns, in file order, and the parser of each column's fields
 _REPORT_COLUMNS = {"predictor": str, "classifier": str, "scenario": str, "mode": str,
-                   "turn_train": _count, "turn_eval": _count, "cutoff": _count, "accuracy": _share,
-                   "n_test": _count}
-_PREDICTION_COLUMNS = {"cell_id": str, "conversation_id": str, "predicted": _bit, "actual": _bit}
-_MUST_BE = {_share: "a number in [0, 1]", _count: "an integer >= 1", _bit: "0 or 1"}
-
-
-def _read_records(path, what: str, columns: dict, record_type) -> list:
-    """The records of a report or predictions file, each a ``record_type`` of its parsed fields.
-
-    Raises ValidationError naming the file, the record (counted from 1,
-    comment lines skipped) and the column when the column names are not
-    ``columns``, a record has another number of fields, or a field does not
-    parse.
-    """
-    name = Path(path).name
-    header, records = read_csv(path, what)
-    if header != list(columns):
-        raise ValidationError(f"{name}: unexpected {what} header {header}")
-    parsed = []
-    for number, record in enumerate(records, 1):
-        if len(record) != len(columns):
-            raise ValidationError(
-                f"{name}: record {number}: {len(record)} field(s), the header names {len(columns)}"
-            )
-        fields = {}
-        for (column, parse), value in zip(columns.items(), record):
-            try:
-                fields[column] = parse(value)
-            except ValueError:
-                raise ValidationError(
-                    f"{name}: record {number}: {column} must be {_MUST_BE[parse]}, got {value!r}"
-                ) from None
-        parsed.append(record_type(**fields))
-    return parsed
+                   "turn_train": parse_count, "turn_eval": parse_count, "cutoff": parse_count,
+                   "accuracy": parse_share, "n_test": parse_count}
+_PREDICTION_COLUMNS = {"cell_id": str, "conversation_id": str, "predicted": parse_bit,
+                       "actual": parse_bit}
 
 
 def write_report(report: EvalReport, path, header_comment: str | None = None) -> None:
@@ -533,7 +483,7 @@ def write_report(report: EvalReport, path, header_comment: str | None = None) ->
 
 
 def read_report(path) -> list[ReportRow]:
-    return _read_records(path, "report", _REPORT_COLUMNS, ReportRow)
+    return [ReportRow(*values) for values in read_records(path, "report", _REPORT_COLUMNS)]
 
 
 def write_predictions(report: EvalReport, path, header_comment: str | None = None) -> None:
@@ -542,7 +492,8 @@ def write_predictions(report: EvalReport, path, header_comment: str | None = Non
 
 
 def read_predictions(path) -> list[PredictionRecord]:
-    return _read_records(path, "predictions", _PREDICTION_COLUMNS, PredictionRecord)
+    return [PredictionRecord(*values)
+            for values in read_records(path, "predictions", _PREDICTION_COLUMNS)]
 
 
 def paired_predictions(records_a, records_b) -> dict[str, tuple[list[int], list[int], list[int]]]:
@@ -597,7 +548,8 @@ def render_grid(rows) -> tuple[list[list], str]:
     predictor/classifier/mode/cutoff and one column per turn pair.
 
     Returns the grid as CSV rows (exact accuracies, empty where a row lacks a
-    pair) and as aligned text (three decimals).
+    pair) and as aligned text (three decimals). Raises ValidationError naming
+    the cell when two rows give one cell.
     """
     pair_cols = sorted({(r.turn_train, r.turn_eval) for r in rows})
     scenarios = sorted({r.scenario for r in rows})
@@ -609,7 +561,11 @@ def render_grid(rows) -> tuple[list[list], str]:
         keys = sorted({(r.predictor, r.classifier, r.mode, r.cutoff) for r in scen_rows})
         cells = {}
         for r in scen_rows:
-            cells[(r.predictor, r.classifier, r.mode, r.cutoff, r.turn_train, r.turn_eval)] = r.accuracy
+            key = (r.predictor, r.classifier, r.mode, r.cutoff, r.turn_train, r.turn_eval)
+            if key in cells:
+                raise ValidationError(f"two report rows give cell {r.predictor}|{r.classifier}|"
+                                      f"{scen}|{r.mode}|{r.turn_train},{r.turn_eval}|cutoff{r.cutoff}")
+            cells[key] = r.accuracy
         label_width = max(
             [len(f"{p}/{c} [{m}] @cutoff{k}") for p, c, m, k in keys] + [len("predictor/classifier")]
         )

@@ -19,6 +19,9 @@ import numpy as np
 from .core import (
     ConversationRun,
     ValidationError,
+    parse_bit,
+    parse_count,
+    parse_records,
     read_csv,
     round_half_up,
     stored_rank,
@@ -142,57 +145,48 @@ def induce_missing(
     )
 
 
+def _label_columns(n_turns: int) -> dict:
+    """A labels file's columns, each with its parser: the id, the scenario/cutoff block, k1..kK."""
+    return {"conversation_id": str, "scenario": str, "cutoff": parse_count, "forced": parse_bit,
+            **{f"k{t}": parse_bit for t in range(1, n_turns + 1)}}
+
+
 def write_labels(labels: LabelSet, path, header_comment: str | None = None) -> None:
     lengths = {len(vec) for vec in labels.labels.values()}
     if len(lengths) != 1:
         raise ValidationError("label vectors must cover the same number of turns")
-    n_turns = lengths.pop()
-    columns = ["conversation_id", "scenario", "cutoff", "forced"]
-    columns += [f"k{t}" for t in range(1, n_turns + 1)]
-    rows = [
-        [cid, labels.scenario, labels.cutoff, int(cid in labels.forced)] + list(vec)
-        for cid, vec in labels.labels.items()
-    ]
-    write_csv(path, header_comment, [columns] + rows)
+    rows = [[cid, labels.scenario, labels.cutoff, int(cid in labels.forced), *vec]
+            for cid, vec in labels.labels.items()]
+    write_csv(path, header_comment, [list(_label_columns(lengths.pop()))] + rows)
 
 
 def read_labels(path) -> LabelSet:
+    """The labels file at ``path``, its fields checked as :func:`~convpred.core.parse_records` does.
+
+    The header must name ``conversation_id,scenario,cutoff,forced`` and then
+    ``k1..kK``, K >= 1. Raises ValidationError naming the file (and the
+    record and column, where one is at fault) on a repeated id, turn labels
+    that fall from 1 back to 0, or more or less than one scenario/cutoff block.
+    """
     name = Path(path).name
     header, records = read_csv(path, "labels")
-    if header[:4] != ["conversation_id", "scenario", "cutoff", "forced"]:
-        raise ValidationError(f"{name}: unexpected labels header {header[:4]}")
+    columns = _label_columns(max(len(header) - 4, 1))  # a header without turn columns is refused
     labels: dict[str, tuple[int, ...]] = {}
-    scenarios, cutoffs = set(), set()
-    forced = set()
-    for record in records:
-        cid, values = (record[0] if record else ""), record[4:]
-        where = f"{name}: conversation {cid!r}"
-        if len(record) != len(header):
-            raise ValidationError(
-                f"{where}: {len(values)} turn label(s), the header names {len(header) - 4}"
-            )
+    blocks, forced = set(), set()
+    parsed = parse_records(name, "labels", columns, header, records)
+    for number, (cid, scenario, cutoff, is_forced, *vec) in enumerate(parsed, 1):
         if cid in labels:
             raise ValidationError(f"{name}: duplicate conversation_id {cid!r}")
-        if not set(values) <= {"0", "1"}:
-            raise ValidationError(f"{where}: turn labels must be 0 or 1, got {','.join(values)}")
-        try:
-            cutoff = int(record[2])
-        except ValueError:
-            cutoff = 0
-        if cutoff < 1:
-            raise ValidationError(f"{where}: cutoff must be an integer >= 1, got {record[2]!r}")
-        if record[3] not in ("0", "1"):
-            raise ValidationError(f"{where}: forced must be 0 or 1, got {record[3]!r}")
-        scenarios.add(record[1])
-        cutoffs.add(cutoff)
-        if record[3] == "1":
+        if vec != sorted(vec):
+            fall = vec.index(0, vec.index(1)) + 1
+            raise ValidationError(
+                f"{name}: record {number}: k{fall} falls back to 0; labels are cumulative"
+            )
+        blocks.add((scenario, cutoff))
+        if is_forced:
             forced.add(cid)
-        labels[cid] = tuple(int(v) for v in values)
-    if not labels or len(scenarios) != 1 or len(cutoffs) != 1:
+        labels[cid] = tuple(vec)
+    if len(blocks) != 1:
         raise ValidationError(f"{name}: labels file must hold one scenario/cutoff block")
-    return LabelSet(
-        labels=labels,
-        scenario=scenarios.pop(),
-        cutoff=cutoffs.pop(),
-        forced=frozenset(forced),
-    )
+    (scenario, cutoff), = blocks
+    return LabelSet(labels=labels, scenario=scenario, cutoff=cutoff, forced=frozenset(forced))

@@ -1,17 +1,19 @@
+import argparse
 import csv
 import importlib.util
 import io
 import re
+import dataclasses
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from convpred.cli import main
+from convpred.cli import build_parser, main
 from convpred.core import round_half_up
-from convpred.data_io import read_runs
-from convpred.evaluation import read_predictions, read_report
+from convpred.data_io import GenConfig, calibration_config, read_runs
+from convpred.evaluation import EvalSettings, read_predictions, read_report
 from convpred.scenario import LabelSet, identify_easy, label_runs, read_labels, write_labels
 
 GEN_ARGS = [
@@ -54,6 +56,52 @@ class TestGen:
             f"error: noise_sigma must be finite and >= 0, got {sigma}\n"
         )
         assert not out.exists()
+
+
+# each setting flag of gen and eval, its type and the config field it defaults from
+GEN_SETTINGS = [("--n", int, "n_conversations"), ("--turns", int, "n_turns"), ("--dim", int, "dim"),
+                ("--catalogue", int, "catalogue_size"), ("--top-n", int, "top_n"),
+                ("--easy-fraction", float, "easy_fraction"), ("--pull-easy", float, "pull_rate_easy"),
+                ("--pull-hard", float, "pull_rate_hard"), ("--sigma", float, "noise_sigma"),
+                ("--pull-decay", float, "pull_decay"), ("--seed", int, "seed")]
+EVAL_SETTINGS = [("--top-n", int, "top_n"), ("--epochs", int, "ae_epochs"),
+                 ("--lr", float, "ae_learning_rate"), ("--lasso-lambda", float, "lasso_lambda"),
+                 ("--n-trees", int, "n_trees")]
+
+
+def _options(command):
+    """The option actions of one subcommand, by flag, in the order the parser declares them."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.option_strings[0]: a for a in sub.choices[command]._actions if a.option_strings}
+
+
+class TestSettingFlags:
+    @pytest.mark.parametrize("command, table, defaults", [
+        ("gen", GEN_SETTINGS, calibration_config()),
+        ("eval", EVAL_SETTINGS, EvalSettings()),
+    ])
+    def test_defaults_are_the_config_defaults(self, command, table, defaults):
+        options = _options(command)
+        for flag, kind, field in table:
+            assert options[flag].type is kind, flag
+            value = options[flag].default
+            assert type(value) is kind and value == getattr(defaults, field), flag
+
+    def test_gen_header_names_every_config_field_in_flag_order(self, tmp_path):
+        out = tmp_path / "runs.jsonl"
+        assert main(["gen", *GEN_ARGS, "--out", str(out)]) == 0
+        header = out.read_text().splitlines()[0].split()
+        assert header[:3] == ["#", "convpred", "gen"]
+        keys, values = zip(*(field.split("=") for field in header[3:]))
+        assert list(keys) == [flag[2:].replace("-", "_") for flag, _, _ in GEN_SETTINGS]
+        assert [flag for flag in _options("gen") if flag not in ("-h", "--out")] == [
+            flag for flag, _, _ in GEN_SETTINGS]
+        assert {field for _, _, field in GEN_SETTINGS} == {f.name for f in dataclasses.fields(GenConfig)}
+        args = dict(zip(GEN_ARGS[::2], GEN_ARGS[1::2]))
+        expected = GenConfig(**{field: kind(args[flag]) if flag in args
+                                else getattr(calibration_config(), field)
+                                for flag, kind, field in GEN_SETTINGS})
+        assert list(values) == [str(getattr(expected, field)) for _, _, field in GEN_SETTINGS]
 
 
 class TestLabelAndScenario:
@@ -197,9 +245,23 @@ class TestEvalInputErrors:
         code = self._eval(tmp_path, runs_path, "--labels", str(bad), "--predictor", "score",
                           "--classifier", "logreg", "--pairs", "2-2")
         assert code == 1
-        assert capsys.readouterr().err == (
-            f"error: labels_bad.csv: conversation '{fields[0]}': {message}\n"
-        )
+        assert capsys.readouterr().err == f"error: labels_bad.csv: record 1: {message}\n"
+
+    @pytest.mark.parametrize("turn_columns", [[], ["k2", "k1"]], ids=["none", "swapped"])
+    def test_labels_header_other_than_the_declared_columns(self, workspace, tmp_path, capsys,
+                                                           turn_columns):
+        """A file without turn columns used to read to empty vectors and crash the split."""
+        _, runs_path, labels_path = workspace
+        comment, names, *records = labels_path.read_text().splitlines(keepends=True)
+        header = names.rstrip("\n").split(",")[:4] + turn_columns
+        width = len(header)
+        bad = tmp_path / "labels_bad.csv"
+        bad.write_text("".join([comment, ",".join(header) + "\n",
+                                *(",".join(r.split(",")[:width]) + "\n" for r in records)]))
+        code = self._eval(tmp_path, runs_path, "--labels", str(bad), "--predictor", "score",
+                          "--classifier", "logreg", "--pairs", "2-2")
+        assert code == 1
+        assert capsys.readouterr().err == f"error: labels_bad.csv: unexpected labels header {header}\n"
 
     @pytest.mark.parametrize("n_trees", ["0", "-2"])
     def test_forest_needs_a_tree(self, workspace, tmp_path, capsys, n_trees):
@@ -594,6 +656,19 @@ class TestCompareAndReport:
         cell_id, cid = next(csv.reader(wand_lines[1:]))[:2]
         cell = cell_id.split("|", 2)[2]
         assert capsys.readouterr().err == f"error: cell {cell}: side a has two records for '{cid}'\n"
+
+    def test_report_refuses_a_cell_that_two_rows_give(self, two_runs, tmp_path, capsys):
+        _, outputs = two_runs
+        report = outputs["score"][0]
+        code = main(["report", "--inputs", str(outputs["wand"][0]), str(report), str(report),
+                     "--out-csv", str(tmp_path / "grid.csv")])
+        assert code == 1
+        first = read_report(report)[0]
+        assert capsys.readouterr().err == (
+            f"error: two report rows give cell score|forest|{first.scenario}|{first.mode}|"
+            f"{first.turn_train},{first.turn_eval}|cutoff{first.cutoff}\n"
+        )
+        assert not (tmp_path / "grid.csv").exists()
 
     def test_compare_refuses_a_report_as_predictions(self, two_runs, capsys):
         _, outputs = two_runs

@@ -549,7 +549,8 @@ def test_writer_holds_no_whole_line(tmp_path):
 def test_reader_shares_one_table_per_file(tmp_path):
     """50 conversations of 10 turns hold 500 top-100 rankings over 2000 distinct rows.
     Copies of their rows would take 12.8 MB; the file's one table takes 0.5 MB,
-    about 2 MB with the buffers its doubling leaves, and ids and scores about 4 MB."""
+    about 2 MB with the buffers its doubling leaves. One string per item
+    occurrence would take 2.9 MB; one per distinct id takes 0.1 MB."""
     path = tmp_path / "runs.jsonl"
     write_runs(generate_synthetic(replace(calibration_config(seed=7), n_conversations=50)), path)
     tracemalloc.start()
@@ -558,7 +559,8 @@ def test_reader_shares_one_table_per_file(tmp_path):
         live, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert live < 9e6
+    assert live < 5e6  # 3.5 MB measured; 6.4 MB with a string per occurrence
+    assert len({id(item) for run in runs for ranking in run.turns for item in ranking.items}) == 2000
     views = {id(ranking.item_rows): ranking.item_rows for run in runs for ranking in run.turns}
     assert len(views) <= len(runs)  # a line's rankings share one view
     last = runs[-1].turns[-1].item_rows

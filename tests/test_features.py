@@ -332,6 +332,33 @@ def rotated_runs():
     return runs, rotated
 
 
+@pytest.mark.parametrize("with_query", [True, False], ids=["query", "no query"])
+def test_order_preserving_id_renaming_leaves_every_kind_unchanged(rotated_runs, with_query):
+    """A metamorphic relation: features see item ids only through their order,
+    where score ties break by id, so renaming ids in order changes no bit."""
+    runs, _ = rotated_runs
+    if not with_query:
+        runs = [replace(run, turns=tuple(replace(turn, query_embedding=None) for turn in run.turns))
+                for run in runs]
+    ids = sorted({item for run in runs for turn in run.turns for item in turn.items}
+                 | {run.target_id for run in runs})
+    renamed_id = {item: f"renamed-{i:06d}" for i, item in enumerate(ids)}
+    renamed = [
+        replace(run, target_id=renamed_id[run.target_id], turns=tuple(
+            replace(turn, items=tuple(renamed_id[item] for item in turn.items))
+            for turn in run.turns
+        ))
+        for run in runs
+    ]
+    assert all(renamed_id[a] < renamed_id[b] for a, b in zip(ids, ids[1:]))
+    for kind in FEATURE_KINDS:
+        for run, other in zip(runs, renamed):
+            assert other.turns[0].items != run.turns[0].items
+            for turn in range(1, run.n_turns + 1):
+                assert np.array_equal(turn_features(other, kind, turn),
+                                      turn_features(run, kind, turn)), (kind, turn)
+
+
 @pytest.mark.parametrize("kind", ROTATION_KINDS)
 def test_rotation_leaves_geometry_features_unchanged(rotated_runs, kind):
     """A metamorphic relation: the kinds depend on embeddings only through

@@ -220,12 +220,9 @@ class TestLabelFiles:
         assert header == "conversation_id,scenario,cutoff,forced,k1,k2,k3,k4,k5,k6"
 
     @pytest.mark.parametrize("rows, message", [
-        ("c0,base,1,0,0,2\nc1,base,1,0,0,1\n",
-         "conversation 'c0': turn labels must be 0 or 1, got 0,2"),
-        ("c0,base,1,0,0,1\nc1,base,1,0,x,1\n",
-         "conversation 'c1': turn labels must be 0 or 1, got x,1"),
-        ("c0,base,1,0,0,1\nc1,base,1,0,1\n",
-         "conversation 'c1': 1 turn label(s), the header names 2"),
+        ("c0,base,1,0,0,2\nc1,base,1,0,0,1\n", "record 1: k2 must be 0 or 1, got '2'"),
+        ("c0,base,1,0,0,1\nc1,base,1,0,x,1\n", "record 2: k1 must be 0 or 1, got 'x'"),
+        ("c0,base,1,0,0,1\nc1,base,1,0,1\n", "record 2: 5 field(s), the header names 6"),
         ("c0,base,1,0,0,1\nc0,base,1,0,1,1\nc1,base,1,0,0,0\n",
          "duplicate conversation_id 'c0'"),
     ], ids=["label 2", "label x", "short row", "repeated id"])
@@ -234,6 +231,28 @@ class TestLabelFiles:
         path.write_text("conversation_id,scenario,cutoff,forced,k1,k2\n" + rows)
         with pytest.raises(ValidationError, match=re.escape(f"labels.csv: {message}")):
             read_labels(path)
+
+    @pytest.mark.parametrize("header, rows", [
+        ("conversation_id,scenario,cutoff,forced,k1,kx", "c0,base,1,0,0,1\n"),
+        ("conversation_id,scenario,cutoff,forced,k2,k1", "c0,base,1,0,1,0\n"),
+        ("conversation_id,scenario,cutoff,forced", "c0,base,1,0\n"),
+        ("conversation_id,scenario,cutoff", "c0,base,1\n"),
+    ], ids=["misnamed", "reordered", "no turn columns", "no forced column"])
+    def test_rejects_a_header_other_than_the_declared_columns(self, tmp_path, header, rows):
+        path = tmp_path / "labels.csv"
+        path.write_text(f"# labels\n{header}\n{rows}")
+        with pytest.raises(ValidationError) as err:
+            read_labels(path)
+        assert str(err.value) == f"labels.csv: unexpected labels header {header.split(',')}"
+
+    @pytest.mark.parametrize("vec, column", [("1,0,0", "k2"), ("0,1,0", "k3"), ("1,1,0", "k3")])
+    def test_refuses_labels_that_fall_back_to_zero(self, tmp_path, vec, column):
+        path = tmp_path / "labels.csv"
+        path.write_text("conversation_id,scenario,cutoff,forced,k1,k2,k3\n"
+                        f"c0,base,1,0,0,1,1\nc1,base,1,0,{vec}\n")
+        with pytest.raises(ValidationError) as err:
+            read_labels(path)
+        assert str(err.value) == f"labels.csv: record 2: {column} falls back to 0; labels are cumulative"
 
 
 @pytest.mark.parametrize("n_easy,fraction,expected", [(10, 0.3, 3), (5, 0.3, 2), (7, 0.5, 4)])
