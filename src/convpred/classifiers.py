@@ -390,15 +390,18 @@ def train_forest(
     maps each key to its :class:`_Substreams` (a fresh dict when None), so
     forests trained through one dict share the draws of their key. A stack
     of problems takes one seed, or a sequence of one per problem; problems
-    of one seed share their key's substreams. A node is its bootstrap
-    multiplicity per training row.
-    All trees, of every problem, grow together in waves: each tree pops the
-    next node off its own depth-first stack (left child first) and draws that
-    node's candidate features, then one batched search scores every popped
-    node. Only nodes holding both labels are stacked; the rest become leaves
-    when they are made. Nodes are numbered as they are made, the roots
-    first, and written straight into the forest's arrays; a problem's own
-    nodes come in the order a forest of it alone numbers them.
+    of one seed share their key's substreams.
+    All trees, of every problem, grow together in waves. ``node_of[t, i]``
+    is the node of tree slot t that training row i reaches, and a node's
+    weights are its tree's bootstrap multiplicities of the rows it holds. A
+    node is open while it holds both labels and is not split. A split
+    numbers its right child before its left one, so a tree's highest-numbered
+    open node is the top of its depth-first stack (left child first). In each
+    wave every tree with an open node draws that node's candidate features,
+    one batched search scores every such node, and each split moves its rows
+    to its children. Nodes are numbered as they are made, the roots first,
+    and written straight into the forest's arrays; a problem's own nodes
+    come in the order a forest of it alone numbers them.
     """
     if n_trees < 1:
         raise ValueError(f"n_trees must be >= 1, got {n_trees}")
@@ -417,25 +420,19 @@ def train_forest(
     n_slots = n_problems * n_trees
     slot_labels = np.repeat(y, n_trees, axis=0)
     first_slot = np.arange(n_problems + 1) * n_trees
-    weights = np.concatenate([sub.weights for sub in substreams])
-    counts = [_class_counts(weights, slot_labels)]  # class counts of the nodes made, in node order
-    splits = []  # per wave: (nodes, column, threshold, first left child)
-    # The nodes still to split wait in a pool of (node, row multiplicities)
-    # slots; each tree's stack holds its slots, ``height[t]`` of them. A tree's
-    # waiting nodes hold disjoint rows, two at least, so n // 2 + 1 is room.
-    growing = np.flatnonzero(counts[0].all(axis=1))
-    pool, pool_node = weights[growing], growing.copy()
-    free = np.empty(0, dtype=np.intp)
-    stack = np.zeros((n_slots, n // 2 + 1), dtype=np.intp)
-    height = np.zeros(n_slots, dtype=np.intp)
-    stack[growing, 0] = np.arange(len(growing))
-    height[growing] = 1
+    boot = np.concatenate([sub.weights for sub in substreams])
+    counts = [_class_counts(boot, slot_labels)]  # class counts of the nodes made, in node order
+    splits = []  # per wave: (nodes, column, threshold, first right child)
+    node_of = np.repeat(np.arange(n_slots), n).reshape(n_slots, n)
+    is_open = counts[0].all(axis=1)
     n_nodes, wave = n_slots, 0
-    while growing.size:
-        height[growing] -= 1
-        slots = stack[growing, height[growing]]
-        nodes, weights = pool_node[slots], pool[slots]
-        free = np.concatenate([free, slots])
+    while is_open.any():
+        top = np.where(is_open[node_of], node_of, -1).max(axis=1)  # each tree's highest open node
+        growing = np.flatnonzero(top >= 0)
+        nodes = top[growing]
+        is_open[nodes] = False
+        held = node_of[growing] == nodes[:, None]
+        weights = boot[growing] * held
         # in every problem of a key, tree t's draw of this wave is its draw
         # number ``wave``: the first problem to take it draws it
         bounds = np.searchsorted(growing, first_slot)
@@ -445,31 +442,17 @@ def train_forest(
         ])
         column, threshold = _best_splits(cols, weights, candidates)
         split = np.flatnonzero(column >= 0)  # the rest are leaves
-        m = len(split)
-        column, threshold, weights = column[split], threshold[split], weights[split]
-        left = weights * (columns[column] < threshold[:, None])
-        children = np.concatenate([left, weights - left])  # lefts, then rights
-        child_counts = _class_counts(children, np.tile(slot_labels[growing[split]], (2, 1)))
-        counts.append(child_counts)
+        m, tree = len(split), growing[split]
+        column, threshold, weights, held = column[split], threshold[split], weights[split], held[split]
+        goes_left = columns[column] < threshold[:, None]
+        left = weights * goes_left
+        counts.append(_class_counts(np.concatenate([weights - left, left]),  # rights, then lefts
+                                    np.tile(slot_labels[tree], (2, 1))))
+        is_open = np.concatenate([is_open, counts[-1].all(axis=1)])
+        right = n_nodes + np.arange(m)[:, None]
+        node_of[tree] = np.where(held, right + m * goes_left, node_of[tree])
         splits.append((nodes[split], column, threshold, n_nodes))
-        # stack the children that can split, each node's right child first so the left is on top
-        can_split = child_counts.all(axis=1)
-        right_left = np.column_stack([m + np.arange(m), np.arange(m)]).ravel()
-        child = right_left[can_split[right_left]]
-        tree = growing[split[child % m]]
-        at = height[tree] + ((child < m) & can_split[m + child % m])
-        if len(child) > len(free):  # grow the pool, at least doubling it
-            grow = max(len(child) - len(free), len(pool))
-            free = np.concatenate([free, np.arange(len(pool), len(pool) + grow)])
-            pool = np.concatenate([pool, np.empty((grow, n), dtype=pool.dtype)])
-            pool_node = np.concatenate([pool_node, np.empty(grow, dtype=pool_node.dtype)])
-        keep = len(free) - len(child)
-        taken, free = free[keep:], free[:keep]
-        pool[taken], pool_node[taken] = children[child], n_nodes + child
-        stack[tree, at] = taken
-        height[growing[split]] += can_split.reshape(2, m).sum(axis=0)
         n_nodes += 2 * m
-        growing = np.flatnonzero(height)
         wave += 1
     roots = np.arange(n_slots).reshape(n_problems, n_trees)
     forest = Forest(
@@ -483,8 +466,8 @@ def train_forest(
     )
     for nodes, column, threshold, first in splits:
         forest.feature[nodes], forest.threshold[nodes] = column % n_features, threshold
-        forest.left[nodes] = first + np.arange(len(nodes))
-        forest.right[nodes] = forest.left[nodes] + len(nodes)
+        forest.right[nodes] = first + np.arange(len(nodes))
+        forest.left[nodes] = forest.right[nodes] + len(nodes)
     return forest
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "write_csv",
     "read_csv",
     "parse_bit",
+    "parse_cell_id",
     "parse_count",
     "parse_share",
     "parse_records",
@@ -347,8 +348,15 @@ def parse_count(field: str) -> int:
     return value
 
 
+def parse_cell_id(field: str) -> str:
+    if field.count("|") != 5:
+        raise ValueError(field)
+    return field
+
+
 # what each field parser accepts, for the error it raises on another value
-_MUST_BE = {parse_share: "a number in [0, 1]", parse_count: "an integer >= 1", parse_bit: "0 or 1"}
+_MUST_BE = {parse_share: "a number in [0, 1]", parse_count: "an integer >= 1", parse_bit: "0 or 1",
+            parse_cell_id: "predictor|classifier|scenario|mode|T,E|cutoffC"}
 
 
 def parse_records(name: str, what: str, columns: dict, header: list, records: list) -> list[list]:

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import autoencoder, classifiers
 from .core import ValidationError, read_records, round_half_up, write_csv
-from .core import parse_bit, parse_count, parse_share
+from .core import parse_bit, parse_cell_id, parse_count, parse_share
 from .features import FEATURE_KINDS, build_feature_matrix
 from .features import turn_features  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .scenario import LabelSet, label_runs
@@ -473,7 +473,7 @@ def mcnemar(preds_a, preds_b, actuals) -> tuple[float, bool]:
 _REPORT_COLUMNS = {"predictor": str, "classifier": str, "scenario": str, "mode": str,
                    "turn_train": parse_count, "turn_eval": parse_count, "cutoff": parse_count,
                    "accuracy": parse_share, "n_test": parse_count}
-_PREDICTION_COLUMNS = {"cell_id": str, "conversation_id": str, "predicted": parse_bit,
+_PREDICTION_COLUMNS = {"cell_id": parse_cell_id, "conversation_id": str, "predicted": parse_bit,
                        "actual": parse_bit}
 
 

@@ -623,7 +623,11 @@ class TestCompareAndReport:
         (lambda fields: fields[:3], "record 2: 3 field(s), the header names 4"),
         (lambda fields: fields[:2] + ["2", fields[3]], "record 2: predicted must be 0 or 1, got '2'"),
         (lambda fields: fields[:3] + ["yes"], "record 2: actual must be 0 or 1, got 'yes'"),
-    ], ids=["short", "predicted-2", "actual-yes"])
+        (lambda fields: ["abc"] + fields[1:],
+         "record 2: cell_id must be predictor|classifier|scenario|mode|T,E|cutoffC, got 'abc'"),
+        (lambda fields: ["a|b|c"] + fields[1:],
+         "record 2: cell_id must be predictor|classifier|scenario|mode|T,E|cutoffC, got 'a|b|c'"),
+    ], ids=["short", "predicted-2", "actual-yes", "cell_id-one-field", "cell_id-three-fields"])
     def test_compare_names_the_bad_record(self, two_runs, tmp_path, capsys, edit, message):
         _, outputs = two_runs
         bad = tmp_path / "bad_preds.csv"

@@ -134,6 +134,24 @@ def test_stacked_forest_matches_oracle(case):
     _assert_stacked_forest(forest, X, y, 7, SEEDS)
 
 
+def test_forest_matches_oracle_at_protocol_scale():
+    """Two problems of the protocol's train split (140 rows) over 9 columns, three of
+    them small tied integers, with about one label 1 in five: trees many waves deep."""
+    rng = np.random.default_rng(17)
+    X = np.concatenate([rng.integers(0, 6, size=(2, 140, 3)).astype(float),
+                        rng.standard_normal((2, 140, 6)) * [0.1, 1.0, 3.0, 10.0, 0.5, 2.0]], axis=2)
+    y = (X[..., 3] + rng.standard_normal((2, 140)) > 0.9).astype(int)
+    assert 0.1 < y.mean() < 0.4
+    streams = {}
+    forest = classifiers.train_forest(X, y, n_trees=24, seed=SEEDS[:2], streams=streams)
+    assert min(len(store.waves) for store in streams.values()) >= 10
+    predicted = classifiers.predict_cls(forest, X)
+    for p, seed in enumerate(SEEDS[:2]):
+        expected = forest_brute(X[p], y[p], 24, seed)
+        assert_same_trees(forest, forest.roots[p], expected)
+        assert predicted[p].tolist() == forest_predict_brute(expected, X[p])
+
+
 def test_stacked_forests_of_one_key_share_draws_and_serve_a_later_forest():
     """Two problems of one seed share one key's substreams. The first grows
     few waves (a tree splits off row 0 if it holds it), the second many.
