@@ -261,23 +261,30 @@ def validate_run(run: ConversationRun) -> int | None:
     return dim
 
 
-def validate_runs(runs) -> int | None:
-    """Validate every run and enforce one embedding dimension across them all."""
+def validate_runs(runs, where=None) -> int | None:
+    """Validate every run and enforce one embedding dimension across them all.
+
+    ``where``, if given, holds one label per run (a file and line, say), and
+    the error raised for a run starts with that run's label.
+    """
     dim: int | None = None
     seen_ids: set[str] = set()
-    for run in runs:
-        if run.conversation_id in seen_ids:
-            raise ValidationError(f"duplicate conversation_id {run.conversation_id!r}")
-        seen_ids.add(run.conversation_id)
-        run_dim = validate_run(run)
-        if run_dim is None:
-            continue
-        if dim is None:
-            dim = run_dim
-        elif run_dim != dim:
-            raise ValidationError(
-                f"{run.conversation_id}: dimension mismatch across runs ({run_dim} vs {dim})"
-            )
+    for k, run in enumerate(runs):
+        try:
+            if run.conversation_id in seen_ids:
+                raise ValidationError(f"duplicate conversation_id {run.conversation_id!r}")
+            seen_ids.add(run.conversation_id)
+            run_dim = validate_run(run)
+            if dim is None:
+                dim = run_dim
+            elif run_dim is not None and run_dim != dim:
+                raise ValidationError(
+                    f"{run.conversation_id}: dimension mismatch across runs ({run_dim} vs {dim})"
+                )
+        except ValidationError as exc:
+            if where is None:
+                raise
+            raise ValidationError(f"{where[k]}: {exc}") from exc
     return dim
 
 

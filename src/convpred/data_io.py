@@ -16,13 +16,16 @@ shortest round-trip repr, so write -> read is value-exact.
 
 Consecutive turns retrieve the same items again, so a file repeats the same
 embedding arrays many times. The writer encodes each item's row once per file
-and writes a line turn by turn, never holding a whole line. The reader
-decodes each distinct ``"embedding"`` array text once per file into one
-read-only item table, which the rankings of those lines index. Lines in
-another layout (whitespace around that key, the key first in its object, any
-backslash escape) read through plain ``json.loads``: slower, to the same
-runs and errors, each ranking with its own table. On both paths the rankings
-of one file share one string per distinct item id.
+and writes a line turn by turn, never holding a whole line. The reader cuts
+a line at its ``"embedding"`` arrays with one regex split, so it holds the
+line and one copy of its text, and decodes each distinct array text once per
+file into one read-only item table, which the rankings of those lines index.
+Lines in another layout (whitespace around that key, the key first in its
+object, any backslash escape) read through plain ``json.loads``: slower, to
+the same runs and errors, each ranking with its own table. On both paths the
+rankings of one file share one string per distinct item id, and errors found
+once the whole file has parsed (a repeated conversation id, unsorted items,
+dimensions that differ between lines) name the file and line of the run.
 
 The generator stands in for a trained retrieval model plus user simulator at
 desk scale: a latent query vector is pulled toward the target item each turn,
@@ -35,6 +38,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -202,6 +206,17 @@ def _string(value, what: str) -> str:
     raise TypeError(f"{what} must be a JSON string, got {value!r}")
 
 
+def _item_ids(items) -> list:
+    """The ``"id"`` of each item; the first missing or non-string one raises, in item order."""
+    try:
+        ids = [it["id"] for it in items]
+        if set(map(type, ids)) <= {str}:
+            return ids
+    except (KeyError, TypeError):
+        pass
+    return [_string(it["id"], "item id") for it in items]
+
+
 def _turn_from_dict(tr: dict, cid: str, table, names: dict) -> TurnRanking:
     """The ranking in ``tr``, each item id the string ``names`` keeps for it; with
     ``table``, each item's ``"embedding"`` is its row there."""
@@ -210,7 +225,8 @@ def _turn_from_dict(tr: dict, cid: str, table, names: dict) -> TurnRanking:
         raise TypeError(f"{cid}: turn must be a JSON integer, got {turn!r}")
     items = tr["items"]
     try:
-        ids = tuple(names.setdefault(i, i) for i in (_string(it["id"], "item id") for it in items))
+        ids = _item_ids(items)
+        ids = tuple(map(names.setdefault, ids, ids))
         if table is None:
             rows = [_numbers(it["embedding"], "embedding") for it in items]
         else:
@@ -355,31 +371,30 @@ class _ItemTable:
         return True
 
 
-_EMBEDDING = ',"embedding":['
+# one split gives each ``,"embedding":[...]`` array's text (odd parts) and what follows it
+_SPLIT_EMBEDDINGS = re.compile(r',"embedding":\[([^\]]*)\]').split
 
 
 def _decode_line(text: str, table: _ItemTable):
     """``json.loads(text)`` with each distinct embedding array decoded once per file.
 
-    Each ``,"embedding":[...]`` array of ``text`` is looked up in ``table``,
-    the new ones are decoded together and appended, and the rest of the line
-    is parsed with each array replaced by its row in the table. Returns that
-    object and ``table.view``, or None for a line that cannot be shown to
-    decode as ``json.loads`` would: one with a backslash (which could spell
-    a key another way), a ``"embedding"`` not written as above, an array
-    holding a string or an array, or new rows that do not parse, hold a
-    non-number or differ in length from each other or from the table's.
+    One regex split cuts ``text`` into the text of each ``,"embedding":[...]``
+    array and the tails between them, the only copy of the line it makes.
+    Each array text is looked up in ``table``, the new ones are decoded
+    together and appended, and the rest of the line is parsed with each
+    array replaced by its row in the table. Returns that object and
+    ``table.view``, or None for a line that cannot be shown to decode as
+    ``json.loads`` would: one with a backslash (which could spell a key
+    another way), a ``"embedding"`` that is not the key of a split array
+    (written otherwise, or its array not closed by a ``]`` before the next
+    such key or the line's end), an array holding a string or an array, or
+    new rows that do not parse, hold a non-number or differ in length from
+    each other or from the table's.
     """
-    parts = text.split(_EMBEDDING)
-    if "\\" in text or text.count('"embedding"') != len(parts) - 1:
+    parts = _SPLIT_EMBEDDINGS(text)
+    texts, tails = parts[1::2], parts[2::2]
+    if "\\" in text or text.count('"embedding"') != len(texts):
         return None
-    texts, tails = [], []
-    for part in parts[1:]:
-        end = part.find("]")
-        if end < 0:
-            return None
-        texts.append(part[:end])
-        tails.append(part[end + 1 :])
     index = table.index
     new = [t for t in dict.fromkeys(texts) if t not in index]
     if any('"' in t or "[" in t for t in new):
@@ -395,7 +410,7 @@ def _decode_line(text: str, table: _ItemTable):
         if not table.append(new, block):
             return None
     # the space ends the row number, so what follows the array cannot extend it
-    skeleton = "".join(f',"embedding":{index[t]} {tail}' for t, tail in zip(texts, tails))
+    skeleton = "".join(map(',"embedding":{} {}'.format, map(index.__getitem__, texts), tails))
     try:
         return json.loads(parts[0] + skeleton), table.view
     except ValueError:
@@ -409,10 +424,13 @@ def read_runs(path) -> list[ConversationRun]:
     read-only item table, which every ranking of those lines indexes (see
     :func:`_decode_line`). A line that path cannot take is read with plain
     ``json.loads``, to the same runs and errors, its rankings each holding
-    its own table.
+    its own table. The runs are validated once the whole file has parsed,
+    and a validation error starts with the file and line of the run at
+    fault.
     """
     path = Path(path)
     runs: list[ConversationRun] = []
+    lines: list[str] = []  # where each run was read
     table, names = _ItemTable(), {}
     with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -422,7 +440,7 @@ def read_runs(path) -> list[ConversationRun]:
                     line.encode("utf-8", "surrogateescape").decode("utf-8")
                 except UnicodeDecodeError as exc:
                     raise ValidationError(f"{where}: not UTF-8 ({exc})") from None
-            text = line.strip()
+            text = line.lstrip()  # the line itself when it starts with no blank
             if not text or text.startswith("#"):
                 continue
             # both parsers take the line as read, so an error's column is the line's own
@@ -434,5 +452,6 @@ def read_runs(path) -> list[ConversationRun]:
                     raise ValidationError(f"{where}: invalid JSON ({exc})") from exc
             obj, item_rows = decoded
             runs.append(_run_from_dict(obj, where, item_rows, names))
-    validate_runs(runs)
+            lines.append(where)
+    validate_runs(runs, lines)
     return runs

@@ -274,11 +274,59 @@ class TestReadValidation:
         assert str(err.value) == f"runs.jsonl line 1: malformed run record ({message})"
 
     @pytest.mark.parametrize("layout", [json.dumps, _canonical])
+    @pytest.mark.parametrize("first,second,message", [
+        (5, None, "c0 turn 1: item id must be a JSON string, got 5"),
+        (None, 5, "'id'"),
+    ], ids=["number-then-none", "none-then-number"])
+    def test_first_bad_item_id_is_named(self, tmp_path, layout, first, second, message):
+        """Of a turn's bad item ids, the first in item order is the one named."""
+        bad = self._record()
+        for item, value in zip(bad["turns"][0]["items"], (first, second)):
+            if value is None:
+                del item["id"]
+            else:
+                item["id"] = value
+        path = self._write_lines(tmp_path, [layout(bad)])
+        with pytest.raises(ValidationError) as err:
+            read_runs(path)
+        assert str(err.value) == f"runs.jsonl line 1: malformed run record ({message})"
+
+    @pytest.mark.parametrize("layout", [json.dumps, _canonical])
     def test_boolean_target_rank_is_refused(self, tmp_path, layout):
         path = self._write_lines(tmp_path, [layout(self._record(target_ranks=[True, 1]))])
         with pytest.raises(ValidationError) as err:
             read_runs(path)
-        assert str(err.value) == "c0 turn 1: target rank must be a positive int or null"
+        assert str(err.value) == (
+            "runs.jsonl line 1: c0 turn 1: target rank must be a positive int or null"
+        )
+
+    def test_validation_errors_name_the_file_and_line(self, tmp_path):
+        """Checks across runs run after the whole file parses, and name the
+        line of the run at fault: a repeated id's second occurrence, the
+        first line whose dimension differs."""
+        unsorted = self._record(conversation_id="c1")
+        unsorted["turns"][0]["items"].reverse()
+        wide = self._record(conversation_id="c2")
+        for turn in wide["turns"]:
+            for item in turn["items"]:
+                item["embedding"] = [1.0, 0.0, 0.0]
+        cases = [
+            ([self._record(), self._record(conversation_id="c1"), self._record()],
+             "runs.jsonl line 4: duplicate conversation_id 'c0'"),
+            ([self._record(), unsorted],
+             "runs.jsonl line 3: c1 turn 1: items not sorted by score"),
+            ([self._record(), wide, self._record(conversation_id="c3"),
+              wide | {"conversation_id": "c4"}],
+             "runs.jsonl line 3: c2: dimension mismatch across runs (3 vs 2)"),
+            ([self._record(), unsorted, "{not json"], "runs.jsonl line 4: invalid JSON ("),
+        ]
+        for records, message in cases:
+            for layout in (json.dumps, _canonical):
+                lines = ["# header"] + [r if isinstance(r, str) else layout(r) for r in records]
+                path = self._write_lines(tmp_path, lines)
+                with pytest.raises(ValidationError) as err:
+                    read_runs(path)
+                assert str(err.value).startswith(message)
 
     def test_ragged_embeddings_within_a_turn(self, tmp_path):
         bad = self._record()
@@ -367,7 +415,7 @@ def test_each_written_line_equals_the_reference_serializer(tmp_path_factory, run
 
 def _reference_read(path):
     """The plain reader: ``json.loads`` on each line, then the record checks."""
-    runs = []
+    runs, lines = [], []
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if line.strip() and not line.startswith("#"):
             where = f"{path.name} line {lineno}"
@@ -376,7 +424,8 @@ def _reference_read(path):
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"{where}: invalid JSON ({exc})") from exc
             runs.append(data_io._run_from_dict(obj, where))
-    validate_runs(runs)
+            lines.append(where)
+    validate_runs(runs, lines)
     return runs
 
 
@@ -425,6 +474,14 @@ class TestDecodeOnceMatchesJsonLoads:
             (_ITEM_0, _ITEM_0.replace('"score":2.0,', "").replace("}", ',"score":2.0}')),
             ('"critique":null', '"critique":"embedding"'),
             ('"critique":null', '"embedding":[7.0,7.0],"critique":null'),
+            # an array not closed before the next one, or before the end of the line
+            (_ITEM_0, _ITEM_0.replace("[1.0,0.0]", "[1.0,0.0")),
+            ("[0.0,1.0]}]}]", "[0.0,1.0}}}"),
+            ('"critique":null', '"critique":"more]"'),  # a ] that ends no array
+            ('"critique":null', '"critique":"[1.0,0.0]"'),
+            # the first bad id in item order is the one named: a number, then no id at all
+            (_ITEM_0 + ',{"id":"i001",', _ITEM_0.replace('"i000"', "5") + ",{"),
+            (_ITEM_0 + ',{"id":"i001",', _ITEM_0.replace('"id":"i000",', "") + ',{"id":5,'),
         ],
     )
     def test_edited_canonical_line(self, tmp_path, old, new):
@@ -521,9 +578,22 @@ def test_generated_file_round_trips_byte_for_byte(tmp_path):
     assert copy.read_bytes() == source.read_bytes()
 
 
-def test_writer_holds_no_whole_line(tmp_path):
-    """One conversation of 40 turns over a 100-item table is a 2.7 MB line;
-    written turn by turn, the writer's traced peak stays under a quarter of it."""
+def _traced_peak(call):
+    """``call()`` and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.fixture(scope="module")
+def long_line(tmp_path_factory):
+    """One conversation of 40 turns over a 100-item table, a 2.7 MB line,
+    written once for the writer's and the reader's memory tests; returns the
+    file and the writer's traced peak."""
     rng = np.random.default_rng(0)
     table = rng.standard_normal((100, 32))
     table.flags.writeable = False
@@ -532,18 +602,29 @@ def test_writer_holds_no_whole_line(tmp_path):
         order = rng.permutation(100)
         scores = np.sort(rng.random(100))[::-1]
         turns.append(TurnRanking(t, tuple(f"i{k:03d}" for k in order), scores, table, rows=order))
-    path = tmp_path / "long.jsonl"
-    tracemalloc.start()
-    try:
-        write_runs([make_run(turns)], path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    path = tmp_path_factory.mktemp("long") / "long.jsonl"
+    _, peak = _traced_peak(lambda: write_runs([make_run(turns)], path))
+    return path, peak
+
+
+def test_writer_holds_no_whole_line(long_line):
+    """Written turn by turn, the writer's traced peak stays under a quarter of the line."""
+    path, peak = long_line
     data = path.read_bytes()
     assert peak < len(data) / 4
     assert hashlib.sha256(data).hexdigest() == (
         "42bc7d21b8d5e2b2558843acad5c4ccd1c022510bafd739ee3bc5ca7dfa87b5e"
     )
+
+
+def test_reader_holds_few_copies_of_a_line(long_line):
+    """The line as read, one split into array texts and tails, and a skeleton
+    of the rest: the reader's traced peak stays under 3.5 times the line
+    (2.8 measured; 4.8 when the split and the slices each copied the line)."""
+    path, _ = long_line
+    runs, peak = _traced_peak(lambda: read_runs(path))
+    assert len(runs) == 1 and runs[0].n_turns == 40
+    assert peak < 3.5 * path.stat().st_size
 
 
 def test_reader_shares_one_table_per_file(tmp_path):
