@@ -206,17 +206,6 @@ def _string(value, what: str) -> str:
     raise TypeError(f"{what} must be a JSON string, got {value!r}")
 
 
-def _item_ids(items) -> list:
-    """The ``"id"`` of each item; the first missing or non-string one raises, in item order."""
-    try:
-        ids = [it["id"] for it in items]
-        if set(map(type, ids)) <= {str}:
-            return ids
-    except (KeyError, TypeError):
-        pass
-    return [_string(it["id"], "item id") for it in items]
-
-
 def _turn_from_dict(tr: dict, cid: str, table, names: dict) -> TurnRanking:
     """The ranking in ``tr``, each item id the string ``names`` keeps for it; with
     ``table``, each item's ``"embedding"`` is its row there."""
@@ -225,8 +214,7 @@ def _turn_from_dict(tr: dict, cid: str, table, names: dict) -> TurnRanking:
         raise TypeError(f"{cid}: turn must be a JSON integer, got {turn!r}")
     items = tr["items"]
     try:
-        ids = _item_ids(items)
-        ids = tuple(map(names.setdefault, ids, ids))
+        ids = tuple(names.setdefault(i, i) for i in (_string(it["id"], "item id") for it in items))
         if table is None:
             rows = [_numbers(it["embedding"], "embedding") for it in items]
         else:
@@ -371,8 +359,9 @@ class _ItemTable:
         return True
 
 
-# one split gives each ``,"embedding":[...]`` array's text (odd parts) and what follows it
-_SPLIT_EMBEDDINGS = re.compile(r',"embedding":\[([^\]]*)\]').split
+# one split gives each ``,"embedding":[...]`` array's text (odd parts) and what follows it;
+# the body stops at a quote too, so a match that fails ends at the next key, never the line's end
+_SPLIT_EMBEDDINGS = re.compile(r',"embedding":\[([^\]"]*)\]').split
 
 
 def _decode_line(text: str, table: _ItemTable):
@@ -386,10 +375,10 @@ def _decode_line(text: str, table: _ItemTable):
     ``table.view``, or None for a line that cannot be shown to decode as
     ``json.loads`` would: one with a backslash (which could spell a key
     another way), a ``"embedding"`` that is not the key of a split array
-    (written otherwise, or its array not closed by a ``]`` before the next
-    such key or the line's end), an array holding a string or an array, or
-    new rows that do not parse, hold a non-number or differ in length from
-    each other or from the table's.
+    (written otherwise, or its array holding a quote or not closed by a
+    ``]`` before the next quote), an array holding an array, or new rows
+    that do not parse, hold a non-number or differ in length from each
+    other or from the table's.
     """
     parts = _SPLIT_EMBEDDINGS(text)
     texts, tails = parts[1::2], parts[2::2]
@@ -397,7 +386,7 @@ def _decode_line(text: str, table: _ItemTable):
         return None
     index = table.index
     new = [t for t in dict.fromkeys(texts) if t not in index]
-    if any('"' in t or "[" in t for t in new):
+    if any("[" in t for t in new):
         return None
     if new:
         try:
@@ -410,7 +399,7 @@ def _decode_line(text: str, table: _ItemTable):
         if not table.append(new, block):
             return None
     # the space ends the row number, so what follows the array cannot extend it
-    skeleton = "".join(map(',"embedding":{} {}'.format, map(index.__getitem__, texts), tails))
+    skeleton = "".join(f',"embedding":{index[t]} {tail}' for t, tail in zip(texts, tails))
     try:
         return json.loads(parts[0] + skeleton), table.view
     except ValueError:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import time
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -290,6 +291,16 @@ class TestReadValidation:
         with pytest.raises(ValidationError) as err:
             read_runs(path)
         assert str(err.value) == f"runs.jsonl line 1: malformed run record ({message})"
+
+    def test_unclosed_arrays_are_refused_at_once(self, tmp_path):
+        """A 280 KB line of 20,000 unclosed ``,"embedding":[`` reads to the JSON
+        error in milliseconds; a split whose failed matches ran to the line's
+        end took 34 s on it."""
+        path = self._write_lines(tmp_path, ['{"a":1' + ',"embedding":[' * 20_000 + "}"])
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match=r"^runs\.jsonl line 1: invalid JSON \("):
+            read_runs(path)
+        assert time.perf_counter() - start < 2.0
 
     @pytest.mark.parametrize("layout", [json.dumps, _canonical])
     def test_boolean_target_rank_is_refused(self, tmp_path, layout):
