@@ -359,9 +359,9 @@ class _ItemTable:
         return True
 
 
-# one split gives each ``,"embedding":[...]`` array's text (odd parts) and what follows it;
-# the body stops at a quote too, so a match that fails ends at the next key, never the line's end
-_SPLIT_EMBEDDINGS = re.compile(r',"embedding":\[([^\]"]*)\]').split
+_EMBEDDING = ',"embedding":['
+# one split gives each ``,"embedding":[...]`` array's text (odd parts) and what follows it
+_SPLIT_EMBEDDINGS = re.compile(r',"embedding":\[([^\]]*)\]').split
 
 
 def _decode_line(text: str, table: _ItemTable):
@@ -375,18 +375,22 @@ def _decode_line(text: str, table: _ItemTable):
     ``table.view``, or None for a line that cannot be shown to decode as
     ``json.loads`` would: one with a backslash (which could spell a key
     another way), a ``"embedding"`` that is not the key of a split array
-    (written otherwise, or its array holding a quote or not closed by a
-    ``]`` before the next quote), an array holding an array, or new rows
-    that do not parse, hold a non-number or differ in length from each
-    other or from the table's.
+    (written otherwise, or its array not closed by a ``]`` before the next
+    such key or the line's end), an array holding a string or an array, or
+    new rows that do not parse, hold a non-number or differ in length from
+    each other or from the table's.
     """
+    # with a "]" after the last key every match the split tries succeeds, so
+    # it reads the line once; without one, each try would run to the line's end
+    if "\\" in text or text.rfind("]") < text.rfind(_EMBEDDING):
+        return None
     parts = _SPLIT_EMBEDDINGS(text)
     texts, tails = parts[1::2], parts[2::2]
-    if "\\" in text or text.count('"embedding"') != len(texts):
+    if text.count('"embedding"') != len(texts):
         return None
     index = table.index
     new = [t for t in dict.fromkeys(texts) if t not in index]
-    if any("[" in t for t in new):
+    if any('"' in t or "[" in t for t in new):
         return None
     if new:
         try:
