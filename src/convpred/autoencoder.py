@@ -121,16 +121,16 @@ def init_model(config: AEConfig) -> AEModel:
     return AEModel(config, *arrays, input_mean=np.zeros(d), input_scale=np.ones(d))
 
 
-def _shapes(config: AEConfig) -> list[tuple[int, int]]:
-    """The parameter shapes in ``_PARAM_NAMES`` order, each bias as one row."""
+def _shapes(config: AEConfig) -> list[tuple[int, ...]]:
+    """The parameter shapes in ``_PARAM_NAMES`` order, each bias ``(fan_out,)``: the
+    model's, its gradients' and those of the views of a flat parameter vector."""
     d, h, z = config.input_dim, config.hidden_dim, config.bottleneck_dim
-    return [(d, h), (1, h), (h, z), (1, z), (z, d), (1, d), (z, 2), (1, 2)]
+    return [(d, h), (h,), (h, z), (z,), (z, d), (d,), (z, 2), (2,)]
 
 
 def _network(model: AEModel) -> list[np.ndarray]:
-    """The model's parameters as a stack of one, in the shapes of ``_shapes``."""
-    return [param.reshape((1, *shape)) for param, shape in
-            zip(model.parameters().values(), _shapes(model.config))]
+    """The model's parameters as a stack of one."""
+    return [param[None] for param in model.parameters().values()]
 
 
 class _Workspace:
@@ -139,7 +139,8 @@ class _Workspace:
 
     ``train`` makes one per fit and reuses it each epoch; the public functions
     make one per call, so both run the same code. ``grad`` is one flat vector
-    per problem, which ``grads`` view in ``_PARAM_NAMES`` order.
+    per problem, which ``grads`` view in ``_PARAM_NAMES`` order, each with a
+    leading problem axis before the shape ``_shapes`` gives it.
     """
 
     def __init__(self, config: AEConfig, P: int, n: int, labels=None):
@@ -179,14 +180,14 @@ def _forward_cache(net, batch: np.ndarray, work: _Workspace) -> None:
     """
     W1, b1, W2, b2, W3, b3, W4, b4 = net
     np.matmul(batch, W1, out=work.hidden)
-    work.hidden += b1
+    work.hidden += b1[:, None]
     np.matmul(work.hidden, W2, out=work.pre_code)
-    work.pre_code += b2
+    work.pre_code += b2[:, None]
     np.maximum(work.pre_code, 0.0, out=work.code)
     np.matmul(work.code, W3, out=work.recon)
-    work.recon += b3
+    work.recon += b3[:, None]
     probs = np.matmul(work.code, W4, out=work.probs)
-    probs += b4
+    probs += b4[:, None]
     probs -= probs.max(axis=2, keepdims=True, out=work.column)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=2, keepdims=True, out=work.column)
@@ -246,13 +247,13 @@ def _backward(net, batch: np.ndarray, work: _Workspace) -> None:
     d_code *= np.greater(work.pre_code, 0.0, out=work.active)  # now d_pre
     d_hidden = np.matmul(d_code, W2.swapaxes(1, 2), out=work.d_hidden)
     np.matmul(batch.swapaxes(1, 2), d_hidden, out=g_W1)
-    d_hidden.sum(axis=1, keepdims=True, out=g_b1)
+    d_hidden.sum(axis=1, out=g_b1)
     np.matmul(work.hidden.swapaxes(1, 2), d_code, out=g_W2)
-    d_code.sum(axis=1, keepdims=True, out=g_b2)
+    d_code.sum(axis=1, out=g_b2)
     np.matmul(work.code.swapaxes(1, 2), d_recon, out=g_W3)
-    d_recon.sum(axis=1, keepdims=True, out=g_b3)
+    d_recon.sum(axis=1, out=g_b3)
     np.matmul(work.code.swapaxes(1, 2), d_logits, out=g_W4)
-    d_logits.sum(axis=1, keepdims=True, out=g_b4)
+    d_logits.sum(axis=1, out=g_b4)
 
 
 def gradients(model: AEModel, X, y) -> dict[str, np.ndarray]:
@@ -261,8 +262,7 @@ def gradients(model: AEModel, X, y) -> dict[str, np.ndarray]:
     work, net = _Workspace(model.config, 1, len(batch), labels[None]), _network(model)
     _forward_cache(net, batch[None], work)
     _backward(net, batch[None], work)
-    return {name: grad.reshape(param.shape) for (name, param), grad in
-            zip(model.parameters().items(), work.grads)}
+    return {name: grad[0] for name, grad in zip(_PARAM_NAMES, work.grads)}
 
 
 def train(X, y, config: AEConfig, seeds=None):
@@ -298,9 +298,8 @@ def train(X, y, config: AEConfig, seeds=None):
     flat = np.stack([
         np.concatenate([param.ravel() for param in model.parameters().values()]) for model in models
     ])
-    public = [param.shape for param in models[0].parameters().values()]
     for model, row, row_mean, row_scale in zip(models, flat, mean, scale):
-        for name, view in zip(_PARAM_NAMES, _views(row, public)):
+        for name, view in zip(_PARAM_NAMES, _views(row, _shapes(config))):
             setattr(model, name, view)
         model.input_mean, model.input_scale = row_mean, row_scale
     sq_sums = np.empty((config.epochs, P))

@@ -399,9 +399,10 @@ def train_forest(
     open node is the top of its depth-first stack (left child first). In each
     wave every tree with an open node draws that node's candidate features,
     one batched search scores every such node, and each split moves its rows
-    to its children. Nodes are numbered as they are made, the roots first,
-    and written straight into the forest's arrays; a problem's own nodes
-    come in the order a forest of it alone numbers them.
+    to its children. Nodes are numbered as they are made, the roots first;
+    each wave's splits are collected and written into the forest's arrays
+    after the loop. A problem's own nodes come in the order a forest of it
+    alone numbers them.
     """
     if n_trees < 1:
         raise ValueError(f"n_trees must be >= 1, got {n_trees}")

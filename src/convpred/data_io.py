@@ -228,28 +228,19 @@ def _turn_from_dict(tr: dict, cid: str, table, names: dict) -> TurnRanking:
             _string(critique, "critique")
     except TypeError as exc:
         raise TypeError(f"{cid} turn {turn}: {exc}") from exc
-    if table is not None:
-        return TurnRanking(turn, ids, scores, table, rows=rows,
-                           query_embedding=query, critique=critique)
-    lengths = sorted({len(r) for r in rows})
-    if len(lengths) > 1:
-        raise ValidationError(
-            f"{cid} turn {turn}: dimension mismatch among item embeddings {lengths}"
-        )
-    return TurnRanking(
-        turn=turn,
-        items=ids,
-        scores=scores,
-        item_rows=rows,
-        query_embedding=query,
-        critique=critique,
-    )
+    if table is None:  # the rows themselves become the ranking's own table
+        lengths = sorted({len(r) for r in rows})
+        if len(lengths) > 1:
+            raise ValidationError(
+                f"{cid} turn {turn}: dimension mismatch among item embeddings {lengths}"
+            )
+        table, rows = rows, None
+    return TurnRanking(turn, ids, scores, table, rows=rows, query_embedding=query, critique=critique)
 
 
-def _run_from_dict(obj: dict, where: str = "run", table=None, names=None) -> ConversationRun:
+def _run_from_dict(obj: dict, where: str, table, names: dict) -> ConversationRun:
     """The run in ``obj``; with ``table``, each item's ``"embedding"`` is its row there,
-    and with ``names``, each item id is the string kept for it there."""
-    names = {} if names is None else names
+    and each item id is the string ``names`` keeps for it."""
     try:
         cid = _string(obj["conversation_id"], "conversation_id")
         return ConversationRun(

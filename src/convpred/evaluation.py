@@ -32,6 +32,7 @@ trainer's error names its cell.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -40,7 +41,7 @@ import numpy as np
 from . import autoencoder, classifiers
 from .core import ValidationError, read_records, round_half_up, write_csv
 from .core import parse_bit, parse_cell_id, parse_count, parse_share
-from .features import FEATURE_KINDS, build_feature_matrix
+from .features import build_feature_matrix
 from .features import turn_features  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .scenario import LabelSet, label_runs
 
@@ -138,6 +139,9 @@ class EvalSettings:
             raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
         if self.ae_epochs < 1:
             raise ValueError(f"ae_epochs must be >= 1, got {self.ae_epochs}")
+        for name in ("ae_hidden_dim", "ae_bottleneck_dim"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 < self.ae_learning_rate < math.inf:
             raise ValueError(
                 f"ae_learning_rate must be finite and > 0, got {self.ae_learning_rate}"
@@ -155,12 +159,14 @@ def split_conversations(
 ) -> Split:
     """Seeded conversation-level split with |train| = round(ratio * n).
 
-    When stratified, the ratio holds within each label class up to rounding
-    (largest-remainder allocation keeps the total exact). A class with fewer
-    than 2 members falls back to an unstratified shuffle with a warning. A
-    ratio that leaves either side empty is an error.
+    The ids are sorted before the seeded permutation, so the split depends on
+    the set of ids, not on their order. When stratified, the ratio holds
+    within each label class up to rounding (largest-remainder allocation
+    keeps the total exact). A class with fewer than 2 members falls back to
+    an unstratified shuffle with a warning. A ratio that leaves either side
+    empty is an error.
     """
-    ids = list(ids)
+    ids = sorted(ids)
     n = len(ids)
     if n < 2:
         raise ValueError("need at least 2 conversations to split")
@@ -258,13 +264,11 @@ def _fit_predict(classifier, X_train, y_train, X_test, settings: EvalSettings, c
 
 
 def _feature_kind(predictor: str, classifier: str) -> str:
+    if predictor not in PREDICTORS:
+        raise ValueError(f"unknown predictor {predictor!r}; valid: {PREDICTORS}")
     if predictor == "ae" and classifier != "ae-head":
         raise ValueError("the ae predictor implies the ae-head classifier")
-    if predictor == "ae":
-        return "pooled"
-    if predictor in FEATURE_KINDS:
-        return predictor
-    raise ValueError(f"unknown predictor {predictor!r}; valid: {PREDICTORS}")
+    return "pooled" if predictor == "ae" else predictor
 
 
 def _check_cells(runs, labels: LabelSet, split: Split, pairs):
@@ -296,6 +300,11 @@ def _check_cells(runs, labels: LabelSet, split: Split, pairs):
     return usable, by_id, warnings
 
 
+# one cell of ``_evaluate``: the report its row goes to, its labels (scenario and
+# cutoff) and test ids, its id and seed, and its train and test rows and labels
+_Cell = namedtuple("_Cell", "report labels test_ids cell_id seed X_train X_test y_train y_test")
+
+
 def _evaluate(problems, pairs, mode, settings, seed) -> EvalReport:
     """One cell per (runs, labels, split, predictor, classifier, kind) problem
     and usable pair (T, E): fit the classifier on the train rows of the
@@ -317,48 +326,41 @@ def _evaluate(problems, pairs, mode, settings, seed) -> EvalReport:
         groups.setdefault((predictor, classifier), []).append(i)
     streams: dict = {}
     for ((predictor, classifier), members), (turn_train, turn_eval) in product(groups.items(), pairs):
-        stacks: dict[tuple, list] = {}
+        stacks: dict[tuple, list[_Cell]] = {}
         for i in members:
-            runs, _, split, _, _, kind = problems[i]
+            runs, labels, split, _, _, kind = problems[i]
             usable, by_id, _ = checked[i]
             if (turn_train, turn_eval) not in usable:
                 continue
             X = build_feature_matrix(runs, kind, turn_train, settings.top_n, mode).values
-            X_train = X[[by_id[cid] for cid in split.train_ids]]
-            X_test = X[[by_id[cid] for cid in split.test_ids]]
-            stacks.setdefault((X_train.shape, X_test.shape), []).append((i, X_train, X_test))
+            cell = _Cell(
+                reports[i], labels, split.test_ids,
+                f"{predictor}|{classifier}|{labels.scenario}|{mode}|"
+                f"{turn_train},{turn_eval}|cutoff{labels.cutoff}",
+                _cell_seed(seed, turn_train, labels.cutoff),
+                X[[by_id[cid] for cid in split.train_ids]],
+                X[[by_id[cid] for cid in split.test_ids]],
+                [labels.label_at(cid, turn_eval) for cid in split.train_ids],
+                np.array([labels.label_at(cid, turn_eval) for cid in split.test_ids]),
+            )
+            stacks.setdefault((cell.X_train.shape, cell.X_test.shape), []).append(cell)
         for stack in stacks.values():
-            cells, y_train, y_test, cell_seeds = [], [], [], []
-            for i, _, _ in stack:
-                _, labels, split, *_ = problems[i]
-                cells.append(f"{predictor}|{classifier}|{labels.scenario}|{mode}|"
-                             f"{turn_train},{turn_eval}|cutoff{labels.cutoff}")
-                y_train.append([labels.label_at(cid, turn_eval) for cid in split.train_ids])
-                y_test.append(np.array([labels.label_at(cid, turn_eval) for cid in split.test_ids]))
-                cell_seeds.append(_cell_seed(seed, turn_train, labels.cutoff))
             try:
                 preds = _fit_predict(
-                    classifier, np.stack([X for _, X, _ in stack]), np.array(y_train),
-                    np.stack([X for _, _, X in stack]), settings, cell_seeds, streams,
+                    classifier, np.stack([c.X_train for c in stack]),
+                    np.array([c.y_train for c in stack]), np.stack([c.X_test for c in stack]),
+                    settings, [c.seed for c in stack], streams,
                 )
             except ValueError as exc:
-                raise ValueError(f"{cells[getattr(exc, 'problem', 0)]}: {exc}") from exc
-            for (i, _, _), cell, cell_preds, actual in zip(stack, cells, preds, y_test):
-                _, labels, split, *_ = problems[i]
-                reports[i].rows.append(ReportRow(
-                    predictor=predictor,
-                    classifier=classifier,
-                    scenario=labels.scenario,
-                    mode=mode,
-                    turn_train=turn_train,
-                    turn_eval=turn_eval,
-                    cutoff=labels.cutoff,
-                    accuracy=accuracy(cell_preds, actual),
-                    n_test=len(actual),
+                raise ValueError(f"{stack[getattr(exc, 'problem', 0)].cell_id}: {exc}") from exc
+            for cell, cell_preds in zip(stack, preds):
+                cell.report.rows.append(ReportRow(
+                    predictor, classifier, cell.labels.scenario, mode, turn_train, turn_eval,
+                    cell.labels.cutoff, accuracy(cell_preds, cell.y_test), len(cell.y_test),
                 ))
-                reports[i].predictions.extend(
-                    PredictionRecord(cell, cid, int(p), int(a))
-                    for cid, p, a in zip(split.test_ids, cell_preds, actual)
+                cell.report.predictions.extend(
+                    PredictionRecord(cell.cell_id, cid, int(p), int(a))
+                    for cid, p, a in zip(cell.test_ids, cell_preds, cell.y_test)
                 )
     report = EvalReport()
     for part in reports:
@@ -397,6 +399,9 @@ def run_turn_pair(
     if isinstance(labels, LabelSet):
         runs, labels, predictor, classifier, split = [runs], [labels], [predictor], [classifier], [split]
     zipped = list(zip(runs, labels, predictor, classifier, split, strict=True))
+    if not zipped:
+        raise ValueError("no problems to evaluate: runs, labels, predictor, classifier and "
+                         "split are empty sequences")
     problems = [(r, lab, s, p, c, _feature_kind(p, c)) for r, lab, p, c, s in zipped]
     return _evaluate(problems, pairs, mode, settings, seed)
 
@@ -431,6 +436,8 @@ def cutoff_sensitivity(
     cutoff. A cutoff given twice raises ValueError.
     """
     cutoffs = tuple(cutoffs)
+    if not cutoffs:
+        raise ValueError("no cutoffs to evaluate")
     repeated = next((c for i, c in enumerate(cutoffs) if c in cutoffs[:i]), None)
     if repeated is not None:
         raise ValueError(f"cutoff {repeated} is given more than once")

@@ -7,7 +7,8 @@ one node and one candidate feature at a time. The autoencoder training
 oracle is the package's earlier loop: two forward passes and a separate
 Adam update per parameter array in every epoch. The generator oracle sorts
 the whole catalogue each turn, and the logistic oracle is the earlier
-per-step loop with masked sigmoid branches.
+per-step loop with masked sigmoid branches. The run-record oracle builds a
+run from a ``json.loads`` dict field by field, without the reader's helpers.
 """
 
 import itertools
@@ -354,6 +355,64 @@ def generate_brute(config):
         runs.append(ConversationRun(f"conv_{i:05d}", item_ids[target], tuple(turns),
                                     tuple(target_ranks)))
     return runs
+
+
+def _json_string_brute(value, what):
+    if type(value) is not str:
+        raise TypeError(f"{what} must be a JSON string, got {value!r}")
+    return value
+
+
+def _json_numbers_brute(values, what):
+    if type(values) is not list or any(type(v) not in (int, float) for v in values):
+        raise TypeError(f"{what} must be JSON numbers, got {values!r}")
+    return values
+
+
+def run_from_record_brute(obj, where):
+    """The run of one ``json.loads`` run-file record, or the reader's error.
+
+    Each field is checked where the run-file format names it, item by item
+    in item order: all ids, then all embeddings, then all scores, then the
+    query and the critique. Each ranking holds its own rows. Errors carry the
+    reader's messages, prefixed with ``where``. Only the run types and
+    ``ValidationError`` come from the package.
+    """
+    from convpred.core import ConversationRun, TurnRanking, ValidationError
+
+    try:
+        cid = _json_string_brute(obj["conversation_id"], "conversation_id")
+        target = _json_string_brute(obj["target_id"], "target_id")
+        turns = []
+        for record in obj["turns"]:
+            turn = record["turn"]
+            if type(turn) is not int:
+                raise TypeError(f"{cid}: turn must be a JSON integer, got {turn!r}")
+            items = record["items"]
+            try:
+                ids = tuple(_json_string_brute(item["id"], "item id") for item in items)
+                rows = [_json_numbers_brute(item["embedding"], "embedding") for item in items]
+                scores = _json_numbers_brute([item["score"] for item in items], "scores")
+                query = record.get("query_embedding")
+                if query is not None:
+                    _json_numbers_brute(query, "query_embedding")
+                critique = record.get("critique")
+                if critique is not None:
+                    _json_string_brute(critique, "critique")
+            except TypeError as exc:
+                raise TypeError(f"{cid} turn {turn}: {exc}") from exc
+            widths = sorted({len(row) for row in rows})
+            if len(widths) > 1:
+                raise ValidationError(
+                    f"{cid} turn {turn}: dimension mismatch among item embeddings {widths}"
+                )
+            turns.append(TurnRanking(turn, ids, scores, rows, query_embedding=query,
+                                     critique=critique))
+        return ConversationRun(cid, target, tuple(turns), obj.get("target_ranks"))
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{where}: malformed run record ({exc})") from exc
 
 
 def _sigmoid_brute(z):

@@ -313,6 +313,37 @@ class TestEvalInputErrors:
         assert capsys.readouterr().err == "error: the ae predictor implies the ae-head classifier\n"
 
 
+@pytest.mark.parametrize("extra", [
+    ["--predictor", "score", "--classifier", "forest"],
+    ["--predictor", "apr", "--classifier", "logreg", "--mode", "single"],
+    ["--mode", "cutoff", "--cutoffs", "1,20,50", "--pair", "3"],
+], ids=["score-forest", "apr-logreg-single", "cutoff"])
+def test_eval_reads_conversation_lines_in_any_order_to_the_same_bytes(workspace, tmp_path,
+                                                                     monkeypatch, extra):
+    """Metamorphic: shuffling a run file's conversation lines (header kept)
+    leaves every non-comment line of the report and predictions as it was."""
+    _, runs_path, _ = workspace
+    lines = runs_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    header = [line for line in lines if line.startswith("#")]
+    body = [line for line in lines if not line.startswith("#")]
+    order = np.random.default_rng(3).permutation(len(body))
+    assert list(order) != sorted(order)
+    written = []
+    for name, conversations in (("written", body), ("shuffled", [body[i] for i in order])):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)  # the same relative names on both sides
+        Path("runs.jsonl").write_text("".join(header + conversations), encoding="utf-8")
+        assert main(["label", "--runs", "runs.jsonl", "--cutoff", "20", "--out", "labels.csv"]) == 0
+        assert main([
+            "eval", "--runs", "runs.jsonl", "--labels", "labels.csv", "--pairs", "2-4",
+            "--seed", "5", "--epochs", "15", "--n-trees", "10",
+            "--report", "report.csv", "--predictions", "predictions.csv", *extra,
+        ]) == 0
+        written.append([[line for line in Path(f).read_text(encoding="utf-8").splitlines()
+                         if not line.startswith("#")] for f in ("report.csv", "predictions.csv")])
+    assert written[0] == written[1]
+
+
 def _one_found_labels(labels_path, out):
     """Labels where a single conversation is found, so stratification falls back."""
     labels = read_labels(labels_path)

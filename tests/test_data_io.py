@@ -22,7 +22,7 @@ from convpred.data_io import (
     write_runs,
 )
 from helpers import make_ranking, make_run, oracle_run_dict, random_run
-from oracles import generate_brute
+from oracles import generate_brute, run_from_record_brute
 
 
 class TestGenConfig:
@@ -425,7 +425,8 @@ def test_each_written_line_equals_the_reference_serializer(tmp_path_factory, run
 
 
 def _reference_read(path):
-    """The plain reader: ``json.loads`` on each line, then the record checks."""
+    """The plain reader: ``json.loads`` on each line, a run from each dict by the
+    package-independent oracle, then the record checks."""
     runs, lines = [], []
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if line.strip() and not line.startswith("#"):
@@ -434,7 +435,7 @@ def _reference_read(path):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"{where}: invalid JSON ({exc})") from exc
-            runs.append(data_io._run_from_dict(obj, where))
+            runs.append(run_from_record_brute(obj, where))
             lines.append(where)
     validate_runs(runs, lines)
     return runs

@@ -92,6 +92,17 @@ class TestSplit:
         assert not set(split.train_ids) & set(split.test_ids)
         assert len(split.train_ids) == int(np.floor(0.7 * n + 0.5))
 
+    @given(st.integers(2, 40), st.integers(0, 40), st.integers(0, 100), st.booleans(),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_split_depends_on_the_set_of_ids_not_their_order(self, n, n_found, seed,
+                                                             stratified, order):
+        ids, labels = self._ids_labels(n, min(n_found, n))
+        shuffled = ids[:]
+        order.shuffle(shuffled)
+        assert (split_conversations(shuffled, labels, seed=seed, stratified=stratified)
+                == split_conversations(ids, labels, seed=seed, stratified=stratified))
+
     def test_too_small(self):
         with pytest.raises(ValueError):
             split_conversations(["c0"], {"c0": 1})
@@ -151,6 +162,12 @@ class TestTurnPair:
         with pytest.raises(ValueError, match="unknown classifier"):
             run_turn_pair(runs, labels, "wand", "nope", split, pairs=[(2, 3)], settings=SETTINGS)
 
+    @pytest.mark.parametrize("kind", ["pooled", "top1"])
+    def test_feature_kind_that_is_no_predictor_is_refused(self, small_world, kind):
+        runs, labels, split = small_world
+        with pytest.raises(ValueError, match=f"^unknown predictor '{kind}'; valid: "):
+            run_turn_pair(runs, labels, kind, "forest", split, pairs=[(2, 3)], settings=SETTINGS)
+
     def test_misaligned_labels(self, small_world):
         runs, labels, split = small_world
         partial = {cid: vec for cid, vec in labels.labels.items() if cid != split.test_ids[0]}
@@ -161,6 +178,15 @@ class TestTurnPair:
     def test_no_runs(self):
         with pytest.raises(ValueError, match="^no runs to evaluate$"):
             run_turn_pair([], LabelSet({}), "wand", "logreg", Split((), (), True), pairs=[(2, 3)])
+
+    def test_no_problems(self):
+        with pytest.raises(ValueError, match="^no problems to evaluate: runs, labels, predictor"):
+            run_turn_pair([], [], [], [], [])
+
+    @pytest.mark.parametrize("name", ["ae_hidden_dim", "ae_bottleneck_dim"])
+    def test_ae_width_below_one_is_refused_in_the_settings(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got 0$"):
+            EvalSettings(**{name: 0})
 
     def test_deterministic_reports(self, small_world):
         runs, labels, split = small_world
@@ -461,6 +487,11 @@ class TestCutoffSensitivity:
     def test_no_runs(self):
         with pytest.raises(ValueError, match="^no runs to evaluate$"):
             cutoff_sensitivity([], Split((), (), True), settings=SETTINGS)
+
+    def test_no_cutoffs(self, small_world):
+        runs, _, split = small_world
+        with pytest.raises(ValueError, match="^no cutoffs to evaluate$"):
+            cutoff_sensitivity(runs, split, cutoffs=(), settings=SETTINGS)
 
     def test_rows_use_relabeled_ground_truth(self, small_world):
         runs, _, split = small_world
