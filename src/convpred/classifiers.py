@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 __all__ = [
     "LinearModel",
-    "TreeNode",
     "Forest",
     "ProblemError",
     "check_train_input",
@@ -79,33 +79,14 @@ class Forest:
     n_features: int
 
     @property
-    def trees(self) -> list["TreeNode"]:
-        """A cursor on each tree's root, in tree order (problem by problem in a stack)."""
-        return [TreeNode(self, int(root)) for root in self.roots.ravel()]
-
-
-@dataclass(frozen=True, eq=False)
-class TreeNode:
-    """A read-only cursor on node ``index`` of a forest, for walking one tree.
-
-    The node's split and counts are the forest's arrays at ``index``; a leaf
-    has None for its ``left`` and ``right`` cursors.
-    """
-
-    forest: Forest
-    index: int
-
-    @property
-    def is_leaf(self) -> bool:
-        return bool(self.forest.feature[self.index] < 0)
-
-    @property
-    def left(self) -> "TreeNode | None":
-        return None if self.is_leaf else TreeNode(self.forest, int(self.forest.left[self.index]))
-
-    @property
-    def right(self) -> "TreeNode | None":
-        return None if self.is_leaf else TreeNode(self.forest, int(self.forest.right[self.index]))
+    def trees(self) -> list[SimpleNamespace]:
+        """Each tree's root in tree order, its nodes linked by ``is_leaf``, ``left`` and
+        ``right`` (None at a leaf), for the one caller, ``perfbench/tracing.tree_nodes``."""
+        nodes = [SimpleNamespace(is_leaf=f < 0, left=None, right=None) for f in self.feature.tolist()]
+        for node, left, right in zip(nodes, self.left.tolist(), self.right.tolist()):
+            if not node.is_leaf:
+                node.left, node.right = nodes[left], nodes[right]
+        return [nodes[root] for root in self.roots.ravel().tolist()]
 
 
 LOGISTIC_LR = 0.1  # gradient-descent step size on standardized columns
@@ -122,16 +103,15 @@ class ProblemError(ValueError):
 
 
 def _as_rows(X, width: int | None = None) -> np.ndarray:
-    """X as float64 rows (a 1-D X is one column), ``width`` columns wide if given."""
+    """X as float64 rows, ``width`` columns wide if given."""
     X = np.asarray(X, dtype=np.float64)
-    X = X[:, None] if X.ndim == 1 else X
     if width is not None and (X.ndim != 2 or X.shape[1] != width):
         raise ValueError(f"feature shape {X.shape} does not match training width {width}")
     return X
 
 
 def check_train_input(X, y, minimum: int = 2) -> tuple[np.ndarray, np.ndarray]:
-    """Training rows as a float64 matrix (a 1-D X is one column) and labels as int64.
+    """Training rows as a float64 matrix and labels as int64.
 
     A 3-D X is a stack of P such matrices of one shape, with labels of shape
     (P, n). Raises ValueError unless there are at least ``minimum`` rows,

@@ -47,12 +47,12 @@ class ValidationError(ValueError):
 
 
 def _as_embedding(values) -> np.ndarray:
-    """Coerce ``values`` to a finite, non-empty 1-D float64 vector."""
+    """Coerce a query embedding to a finite, non-empty 1-D float64 vector."""
     arr = np.array(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
-        raise ValidationError("embedding must be a non-empty 1-D vector")
+        raise ValidationError("query_embedding must be a non-empty 1-D vector")
     if not np.all(np.isfinite(arr)):
-        raise ValidationError("embedding has non-finite entries")
+        raise ValidationError("query_embedding has non-finite entries")
     return arr
 
 

@@ -20,12 +20,14 @@ and writes a line turn by turn, never holding a whole line. The reader cuts
 a line at its ``"embedding"`` arrays with one regex split, so it holds the
 line and one copy of its text, and decodes each distinct array text once per
 file into one read-only item table, which the rankings of those lines index.
-Lines in another layout (whitespace around that key, the key first in its
-object, any backslash escape) read through plain ``json.loads``: slower, to
-the same runs and errors, each ranking with its own table. On both paths the
-rankings of one file share one string per distinct item id, and errors found
-once the whole file has parsed (a repeated conversation id, unsorted items,
-dimensions that differ between lines) name the file and line of the run.
+The writer's escapes (``\\u00e9`` for a non-ASCII letter, ``\\"`` for a quote)
+take that path too. Lines in another layout (whitespace around that key, the
+key first in its object, a ``\\u`` escape of an ASCII character such as
+``\\u0065``) read through plain ``json.loads``: slower, to the same runs and
+errors, each ranking with its own table. On both paths the rankings of one
+file share one string per distinct item id, and errors found once the whole
+file has parsed (a repeated conversation id, unsorted items, dimensions that
+differ between lines) name the file and line of the run.
 
 The generator stands in for a trained retrieval model plus user simulator at
 desk scale: a latent query vector is pulled toward the target item each turn,
@@ -226,16 +228,15 @@ def _turn_from_dict(tr: dict, cid: str, table, names: dict) -> TurnRanking:
         critique = tr.get("critique")
         if critique is not None:
             _string(critique, "critique")
-    except TypeError as exc:
-        raise TypeError(f"{cid} turn {turn}: {exc}") from exc
-    if table is None:  # the rows themselves become the ranking's own table
-        lengths = sorted({len(r) for r in rows})
-        if len(lengths) > 1:
-            raise ValidationError(
-                f"{cid} turn {turn}: dimension mismatch among item embeddings {lengths}"
-            )
-        table, rows = rows, None
-    return TurnRanking(turn, ids, scores, table, rows=rows, query_embedding=query, critique=critique)
+        if table is None:  # the rows themselves become the ranking's own table
+            lengths = sorted({len(r) for r in rows})
+            if len(lengths) > 1:
+                raise ValidationError(f"dimension mismatch among item embeddings {lengths}")
+            table, rows = rows, None
+        return TurnRanking(turn, ids, scores, table, rows=rows, query_embedding=query,
+                           critique=critique)
+    except (TypeError, ValidationError) as exc:  # a field's JSON type, or a ranking check
+        raise type(exc)(f"{cid} turn {turn}: {exc}") from exc
 
 
 def _run_from_dict(obj: dict, where: str, table, names: dict) -> ConversationRun:
@@ -351,6 +352,8 @@ class _ItemTable:
 
 
 _EMBEDDING = ',"embedding":['
+# of the escapes, only a \u escape of U+0000..U+007F can spell a key's letters
+_ASCII_ESCAPE = re.compile(r"\\u00[0-7]").search
 # one split gives each ``,"embedding":[...]`` array's text (odd parts) and what follows it
 _SPLIT_EMBEDDINGS = re.compile(r',"embedding":\[([^\]]*)\]').split
 
@@ -364,8 +367,9 @@ def _decode_line(text: str, table: _ItemTable):
     together and appended, and the rest of the line is parsed with each
     array replaced by its row in the table. Returns that object and
     ``table.view``, or None for a line that cannot be shown to decode as
-    ``json.loads`` would: one with a backslash (which could spell a key
-    another way), a ``"embedding"`` that is not the key of a split array
+    ``json.loads`` would: one with a ``\\u0000``-``\\u007f`` escape (which
+    could spell a key another way, as the writer's ``\\u00e9`` and ``\\"``
+    cannot), a ``"embedding"`` that is not the key of a split array
     (written otherwise, or its array not closed by a ``]`` before the next
     such key or the line's end), an array holding a string or an array, or
     new rows that do not parse, hold a non-number or differ in length from
@@ -373,7 +377,7 @@ def _decode_line(text: str, table: _ItemTable):
     """
     # with a "]" after the last key every match the split tries succeeds, so
     # it reads the line once; without one, each try would run to the line's end
-    if "\\" in text or text.rfind("]") < text.rfind(_EMBEDDING):
+    if ("\\" in text and _ASCII_ESCAPE(text)) or text.rfind("]") < text.rfind(_EMBEDDING):
         return None
     parts = _SPLIT_EMBEDDINGS(text)
     texts, tails = parts[1::2], parts[2::2]

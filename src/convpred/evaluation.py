@@ -163,10 +163,13 @@ def split_conversations(
     the set of ids, not on their order. When stratified, the ratio holds
     within each label class up to rounding (largest-remainder allocation
     keeps the total exact). A class with fewer than 2 members falls back to
-    an unstratified shuffle with a warning. A ratio that leaves either side
-    empty is an error.
+    an unstratified shuffle with a warning. A repeated id, which could land
+    on both sides, and a ratio that leaves either side empty are errors.
     """
     ids = sorted(ids)
+    for cid, following in zip(ids, ids[1:]):
+        if cid == following:
+            raise ValueError(f"conversation {cid!r} is listed more than once")
     n = len(ids)
     if n < 2:
         raise ValueError("need at least 2 conversations to split")
@@ -273,8 +276,9 @@ def _feature_kind(predictor: str, classifier: str) -> str:
 
 def _check_cells(runs, labels: LabelSet, split: Split, pairs):
     """The usable pairs, each run's row index and warnings naming the
-    skipped pairs, after checking that the split and the labels cover the
-    runs up to the last evaluation turn.
+    skipped pairs, after checking that the split lists each conversation
+    once, on one side, and that the split and the labels cover the runs up
+    to the last evaluation turn.
 
     A pair (T, T+1) is usable when 1 <= T and T+1 is within every run; the
     others are skipped, and no runs or no usable pair at all is an error.
@@ -288,7 +292,11 @@ def _check_cells(runs, labels: LabelSet, split: Split, pairs):
         raise ValueError(f"no usable turn pairs among {skipped} for runs with {n_turns} turns")
     warnings = [f"skipped turn pairs {skipped} (runs have {n_turns} turns)"] if skipped else []
     by_id = {run.conversation_id: i for i, run in enumerate(runs)}
+    listed = set()
     for cid in split.train_ids + split.test_ids:
+        if cid in listed:
+            raise ValidationError(f"split lists conversation {cid!r} more than once")
+        listed.add(cid)
         if cid not in by_id:
             raise ValidationError(f"split references unknown conversation {cid!r}")
         if cid not in labels.labels:

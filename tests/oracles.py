@@ -406,8 +406,11 @@ def run_from_record_brute(obj, where):
                 raise ValidationError(
                     f"{cid} turn {turn}: dimension mismatch among item embeddings {widths}"
                 )
-            turns.append(TurnRanking(turn, ids, scores, rows, query_embedding=query,
-                                     critique=critique))
+            try:
+                turns.append(TurnRanking(turn, ids, scores, rows, query_embedding=query,
+                                         critique=critique))
+            except ValidationError as exc:
+                raise ValidationError(f"{cid} turn {turn}: {exc}") from exc
         return ConversationRun(cid, target, tuple(turns), obj.get("target_ranks"))
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from exc

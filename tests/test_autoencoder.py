@@ -56,6 +56,9 @@ class TestConfig:
                 AEConfig(input_dim=4, learning_rate=lr)
         with pytest.raises(ValueError):
             AEConfig(input_dim=4, epochs=0)
+        for widths in ({"hidden_dim": 0}, {"bottleneck_dim": 0}):
+            with pytest.raises(ValueError, match="^hidden_dim and bottleneck_dim must be >= 1$"):
+                AEConfig(input_dim=4, **widths)
 
 
 class TestForward:
@@ -183,6 +186,10 @@ class TestTrain:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             train(np.zeros((0, 4)), [], AEConfig(input_dim=4))
+
+    def test_width_other_than_input_dim_rejected(self):
+        with pytest.raises(ValueError, match="^feature width 3 does not match input_dim 4$"):
+            train(np.zeros((4, 3)), [0, 1, 0, 1], AEConfig(input_dim=4))
 
     def test_wide_fit_keeps_no_per_epoch_arrays(self):
         """100 epochs of a 140 x 288 batch would be 32 MB as an (epochs, n, d) record."""

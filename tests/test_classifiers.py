@@ -314,6 +314,24 @@ def test_forest_predict_matches_row_walk(inputs, data):
     assert predict_cls(model, query).tolist() == forest_predict_brute(expected, query)
 
 
+def test_trees_link_every_node_of_a_stacked_forest():
+    """``Forest.trees`` reaches each node of the node arrays once, a leaf
+    exactly where ``feature < 0``, with None for its children."""
+    rng = np.random.default_rng(5)
+    forest = train_forest(rng.standard_normal((2, 20, 4)), rng.integers(0, 2, size=(2, 20)),
+                          n_trees=3, seed=[1, 2])
+    walk, seen = list(zip(forest.trees, forest.roots.ravel().tolist())), []
+    while walk:
+        node, index = walk.pop()
+        seen.append(index)
+        assert node.is_leaf == (forest.feature[index] < 0)
+        if node.is_leaf:
+            assert node.left is None and node.right is None
+        else:
+            walk += [(node.left, forest.left[index]), (node.right, forest.right[index])]
+    assert sorted(seen) == list(range(len(forest.feature)))
+
+
 class TestPredictDispatch:
     def test_width_mismatch_linear(self):
         model = LinearModel("logistic", np.zeros(3), 0.0, np.zeros(3), np.ones(3))
@@ -324,6 +342,23 @@ class TestPredictDispatch:
         model = train_forest(np.zeros((2, 3)), np.array([0, 1]), n_trees=2, seed=0)
         with pytest.raises(ValueError, match="width"):
             predict_cls(model, np.zeros((2, 5)))
+
+    def test_one_dimensional_rows_are_refused(self):
+        """A 1-D X is not read as one column, even by a model one column wide."""
+        linear = LinearModel("logistic", np.zeros(1), 0.0, np.zeros(1), np.ones(1))
+        forest = train_forest(np.zeros((2, 1)), np.array([0, 1]), n_trees=2, seed=0)
+        for model in (linear, forest):
+            with pytest.raises(ValueError, match=r"^feature shape \(3,\) does not match training width 1$"):
+                predict_cls(model, np.zeros(3))
+
+    def test_stack_mismatch_forest(self):
+        model = train_forest(np.zeros((2, 2, 3)), np.array([[0, 1], [1, 0]]), n_trees=2, seed=0)
+        with pytest.raises(ValueError, match=r"^feature shape \(3, 2, 3\) does not match a stack of 2 "):
+            predict_cls(model, np.zeros((3, 2, 3)))
+
+    def test_forest_needs_a_tree(self):
+        with pytest.raises(ValueError, match="^n_trees must be >= 1, got 0$"):
+            train_forest(np.zeros((2, 3)), np.array([0, 1]), n_trees=0)
 
     def test_unsupported_type(self):
         with pytest.raises(TypeError):

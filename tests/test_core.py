@@ -264,6 +264,26 @@ class TestValidation:
         with pytest.raises(ValidationError, match="dimension mismatch"):
             validate_runs([run_a, run_b])
 
+    @pytest.mark.parametrize("query, message", [
+        ([1.0, 0.0, 0.0], "c0 turn 2: dimension mismatch for query_embedding (3 vs 2)"),
+        ([0.0, 0.0], "c0 turn 2: zero-norm embedding for query_embedding"),
+    ], ids=["wide", "zero-norm"])
+    def test_query_embedding_is_checked_against_the_items(self, query, message):
+        bad = make_ranking([2.0, 1.0], np.eye(2), turn=2, query=query)
+        with pytest.raises(ValidationError) as err:
+            validate_run(self._two_turns(second=bad))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("cid, target, message", [
+        ("", "i000", "conversation_id must be non-empty"),
+        ("c0", "", "c0: target_id must be non-empty"),
+    ], ids=["conversation", "target"])
+    def test_ids_must_be_non_empty(self, cid, target, message):
+        run = ConversationRun(cid, target, self._two_turns().turns)
+        with pytest.raises(ValidationError) as err:
+            validate_run(run)
+        assert str(err.value) == message
+
     def test_duplicate_conversation_ids(self):
         with pytest.raises(ValidationError, match="duplicate conversation_id"):
             validate_runs([self._two_turns(), self._two_turns()])

@@ -50,11 +50,15 @@ class TestGenConfig:
             {"pull_decay": 0.0},
             {"noise_sigma": math.nan},
             {"noise_sigma": math.inf},
+            {"n_conversations": 0},
+            {"dim": 0},
+            {"catalogue_size": 0},
+            {"seed": -1},
         ],
     )
     def test_bad_rates(self, kwargs):
         with pytest.raises(ValidationError):
-            GenConfig(n_conversations=10, dim=4, catalogue_size=200, **kwargs)
+            GenConfig(**{"n_conversations": 10, "dim": 4, "catalogue_size": 200, **kwargs})
 
 
 SMALL = dict(n_conversations=6, dim=5, catalogue_size=40, n_turns=4, top_n=10, seed=3)
@@ -339,6 +343,29 @@ class TestReadValidation:
                     read_runs(path)
                 assert str(err.value).startswith(message)
 
+    @pytest.mark.parametrize("layout", [json.dumps, _canonical])
+    @pytest.mark.parametrize("field,value,message", [
+        pytest.param("query_embedding", [math.inf, 0.0], "query_embedding has non-finite entries",
+                     id="query-inf"),
+        pytest.param("query_embedding", [], "query_embedding must be a non-empty 1-D vector",
+                     id="query-empty"),
+        pytest.param("embedding", [1.0, math.inf], "embedding has non-finite entries",
+                     id="item-inf"),
+        pytest.param("embedding", [], "embedding must be a non-empty 1-D vector",
+                     id="items-empty"),
+    ])
+    def test_ranking_errors_name_the_conversation_and_turn(self, tmp_path, layout, field, value,
+                                                            message):
+        """The checks a ranking makes of its own vectors name the conversation,
+        the turn and whether the query or an item row is at fault."""
+        bad = self._record()
+        for target in [bad["turns"][1]] if field == "query_embedding" else bad["turns"][1]["items"]:
+            target[field] = value
+        path = self._write_lines(tmp_path, [layout(bad)])
+        with pytest.raises(ValidationError) as err:
+            read_runs(path)
+        assert str(err.value) == f"runs.jsonl line 1: c0 turn 2: {message}"
+
     def test_ragged_embeddings_within_a_turn(self, tmp_path):
         bad = self._record()
         bad["turns"][1]["items"][1]["embedding"] = [0.0, 1.0, 0.0]
@@ -455,6 +482,7 @@ _MUTATIONS = st.sampled_from([
     ",", ":", "[", "]", "{", "}", '"', " ", "\\", "0", "-", ".", "e",
     '"embedding"', '"embedding":', ',"embedding":[1.0,0.0]', ',"embedding":[0.0,1.0]',
     "true", "NaN", "1e400", "-1e400", "[1e400]", "null", "",
+    '\\"', "\\\\", "\\n", "\\u00e9", "\\u0065", '"embe\\u0064ding":[1.0,0.0]', "\\ud83d\\ude00",
 ])
 
 
@@ -542,6 +570,11 @@ class TestDecodeOnceMatchesJsonLoads:
         assert table.index == {"1.0,0.0": 0, "0.0,1.0": 1}
         for spaced in (json.dumps(json.loads(first)), first.replace('"c0"', '"\\u0063\\u0030"')):
             assert data_io._decode_line(spaced, data_io._ItemTable()) is None
+        # the writer's escapes of a non-ASCII letter and of a quote spell no key: they decode
+        for old, new, cid, critique in [('"c0"', '"c0\\u00e9"', "c0é", None),
+                                        ('"critique":null', '"critique":"\\"c0\\""', "c0", '"c0"')]:
+            obj, _ = data_io._decode_line(first.replace(old, new, 1), data_io._ItemTable())
+            assert (obj["conversation_id"], obj["turns"][0]["critique"]) == (cid, critique)
 
     @pytest.mark.parametrize("wide", [["[0.0,1.0]"], ["[1.0,0.0]", "[0.0,1.0]"]],
                              ids=["one-row", "every-row"])
@@ -558,7 +591,7 @@ class TestDecodeOnceMatchesJsonLoads:
         assert got is want is None
         assert got_error == want_error and "dimension mismatch" in got_error
 
-    # ids and critiques from _TEXT need escapes, which the decode-once path leaves alone
+    # ids and critiques from _TEXT need escapes, which the decode-once path reads too
     @given(
         runs=_run_sets() | _run_sets(text=st.text(alphabet="ab ,:[]{}", min_size=1, max_size=3)),
         order=st.permutations(["id", "score", "embedding"]),
@@ -661,6 +694,26 @@ def test_reader_shares_one_table_per_file(tmp_path):
     for view in views.values():  # each a read-only view of a prefix of the file's table
         assert view.base is not None and not view.flags.writeable
         assert np.array_equal(view, last[: len(view)])
+
+
+def test_accented_ids_read_into_one_shared_table(tmp_path):
+    """The writer escapes an accented letter (``é`` as ``\\u00e9``); such lines
+    still decode each distinct row once, into the file's one table."""
+    runs = []
+    for run in generate_synthetic(GenConfig(**{**SMALL, "n_conversations": 20, "seed": 1})):
+        old = run.turns[0].items[0]  # renamed in every turn, so one id per conversation
+        turns = tuple(replace(ranking, items=tuple(i + "é" if i == old else i for i in ranking.items))
+                      for ranking in run.turns)
+        runs.append(replace(run, turns=turns))
+    path = tmp_path / "accented.jsonl"
+    write_runs(runs, path)
+    assert "\\u00e9" in path.read_text(encoding="utf-8")
+    back = read_runs(path)
+    assert all(runs_equal(a, b) for a, b in zip(runs, back))
+    last = back[-1].turns[-1].item_rows
+    for ranking in (ranking for run in back for ranking in run.turns):
+        view = ranking.item_rows
+        assert view.base is not None and np.array_equal(view, last[: len(view)])
 
 
 class TestGenerator:

@@ -107,6 +107,18 @@ class TestSplit:
         with pytest.raises(ValueError):
             split_conversations(["c0"], {"c0": 1})
 
+    def test_repeated_id_is_refused(self):
+        """A repeated id could land on both sides of the split."""
+        labels = {"a": 0, "b": 1, "c": 1, "d": 0, "e": 0, "f": 1, "g": 0}
+        with pytest.raises(ValueError, match="^conversation 'a' is listed more than once$"):
+            split_conversations(["a", "a", "b", "c", "d", "e", "f", "g"], labels, seed=2)
+
+    @pytest.mark.parametrize("ratio", [0.0, 1.0, float("nan")])
+    def test_ratio_outside_the_open_unit_interval(self, ratio):
+        ids, labels = self._ids_labels(10, 5)
+        with pytest.raises(ValueError, match=rf"^ratio must be in \(0, 1\), got {ratio}$"):
+            split_conversations(ids, labels, ratio=ratio)
+
     @pytest.mark.parametrize("ratio, side", [(0.96, "test"), (0.04, "train")])
     def test_ratio_leaving_a_side_empty(self, ratio, side):
         ids, labels = self._ids_labels(10, 5)
@@ -174,6 +186,35 @@ class TestTurnPair:
         broken = type(labels)(labels=partial, scenario="base", cutoff=labels.cutoff)
         with pytest.raises(ValidationError, match="labels missing"):
             run_turn_pair(runs, broken, "wand", "logreg", split, pairs=[(2, 3)], settings=SETTINGS)
+
+    @pytest.mark.parametrize("case", ["both sides", "train twice"])
+    def test_split_listing_a_conversation_twice_is_refused(self, small_world, case):
+        """Train and test never overlap, even in a split built by hand."""
+        runs, labels, split = small_world
+        ids = split.train_ids + split.test_ids
+        bad, repeated = {
+            "both sides": (Split(ids[:6], ids[4:], True), ids[4]),
+            "train twice": (Split(ids[:6] + ids[:1], ids[6:], True), ids[0]),
+        }[case]
+        with pytest.raises(ValidationError,
+                           match=f"^split lists conversation '{repeated}' more than once$"):
+            run_turn_pair(runs, labels, "score", "logreg", bad, pairs=[(2, 3)], settings=SETTINGS)
+
+    def test_split_and_labels_must_cover_the_runs(self, small_world):
+        runs, labels, split = small_world
+        unknown = Split(split.train_ids + ("nope",), split.test_ids, True)
+        with pytest.raises(ValidationError, match="^split references unknown conversation 'nope'$"):
+            run_turn_pair(runs, labels, "wand", "logreg", unknown, pairs=[(2, 3)], settings=SETTINGS)
+        short = LabelSet({cid: vec[:2] for cid, vec in labels.labels.items()}, cutoff=labels.cutoff)
+        first = runs[0].conversation_id
+        with pytest.raises(ValidationError,
+                           match=f"^labels for '{first}' stop before the last evaluation turn$"):
+            run_turn_pair(runs, short, "wand", "logreg", split, pairs=[(2, 3)], settings=SETTINGS)
+
+    def test_unknown_mode(self, small_world):
+        runs, labels, split = small_world
+        with pytest.raises(ValueError, match="^mode must be 'multi' or 'single', got 'both'$"):
+            run_turn_pair(runs, labels, "wand", "logreg", split, pairs=[(2, 3)], mode="both")
 
     def test_no_runs(self):
         with pytest.raises(ValueError, match="^no runs to evaluate$"):

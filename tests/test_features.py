@@ -50,6 +50,10 @@ class TestScoreStats:
         with pytest.raises(ValueError):
             score_stats(make_ranking([], []))
 
+    def test_top_n_below_one_rejected(self):
+        with pytest.raises(ValueError, match="^top_n must be >= 1, got 0$"):
+            score_stats(make_ranking([1.0], [[1.0]]), top_n=0)
+
 
 class TestAutocorrelation:
     def test_constant_scores(self):
@@ -241,6 +245,16 @@ class TestAssembly:
         run = random_run(12)
         with pytest.raises(ValueError, match="unknown feature kind"):
             turn_features(run, "nope", 1)
+
+    @pytest.mark.parametrize("turn", [0, 3])
+    def test_turn_outside_the_run(self, turn):
+        run = random_run(12, n_turns=2, cid="c1")
+        with pytest.raises(ValueError, match=f"^c1: turn {turn} outside run with 2 turns$"):
+            turn_features(run, "wand", turn)
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="^mode must be 'multi' or 'single', got 'both'$"):
+            build_feature_matrix([random_run(12)], "wand", 2, mode="both")
 
     @given(st.integers(0, 10_000), st.floats(0.1, 100.0))
     @settings(max_examples=20, deadline=None)

@@ -144,6 +144,11 @@ class TestInduceMissing:
         with pytest.raises(ValueError):
             induce_missing(runs, labels, fraction=1.5)
 
+    def test_needs_an_easy_conversation(self):
+        runs, labels = self._fixture(n_easy=0)
+        with pytest.raises(ValueError, match="^no easy conversations: nothing to induce from$"):
+            induce_missing(runs, labels, fraction=0.5)
+
     def test_seeded_determinism(self):
         runs, labels = self._fixture()
         _, a = induce_missing(runs, labels, fraction=0.3, seed=7)
@@ -211,6 +216,11 @@ class TestLabelFiles:
         assert back.cutoff == 1
         assert back.forced == missing.forced
 
+    def test_refuses_to_write_label_vectors_of_different_lengths(self, tmp_path):
+        labels = LabelSet(labels={"c0": (0, 1), "c1": (1,)})
+        with pytest.raises(ValidationError, match="^label vectors must cover the same number of turns$"):
+            write_labels(labels, tmp_path / "labels.csv")
+
     def test_header(self, tmp_path):
         runs = [run_with_target_entry(2)]
         labels = label_runs(runs, cutoff=1)
@@ -225,7 +235,9 @@ class TestLabelFiles:
         ("c0,base,1,0,0,1\nc1,base,1,0,1\n", "record 2: 5 field(s), the header names 6"),
         ("c0,base,1,0,0,1\nc0,base,1,0,1,1\nc1,base,1,0,0,0\n",
          "duplicate conversation_id 'c0'"),
-    ], ids=["label 2", "label x", "short row", "repeated id"])
+        ("c0,base,1,0,0,1\nc1,missing_target,1,0,0,1\n",
+         "labels file must hold one scenario/cutoff block"),
+    ], ids=["label 2", "label x", "short row", "repeated id", "two blocks"])
     def test_rejects_bad_record(self, tmp_path, rows, message):
         path = tmp_path / "labels.csv"
         path.write_text("conversation_id,scenario,cutoff,forced,k1,k2\n" + rows)

@@ -26,6 +26,7 @@ BAD_INPUT = {
     "misaligned": (ROWS, [0, 1, 0], "align"),
     "label 2": (ROWS, [0, 1, 2, 1], "0 or 1"),
     "fractional label": (ROWS, [0, 0.5, 1, 1], "0 or 1"),
+    "1-D": (np.arange(4.0), [0, 1, 0, 1], "non-empty 2-D array or a stack"),
 }
 
 
