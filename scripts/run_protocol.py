@@ -5,8 +5,8 @@ Generates a calibration-scale run set, labels it, induces the missing-target
 scenario, trains one classifier per turn pair for a grid of predictor rows,
 and renders an accuracy grid per scenario plus a McNemar comparison of the
 autoencoder against the strongest baseline row. The whole grid, every row
-under both scenarios, is one ``run_turn_pair`` call, so that each turn pair's
-cells of a grid row train as one stack and forests of one key share draws.
+under both scenarios, is one ``run_turn_pair`` call; pair by pair, a grid
+row's cells of both scenarios train as one stack and forests of one key share draws.
 Takes under a minute at the default scale; everything is seeded and
 reproducible.
 

@@ -1,7 +1,7 @@
 """The experimental protocol: conversation-level splits, per-turn-pair
-training and evaluation, a single-turn ablation, rank-cutoff sensitivity,
-accuracy, McNemar significance between paired predictors, and the report
-grid.
+training and evaluation (the single-turn ablation is its single mode),
+rank-cutoff sensitivity, accuracy, McNemar significance between paired
+predictors, and the report grid.
 
 A turn pair (T, T+1) trains a fresh classifier on features from turns 1..T
 (or turn T alone in single mode) against the found-by-turn-(T+1) label, and
@@ -15,8 +15,8 @@ the split and the labels cover the runs and keeps the usable pairs;
 ``_evaluate`` then fits and scores one (predictor, classifier, scenario,
 mode, pair, cutoff) cell per usable pair and builds its report row and
 prediction records. It takes several (runs, labels, split, predictor,
-classifier, kind) problems at once and fits the cells of one row and pair
-whose train and test matrices have one shape as one stack (see
+classifier, kind) problems at once and, pair by pair, fits the cells of one
+row whose train and test matrices have one shape as one stack (see
 :mod:`convpred.classifiers`), which gives each cell the model a fit of it
 alone gives. ``run_turn_pair`` (multi and single mode, one problem or a
 whole grid) and ``cutoff_sensitivity`` (one label set per cutoff) both call
@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -57,7 +56,6 @@ __all__ = [
     "parse_pairs",
     "parse_cutoffs",
     "run_turn_pair",
-    "run_single_turn",
     "cutoff_sensitivity",
     "accuracy",
     "mcnemar",
@@ -320,23 +318,21 @@ def _evaluate(problems, pairs, mode, settings, seed) -> EvalReport:
     test rows, giving a report row and its prediction records. The report
     lists each problem's cells in turn.
 
-    Problems of one (predictor, classifier) run together, pair by pair, in
-    order of first appearance; a pair's cells whose matrices have one shape
-    fit as one stack. The cell seed depends on (seed, T, cutoff) only, and
-    the call's forests share one draw store. A trainer's ValueError is
-    raised again with the id of its cell in front (the stack's first cell
-    when the error names no problem).
+    The pairs run in turn. At each pair, the cells of one (predictor,
+    classifier) whose matrices have one shape fit as one stack, the stacks
+    in order of first appearance and each stack's cells in problem order.
+    The cell seed depends on (seed, T, cutoff) only, and the forests of a
+    pair share one draw store, whose draws do not depend on the fit order. A
+    trainer's ValueError is raised again with the id of its cell in front
+    (the stack's first cell when the error names no problem), so the cell
+    named is one of the first pair at which any problem fails.
     """
     checked = [_check_cells(runs, labels, split, pairs) for runs, labels, split, *_ in problems]
     reports = [EvalReport(warnings=warnings) for _, _, warnings in checked]
-    groups: dict[tuple, list[int]] = {}
-    for i, (_, _, _, predictor, classifier, _) in enumerate(problems):
-        groups.setdefault((predictor, classifier), []).append(i)
-    streams: dict = {}
-    for ((predictor, classifier), members), (turn_train, turn_eval) in product(groups.items(), pairs):
+    for turn_train, turn_eval in pairs:
         stacks: dict[tuple, list[_Cell]] = {}
-        for i in members:
-            runs, labels, split, _, _, kind = problems[i]
+        streams: dict = {}  # a cell seed names its pair, so no other pair's forest shares a key
+        for i, (runs, labels, split, predictor, classifier, kind) in enumerate(problems):
             usable, by_id, _ = checked[i]
             if (turn_train, turn_eval) not in usable:
                 continue
@@ -351,8 +347,9 @@ def _evaluate(problems, pairs, mode, settings, seed) -> EvalReport:
                 [labels.label_at(cid, turn_eval) for cid in split.train_ids],
                 np.array([labels.label_at(cid, turn_eval) for cid in split.test_ids]),
             )
-            stacks.setdefault((cell.X_train.shape, cell.X_test.shape), []).append(cell)
-        for stack in stacks.values():
+            key = (predictor, classifier, cell.X_train.shape, cell.X_test.shape)
+            stacks.setdefault(key, []).append(cell)
+        for (predictor, classifier, _, _), stack in stacks.items():
             try:
                 preds = _fit_predict(
                     classifier, np.stack([c.X_train for c in stack]),
@@ -412,20 +409,6 @@ def run_turn_pair(
                          "split are empty sequences")
     problems = [(r, lab, s, p, c, _feature_kind(p, c)) for r, lab, p, c, s in zipped]
     return _evaluate(problems, pairs, mode, settings, seed)
-
-
-def run_single_turn(
-    runs,
-    labels: LabelSet,
-    predictor: str,
-    classifier: str,
-    split: Split,
-    pairs=DEFAULT_PAIRS,
-    settings: EvalSettings = EvalSettings(),
-    seed: int = 0,
-) -> EvalReport:
-    """The single-turn ablation: features come from turn T only."""
-    return run_turn_pair(runs, labels, predictor, classifier, split, pairs, settings, seed, mode="single")
 
 
 def cutoff_sensitivity(

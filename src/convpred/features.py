@@ -29,7 +29,6 @@ __all__ = [
     "pooled_embedding",
     "top_item_embedding",
     "turn_features",
-    "assemble_multiturn",
     "FEATURE_KINDS",
     "FeatureMatrix",
     "build_feature_matrix",
@@ -204,13 +203,6 @@ def turn_features(run: ConversationRun, kind: str, turn: int, top_n: int = 100) 
     except ValueError as exc:
         raise ValueError(f"{run.conversation_id} turn {turn}: {kind} {exc}") from exc
     return np.asarray(values, dtype=np.float64)
-
-
-def assemble_multiturn(
-    run: ConversationRun, kind: str, upto_turn: int, top_n: int = 100
-) -> np.ndarray:
-    """Concatenated per-turn features of turns 1..upto_turn, in turn order."""
-    return build_feature_matrix([run], kind, upto_turn, top_n).values[0]
 
 
 @dataclass(eq=False)

@@ -48,7 +48,11 @@ class LabelSet:
     forced: frozenset[str] = field(default_factory=frozenset)
 
     def label_at(self, conversation_id: str, turn: int) -> int:
-        return self.labels[conversation_id][turn - 1]
+        """The conversation's label at ``turn``, 1..K; another turn raises ValueError."""
+        vec = self.labels[conversation_id]
+        if not 1 <= turn <= len(vec):
+            raise ValueError(f"{conversation_id}: turn {turn} outside labels for {len(vec)} turns")
+        return vec[turn - 1]
 
     def final_labels(self) -> dict[str, int]:
         return {cid: vec[-1] for cid, vec in self.labels.items()}
@@ -152,6 +156,8 @@ def _label_columns(n_turns: int) -> dict:
 
 
 def write_labels(labels: LabelSet, path, header_comment: str | None = None) -> None:
+    if not labels.labels:
+        raise ValidationError("no conversations to write labels for")
     lengths = {len(vec) for vec in labels.labels.values()}
     if len(lengths) != 1:
         raise ValidationError("label vectors must cover the same number of turns")

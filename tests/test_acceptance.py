@@ -93,7 +93,7 @@ def test_a2_ae_learning():
         [r.conversation_id for r in runs], labels.final_labels(), seed=0
     )
     index = {r.conversation_id: i for i, r in enumerate(runs)}
-    X = np.vstack([features.assemble_multiturn(r, "pooled", 5, 100) for r in runs])
+    X = features.build_feature_matrix(runs, "pooled", 5, 100).values
     X_train = X[[index[c] for c in split.train_ids]]
     y_train = np.array([labels.label_at(c, 6) for c in split.train_ids])
     model, trace = autoencoder.train(
@@ -217,8 +217,9 @@ def test_a6_multi_vs_single():
         multi = evaluation.run_turn_pair(
             runs, labels, "ae", "ae-head", split, pairs=[(5, 6)], settings=WIDE_AE, seed=seed
         )
-        single = evaluation.run_single_turn(
-            runs, labels, "ae", "ae-head", split, pairs=[(5, 6)], settings=WIDE_AE, seed=seed
+        single = evaluation.run_turn_pair(
+            runs, labels, "ae", "ae-head", split, pairs=[(5, 6)], settings=WIDE_AE, seed=seed,
+            mode="single",
         )
         multi_accs.append(multi.rows[0].accuracy)
         single_accs.append(single.rows[0].accuracy)

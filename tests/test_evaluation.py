@@ -24,7 +24,6 @@ from convpred.evaluation import (
     parse_pairs,
     read_predictions,
     read_report,
-    run_single_turn,
     run_turn_pair,
     split_conversations,
     write_predictions,
@@ -389,18 +388,28 @@ class TestStackedScenarios:
                 super().__init__(*key)
 
         monkeypatch.setattr(classifiers, "_Substreams", Counted)
-        grid = run_turn_pair(*zip(*problems), **kwargs)
-        # per pair: score's key, ac's and apr's shared key, and the other split's key
-        assert len(keys) == len(set(keys)) == 3 * len(GRID_PAIRS)
-        alone = EvalReport()
-        for problem in problems:
-            alone.extend(run_turn_pair(*problem, **kwargs))
-        assert grid.rows == alone.rows
-        assert grid.predictions == alone.predictions
-        assert grid.warnings == alone.warnings == ["skipped turn pairs 9,10 (runs have 6 turns)"]
-        assert [(r.predictor, r.classifier, r.scenario, r.n_test) for r in grid.rows] == [
-            (p, c, lab.scenario, len(s.test_ids)) for _, lab, p, c, s in problems for _ in GRID_PAIRS
-        ]
+        alone = [run_turn_pair(*problem, **kwargs) for problem in problems]
+        n_rows = len(GRID_ROWS)
+        # scenario-major, as the protocol lists its problems, and each row's scenarios side by side
+        interleaved = [s * n_rows + k for k in range(n_rows) for s in (0, 1)] + [2 * n_rows]
+        for order in (range(len(problems)), interleaved):
+            keys.clear()
+            grid = run_turn_pair(*zip(*[problems[i] for i in order]), **kwargs)
+            # per pair: score's key, ac's and apr's shared key, and the other split's key
+            assert len(keys) == len(set(keys)) == 3 * len(GRID_PAIRS)
+            expected = EvalReport()
+            for i in order:
+                expected.extend(alone[i])
+            assert grid.rows == expected.rows
+            assert grid.predictions == expected.predictions
+            assert grid.warnings == expected.warnings == [
+                "skipped turn pairs 9,10 (runs have 6 turns)"
+            ]
+            assert [(r.predictor, r.classifier, r.scenario, r.n_test, r.turn_train)
+                    for r in grid.rows] == [
+                (p, c, lab.scenario, len(s.test_ids), t)
+                for _, lab, p, c, s in (problems[i] for i in order) for t, _ in GRID_PAIRS
+            ]
 
     @pytest.mark.parametrize("case", ["a label set short", "a predictor long", "one row string"])
     def test_sequences_of_unequal_length_raise(self, both_scenarios, case):
@@ -417,25 +426,41 @@ class TestStackedScenarios:
             run_turn_pair(*args, pairs=[(2, 3)], settings=SETTINGS)
 
     def test_error_names_the_cell_of_the_failing_problem(self, both_scenarios):
-        """In the grid's blown scenario a train conversation's scores are huge,
-        so the spread of its turn-1 score mean and max overflows."""
+        """A train conversation's scores are huge from some turn on, so the
+        spread of that turn's score mean and max overflows: from turn 1 in the
+        grid's blown scenario, from turn 3 in the late one. The late problem
+        comes first but fails only at the second pair; the first pair at which
+        a problem fails names the cell."""
         (runs, labels, split), _ = both_scenarios
         huge = 2.0**990  # 50 of them sum exactly, so a ranking's own std stays 0
         at = [run.conversation_id for run in runs].index(split.train_ids[0])
-        blown_runs = list(runs)
-        blown_runs[at] = replace(runs[at], turns=tuple(
-            replace(turn, scores=np.full(len(turn.items), huge)) for turn in runs[at].turns
-        ))
-        scenarios = [(runs, labels, split), (blown_runs, replace(labels, scenario="blown"), split)]
-        problems = [(r, lab, p, c, s) for r, lab, s in scenarios
-                    for p, c in [("apr", "logreg"), ("score", "logreg")]]
+
+        def huge_from(first, scenario):
+            blown_runs = list(runs)
+            blown_runs[at] = replace(runs[at], turns=tuple(
+                replace(turn, scores=np.full(len(turn.items), huge)) if turn.turn >= first else turn
+                for turn in runs[at].turns
+            ))
+            return blown_runs, replace(labels, scenario=scenario), split
+
+        late_runs, late_labels, _ = huge_from(3, "late")
+        scenarios = [(runs, labels, split), huge_from(1, "blown")]
+        problems = [(late_runs, late_labels, "score", "lasso", split)]
+        problems += [(r, lab, p, c, s) for r, lab, s in scenarios
+                     for p, c in [("apr", "logreg"), ("score", "logreg")]]
+        pairs = [(2, 3), (3, 4)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=(
+                r"^score\|lasso\|late\|multi\|3,4\|cutoff20: column 6 has no finite spread "
+                r"\(std inf\)$"
+            )):
+                run_turn_pair(*problems[0], pairs=pairs, settings=SETTINGS)
             with pytest.raises(ValueError, match=(
                 r"^score\|logreg\|blown\|multi\|2,3\|cutoff20: column 0 has no finite spread "
                 r"\(std inf\)$"
             )):
-                run_turn_pair(*zip(*problems), pairs=[(2, 3)], settings=SETTINGS)
+                run_turn_pair(*zip(*problems), pairs=pairs, settings=SETTINGS)
 
 
 class TestSingleTurn:
@@ -443,8 +468,8 @@ class TestSingleTurn:
         runs, labels, split = small_world
         multi = run_turn_pair(runs, labels, "score", "logreg", split, pairs=[(3, 4)],
                               settings=SETTINGS, seed=4)
-        single = run_single_turn(runs, labels, "score", "logreg", split, pairs=[(3, 4)],
-                                 settings=SETTINGS, seed=4)
+        single = run_turn_pair(runs, labels, "score", "logreg", split, pairs=[(3, 4)],
+                               settings=SETTINGS, seed=4, mode="single")
         assert multi.rows[0].mode == "multi"
         assert single.rows[0].mode == "single"
 
@@ -452,8 +477,8 @@ class TestSingleTurn:
         runs, labels, split = small_world
         multi = run_turn_pair(runs, labels, "wand", "logreg", split, pairs=[(1, 2)],
                               settings=SETTINGS, seed=5)
-        single = run_single_turn(runs, labels, "wand", "logreg", split, pairs=[(1, 2)],
-                                 settings=SETTINGS, seed=5)
+        single = run_turn_pair(runs, labels, "wand", "logreg", split, pairs=[(1, 2)],
+                               settings=SETTINGS, seed=5, mode="single")
         assert multi.rows[0].accuracy == single.rows[0].accuracy
         assert [(p.conversation_id, p.predicted) for p in multi.predictions] == [
             (p.conversation_id, p.predicted) for p in single.predictions

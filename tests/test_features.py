@@ -11,7 +11,6 @@ from convpred.data_io import GenConfig, generate_synthetic
 from convpred.features import (
     FEATURE_KINDS,
     anchored_pair_ratio,
-    assemble_multiturn,
     autocorrelation,
     build_feature_matrix,
     mean_pairwise_similarity,
@@ -190,30 +189,30 @@ class TestPooled:
 class TestAssembly:
     def test_wand_multiturn_equals_per_turn(self):
         run = random_run(7, n_turns=3, n_items=4, dim=3)
-        vec = assemble_multiturn(run, "wand", 2)
+        vec = build_feature_matrix([run], "wand", 2).values[0]
         assert vec.shape == (2,)
         for t in (1, 2):
             assert vec[t - 1] == mean_pairwise_similarity(run.turns[t - 1])
 
     def test_score_shape(self):
         run = random_run(8, n_turns=4, n_items=3, dim=2)
-        assert assemble_multiturn(run, "score", 3).shape == (9,)
+        assert build_feature_matrix([run], "score", 3).values[0].shape == (9,)
 
     def test_pooled_shape(self):
         run = random_run(9, n_turns=4, n_items=3, dim=32)
-        assert assemble_multiturn(run, "pooled", 4).shape == (128,)
+        assert build_feature_matrix([run], "pooled", 4).values[0].shape == (128,)
 
     def test_prefix_property(self):
         run = random_run(10, n_turns=4, n_items=4, dim=3)
         for kind in FEATURE_KINDS:
-            short = assemble_multiturn(run, kind, 2)
-            longer = assemble_multiturn(run, kind, 3)
+            short = build_feature_matrix([run], kind, 2).values[0]
+            longer = build_feature_matrix([run], kind, 3).values[0]
             np.testing.assert_array_equal(longer[: len(short)], short)
 
     def test_exceeding_run_length(self):
         run = random_run(11, n_turns=2)
         with pytest.raises(ValueError, match="exceeds run length"):
-            assemble_multiturn(run, "wand", 3)
+            build_feature_matrix([run], "wand", 3)
 
     @pytest.mark.parametrize("upto_turn,message", [(0, "upto_turn must be >= 1, got 0"),
                                                    (3, "c1: upto_turn 3 exceeds run length 2")])
@@ -271,8 +270,8 @@ class TestAssembly:
         scaled = make_run(scaled_turns)
         for kind in ("ac", "wand"):
             np.testing.assert_allclose(
-                assemble_multiturn(run, kind, 2),
-                assemble_multiturn(scaled, kind, 2),
+                build_feature_matrix([run], kind, 2).values[0],
+                build_feature_matrix([scaled], kind, 2).values[0],
                 atol=1e-12,
             )
 
@@ -281,7 +280,7 @@ class TestAssembly:
         rng = np.random.default_rng(77)
         turns = [random_ranking(rng, 4, 6, turn=t, with_query=True) for t in (1, 2, 3)]
         run = make_run(turns)
-        vec = assemble_multiturn(run, kind, 3)
+        vec = build_feature_matrix([run], kind, 3).values[0]
         for t, ranking in enumerate(turns):
             scores = ranking.scores.tolist()
             embs = ranking.embeddings.tolist()

@@ -5,7 +5,7 @@ import pytest
 
 from convpred.core import TurnRanking, ValidationError, round_half_up, runs_equal
 from convpred.data_io import GenConfig, generate_synthetic, write_runs
-from convpred.features import assemble_multiturn
+from convpred.features import build_feature_matrix
 from convpred.scenario import (
     LabelSet,
     identify_easy,
@@ -58,6 +58,13 @@ class TestLabelRuns:
         run = make_run(turns, target="target")
         with pytest.raises(ValidationError, match="insufficient depth"):
             label_runs([run], cutoff=10)
+
+    @pytest.mark.parametrize("turn", [0, -1, 7])
+    def test_label_at_refuses_a_turn_outside_the_labels(self, turn):
+        labels = label_runs([run_with_target_entry(4)], cutoff=1)
+        assert [labels.label_at("c0", t) for t in range(1, 7)] == [0, 0, 0, 1, 1, 1]
+        with pytest.raises(ValueError, match=f"^c0: turn {turn} outside labels for 6 turns$"):
+            labels.label_at("c0", turn)
 
     def test_monotone_labels_on_generated_runs(self):
         runs = generate_synthetic(
@@ -162,9 +169,9 @@ class TestInduceMissing:
         runs = generate_synthetic(cfg)
         labels = label_runs(runs, cutoff=10)
         modified, missing = induce_missing(runs, labels, fraction=0.4, seed=5)
-        for original, new in zip(runs, modified):
-            before = assemble_multiturn(original, "wand", 4, top_n=10)
-            after = assemble_multiturn(new, "wand", 4, top_n=10)
+        before_all = build_feature_matrix(runs, "wand", 4, top_n=10).values
+        after_all = build_feature_matrix(modified, "wand", 4, top_n=10).values
+        for original, before, after in zip(runs, before_all, after_all):
             target_seen = any(original.target_id in r.items[:10] for r in original.turns)
             if original.conversation_id in missing.forced and target_seen:
                 assert not np.array_equal(before, after)
@@ -220,6 +227,11 @@ class TestLabelFiles:
         labels = LabelSet(labels={"c0": (0, 1), "c1": (1,)})
         with pytest.raises(ValidationError, match="^label vectors must cover the same number of turns$"):
             write_labels(labels, tmp_path / "labels.csv")
+
+    def test_refuses_to_write_labels_of_no_conversations(self, tmp_path):
+        with pytest.raises(ValidationError, match="^no conversations to write labels for$"):
+            write_labels(LabelSet(labels={}), tmp_path / "labels.csv")
+        assert not (tmp_path / "labels.csv").exists()
 
     def test_header(self, tmp_path):
         runs = [run_with_target_entry(2)]
