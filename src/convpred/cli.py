@@ -100,8 +100,8 @@ def cmd_eval(args) -> int:
         cutoffs = evaluation.parse_cutoffs(args.cutoffs)
     else:
         pairs = evaluation.parse_pairs(args.pairs)
-    runs = _read_runs(args.runs)
     settings, recorded = _from_flags(EvalSettings, EVAL_FLAGS, args)
+    runs = _read_runs(args.runs)
     header = (
         f"# convpred eval runs={args.runs} labels={args.labels} predictor={args.predictor} "
         f"classifier={args.classifier} mode={args.mode} pairs={args.pairs} seed={args.seed} "

@@ -6,6 +6,10 @@ Scores are "higher is better" throughout and rank 1 is the top of a ranking.
 All types are immutable after construction and all operations are pure, so
 conversations can be processed concurrently without coordination.
 
+Rankings and runs are valid by construction, through ``dataclasses.replace``
+too: each constructor raises ValidationError on its first fault, and
+:func:`validate_runs` checks only what spans runs.
+
 Every artefact file opens with the settings that produced it as ``#`` comment
 lines; :func:`write_header` writes them and :func:`write_csv` and
 :func:`read_csv` frame the CSV artefacts around them. :func:`parse_records`
@@ -27,7 +31,6 @@ __all__ = [
     "ConversationRun",
     "stored_rank",
     "round_half_up",
-    "validate_run",
     "validate_runs",
     "runs_equal",
     "write_header",
@@ -62,9 +65,11 @@ class TurnRanking:
 
     ``items`` holds the item ids in rank order, ``scores`` the ``(n,)``
     retrieval scores and ``embeddings`` the ``(n, d)`` item embeddings, row i
-    belonging to ``items[i]``. Items must be sorted by score, non-increasing,
-    with exact score ties broken by item id ascending (checked by
-    :func:`validate_run`). An empty ranking has a ``(0, 0)`` embedding matrix.
+    belonging to ``items[i]``. Construction checks that the ids are distinct,
+    the scores finite and non-increasing with exact ties broken by item id
+    ascending, every row finite and of non-zero norm, and a query, if given,
+    as wide as the rows and of non-zero norm. An empty ranking has a
+    ``(0, 0)`` embedding matrix.
 
     The embeddings are stored as an ``(m, d)`` float64 item table
     ``item_rows`` plus an ``(n,)`` intp index ``rows``: row i is
@@ -112,6 +117,15 @@ class TurnRanking:
         if not np.all(np.isfinite(held)):
             raise ValidationError("embedding has non-finite entries")
         query = None if self.query_embedding is None else _as_embedding(self.query_embedding)
+        if n:
+            _check_items(items, scores, held)
+        if query is not None:
+            if n and query.size != held.shape[1]:
+                raise ValidationError(
+                    f"dimension mismatch for query_embedding ({query.size} vs {held.shape[1]})"
+                )
+            if float(np.linalg.norm(query)) == 0.0:
+                raise ValidationError("zero-norm embedding for query_embedding")
         for array in (scores, table, rows, query):
             if array is not None:
                 array.flags.writeable = False
@@ -150,6 +164,30 @@ class TurnRanking:
         return held
 
 
+def _check_items(ids: tuple, scores: np.ndarray, rows: np.ndarray) -> None:
+    """Raise for the first flagged item, naming its first failed check in the order
+    duplicate id, non-finite score, zero-norm embedding, sort order."""
+    n = len(ids)
+    ties = np.flatnonzero(scores[:-1] == scores[1:])
+    bad_tie = np.zeros(n, dtype=bool)
+    bad_tie[ties + 1] = [ids[i] >= ids[i + 1] for i in ties]
+    checks = [
+        (~np.isfinite(scores), "non-finite score for item {!r}"),
+        (np.linalg.norm(rows, axis=1) == 0.0, "zero-norm embedding for item {!r}"),
+        (np.concatenate(([False], scores[:-1] < scores[1:])), "items not sorted by score"),
+        (bad_tie, "items not sorted (score tie must break by item_id ascending)"),
+    ]
+    if len(set(ids)) < n:
+        duplicate = np.ones(n, dtype=bool)
+        duplicate[np.unique(np.array(ids, dtype=object), return_index=True)[1]] = False
+        checks.insert(0, (duplicate, "duplicate item_id {!r}"))
+    flagged = np.logical_or.reduce([flags for flags, _ in checks])
+    if flagged.any():
+        i = int(np.argmax(flagged))
+        message = next(message for flags, message in checks if flags[i])
+        raise ValidationError(message.format(ids[i]))
+
+
 @dataclass(frozen=True, eq=False)
 class ConversationRun:
     """One conversation: a target item and consecutive per-turn rankings.
@@ -157,20 +195,56 @@ class ConversationRun:
     ``target_ranks`` optionally records the full-catalogue rank of the target
     at each turn (1-based), even when it falls outside the stored ranking
     depth; ``None`` entries mean the rank is unknown at that turn.
+
+    Construction checks non-empty ids, turns 1..K with K >= 2, one width ``dim``
+    for every item and query vector (None if none), and K positive ints or
+    nulls in ``target_ranks``; errors name the conversation.
     """
 
     conversation_id: str
     target_id: str
     turns: tuple[TurnRanking, ...]
     target_ranks: tuple[int | None, ...] | None = None
+    dim: int | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "turns", tuple(self.turns))
-        if self.target_ranks is not None:
-            ranks = tuple(self.target_ranks)
-            if all(r is None for r in ranks):
-                ranks = None
-            object.__setattr__(self, "target_ranks", ranks)
+        cid, turns = self.conversation_id, tuple(self.turns)
+        if not cid:
+            raise ValidationError("conversation_id must be non-empty")
+        if not self.target_id:
+            raise ValidationError(f"{cid}: target_id must be non-empty")
+        if len(turns) < 2:
+            raise ValidationError(f"{cid}: conversation needs at least 2 turns, got {len(turns)}")
+        dim = None
+        for expected, ranking in enumerate(turns, start=1):
+            if ranking.turn != expected:
+                raise ValidationError(
+                    f"{cid}: non-consecutive turns (expected {expected}, got {ranking.turn})"
+                )
+            if ranking.items:
+                what, width = f"item {ranking.items[0]!r}", ranking.item_rows.shape[1]
+            elif ranking.query_embedding is not None:
+                what, width = "query_embedding", ranking.query_embedding.size
+            else:
+                continue
+            if dim not in (None, width):
+                raise ValidationError(
+                    f"{cid} turn {expected}: dimension mismatch for {what} ({width} vs {dim})"
+                )
+            dim = width
+        ranks = () if self.target_ranks is None else tuple(self.target_ranks)
+        if all(r is None for r in ranks):
+            ranks = None
+        elif len(ranks) != len(turns):
+            raise ValidationError(
+                f"{cid}: target_ranks length {len(ranks)} != number of turns {len(turns)}"
+            )
+        for t, rank in enumerate(ranks or (), start=1):
+            if rank is not None and (type(rank) is not int or rank < 1):
+                raise ValidationError(f"{cid} turn {t}: target rank must be a positive int or null")
+        object.__setattr__(self, "turns", turns)
+        object.__setattr__(self, "target_ranks", ranks)
+        object.__setattr__(self, "dim", dim)
 
     @property
     def n_turns(self) -> int:
@@ -187,104 +261,25 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def _check_turn(ranking: TurnRanking, dim: int | None, where: str) -> int | None:
-    """Check one turn's items, then its query vector; return the embedding dim.
-
-    Each item check flags items in one array operation. The first flagged
-    item is reported, with its first failed check in the order duplicate id,
-    non-finite score, dimension, zero-norm embedding, sort order.
-    """
-    ids, scores, embeddings = ranking.items, ranking.scores, ranking.embeddings
-    if ids:
-        n, d = embeddings.shape
-        ties = np.flatnonzero(scores[:-1] == scores[1:])
-        bad_tie = np.zeros(n, dtype=bool)
-        bad_tie[ties + 1] = [ids[i] >= ids[i + 1] for i in ties]
-        checks = [
-            (~np.isfinite(scores), "non-finite score for item {!r}"),
-            ([dim not in (None, d)] * n, f"dimension mismatch for item {{!r}} ({d} vs {dim})"),
-            (np.linalg.norm(embeddings, axis=1) == 0.0, "zero-norm embedding for item {!r}"),
-            (np.concatenate(([False], scores[:-1] < scores[1:])), "items not sorted by score"),
-            (bad_tie, "items not sorted (score tie must break by item_id ascending)"),
-        ]
-        if len(set(ids)) < n:
-            duplicate = np.ones(n, dtype=bool)
-            duplicate[np.unique(np.array(ids, dtype=object), return_index=True)[1]] = False
-            checks.insert(0, (duplicate, "duplicate item_id {!r}"))
-        flagged = np.logical_or.reduce([flags for flags, _ in checks])
-        if flagged.any():
-            i = int(np.argmax(flagged))
-            message = next(message for flags, message in checks if flags[i])
-            raise ValidationError(f"{where}: {message.format(ids[i])}")
-        dim = d
-    query = ranking.query_embedding
-    if query is not None:
-        if dim not in (None, query.size):
-            raise ValidationError(
-                f"{where}: dimension mismatch for query_embedding ({query.size} vs {dim})"
-            )
-        if float(np.linalg.norm(query)) == 0.0:
-            raise ValidationError(f"{where}: zero-norm embedding for query_embedding")
-        dim = query.size
-    return dim
-
-
-def validate_run(run: ConversationRun) -> int | None:
-    """Check every structural invariant of one run; return the embedding dim.
-
-    Raises ValidationError naming the conversation and turn on the first
-    violation. Returns None only when the run holds no embeddings at all.
-    """
-    cid = run.conversation_id
-    if not cid:
-        raise ValidationError("conversation_id must be non-empty")
-    if not run.target_id:
-        raise ValidationError(f"{cid}: target_id must be non-empty")
-    k = len(run.turns)
-    if k < 2:
-        raise ValidationError(f"{cid}: conversation needs at least 2 turns, got {k}")
-    dim: int | None = None
-    for expected, ranking in enumerate(run.turns, start=1):
-        if ranking.turn != expected:
-            raise ValidationError(
-                f"{cid}: non-consecutive turns (expected {expected}, got {ranking.turn})"
-            )
-        dim = _check_turn(ranking, dim, f"{cid} turn {ranking.turn}")
-    if run.target_ranks is not None:
-        if len(run.target_ranks) != k:
-            raise ValidationError(
-                f"{cid}: target_ranks length {len(run.target_ranks)} != number of turns {k}"
-            )
-        for t, rank in enumerate(run.target_ranks, start=1):
-            if rank is not None and (type(rank) is not int or rank < 1):
-                raise ValidationError(f"{cid} turn {t}: target rank must be a positive int or null")
-    return dim
-
-
 def validate_runs(runs, where=None) -> int | None:
-    """Validate every run and enforce one embedding dimension across them all.
+    """Refuse a repeated conversation id or a ``dim`` that differs between runs; return it.
 
-    ``where``, if given, holds one label per run (a file and line, say), and
-    the error raised for a run starts with that run's label.
+    Each run checked itself when it was built. ``where``, if given, holds one
+    label per run (a file and line, say), and the error raised for a run
+    starts with that run's label.
     """
-    dim: int | None = None
-    seen_ids: set[str] = set()
+    dim, seen_ids = None, set()
     for k, run in enumerate(runs):
-        try:
-            if run.conversation_id in seen_ids:
-                raise ValidationError(f"duplicate conversation_id {run.conversation_id!r}")
-            seen_ids.add(run.conversation_id)
-            run_dim = validate_run(run)
-            if dim is None:
-                dim = run_dim
-            elif run_dim is not None and run_dim != dim:
-                raise ValidationError(
-                    f"{run.conversation_id}: dimension mismatch across runs ({run_dim} vs {dim})"
-                )
-        except ValidationError as exc:
-            if where is None:
-                raise
-            raise ValidationError(f"{where[k]}: {exc}") from exc
+        cid = run.conversation_id
+        if cid in seen_ids:
+            fault = f"duplicate conversation_id {cid!r}"
+        elif None not in (dim, run.dim) and run.dim != dim:
+            fault = f"{cid}: dimension mismatch across runs ({run.dim} vs {dim})"
+        else:
+            seen_ids.add(cid)
+            dim = dim or run.dim
+            continue
+        raise ValidationError(fault if where is None else f"{where[k]}: {fault}")
     return dim
 
 

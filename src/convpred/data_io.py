@@ -25,9 +25,10 @@ take that path too. Lines in another layout (whitespace around that key, the
 key first in its object, a ``\\u`` escape of an ASCII character such as
 ``\\u0065``) read through plain ``json.loads``: slower, to the same runs and
 errors, each ranking with its own table. On both paths the rankings of one
-file share one string per distinct item id, and errors found once the whole
-file has parsed (a repeated conversation id, unsorted items, dimensions that
-differ between lines) name the file and line of the run.
+file share one string per distinct item id. A ranking or run fault (unsorted
+items, say) is raised as its line is read; a repeated conversation id and
+dimensions that differ between lines wait for the whole file. Every error
+names the file and line of the run.
 
 The generator stands in for a trained retrieval model plus user simulator at
 desk scale: a latent query vector is pulled toward the target item each turn,
@@ -296,7 +297,7 @@ def _turn_text(ranking: TurnRanking, items: dict) -> str:
 
 
 def write_runs(runs, path, header_comment: str | None = None) -> None:
-    """Write validated runs as JSON Lines; refuses structurally invalid input.
+    """Write runs as JSON Lines; refuses a repeated id or differing dimensions.
 
     Each line is the run file format's object with keys in the documented
     order and no whitespace. Each item id's embedding is encoded once per
@@ -412,9 +413,9 @@ def read_runs(path) -> list[ConversationRun]:
     read-only item table, which every ranking of those lines indexes (see
     :func:`_decode_line`). A line that path cannot take is read with plain
     ``json.loads``, to the same runs and errors, its rankings each holding
-    its own table. The runs are validated once the whole file has parsed,
-    and a validation error starts with the file and line of the run at
-    fault.
+    its own table. A ranking or run fault is raised as its line is read, a
+    repeated id or differing dimension once the whole file has parsed; each
+    error starts with the file and line of the run at fault.
     """
     path = Path(path)
     runs: list[ConversationRun] = []

@@ -133,6 +133,8 @@ class EvalSettings:
 
     def __post_init__(self):
         # a setting every cell of its trainer shares is an error before any cell runs
+        if self.top_n < 1:
+            raise ValueError(f"top_n must be >= 1, got {self.top_n}")
         if self.n_trees < 1:
             raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
         if self.ae_epochs < 1:

@@ -4,9 +4,9 @@ Every feature operates on the top min(top_n, len(items)) slice of a turn's
 ranking. The coherence measures capture geometric relations among the
 retrieved embeddings (and optionally their relation to a query vector); the
 exact definitions used here are fixed and documented per function. Downstream
-code depends only on the mapping "ranking -> feature vector" exposed through
-``FEATURE_KINDS``, so alternative definitions can be swapped in behind the
-same keys.
+code reads them through ``turn_features``, which makes the value of each
+``FEATURE_KINDS`` function a feature row, so alternative definitions can be
+swapped in behind the same keys.
 """
 
 from __future__ import annotations
@@ -175,18 +175,18 @@ def top_item_embedding(ranking: TurnRanking, top_n: int = 100) -> np.ndarray:
 
 
 FEATURE_KINDS = {
-    "ac": lambda r, n: np.array([autocorrelation(r, n)]),
-    "wand": lambda r, n: np.array([mean_pairwise_similarity(r, n)]),
-    "rv": lambda r, n: np.array([reciprocal_volume(r, n)]),
-    "apr": lambda r, n: np.array([anchored_pair_ratio(r, n)]),
-    "score": lambda r, n: np.array(score_stats(r, n)),
+    "ac": autocorrelation,
+    "wand": mean_pairwise_similarity,
+    "rv": reciprocal_volume,
+    "apr": anchored_pair_ratio,
+    "score": score_stats,
     "pooled": pooled_embedding,
     "top1": top_item_embedding,
 }
 
 
 def turn_features(run: ConversationRun, kind: str, turn: int, top_n: int = 100) -> np.ndarray:
-    """Feature values of one turn of one conversation.
+    """Feature values of one turn of one conversation, as a 1-D float64 row.
 
     A ranking the kind cannot use raises ValueError naming the conversation,
     the turn and the kind, as in ``c7 turn 2: ac needs at least 2 items,
@@ -202,7 +202,7 @@ def turn_features(run: ConversationRun, kind: str, turn: int, top_n: int = 100) 
         values = FEATURE_KINDS[kind](run.turns[turn - 1], top_n)
     except ValueError as exc:
         raise ValueError(f"{run.conversation_id} turn {turn}: {kind} {exc}") from exc
-    return np.asarray(values, dtype=np.float64)
+    return np.atleast_1d(np.asarray(values, dtype=np.float64))
 
 
 @dataclass(eq=False)

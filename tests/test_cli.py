@@ -277,7 +277,8 @@ class TestEvalInputErrors:
         ("ae", "--epochs", "0", "ae_epochs must be >= 1, got 0"),
         ("lasso", "--lasso-lambda", "nan", "lasso_lambda must be finite and >= 0, got nan"),
         ("lasso", "--lasso-lambda", "inf", "lasso_lambda must be finite and >= 0, got inf"),
-    ], ids=["lr-nan", "lr-inf", "epochs-0", "lambda-nan", "lambda-inf"])
+        ("lasso", "--top-n", "0", "top_n must be >= 1, got 0"),
+    ], ids=["lr-nan", "lr-inf", "epochs-0", "lambda-nan", "lambda-inf", "top-n-0"])
     def test_training_setting_named_before_any_cell(self, workspace, tmp_path, capsys,
                                                     row, option, value, message):
         _, runs_path, labels_path = workspace
@@ -301,6 +302,12 @@ class TestEvalInputErrors:
     def test_top_n_below_one_names_the_setting(self, workspace, tmp_path, capsys):
         _, runs_path, labels_path = workspace
         code = self._eval(tmp_path, runs_path, "--labels", str(labels_path), "--predictor", "apr",
+                          "--classifier", "logreg", "--pairs", "2-2", "--top-n", "0")
+        assert code == 1
+        assert capsys.readouterr().err == "error: top_n must be >= 1, got 0\n"
+
+    def test_top_n_below_one_is_refused_before_reading_runs(self, tmp_path, capsys):
+        code = self._eval(tmp_path, tmp_path / "absent.jsonl", "--predictor", "apr",
                           "--classifier", "logreg", "--pairs", "2-2", "--top-n", "0")
         assert code == 1
         assert capsys.readouterr().err == "error: top_n must be >= 1, got 0\n"

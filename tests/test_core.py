@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from convpred.core import (
     read_csv,
     round_half_up,
     runs_equal,
-    validate_run,
     validate_runs,
 )
 from convpred.data_io import read_runs, write_runs
@@ -81,8 +80,9 @@ def three_item_ranking():
 
 
 def found_by(ranking, target_id: str, cutoff: int) -> bool:
-    """Whether labelling finds the target in a one-turn run at the cutoff."""
-    return label_runs([make_run([ranking], target=target_id)], cutoff=cutoff).labels["c0"] == (1,)
+    """Whether labelling finds the target at the cutoff in the first of two turns."""
+    run = make_run([ranking, replace(ranking, turn=2)], target=target_id)
+    return label_runs([run], cutoff=cutoff).labels["c0"][0] == 1
 
 
 class TestRankOps:
@@ -190,7 +190,7 @@ class TestSharedItemTable:
 
     def test_own_rows_become_a_table_that_replace_shares(self):
         own = make_ranking([2.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], query=[1.0, 0.0])
-        shared = TurnRanking(1, ("a", "b"), [2.0, 1.0], TABLE, [1.0, 0.0], rows=[2, 0])
+        shared = TurnRanking(1, ("a", "b"), [2.0, 1.0], TABLE, [1.0, 0.0, 0.0], rows=[2, 0])
         for ranking in (own, shared):
             bare = replace(ranking, query_embedding=None)
             assert bare.query_embedding is None
@@ -201,60 +201,56 @@ class TestSharedItemTable:
         shared = make_run([TurnRanking(t, ("i000", "i001"), [2.0, 1.0], TABLE, rows=[2, 0])
                            for t in (1, 2)])
         own = make_run([make_ranking([2.0, 1.0], TABLE[[2, 0]], turn=t) for t in (1, 2)])
-        assert validate_run(shared) == 3
+        assert shared.dim == own.dim == 3
         assert runs_equal(shared, own)
 
 
 class TestValidation:
+    """Each ranking and run checks itself when it is built."""
+
     def _two_turns(self, first=None, second=None):
         t1 = first if first is not None else make_ranking([2.0, 1.0], np.eye(2), turn=1)
         t2 = second if second is not None else make_ranking([2.0, 1.0], np.eye(2), turn=2)
         return make_run([t1, t2])
 
     def test_valid_run(self):
-        assert validate_run(self._two_turns()) == 2
+        assert self._two_turns().dim == 2
 
     def test_needs_two_turns(self):
-        run = ConversationRun("c0", "i000", (make_ranking([1.0], [[1.0, 0.0]]),))
         with pytest.raises(ValidationError, match="at least 2 turns"):
-            validate_run(run)
+            ConversationRun("c0", "i000", (make_ranking([1.0], [[1.0, 0.0]]),))
 
     def test_unsorted_scores(self):
-        bad = make_ranking([0.2, 0.9], np.eye(2), turn=2)
         with pytest.raises(ValidationError, match="not sorted"):
-            validate_run(self._two_turns(second=bad))
+            make_ranking([0.2, 0.9], np.eye(2), turn=2)
 
     def test_tie_breaks_by_id(self):
-        bad = make_ranking([1.0, 1.0], np.eye(2), turn=2, ids=["b", "a"])
         with pytest.raises(ValidationError, match="not sorted"):
-            validate_run(self._two_turns(second=bad))
+            make_ranking([1.0, 1.0], np.eye(2), turn=2, ids=["b", "a"])
         ok = make_ranking([1.0, 1.0], np.eye(2), turn=2, ids=["a", "b"])
-        validate_run(self._two_turns(second=ok))
+        self._two_turns(second=ok)
 
     def test_duplicate_ids(self):
-        bad = make_ranking([2.0, 1.0], np.eye(2), turn=2, ids=["a", "a"])
         with pytest.raises(ValidationError, match="duplicate"):
-            validate_run(self._two_turns(second=bad))
+            make_ranking([2.0, 1.0], np.eye(2), turn=2, ids=["a", "a"])
 
     def test_non_consecutive_turns(self):
         bad = make_ranking([2.0, 1.0], np.eye(2), turn=3)
         with pytest.raises(ValidationError, match="non-consecutive"):
-            validate_run(self._two_turns(second=bad))
+            self._two_turns(second=bad)
 
     def test_nan_score(self):
-        bad = make_ranking([2.0, float("nan")], np.eye(2), turn=2)
         with pytest.raises(ValidationError, match="non-finite score"):
-            validate_run(self._two_turns(second=bad))
+            make_ranking([2.0, float("nan")], np.eye(2), turn=2)
 
     def test_zero_norm_embedding_rejected(self):
-        bad = make_ranking([2.0, 1.0], [[1.0, 0.0], [0.0, 0.0]], turn=2)
         with pytest.raises(ValidationError, match="zero-norm"):
-            validate_run(self._two_turns(second=bad))
+            make_ranking([2.0, 1.0], [[1.0, 0.0], [0.0, 0.0]], turn=2)
 
     def test_dimension_mismatch_within_run(self):
         bad = make_ranking([1.0], [[1.0, 0.0, 0.0]], turn=2)
         with pytest.raises(ValidationError, match="dimension mismatch"):
-            validate_run(self._two_turns(second=bad))
+            self._two_turns(second=bad)
 
     def test_dimension_mismatch_across_runs(self):
         run_a = self._two_turns()
@@ -265,23 +261,27 @@ class TestValidation:
             validate_runs([run_a, run_b])
 
     @pytest.mark.parametrize("query, message", [
-        ([1.0, 0.0, 0.0], "c0 turn 2: dimension mismatch for query_embedding (3 vs 2)"),
-        ([0.0, 0.0], "c0 turn 2: zero-norm embedding for query_embedding"),
+        ([1.0, 0.0, 0.0], "dimension mismatch for query_embedding (3 vs 2)"),
+        ([0.0, 0.0], "zero-norm embedding for query_embedding"),
     ], ids=["wide", "zero-norm"])
     def test_query_embedding_is_checked_against_the_items(self, query, message):
-        bad = make_ranking([2.0, 1.0], np.eye(2), turn=2, query=query)
         with pytest.raises(ValidationError) as err:
-            validate_run(self._two_turns(second=bad))
+            make_ranking([2.0, 1.0], np.eye(2), turn=2, query=query)
         assert str(err.value) == message
+
+    def test_query_of_a_turn_without_items_is_checked_against_the_run(self):
+        bare = TurnRanking(2, (), [], [], query_embedding=[1.0, 0.0, 0.0])
+        with pytest.raises(ValidationError) as err:
+            self._two_turns(second=bare)
+        assert str(err.value) == "c0 turn 2: dimension mismatch for query_embedding (3 vs 2)"
 
     @pytest.mark.parametrize("cid, target, message", [
         ("", "i000", "conversation_id must be non-empty"),
         ("c0", "", "c0: target_id must be non-empty"),
     ], ids=["conversation", "target"])
     def test_ids_must_be_non_empty(self, cid, target, message):
-        run = ConversationRun(cid, target, self._two_turns().turns)
         with pytest.raises(ValidationError) as err:
-            validate_run(run)
+            ConversationRun(cid, target, self._two_turns().turns)
         assert str(err.value) == message
 
     def test_duplicate_conversation_ids(self):
@@ -289,21 +289,19 @@ class TestValidation:
             validate_runs([self._two_turns(), self._two_turns()])
 
     def test_target_ranks_length(self):
-        run = make_run(
-            [make_ranking([1.0], [[1.0, 0.0]], turn=t) for t in (1, 2)],
-            target_ranks=(1, 2, 3),
-        )
         with pytest.raises(ValidationError, match="target_ranks length"):
-            validate_run(run)
+            make_run(
+                [make_ranking([1.0], [[1.0, 0.0]], turn=t) for t in (1, 2)],
+                target_ranks=(1, 2, 3),
+            )
 
     @pytest.mark.parametrize("ranks,bad", [((True, 1), 1), ((1, 2.0), 2), ((0, 1), 1)],
                              ids=["true", "float", "zero"])
     def test_target_rank_must_be_a_positive_int(self, ranks, bad):
-        run = make_run(
-            [make_ranking([1.0], [[1.0, 0.0]], turn=t) for t in (1, 2)], target_ranks=ranks
-        )
         with pytest.raises(ValidationError) as err:
-            validate_run(run)
+            make_run(
+                [make_ranking([1.0], [[1.0, 0.0]], turn=t) for t in (1, 2)], target_ranks=ranks
+            )
         assert str(err.value) == f"c0 turn {bad}: target rank must be a positive int or null"
 
     def test_all_none_target_ranks_collapse(self):
@@ -312,6 +310,52 @@ class TestValidation:
             target_ranks=(None, None),
         )
         assert run.target_ranks is None
+
+
+VALID_RANKING = TurnRanking(2, ("a", "b"), [2.0, 1.0], np.eye(2), query_embedding=[1.0, 0.0])
+VALID_RUN = make_run([replace(VALID_RANKING, turn=1), VALID_RANKING], target_ranks=(3, 1))
+# fault -> (the valid object, the fields that differ from it, the message)
+FAULTS = {
+    "duplicate-id": (VALID_RANKING, dict(items=("a", "a")), "duplicate item_id 'a'"),
+    "nan-score": (VALID_RANKING, dict(scores=[2.0, math.nan]), "non-finite score for item 'b'"),
+    "zero-norm-row": (VALID_RANKING, dict(item_rows=[[1.0, 0.0], [0.0, 0.0]], rows=None),
+                      "zero-norm embedding for item 'b'"),
+    "unsorted": (VALID_RANKING, dict(scores=[1.0, 2.0]), "items not sorted by score"),
+    "tie-order": (VALID_RANKING, dict(items=("b", "a"), scores=[1.0, 1.0]),
+                  "items not sorted (score tie must break by item_id ascending)"),
+    "query-width": (VALID_RANKING, dict(query_embedding=[1.0, 0.0, 0.0]),
+                    "dimension mismatch for query_embedding (3 vs 2)"),
+    "zero-norm-query": (VALID_RANKING, dict(query_embedding=[0.0, 0.0]),
+                        "zero-norm embedding for query_embedding"),
+    "turn-gap": (VALID_RUN, dict(turns=(VALID_RUN.turns[0], replace(VALID_RANKING, turn=3))),
+                 "c0: non-consecutive turns (expected 2, got 3)"),
+    "one-turn": (VALID_RUN, dict(turns=VALID_RUN.turns[:1]),
+                 "c0: conversation needs at least 2 turns, got 1"),
+    "empty-conversation-id": (VALID_RUN, dict(conversation_id=""),
+                              "conversation_id must be non-empty"),
+    "empty-target-id": (VALID_RUN, dict(target_id=""), "c0: target_id must be non-empty"),
+    "target-rank-0": (VALID_RUN, dict(target_ranks=(3, 0)),
+                      "c0 turn 2: target rank must be a positive int or null"),
+    "target-rank-true": (VALID_RUN, dict(target_ranks=(True, 1)),
+                         "c0 turn 1: target rank must be a positive int or null"),
+    "target-ranks-length": (VALID_RUN, dict(target_ranks=(3, 1, 1)),
+                            "c0: target_ranks length 3 != number of turns 2"),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize("build", ["construct", "replace"])
+def test_invalid_cannot_be_built(fault, build):
+    """A fault is refused with its message whether the ranking or run is built
+    afresh or by ``dataclasses.replace`` of a valid one."""
+    valid, changes, message = FAULTS[fault]
+    with pytest.raises(ValidationError) as err:
+        if build == "replace":
+            replace(valid, **changes)
+        else:
+            given = {f.name: getattr(valid, f.name) for f in fields(valid) if f.init}
+            type(valid)(**{**given, **changes})
+    assert str(err.value) == message
 
 
 def first_violation(ids, scores, embeddings):
@@ -359,20 +403,21 @@ class TestValidationProperty:
         ids, scores, embeddings = first
         dim = len(embeddings[0])
         second_dim = dim + extra_dim
-        run = make_run([
-            make_ranking(scores, embeddings, turn=1, ids=ids),
-            make_ranking([1.0], [[1.0] * second_dim], turn=2, ids=["z"]),
-        ])
         expected = first_violation(ids, scores, embeddings)
-        if expected is not None:
-            expected = f"c0 turn 1: {expected}"
-        elif extra_dim:
+        if expected is None and extra_dim:
             expected = f"c0 turn 2: dimension mismatch for item 'z' ({second_dim} vs {dim})"
+
+        def build():
+            return make_run([
+                make_ranking(scores, embeddings, turn=1, ids=ids),
+                make_ranking([1.0], [[1.0] * second_dim], turn=2, ids=["z"]),
+            ])
+
         if expected is None:
-            assert validate_run(run) == dim
+            assert build().dim == dim
         else:
             with pytest.raises(ValidationError) as err:
-                validate_run(run)
+                build()
             assert str(err.value) == expected
 
 

@@ -105,16 +105,15 @@ class TestRoundTrip:
         assert path.read_text() == ""
         assert read_runs(path) == []
 
-    def test_nan_score_refused(self, tmp_path):
-        run = make_run(
-            [
-                make_ranking([1.0], [[1.0, 0.0]], turn=1),
-                make_ranking([float("nan")], [[1.0, 0.0]], turn=2),
-            ]
-        )
-        path = tmp_path / "bad.jsonl"
+    def test_nan_score_refused(self):
         with pytest.raises(ValidationError, match="non-finite"):
-            write_runs([run], path)
+            make_ranking([float("nan")], [[1.0, 0.0]], turn=2)
+
+    def test_repeated_conversation_id_refused_before_writing(self, tmp_path):
+        run = random_run(0)
+        path = tmp_path / "bad.jsonl"
+        with pytest.raises(ValidationError, match="duplicate conversation_id 'c0'"):
+            write_runs([run, run], path)
         assert not path.exists()
 
     def test_header_comment_skipped(self, tmp_path):
@@ -316,9 +315,10 @@ class TestReadValidation:
         )
 
     def test_validation_errors_name_the_file_and_line(self, tmp_path):
-        """Checks across runs run after the whole file parses, and name the
-        line of the run at fault: a repeated id's second occurrence, the
-        first line whose dimension differs."""
+        """A ranking or run fault is refused at its own line, before a later
+        line's bad JSON. Checks across runs run after the whole file parses,
+        and name the line of the run at fault: a repeated id's second
+        occurrence, the first line whose dimension differs."""
         unsorted = self._record(conversation_id="c1")
         unsorted["turns"][0]["items"].reverse()
         wide = self._record(conversation_id="c2")
@@ -333,7 +333,8 @@ class TestReadValidation:
             ([self._record(), wide, self._record(conversation_id="c3"),
               wide | {"conversation_id": "c4"}],
              "runs.jsonl line 3: c2: dimension mismatch across runs (3 vs 2)"),
-            ([self._record(), unsorted, "{not json"], "runs.jsonl line 4: invalid JSON ("),
+            ([unsorted, self._record(), "{not json"],
+             "runs.jsonl line 2: c1 turn 1: items not sorted by score"),
         ]
         for records, message in cases:
             for layout in (json.dumps, _canonical):

@@ -228,6 +228,10 @@ class TestTurnPair:
         with pytest.raises(ValueError, match=f"^{name} must be >= 1, got 0$"):
             EvalSettings(**{name: 0})
 
+    def test_top_n_below_one_is_refused_in_the_settings(self):
+        with pytest.raises(ValueError, match="^top_n must be >= 1, got 0$"):
+            EvalSettings(top_n=0)
+
     def test_deterministic_reports(self, small_world):
         runs, labels, split = small_world
         kwargs = dict(pairs=[(2, 3), (4, 5)], settings=SETTINGS, seed=9)
@@ -435,11 +439,16 @@ class TestStackedScenarios:
         huge = 2.0**990  # 50 of them sum exactly, so a ranking's own std stays 0
         at = [run.conversation_id for run in runs].index(split.train_ids[0])
 
+        def blown(turn):
+            """``turn`` with every score huge, its items in id order, as equal scores tie."""
+            order = np.argsort(turn.items, kind="stable")
+            return replace(turn, items=tuple(np.array(turn.items)[order]),
+                           scores=np.full(len(order), huge), rows=turn.rows[order])
+
         def huge_from(first, scenario):
             blown_runs = list(runs)
             blown_runs[at] = replace(runs[at], turns=tuple(
-                replace(turn, scores=np.full(len(turn.items), huge)) if turn.turn >= first else turn
-                for turn in runs[at].turns
+                blown(turn) if turn.turn >= first else turn for turn in runs[at].turns
             ))
             return blown_runs, replace(labels, scenario=scenario), split
 
