@@ -13,7 +13,8 @@ standardized per column with train-split statistics stored on the model;
 while `mean_losses`, `train` and `predict` accept raw feature rows. Training
 input is checked and standardized by the same helpers in
 :mod:`convpred.classifiers` as the linear trainers'. Like them, `train`
-takes a stack of problems of one shape and fits them together.
+takes a stack of problems of one shape, and one seed per problem, and
+fits them together. `mean_losses` and `gradients` take one model's rows.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classifiers import _stack, check_train_input, standardize, standardize_fit
+from .classifiers import check_train_input, standardize, standardize_fit
 
 __all__ = [
     "AEConfig",
@@ -223,11 +224,11 @@ def _mean_losses_network(sq_sum, picked: np.ndarray, size: int):
 
 def mean_losses(model: AEModel, X, y) -> tuple[float, float, float]:
     """Mean (rec, cls, total) losses over raw rows, standardized with the model stats."""
-    X, labels = check_train_input(X, y, minimum=1)
-    batch = standardize(X, model.input_mean, model.input_scale)[None]
-    work = _Workspace(model.config, 1, len(X), labels[None])
+    X, labels = check_train_input([X], [y], minimum=1)
+    batch = standardize(X[0], model.input_mean, model.input_scale)[None]
+    work = _Workspace(model.config, *labels.shape, labels)
     _forward_cache(_network(model), batch, work)
-    picked = np.empty((1, len(X)))
+    picked = np.empty(labels.shape)
     losses = _mean_losses_network(_loss_sums(batch, work, picked), picked, X.size)
     return tuple(float(loss[0]) for loss in losses)
 
@@ -258,20 +259,20 @@ def _backward(net, batch: np.ndarray, work: _Workspace) -> None:
 
 def gradients(model: AEModel, X, y) -> dict[str, np.ndarray]:
     """Analytic gradients of the mean total loss over a network-space batch."""
-    batch, labels = check_train_input(X, y, minimum=1)
-    work, net = _Workspace(model.config, 1, len(batch), labels[None]), _network(model)
-    _forward_cache(net, batch[None], work)
-    _backward(net, batch[None], work)
+    batch, labels = check_train_input([X], [y], minimum=1)
+    work, net = _Workspace(model.config, *labels.shape, labels), _network(model)
+    _forward_cache(net, batch, work)
+    _backward(net, batch, work)
     return {name: grad[0] for name, grad in zip(_PARAM_NAMES, work.grads)}
 
 
-def train(X, y, config: AEConfig, seeds=None):
-    """Full-batch Adam on the joint loss; bit-reproducible given (data, config).
+def train(X, y, config: AEConfig, seeds) -> list[tuple[AEModel, TrainTrace]]:
+    """Full-batch Adam on the joint loss; bit-reproducible given (data, config, seeds).
 
-    Returns ``(model, trace)``. A stack of P problems, X of shape (P, n, d)
-    and y of shape (P, n), returns a list of P such pairs; ``seeds`` gives
-    each problem's initialization seed (all ``config.seed`` when None), and
-    each problem's model carries its seed in its config. The problems run
+    Fits a stack of P problems, X of shape (P, n, d) and y of shape (P, n),
+    and returns one ``(model, trace)`` pair per problem. ``seeds`` gives
+    each problem's initialization seed, and each problem's model carries
+    its seed in its config in place of ``config.seed``. The problems run
     every epoch's forward, backward and Adam steps together, in groups of
     at most ``STACK_PARAMS`` parameters (one problem at a time past it).
 
@@ -285,11 +286,10 @@ def train(X, y, config: AEConfig, seeds=None):
     with fresh temporaries evaluates, in the same order, so weights and
     trace are the same to the bit.
     """
-    X, labels, stacked = _stack(*check_train_input(X, y))
+    X, labels = check_train_input(X, y)
     P, n, d = X.shape
     if d != config.input_dim:
         raise ValueError(f"feature width {d} does not match input_dim {config.input_dim}")
-    seeds = [config.seed] * P if seeds is None else list(seeds)
     if len(seeds) != P:
         raise ValueError(f"{len(seeds)} seeds for a stack of {P} problems")
     batch, mean, scale = standardize_fit(X)
@@ -309,8 +309,7 @@ def train(X, y, config: AEConfig, seeds=None):
         part = slice(lo, lo + group)
         _adam(flat[part], batch[part], labels[part], config, sq_sums[:, part], picked[:, part])
     losses = [loss.T for loss in _mean_losses_network(sq_sums, picked, n * d)]
-    fits = [(model, TrainTrace(*(loss[p] for loss in losses))) for p, model in enumerate(models)]
-    return fits if stacked else fits[0]
+    return [(model, TrainTrace(*(loss[p] for loss in losses))) for p, model in enumerate(models)]
 
 
 def _adam(flat, batch, labels, config: AEConfig, sq_sums, picked) -> None:

@@ -7,12 +7,12 @@ Every trainer, the autoencoder's included, checks its input with
 autoencoder. The forest does not: its splits depend only on the order of
 each column's values.
 
-Every trainer also takes a stack of P problems of equal row count and width,
-X of shape (P, n, F) and y of shape (P, n), and fits them in one pass; a 2-D
-X is a stack of one and runs the same code. Each problem's model is bit for
-bit the one a fit of that problem alone gives. A stacked call returns a list
-of models, one per problem, except the forest's: a :class:`Forest` holds
-the trees of every problem of its stack.
+Every trainer takes a stack of P problems of equal row count and width, X of
+shape (P, n, F) and y of shape (P, n), and fits them in one pass; the
+seeded ones, the forest and the autoencoder, take one seed per problem.
+Each problem's model is bit for bit the one a fit of that problem alone
+gives. The linear trainers return a list of models, one per problem; a
+:class:`Forest` holds the trees of every problem of its stack.
 """
 
 from __future__ import annotations
@@ -61,9 +61,9 @@ class LinearModel:
 class Forest:
     """Every tree of a forest as parallel node arrays, the layout of scikit-learn's ``tree_``.
 
-    Tree t starts at node ``roots[t]``; the forests of a stack of P problems
-    share the node arrays, and ``roots`` is (P, n_trees). Node i is a leaf
-    when ``feature[i]`` is -1; otherwise rows with ``X[:, feature[i]] <
+    Tree t of problem p starts at node ``roots[p, t]``: the forests of a
+    stack of P problems share the node arrays. Node i is a leaf when
+    ``feature[i]`` is -1; otherwise rows with ``X[:, feature[i]] <
     threshold[i]`` go to node ``left[i]`` and the rest, NaN included, to
     ``right[i]``. ``counts[i]`` holds the node's (label 0, label 1) bootstrap
     counts. A leaf predicts the larger count, an equal count giving 0, and
@@ -102,25 +102,16 @@ class ProblemError(ValueError):
         self.problem = problem
 
 
-def _as_rows(X, width: int | None = None) -> np.ndarray:
-    """X as float64 rows, ``width`` columns wide if given."""
-    X = np.asarray(X, dtype=np.float64)
-    if width is not None and (X.ndim != 2 or X.shape[1] != width):
-        raise ValueError(f"feature shape {X.shape} does not match training width {width}")
-    return X
-
-
 def check_train_input(X, y, minimum: int = 2) -> tuple[np.ndarray, np.ndarray]:
-    """Training rows as a float64 matrix and labels as int64.
+    """A stack of P training problems as float64 rows (P, n, F) and int64 labels (P, n).
 
-    A 3-D X is a stack of P such matrices of one shape, with labels of shape
-    (P, n). Raises ValueError unless there are at least ``minimum`` rows,
-    one label per row and every label is 0 or 1.
+    Raises ValueError unless X is such a stack with at least ``minimum``
+    rows per problem, one label per row and every label 0 or 1.
     """
-    X = _as_rows(X)
-    if X.ndim not in (2, 3) or 0 in X.shape[:-1]:
-        raise ValueError("training data must be a non-empty 2-D array or a stack of them")
-    if X.shape[-2] < minimum:
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 3 or 0 in X.shape[:-1]:
+        raise ValueError(f"training data must be a non-empty (P, n, F) stack, got shape {X.shape}")
+    if X.shape[1] < minimum:
         raise ValueError(f"training needs at least {minimum} sample(s)")
     y = np.asarray(y)
     if y.shape != X.shape[:-1]:
@@ -128,11 +119,6 @@ def check_train_input(X, y, minimum: int = 2) -> tuple[np.ndarray, np.ndarray]:
     if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
     return X, y.astype(np.int64)
-
-
-def _stack(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Checked training input as a stack, and whether it came as one."""
-    return (X, y, True) if X.ndim == 3 else (X[None], y[None], False)
 
 
 def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -157,8 +143,11 @@ def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def standardize(X, mean: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Raw rows in the units of a fitted model; their width must be the training width."""
-    return (_as_rows(X, len(mean)) - mean) / scale
+    """One model's raw (m, F) rows in its units; F must be the training width."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != len(mean):
+        raise ValueError(f"feature shape {X.shape} does not match training width {len(mean)}")
+    return (X - mean) / scale
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -167,7 +156,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def train_logistic(X, y) -> LinearModel | list[LinearModel]:
+def train_logistic(X, y) -> list[LinearModel]:
     """Full-batch gradient descent on the mean negative log-likelihood.
 
     Deterministic: zero initialization, no penalty, LOGISTIC_ITERS steps of
@@ -175,7 +164,7 @@ def train_logistic(X, y) -> LinearModel | list[LinearModel]:
     statistics so the fixed step size is safe across feature scales. The
     problems of a stack take each step together.
     """
-    X, y, stacked = _stack(*check_train_input(X, y))
+    X, y = check_train_input(X, y)
     Xs, mean, scale = standardize_fit(X)
     n = y.shape[1]
     target = y.astype(np.float64)
@@ -190,15 +179,14 @@ def train_logistic(X, y) -> LinearModel | list[LinearModel]:
         b -= LOGISTIC_LR * (np.add.reduce(resid, axis=1) / n)
     # mean -[y log p + (1-y) log(1-p)] per step via the numerically stable softplus form
     history = (np.logaddexp(0.0, z) - y * z).mean(axis=2)
-    models = [
+    return [
         LinearModel("logistic", w[p], float(b[p]), mean[p], scale[p],
                     history=tuple(history[:, p].tolist()))
         for p in range(len(y))
     ]
-    return models if stacked else models[0]
 
 
-def train_lasso(X, y, lam: float = 0.1, iters: int = 1000) -> LinearModel | list[LinearModel]:
+def train_lasso(X, y, lam: float = 0.1, iters: int = 1000) -> list[LinearModel]:
     """Coordinate descent on 0.5 * mean squared error + lam * sum |w_i|.
 
     Targets are the {0,1} labels; the intercept is unpenalized and columns are
@@ -210,10 +198,9 @@ def train_lasso(X, y, lam: float = 0.1, iters: int = 1000) -> LinearModel | list
     """
     if not 0.0 <= lam < math.inf:
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
-    X, y, stacked = _stack(*check_train_input(X, y))
+    X, y = check_train_input(X, y)
     Xs, mean, scale = standardize_fit(X)
-    models = [_lasso(Xs[p], y[p], mean[p], scale[p], lam, iters) for p in range(len(y))]
-    return models if stacked else models[0]
+    return [_lasso(Xs[p], y[p], mean[p], scale[p], lam, iters) for p in range(len(y))]
 
 
 def _lasso(Xs, y, mean, scale, lam: float, iters: int) -> LinearModel:
@@ -360,17 +347,15 @@ class _Substreams:
         return draws[trees]
 
 
-def train_forest(
-    X, y, n_trees: int = 100, seed=0, streams: dict | None = None
-) -> Forest:
+def train_forest(X, y, seeds, n_trees: int = 100, streams: dict | None = None) -> Forest:
     """Bootstrap-aggregated Gini trees over ceil(sqrt(F)) feature candidates per split.
 
-    Trees grow until pure or down to fewer than 2 samples; everything is
-    deterministic given the seed, with one substream per tree. ``streams``
-    maps each key to its :class:`_Substreams` (a fresh dict when None), so
-    forests trained through one dict share the draws of their key. A stack
-    of problems takes one seed, or a sequence of one per problem; problems
-    of one seed share their key's substreams.
+    ``seeds`` gives one seed per problem of the (P, n, F) stack. Trees grow
+    until pure or down to fewer than 2 samples; everything is deterministic
+    given the seed, with one substream per tree. ``streams`` maps each key
+    to its :class:`_Substreams` (a fresh dict when None), so forests trained
+    through one dict share the draws of their key, and problems of one seed
+    share their key's substreams.
     All trees, of every problem, grow together in waves. ``node_of[t, i]``
     is the node of tree slot t that training row i reaches, and a node's
     weights are its tree's bootstrap multiplicities of the rows it holds. A
@@ -386,9 +371,8 @@ def train_forest(
     """
     if n_trees < 1:
         raise ValueError(f"n_trees must be >= 1, got {n_trees}")
-    X, y, stacked = _stack(*check_train_input(X, y, minimum=1))
+    X, y = check_train_input(X, y, minimum=1)
     n_problems, n, n_features = X.shape
-    seeds = [seed] * n_problems if np.ndim(seed) == 0 else list(seed)
     if len(seeds) != n_problems:
         raise ValueError(f"{len(seeds)} seeds for a stack of {n_problems} problems")
     streams = {} if streams is None else streams
@@ -435,9 +419,8 @@ def train_forest(
         splits.append((nodes[split], column, threshold, n_nodes))
         n_nodes += 2 * m
         wave += 1
-    roots = np.arange(n_slots).reshape(n_problems, n_trees)
     forest = Forest(
-        roots=roots if stacked else roots[0],
+        roots=np.arange(n_slots).reshape(n_problems, n_trees),
         feature=np.full(n_nodes, -1),
         threshold=np.zeros(n_nodes),
         left=np.full(n_nodes, -1),
@@ -475,8 +458,9 @@ def _forest_votes(roots: np.ndarray, forest: Forest, X: np.ndarray) -> np.ndarra
 def predict_cls(model, X) -> np.ndarray:
     """Predicted labels per row; see LinearModel / Forest for the tie rules.
 
-    A forest of a stack of P problems predicts a stack of P row sets,
-    (P, m, F) rows giving (P, m) labels.
+    A linear model predicts its (m, F) rows, giving (m,) labels; a forest of
+    a stack of P problems predicts a stack of P row sets, (P, m, F) rows
+    giving (P, m) labels.
     """
     if isinstance(model, LinearModel):
         z = standardize(X, model.input_mean, model.input_scale) @ model.weights + model.intercept
@@ -484,13 +468,10 @@ def predict_cls(model, X) -> np.ndarray:
             return (_sigmoid(z) >= 0.5).astype(np.int64)
         return (z >= 0.5).astype(np.int64)
     if isinstance(model, Forest):
-        stacked = model.roots.ndim == 2
-        roots = model.roots if stacked else model.roots[None]
-        X = np.asarray(X, dtype=np.float64) if stacked else _as_rows(X, model.n_features)[None]
-        if X.ndim != 3 or len(X) != len(roots) or X.shape[2] != model.n_features:
-            raise ValueError(f"feature shape {X.shape} does not match a stack of {len(roots)} "
+        X = np.asarray(X, dtype=np.float64)
+        n_problems, n_trees = model.roots.shape
+        if X.ndim != 3 or len(X) != n_problems or X.shape[2] != model.n_features:
+            raise ValueError(f"feature shape {X.shape} does not match a stack of {n_problems} "
                              f"forests of training width {model.n_features}")
-        votes = _forest_votes(roots, model, X)
-        labels = (votes * 2 > roots.shape[1]).astype(np.int64)  # exact ties go to 0
-        return labels if stacked else labels[0]
+        return (_forest_votes(model.roots, model, X) * 2 > n_trees).astype(np.int64)  # ties go to 0
     raise TypeError(f"unsupported model type {type(model).__name__}")

@@ -59,13 +59,20 @@ def _as_embedding(values) -> np.ndarray:
     return arr
 
 
+def _check_type(value, kind: type, what: str) -> None:
+    """Raise unless ``value`` is exactly a ``kind``: a bool or a numpy scalar is not an int."""
+    if type(value) is not kind:
+        raise ValidationError(f"{what} {value!r} has type {type(value).__name__}, not {kind.__name__}")
+
+
 @dataclass(frozen=True, eq=False)
 class TurnRanking:
     """The ranked list retrieved at one turn, as three aligned columns.
 
     ``items`` holds the item ids in rank order, ``scores`` the ``(n,)``
     retrieval scores and ``embeddings`` the ``(n, d)`` item embeddings, row i
-    belonging to ``items[i]``. Construction checks that the ids are distinct,
+    belonging to ``items[i]``. Construction checks that ``turn`` is an
+    ``int``, the ids and a critique, if given, ``str``, the ids distinct,
     the scores finite and non-increasing with exact ties broken by item id
     ascending, every row finite and of non-zero norm, and a query, if given,
     as wide as the rows and of non-zero norm. An empty ranking has a
@@ -97,6 +104,11 @@ class TurnRanking:
 
     def __post_init__(self):
         items = tuple(self.items)
+        _check_type(self.turn, int, "turn")
+        if not set(map(type, items)) <= {str}:  # one pass in C over the ids
+            _check_type(next(i for i in items if type(i) is not str), str, f"turn {self.turn}: item id")
+        if self.critique is not None:
+            _check_type(self.critique, str, f"turn {self.turn}: critique")
         n = len(items)
         scores = np.array(self.scores, dtype=np.float64)
         if self.rows is None:
@@ -196,9 +208,10 @@ class ConversationRun:
     at each turn (1-based), even when it falls outside the stored ranking
     depth; ``None`` entries mean the rank is unknown at that turn.
 
-    Construction checks non-empty ids, turns 1..K with K >= 2, one width ``dim``
-    for every item and query vector (None if none), and K positive ints or
-    nulls in ``target_ranks``; errors name the conversation.
+    Construction checks non-empty ``str`` ids, turns 1..K with K >= 2, one
+    width ``dim`` for every item and query vector (None if none), and K
+    positive ints or nulls in ``target_ranks``, K nulls being stored as None;
+    errors name the conversation.
     """
 
     conversation_id: str
@@ -209,8 +222,10 @@ class ConversationRun:
 
     def __post_init__(self):
         cid, turns = self.conversation_id, tuple(self.turns)
+        _check_type(cid, str, "conversation_id")
         if not cid:
             raise ValidationError("conversation_id must be non-empty")
+        _check_type(self.target_id, str, f"{cid}: target_id")
         if not self.target_id:
             raise ValidationError(f"{cid}: target_id must be non-empty")
         if len(turns) < 2:
@@ -233,15 +248,15 @@ class ConversationRun:
                 )
             dim = width
         ranks = () if self.target_ranks is None else tuple(self.target_ranks)
-        if all(r is None for r in ranks):
-            ranks = None
-        elif len(ranks) != len(turns):
+        if self.target_ranks is not None and len(ranks) != len(turns):
             raise ValidationError(
                 f"{cid}: target_ranks length {len(ranks)} != number of turns {len(turns)}"
             )
-        for t, rank in enumerate(ranks or (), start=1):
+        for t, rank in enumerate(ranks, start=1):
             if rank is not None and (type(rank) is not int or rank < 1):
                 raise ValidationError(f"{cid} turn {t}: target rank must be a positive int or null")
+        if all(r is None for r in ranks):
+            ranks = None
         object.__setattr__(self, "turns", turns)
         object.__setattr__(self, "target_ranks", ranks)
         object.__setattr__(self, "dim", dim)

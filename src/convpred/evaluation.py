@@ -214,9 +214,9 @@ def split_conversations(
 
 def parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
     """The turn pairs (T, T+1) of a train-turn range "T" or "T-U", 1 <= T <= U."""
-    lo, _, hi = text.partition("-")
+    lo, dash, hi = text.partition("-")
     try:
-        start, end = int(lo), int(hi or lo)
+        start, end = int(lo), int(hi if dash else lo)
     except ValueError:
         start = end = 0
     if start < 1 or end < start:
@@ -250,11 +250,11 @@ def _fit_predict(classifier, X_train, y_train, X_test, settings: EvalSettings, c
             learning_rate=settings.ae_learning_rate,
             epochs=settings.ae_epochs,
         )
-        fits = autoencoder.train(X_train, y_train, config, seeds=cell_seeds)
+        fits = autoencoder.train(X_train, y_train, config, cell_seeds)
         return np.array([autoencoder.predict(model, X) for (model, _), X in zip(fits, X_test)])
     if classifier == "forest":
         forest = classifiers.train_forest(
-            X_train, y_train, n_trees=settings.n_trees, seed=cell_seeds, streams=streams
+            X_train, y_train, cell_seeds, n_trees=settings.n_trees, streams=streams
         )
         return classifiers.predict_cls(forest, X_test)
     if classifier == "logreg":

@@ -96,9 +96,9 @@ def test_a2_ae_learning():
     X = features.build_feature_matrix(runs, "pooled", 5, 100).values
     X_train = X[[index[c] for c in split.train_ids]]
     y_train = np.array([labels.label_at(c, 6) for c in split.train_ids])
-    model, trace = autoencoder.train(
-        X_train, y_train,
-        autoencoder.AEConfig(input_dim=X.shape[1], learning_rate=0.01, epochs=100, seed=0),
+    [(model, trace)] = autoencoder.train(
+        X_train[None], y_train[None],
+        autoencoder.AEConfig(input_dim=X.shape[1], learning_rate=0.01, epochs=100, seed=0), [0],
     )
     final_total = autoencoder.mean_losses(model, X_train, y_train)[2]
     assert final_total <= 0.5 * trace.total[0], (
@@ -294,11 +294,11 @@ def test_a9_lasso_behavior():
     true_beta = np.array([1.5, -2.0, 0.0, 0.75, 0.0, 0.0])
     y = (X @ true_beta + 0.3 * rng.standard_normal(60) > 0).astype(int)
 
-    huge = classifiers.train_lasso(X, y, lam=1e6)
+    [huge] = classifiers.train_lasso(X[None], y[None], lam=1e6)
     assert np.all(huge.weights == 0.0)
     assert huge.intercept == y.mean()
 
-    fitted = classifiers.train_lasso(X, y, lam=0.0, iters=5000)
+    [fitted] = classifiers.train_lasso(X[None], y[None], lam=0.0, iters=5000)
     Xs = (X - fitted.input_mean) / fitted.input_scale
     design = np.hstack([np.ones((len(X), 1)), Xs])
     theta = np.linalg.solve(design.T @ design, design.T @ y)
@@ -307,7 +307,7 @@ def test_a9_lasso_behavior():
 
     counts = []
     for lam in (0.0, 0.005, 0.02, 0.05, 0.1, 0.3, 1.0):
-        counts.append(len(classifiers.train_lasso(X, y, lam=lam).nonzero))
+        counts.append(len(classifiers.train_lasso(X[None], y[None], lam=lam)[0].nonzero))
     assert all(a >= b for a, b in zip(counts, counts[1:])), counts
 
 

@@ -156,8 +156,8 @@ class TestTrain:
         X = rng.standard_normal((20, 8))
         y = rng.integers(0, 2, size=20)
         config = AEConfig(input_dim=8, epochs=20, seed=5)
-        model_a, trace_a = train(X, y, config)
-        model_b, trace_b = train(X, y, config)
+        [(model_a, trace_a)] = train(X[None], y[None], config, [config.seed])
+        [(model_b, trace_b)] = train(X[None], y[None], config, [config.seed])
         for name, param in model_a.parameters().items():
             np.testing.assert_array_equal(param, getattr(model_b, name))
         np.testing.assert_array_equal(trace_a.total, trace_b.total)
@@ -167,7 +167,7 @@ class TestTrain:
         X = rng.standard_normal((30, 6))
         y = rng.integers(0, 2, size=30)
         config = AEConfig(input_dim=6, epochs=100, seed=0)
-        _, trace = train(X, y, config)
+        [(_, trace)] = train(X[None], y[None], config, [config.seed])
         assert trace.total.shape == (100,)
         assert np.all(np.isfinite(trace.rec))
         assert np.all(np.isfinite(trace.cls))
@@ -179,17 +179,17 @@ class TestTrain:
         y = np.array([0] * (n // 2) + [1] * (n // 2))
         X = rng.standard_normal((n, 4)) + y[:, None] * 4.0
         config = AEConfig(input_dim=4, epochs=100, seed=1)
-        model, trace = train(X, y, config)
+        [(model, trace)] = train(X[None], y[None], config, [config.seed])
         final = mean_losses(model, X, y)
         assert final[2] < 0.5 * trace.total[0]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            train(np.zeros((0, 4)), [], AEConfig(input_dim=4))
+            train(np.zeros((1, 0, 4)), [[]], AEConfig(input_dim=4), [0])
 
     def test_width_other_than_input_dim_rejected(self):
         with pytest.raises(ValueError, match="^feature width 3 does not match input_dim 4$"):
-            train(np.zeros((4, 3)), [0, 1, 0, 1], AEConfig(input_dim=4))
+            train(np.zeros((1, 4, 3)), [[0, 1, 0, 1]], AEConfig(input_dim=4), [0])
 
     def test_wide_fit_keeps_no_per_epoch_arrays(self):
         """100 epochs of a 140 x 288 batch would be 32 MB as an (epochs, n, d) record."""
@@ -198,7 +198,7 @@ class TestTrain:
         y = np.arange(140) % 2
         tracemalloc.start()
         try:
-            train(X, y, AEConfig(input_dim=288, epochs=100))
+            train(X[None], y[None], AEConfig(input_dim=288, epochs=100), [0])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -206,7 +206,7 @@ class TestTrain:
 
 
 def _assert_same_training(X, y, config):
-    model, trace = train(X, y, config)
+    [(model, trace)] = train(np.asarray(X)[None], np.asarray(y)[None], config, [config.seed])
     params, history = ae_train_brute(X, y, config)
     for name, param in params.items():
         assert np.array_equal(getattr(model, name), param), name
@@ -250,10 +250,11 @@ class TestTrainOracle:
         rng = np.random.default_rng(21)
         X, y = rng.standard_normal((9, 5)), np.arange(9) % 2
         config = AEConfig(input_dim=5, epochs=15, seed=3)
-        first, first_trace = train(X, y, config)
+        [(first, first_trace)] = train(X[None], y[None], config, [config.seed])
         kept = {name: param.copy() for name, param in first.parameters().items()}
-        train(rng.standard_normal((6, 3)), np.arange(6) % 2, AEConfig(input_dim=3, epochs=4))
-        second, second_trace = train(X, y, config)
+        other = AEConfig(input_dim=3, epochs=4)
+        train(rng.standard_normal((1, 6, 3)), [np.arange(6) % 2], other, [other.seed])
+        [(second, second_trace)] = train(X[None], y[None], config, [config.seed])
         for name, param in second.parameters().items():
             assert np.array_equal(param, kept[name]), name
             assert np.array_equal(getattr(first, name), kept[name]), name

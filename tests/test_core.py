@@ -340,6 +340,15 @@ FAULTS = {
                          "c0 turn 1: target rank must be a positive int or null"),
     "target-ranks-length": (VALID_RUN, dict(target_ranks=(3, 1, 1)),
                             "c0: target_ranks length 3 != number of turns 2"),
+    "short-null-ranks": (VALID_RUN, dict(target_ranks=(None,) * 5),
+                         "c0: target_ranks length 5 != number of turns 2"),
+    "bool-turn": (VALID_RANKING, dict(turn=True), "turn True has type bool, not int"),
+    "float-turn": (VALID_RANKING, dict(turn=2.0), "turn 2.0 has type float, not int"),
+    "int-item-id": (VALID_RANKING, dict(items=("a", 7)), "turn 2: item id 7 has type int, not str"),
+    "int-critique": (VALID_RANKING, dict(critique=5), "turn 2: critique 5 has type int, not str"),
+    "int-conversation-id": (VALID_RUN, dict(conversation_id=3),
+                            "conversation_id 3 has type int, not str"),
+    "int-target-id": (VALID_RUN, dict(target_id=4), "c0: target_id 4 has type int, not str"),
 }
 
 

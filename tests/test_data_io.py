@@ -306,13 +306,15 @@ class TestReadValidation:
         assert time.perf_counter() - start < 2.0
 
     @pytest.mark.parametrize("layout", [json.dumps, _canonical])
-    def test_boolean_target_rank_is_refused(self, tmp_path, layout):
-        path = self._write_lines(tmp_path, [layout(self._record(target_ranks=[True, 1]))])
+    @pytest.mark.parametrize("ranks, message", [
+        ([True, 1], "c0 turn 1: target rank must be a positive int or null"),
+        ([None], "c0: target_ranks length 1 != number of turns 2"),
+    ], ids=["boolean", "short-nulls"])
+    def test_bad_target_ranks_are_refused(self, tmp_path, layout, ranks, message):
+        path = self._write_lines(tmp_path, [layout(self._record(target_ranks=ranks))])
         with pytest.raises(ValidationError) as err:
             read_runs(path)
-        assert str(err.value) == (
-            "runs.jsonl line 1: c0 turn 1: target rank must be a positive int or null"
-        )
+        assert str(err.value) == f"runs.jsonl line 1: {message}"
 
     def test_validation_errors_name_the_file_and_line(self, tmp_path):
         """A ranking or run fault is refused at its own line, before a later
@@ -450,6 +452,44 @@ def test_each_written_line_equals_the_reference_serializer(tmp_path_factory, run
         json.dumps(oracle_run_dict(run), separators=(",", ":"), allow_nan=False) for run in runs
     ]
     assert path.read_text(encoding="utf-8").split("\n") == expected + [""]
+
+
+@st.composite
+def _loosely_typed_runs(draw):
+    """The fields of a run whose turns may be bools, floats or numpy ints, whose ids and
+    critiques may be ints or numpy strings, and whose all-null ranks may be short."""
+    n_turns = draw(st.integers(2, 3))
+    turns = []
+    for t in range(1, n_turns + 1):
+        n = draw(st.integers(0, 2))
+        turns.append(dict(
+            turn=draw(st.sampled_from([t, t == 1, float(t), np.int64(t)])),
+            ids=[draw(st.sampled_from([f"i{k}", k, np.str_(f"i{k}")])) for k in range(n)],
+            critique=draw(st.sampled_from([None, "more", 5, np.str_("less")])),
+            n=n,
+        ))
+    ranks = draw(st.none() | st.integers(0, 4).map(lambda k: [None] * k)
+                 | st.lists(st.none() | st.integers(1, 9), min_size=n_turns, max_size=n_turns))
+    return dict(turns=turns, cid=draw(st.sampled_from(["c0", 3, np.str_("c0")])),
+                target=draw(st.sampled_from(["i0", 4])), ranks=ranks)
+
+
+@given(fields=_loosely_typed_runs())
+@settings(max_examples=200, deadline=None)
+def test_a_run_is_refused_when_built_or_reads_back_as_written(tmp_path_factory, fields):
+    try:
+        run = make_run(
+            [make_ranking([float(2 - k) for k in range(turn["n"])],
+                          [[1.0, float(k)] for k in range(turn["n"])],
+                          turn=turn["turn"], ids=turn["ids"], critique=turn["critique"])
+             for turn in fields["turns"]],
+            cid=fields["cid"], target=fields["target"], target_ranks=fields["ranks"],
+        )
+    except ValidationError:
+        return
+    path = tmp_path_factory.mktemp("typed") / "runs.jsonl"
+    write_runs([run], path)
+    assert runs_equal(read_runs(path)[0], run)
 
 
 def _reference_read(path):

@@ -130,7 +130,7 @@ class TestParsePairs:
     def test_ranges(self, text, pairs):
         assert parse_pairs(text) == pairs
 
-    @pytest.mark.parametrize("text", ["x", "", "0-3", "4-2", "-3", "2-x"])
+    @pytest.mark.parametrize("text", ["x", "", "0-3", "4-2", "-3", "2-x", "2-"])
     def test_bad_ranges(self, text):
         with pytest.raises(ValidationError, match="bad --pairs range"):
             parse_pairs(text)
@@ -442,7 +442,7 @@ class TestStackedScenarios:
         def blown(turn):
             """``turn`` with every score huge, its items in id order, as equal scores tie."""
             order = np.argsort(turn.items, kind="stable")
-            return replace(turn, items=tuple(np.array(turn.items)[order]),
+            return replace(turn, items=tuple(turn.items[i] for i in order),
                            scores=np.full(len(order), huge), rows=turn.rows[order])
 
         def huge_from(first, scenario):

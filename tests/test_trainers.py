@@ -14,19 +14,22 @@ from helpers import assert_same_trees, counted_store, drawn_mask
 from oracles import ae_train_brute, forest_brute, forest_predict_brute, logistic_brute
 
 TRAINERS = {
-    "ae-head": lambda X, y: autoencoder.train(X, y, AEConfig(input_dim=3, epochs=2)),
+    "ae-head": lambda X, y: autoencoder.train(X, y, AEConfig(input_dim=3, epochs=2), [0]),
     "logreg": classifiers.train_logistic,
     "lasso": classifiers.train_lasso,
-    "forest": lambda X, y: classifiers.train_forest(X, y, n_trees=2),
+    "forest": lambda X, y: classifiers.train_forest(X, y, [0], n_trees=2),
 }
 
 ROWS = np.arange(12.0).reshape(4, 3)
 BAD_INPUT = {
-    "empty": (np.zeros((0, 3)), [], "non-empty"),
-    "misaligned": (ROWS, [0, 1, 0], "align"),
-    "label 2": (ROWS, [0, 1, 2, 1], "0 or 1"),
-    "fractional label": (ROWS, [0, 0.5, 1, 1], "0 or 1"),
-    "1-D": (np.arange(4.0), [0, 1, 0, 1], "non-empty 2-D array or a stack"),
+    "empty": (np.zeros((1, 0, 3)), [[]], "non-empty"),
+    "misaligned": (ROWS[None], [[0, 1, 0]], "align"),
+    "label 2": (ROWS[None], [[0, 1, 2, 1]], "0 or 1"),
+    "fractional label": (ROWS[None], [[0, 0.5, 1, 1]], "0 or 1"),
+    "1-D": (np.arange(4.0)[None], [[0, 1, 0, 1]], r"^training data must be a non-empty \(P, n, F\) "
+            r"stack, got shape \(1, 4\)$"),
+    "2-D": (ROWS, [0, 1, 0, 1], r"^training data must be a non-empty \(P, n, F\) stack, got shape "
+            r"\(4, 3\)$"),
 }
 
 
@@ -111,7 +114,7 @@ def test_stacked_logistic_matches_oracle(case):
 def test_stacked_lasso_matches_lone_fits(case):
     X, y = STACKS[case]()
     for model, X_p, y_p in zip(classifiers.train_lasso(X, y), X, y):
-        alone = classifiers.train_lasso(X_p, y_p)
+        [alone] = classifiers.train_lasso(X_p[None], y_p[None])
         np.testing.assert_array_equal(model.weights, alone.weights)
         assert (model.intercept, model.history, model.nonzero) == (
             alone.intercept, alone.history, alone.nonzero
@@ -131,7 +134,7 @@ def _assert_stacked_forest(forest, X, y, n_trees, seeds):
 @pytest.mark.parametrize("case", list(STACKS))
 def test_stacked_forest_matches_oracle(case):
     X, y = STACKS[case]()
-    forest = classifiers.train_forest(X, y, n_trees=7, seed=SEEDS[: len(X)])
+    forest = classifiers.train_forest(X, y, SEEDS[: len(X)], n_trees=7)
     _assert_stacked_forest(forest, X, y, 7, SEEDS)
 
 
@@ -144,7 +147,7 @@ def test_forest_matches_oracle_at_protocol_scale():
     y = (X[..., 3] + rng.standard_normal((2, 140)) > 0.9).astype(int)
     assert 0.1 < y.mean() < 0.4
     streams = {}
-    forest = classifiers.train_forest(X, y, n_trees=24, seed=SEEDS[:2], streams=streams)
+    forest = classifiers.train_forest(X, y, SEEDS[:2], n_trees=24, streams=streams)
     assert min(len(store.waves) for store in streams.values()) >= 10
     predicted = classifiers.predict_cls(forest, X)
     for p, seed in enumerate(SEEDS[:2]):
@@ -169,12 +172,12 @@ def test_stacked_forests_of_one_key_share_draws_and_serve_a_later_forest():
     key = (4, 6, 30, 9)
     streams = {}
     store = counted_store(streams, key)
-    forest = classifiers.train_forest(X, y, n_trees=6, seed=4, streams=streams)
+    forest = classifiers.train_forest(X, y, [4, 4], n_trees=6, streams=streams)
     _assert_stacked_forest(forest, X, y, 6, (4, 4))
     alone = []
     for X_p, y_p in zip(X, y):
         own = {}
-        classifiers.train_forest(X_p, y_p, n_trees=6, seed=4, streams=own)
+        classifiers.train_forest(X_p[None], y_p[None], [4], n_trees=6, streams=own)
         alone.append(own[key])
     assert list(streams) == [key]
     assert len(alone[0].waves) < len(alone[1].waves) == len(store.waves)
@@ -187,8 +190,8 @@ def test_stacked_forests_of_one_key_share_draws_and_serve_a_later_forest():
     np.testing.assert_array_equal(drawn_mask(store), expected)
     calls = [tree_rng.calls for tree_rng in store.rngs]
     assert calls == expected.sum(axis=0).tolist()  # each (tree, wave) drawn once
-    later = classifiers.train_forest(X[1], y[1], n_trees=6, seed=4, streams=streams)
-    assert_same_trees(later, later.roots, forest_brute(X[1], y[1], 6, 4))
+    later = classifiers.train_forest(X[1:], y[1:], [4], n_trees=6, streams=streams)
+    assert_same_trees(later, later.roots[0], forest_brute(X[1], y[1], 6, 4))
     assert [tree_rng.calls for tree_rng in store.rngs] == calls
 
 
@@ -197,7 +200,7 @@ def test_stack_needs_a_seed_per_problem():
     with pytest.raises(ValueError, match="^3 seeds for a stack of 2 problems$"):
         autoencoder.train(X, y, AEConfig(input_dim=6, epochs=1), seeds=SEEDS)
     with pytest.raises(ValueError, match="^3 seeds for a stack of 2 problems$"):
-        classifiers.train_forest(X, y, n_trees=2, seed=SEEDS)
+        classifiers.train_forest(X, y, SEEDS, n_trees=2)
 
 
 # ---- columns without a finite spread ----
@@ -218,7 +221,7 @@ def test_standardizing_trainers_refuse_a_column_without_finite_spread(trainer, v
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # and no numpy warning on the way
         with pytest.raises(ValueError, match=r"^column 1 has no finite spread \(std (inf|nan)\)$"):
-            TRAINERS[trainer](X, [0, 1, 0, 1])
+            TRAINERS[trainer](X[None], [[0, 1, 0, 1]])
 
 
 def test_a_stack_names_the_problem_holding_a_column_without_finite_spread():
