@@ -14,13 +14,14 @@ while `mean_losses`, `train` and `predict` accept raw feature rows. Training
 input is checked and standardized by the same helpers in
 :mod:`convpred.classifiers` as the linear trainers'. Like them, `train`
 takes a stack of problems of one shape, and one seed per problem, and
-fits them together. `mean_losses` and `gradients` take one model's rows.
+fits them together. `forward_batch`, `mean_losses` and `gradients` take
+one model's 2-D rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,11 +53,12 @@ _PARAM_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3", "W4", "b4")
 
 @dataclass(frozen=True)
 class AEConfig:
-    """Architecture and training settings.
+    """Architecture and training settings, shared by every model of a stack.
 
     ``hidden_dim`` defaults to ceil(input_dim / 2) and ``bottleneck_dim`` to
     max(2, ceil(input_dim / 4)), giving a genuine bottleneck at every input
-    width. Training is full batch, so a fixed seed makes it bit-reproducible.
+    width. The seed is an argument of `init_model` and `train`, not a setting;
+    training is full batch, so a fixed seed makes it bit-reproducible.
     """
 
     input_dim: int
@@ -64,7 +66,6 @@ class AEConfig:
     bottleneck_dim: int | None = None
     learning_rate: float = 0.01
     epochs: int = 100
-    seed: int = 0
 
     def __post_init__(self):
         if self.input_dim < 1:
@@ -110,9 +111,9 @@ class TrainTrace:
     total: np.ndarray
 
 
-def init_model(config: AEConfig) -> AEModel:
-    """Seeded uniform(-s, s) init with s = sqrt(6 / (fan_in + fan_out)) per layer."""
-    rng = np.random.default_rng(config.seed)
+def init_model(config: AEConfig, seed: int) -> AEModel:
+    """Uniform(-s, s) init with s = sqrt(6 / (fan_in + fan_out)) per layer, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
     d, h, z = config.input_dim, config.hidden_dim, config.bottleneck_dim
     arrays = []
     for fan_in, fan_out in ((d, h), (h, z), (z, d), (z, 2)):
@@ -194,13 +195,19 @@ def _forward_cache(net, batch: np.ndarray, work: _Workspace) -> None:
     probs /= probs.sum(axis=2, keepdims=True, out=work.column)
 
 
-def forward_batch(model: AEModel, batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(reconstructions, class probabilities, bottleneck codes) for a 2-D batch."""
+def _rows(model: AEModel, batch) -> np.ndarray:
+    """``batch`` as float64 rows of the model's width; ValueError naming its shape otherwise."""
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != model.config.input_dim:
         raise ValueError(
             f"batch shape {batch.shape} incompatible with input_dim {model.config.input_dim}"
         )
+    return batch
+
+
+def forward_batch(model: AEModel, batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(reconstructions, class probabilities, bottleneck codes) for a 2-D batch."""
+    batch = _rows(model, batch)
     work = _Workspace(model.config, 1, len(batch))
     _forward_cache(_network(model), batch[None], work)
     return work.recon[0], work.probs[0], work.code[0]
@@ -224,7 +231,7 @@ def _mean_losses_network(sq_sum, picked: np.ndarray, size: int):
 
 def mean_losses(model: AEModel, X, y) -> tuple[float, float, float]:
     """Mean (rec, cls, total) losses over raw rows, standardized with the model stats."""
-    X, labels = check_train_input([X], [y], minimum=1)
+    X, labels = check_train_input(_rows(model, X)[None], [y], minimum=1)
     batch = standardize(X[0], model.input_mean, model.input_scale)[None]
     work = _Workspace(model.config, *labels.shape, labels)
     _forward_cache(_network(model), batch, work)
@@ -259,7 +266,7 @@ def _backward(net, batch: np.ndarray, work: _Workspace) -> None:
 
 def gradients(model: AEModel, X, y) -> dict[str, np.ndarray]:
     """Analytic gradients of the mean total loss over a network-space batch."""
-    batch, labels = check_train_input([X], [y], minimum=1)
+    batch, labels = check_train_input(_rows(model, X)[None], [y], minimum=1)
     work, net = _Workspace(model.config, *labels.shape, labels), _network(model)
     _forward_cache(net, batch, work)
     _backward(net, batch, work)
@@ -270,9 +277,8 @@ def train(X, y, config: AEConfig, seeds) -> list[tuple[AEModel, TrainTrace]]:
     """Full-batch Adam on the joint loss; bit-reproducible given (data, config, seeds).
 
     Fits a stack of P problems, X of shape (P, n, d) and y of shape (P, n),
-    and returns one ``(model, trace)`` pair per problem. ``seeds`` gives
-    each problem's initialization seed, and each problem's model carries
-    its seed in its config in place of ``config.seed``. The problems run
+    and returns one ``(model, trace)`` pair per problem, each model holding
+    ``config`` and each initialized from its problem's seed. The problems run
     every epoch's forward, backward and Adam steps together, in groups of
     at most ``STACK_PARAMS`` parameters (one problem at a time past it).
 
@@ -286,15 +292,13 @@ def train(X, y, config: AEConfig, seeds) -> list[tuple[AEModel, TrainTrace]]:
     with fresh temporaries evaluates, in the same order, so weights and
     trace are the same to the bit.
     """
-    X, labels = check_train_input(X, y)
+    X, labels = check_train_input(X, y, seeds=seeds)
     P, n, d = X.shape
     if d != config.input_dim:
         raise ValueError(f"feature width {d} does not match input_dim {config.input_dim}")
-    if len(seeds) != P:
-        raise ValueError(f"{len(seeds)} seeds for a stack of {P} problems")
     batch, mean, scale = standardize_fit(X)
 
-    models = [init_model(replace(config, seed=seed)) for seed in seeds]
+    models = [init_model(config, seed) for seed in seeds]
     flat = np.stack([
         np.concatenate([param.ravel() for param in model.parameters().values()]) for model in models
     ])

@@ -102,15 +102,20 @@ class ProblemError(ValueError):
         self.problem = problem
 
 
-def check_train_input(X, y, minimum: int = 2) -> tuple[np.ndarray, np.ndarray]:
+def check_train_input(X, y, minimum: int = 2, seeds=None) -> tuple[np.ndarray, np.ndarray]:
     """A stack of P training problems as float64 rows (P, n, F) and int64 labels (P, n).
 
     Raises ValueError unless X is such a stack with at least ``minimum``
-    rows per problem, one label per row and every label 0 or 1.
+    rows per problem, one label per row and every label 0 or 1, and, for
+    the seeded trainers, ``seeds`` a sequence of one seed per problem.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 3 or 0 in X.shape[:-1]:
         raise ValueError(f"training data must be a non-empty (P, n, F) stack, got shape {X.shape}")
+    if seeds is not None and np.shape(seeds) != X.shape[:1]:
+        given = (f"{len(seeds)} seeds" if np.ndim(seeds) == 1
+                 else f"seeds {seeds!r}, not one per problem,")
+        raise ValueError(f"{given} for a stack of {len(X)} problems")
     if X.shape[1] < minimum:
         raise ValueError(f"training needs at least {minimum} sample(s)")
     y = np.asarray(y)
@@ -371,10 +376,8 @@ def train_forest(X, y, seeds, n_trees: int = 100, streams: dict | None = None) -
     """
     if n_trees < 1:
         raise ValueError(f"n_trees must be >= 1, got {n_trees}")
-    X, y = check_train_input(X, y, minimum=1)
+    X, y = check_train_input(X, y, minimum=1, seeds=seeds)
     n_problems, n, n_features = X.shape
-    if len(seeds) != n_problems:
-        raise ValueError(f"{len(seeds)} seeds for a stack of {n_problems} problems")
     streams = {} if streams is None else streams
     for key in {(int(s), n_trees, n, n_features) for s in seeds} - streams.keys():
         streams[key] = _Substreams(*key)

@@ -276,8 +276,8 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def validate_runs(runs, where=None) -> int | None:
-    """Refuse a repeated conversation id or a ``dim`` that differs between runs; return it.
+def validate_runs(runs, where=None) -> None:
+    """Refuse a repeated conversation id or a ``dim`` that differs between runs.
 
     Each run checked itself when it was built. ``where``, if given, holds one
     label per run (a file and line, say), and the error raised for a run
@@ -295,7 +295,6 @@ def validate_runs(runs, where=None) -> int | None:
             dim = dim or run.dim
             continue
         raise ValidationError(fault if where is None else f"{where[k]}: {fault}")
-    return dim
 
 
 def runs_equal(a: ConversationRun, b: ConversationRun) -> bool:

@@ -76,12 +76,19 @@ MCNEMAR_CRITICAL = 3.841459  # chi-squared, 1 dof, p = 0.05
 
 @dataclass(frozen=True)
 class Split:
-    """Disjoint train/test conversation ids covering the full set."""
+    """Disjoint train/test conversation ids: construction refuses an id listed twice."""
 
     train_ids: tuple[str, ...]
     test_ids: tuple[str, ...]
     stratified: bool
     warnings: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        listed = set()
+        for cid in self.train_ids + self.test_ids:
+            if cid in listed:
+                raise ValidationError(f"split lists conversation {cid!r} more than once")
+            listed.add(cid)
 
 
 @dataclass(frozen=True)
@@ -160,16 +167,13 @@ def split_conversations(
     """Seeded conversation-level split with |train| = round(ratio * n).
 
     The ids are sorted before the seeded permutation, so the split depends on
-    the set of ids, not on their order. When stratified, the ratio holds
-    within each label class up to rounding (largest-remainder allocation
-    keeps the total exact). A class with fewer than 2 members falls back to
-    an unstratified shuffle with a warning. A repeated id, which could land
-    on both sides, and a ratio that leaves either side empty are errors.
+    the set of ids, not on their order. The shuffled ids are allocated by
+    largest remainder per label class when stratified (the ratio holds in
+    each class up to rounding, the total exactly), and as one class when not
+    or when a class has fewer than 2 members (with a warning). A ratio that
+    leaves either side empty is an error, and so is a repeated id (see Split).
     """
     ids = sorted(ids)
-    for cid, following in zip(ids, ids[1:]):
-        if cid == following:
-            raise ValueError(f"conversation {cid!r} is listed more than once")
     n = len(ids)
     if n < 2:
         raise ValueError("need at least 2 conversations to split")
@@ -181,35 +185,31 @@ def split_conversations(
         raise ValueError(f"split ratio {ratio} leaves the {side} side empty for {n} conversations")
     rng = np.random.default_rng(seed)
     shuffled = [ids[i] for i in rng.permutation(n)]
+    by_class: dict = {None: shuffled}  # a plain split allocates one class
     warnings: tuple[str, ...] = ()
-
     if stratified:
-        by_class: dict[int, list[str]] = {}
+        by_class = {}
         for cid in shuffled:
             if cid not in final_labels:
                 raise ValidationError(f"labels missing conversation {cid!r}")
             by_class.setdefault(final_labels[cid], []).append(cid)
         if any(len(members) < 2 for members in by_class.values()):
             warnings = ("stratification fell back to plain shuffling: a class has < 2 members",)
-            stratified = False
-        else:
-            quotas = {label: ratio * len(members) for label, members in by_class.items()}
-            take = {label: int(np.floor(q)) for label, q in quotas.items()}
-            leftover = n_train - sum(take.values())
-            for label in sorted(quotas, key=lambda c: (-(quotas[c] - take[c]), c)):
-                if leftover <= 0:
-                    break
-                take[label] += 1
-                leftover -= 1
-            train: list[str] = []
-            test: list[str] = []
-            for label in sorted(by_class):
-                members = by_class[label]
-                train.extend(members[: take[label]])
-                test.extend(members[take[label] :])
-            return Split(tuple(train), tuple(test), True, warnings)
-
-    return Split(tuple(shuffled[:n_train]), tuple(shuffled[n_train:]), stratified, warnings)
+            by_class, stratified = {None: shuffled}, False
+    quotas = {label: ratio * len(members) for label, members in by_class.items()}
+    take = {label: int(np.floor(q)) for label, q in quotas.items()}
+    leftover = n_train - sum(take.values())
+    for label in sorted(quotas, key=lambda c: (-(quotas[c] - take[c]), c)):
+        if leftover <= 0:
+            break
+        take[label] += 1
+        leftover -= 1
+    train, test = [], []
+    for label in sorted(by_class):
+        members = by_class[label]
+        train.extend(members[: take[label]])
+        test.extend(members[take[label] :])
+    return Split(tuple(train), tuple(test), stratified, warnings)
 
 
 def parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
@@ -276,9 +276,9 @@ def _feature_kind(predictor: str, classifier: str) -> str:
 
 def _check_cells(runs, labels: LabelSet, split: Split, pairs):
     """The usable pairs, each run's row index and warnings naming the
-    skipped pairs, after checking that the split lists each conversation
-    once, on one side, and that the split and the labels cover the runs up
-    to the last evaluation turn.
+    skipped pairs, after checking that every id of the split names a run
+    and has labels up to the last evaluation turn. (The split itself lists
+    each id once, on one side.)
 
     A pair (T, T+1) is usable when 1 <= T and T+1 is within every run; the
     others are skipped, and no runs or no usable pair at all is an error.
@@ -292,11 +292,7 @@ def _check_cells(runs, labels: LabelSet, split: Split, pairs):
         raise ValueError(f"no usable turn pairs among {skipped} for runs with {n_turns} turns")
     warnings = [f"skipped turn pairs {skipped} (runs have {n_turns} turns)"] if skipped else []
     by_id = {run.conversation_id: i for i, run in enumerate(runs)}
-    listed = set()
     for cid in split.train_ids + split.test_ids:
-        if cid in listed:
-            raise ValidationError(f"split lists conversation {cid!r} more than once")
-        listed.add(cid)
         if cid not in by_id:
             raise ValidationError(f"split references unknown conversation {cid!r}")
         if cid not in labels.labels:
@@ -399,10 +395,8 @@ def run_turn_pair(
     (scenario, grid row) of a protocol grid. Each grid row's cells of a pair
     are fitted together, forests of one key share their draws, and the
     report lists each problem's rows in turn. Unequal lengths raise
-    ValueError.
+    ValueError, as does another mode (at the first cell's features).
     """
-    if mode not in ("multi", "single"):
-        raise ValueError(f"mode must be 'multi' or 'single', got {mode!r}")
     if isinstance(labels, LabelSet):
         runs, labels, predictor, classifier, split = [runs], [labels], [predictor], [classifier], [split]
     zipped = list(zip(runs, labels, predictor, classifier, split, strict=True))

@@ -73,10 +73,8 @@ def _pair_values(square: np.ndarray) -> np.ndarray:
 
 
 def _unit_rows(mat: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(mat, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise ValueError("found a zero-norm embedding")
-    return mat / norms
+    """Each row over its norm; a ranking's rows have none of norm 0 (the ranking refuses one)."""
+    return mat / np.linalg.norm(mat, axis=1, keepdims=True)
 
 
 def _cosine_matrix(mat: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ Adam update per parameter array in every epoch. The generator oracle sorts
 the whole catalogue each turn, and the logistic oracle is the earlier
 per-step loop with masked sigmoid branches. The run-record oracle builds a
 run from a ``json.loads`` dict field by field, without the reader's helpers.
+The split oracle is the package's earlier split, with a separate plain path.
 """
 
 import itertools
@@ -170,7 +171,7 @@ def _ae_forward_cache(params, batch):
     return hidden, pre_code, code, recon, probs
 
 
-def ae_train_brute(X, y, config):
+def ae_train_brute(X, y, config, seed):
     """Full-batch Adam as the package trained before it shared one forward pass per epoch.
 
     Returns the trained parameters by name and the (rec, cls, total) loss
@@ -186,7 +187,7 @@ def ae_train_brute(X, y, config):
     scale = X.std(axis=0)
     scale[scale == 0.0] = 1.0
     batch = (X - mean) / scale
-    params = {name: param.copy() for name, param in init_model(config).parameters().items()}
+    params = {name: param.copy() for name, param in init_model(config, seed).parameters().items()}
     moment1 = {name: np.zeros_like(p) for name, p in params.items()}
     moment2 = {name: np.zeros_like(p) for name, p in params.items()}
     history = np.empty((3, config.epochs))
@@ -452,3 +453,54 @@ def logistic_brute(X, y, lr=0.1, iters=500):
         w -= lr * (Xs.T @ resid) / n
         b -= lr * float(resid.mean())
     return w, b, tuple(history)
+
+
+def split_brute(ids, final_labels, ratio=0.7, seed=0, stratified=True):
+    """The package's earlier two-path split: a plain shuffle, or a largest-remainder
+    allocation per label class. Returns (train ids, test ids, stratified, warnings).
+    Only the error class comes from the package."""
+    from convpred.core import ValidationError
+
+    ids = sorted(ids)
+    for cid, following in zip(ids, ids[1:]):
+        if cid == following:
+            raise ValueError(f"conversation {cid!r} is listed more than once")
+    n = len(ids)
+    if n < 2:
+        raise ValueError("need at least 2 conversations to split")
+    if not 0.0 < ratio < 1.0:
+        raise ValueError(f"ratio must be in (0, 1), got {ratio}")
+    n_train = int(math.floor(ratio * n + 0.5))
+    if not 0 < n_train < n:
+        side = "train" if n_train == 0 else "test"
+        raise ValueError(f"split ratio {ratio} leaves the {side} side empty for {n} conversations")
+    rng = np.random.default_rng(seed)
+    shuffled = [ids[i] for i in rng.permutation(n)]
+    warnings = ()
+
+    if stratified:
+        by_class = {}
+        for cid in shuffled:
+            if cid not in final_labels:
+                raise ValidationError(f"labels missing conversation {cid!r}")
+            by_class.setdefault(final_labels[cid], []).append(cid)
+        if any(len(members) < 2 for members in by_class.values()):
+            warnings = ("stratification fell back to plain shuffling: a class has < 2 members",)
+            stratified = False
+        else:
+            quotas = {label: ratio * len(members) for label, members in by_class.items()}
+            take = {label: int(np.floor(q)) for label, q in quotas.items()}
+            leftover = n_train - sum(take.values())
+            for label in sorted(quotas, key=lambda c: (-(quotas[c] - take[c]), c)):
+                if leftover <= 0:
+                    break
+                take[label] += 1
+                leftover -= 1
+            train, test = [], []
+            for label in sorted(by_class):
+                members = by_class[label]
+                train.extend(members[: take[label]])
+                test.extend(members[take[label] :])
+            return tuple(train), tuple(test), True, warnings
+
+    return tuple(shuffled[:n_train]), tuple(shuffled[n_train:]), stratified, warnings

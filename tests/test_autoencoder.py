@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,9 +20,8 @@ from oracles import ae_forward_brute, ae_train_brute, finite_diff_gradients
 
 
 def small_model(seed=0, input_dim=8, hidden=4, bottleneck=2):
-    return init_model(
-        AEConfig(input_dim=input_dim, hidden_dim=hidden, bottleneck_dim=bottleneck, seed=seed)
-    )
+    config = AEConfig(input_dim=input_dim, hidden_dim=hidden, bottleneck_dim=bottleneck)
+    return init_model(config, seed)
 
 
 def forward_one(model, x):
@@ -59,6 +59,11 @@ class TestConfig:
         for widths in ({"hidden_dim": 0}, {"bottleneck_dim": 0}):
             with pytest.raises(ValueError, match="^hidden_dim and bottleneck_dim must be >= 1$"):
                 AEConfig(input_dim=4, **widths)
+
+    def test_seed_is_not_a_setting(self):
+        """init_model and train take the seed; the config holds none."""
+        with pytest.raises(TypeError, match="seed"):
+            AEConfig(input_dim=4, seed=0)
 
 
 class TestForward:
@@ -135,6 +140,16 @@ class TestLosses:
             losses_one(small_model(), np.zeros(8), 2)
 
 
+@pytest.mark.parametrize("rows, labels", [(np.zeros(8), [0]), (np.zeros((2, 5)), [0, 1])],
+                         ids=["1-D", "narrow"])
+@pytest.mark.parametrize("function", [mean_losses, gradients])
+def test_one_model_rows_are_checked_as_given(function, rows, labels):
+    """The error names the caller's shape and the model's width, as forward_batch's does."""
+    shape = re.escape(str(rows.shape))
+    with pytest.raises(ValueError, match=f"^batch shape {shape} incompatible with input_dim 8$"):
+        function(small_model(), rows, labels)
+
+
 class TestGradients:
     @pytest.mark.parametrize("seed", range(4))
     def test_finite_difference_check(self, seed):
@@ -155,9 +170,9 @@ class TestTrain:
         rng = np.random.default_rng(9)
         X = rng.standard_normal((20, 8))
         y = rng.integers(0, 2, size=20)
-        config = AEConfig(input_dim=8, epochs=20, seed=5)
-        [(model_a, trace_a)] = train(X[None], y[None], config, [config.seed])
-        [(model_b, trace_b)] = train(X[None], y[None], config, [config.seed])
+        config = AEConfig(input_dim=8, epochs=20)
+        [(model_a, trace_a)] = train(X[None], y[None], config, [5])
+        [(model_b, trace_b)] = train(X[None], y[None], config, [5])
         for name, param in model_a.parameters().items():
             np.testing.assert_array_equal(param, getattr(model_b, name))
         np.testing.assert_array_equal(trace_a.total, trace_b.total)
@@ -166,8 +181,8 @@ class TestTrain:
         rng = np.random.default_rng(10)
         X = rng.standard_normal((30, 6))
         y = rng.integers(0, 2, size=30)
-        config = AEConfig(input_dim=6, epochs=100, seed=0)
-        [(_, trace)] = train(X[None], y[None], config, [config.seed])
+        config = AEConfig(input_dim=6, epochs=100)
+        [(_, trace)] = train(X[None], y[None], config, [0])
         assert trace.total.shape == (100,)
         assert np.all(np.isfinite(trace.rec))
         assert np.all(np.isfinite(trace.cls))
@@ -178,8 +193,8 @@ class TestTrain:
         n = 40
         y = np.array([0] * (n // 2) + [1] * (n // 2))
         X = rng.standard_normal((n, 4)) + y[:, None] * 4.0
-        config = AEConfig(input_dim=4, epochs=100, seed=1)
-        [(model, trace)] = train(X[None], y[None], config, [config.seed])
+        config = AEConfig(input_dim=4, epochs=100)
+        [(model, trace)] = train(X[None], y[None], config, [1])
         final = mean_losses(model, X, y)
         assert final[2] < 0.5 * trace.total[0]
 
@@ -205,9 +220,9 @@ class TestTrain:
         assert peak < 10_000_000, f"peak {peak} bytes"
 
 
-def _assert_same_training(X, y, config):
-    [(model, trace)] = train(np.asarray(X)[None], np.asarray(y)[None], config, [config.seed])
-    params, history = ae_train_brute(X, y, config)
+def _assert_same_training(X, y, config, seed):
+    [(model, trace)] = train(np.asarray(X)[None], np.asarray(y)[None], config, [seed])
+    params, history = ae_train_brute(X, y, config, seed)
     for name, param in params.items():
         assert np.array_equal(getattr(model, name), param), name
     for row, name in zip(history, ("rec", "cls", "total")):
@@ -224,7 +239,7 @@ class TestTrainOracle:
         rng = np.random.default_rng(1000 * n + width + epochs)
         X = rng.standard_normal((n, width)) * rng.uniform(0.1, 10.0, width)
         y = np.arange(n) % 2
-        _assert_same_training(X, y, AEConfig(input_dim=width, epochs=epochs, seed=n + width))
+        _assert_same_training(X, y, AEConfig(input_dim=width, epochs=epochs), n + width)
 
     @pytest.mark.parametrize(
         "overrides",
@@ -239,28 +254,28 @@ class TestTrainOracle:
         X = rng.standard_normal((17, 12))
         X[:, 3] = 2.0  # a constant column keeps scale 1
         y = rng.integers(0, 2, size=17)
-        _assert_same_training(X, y, AEConfig(input_dim=12, epochs=20, seed=4, **overrides))
+        _assert_same_training(X, y, AEConfig(input_dim=12, epochs=20, **overrides), 4)
 
     def test_matches_at_the_smallest_shape(self):
         X = np.array([[0.5], [-1.5]])
-        config = AEConfig(input_dim=1, hidden_dim=1, bottleneck_dim=1, epochs=1, seed=2)
-        _assert_same_training(X, [0, 1], config)
+        config = AEConfig(input_dim=1, hidden_dim=1, bottleneck_dim=1, epochs=1)
+        _assert_same_training(X, [0, 1], config, 2)
 
     def test_consecutive_fits_share_no_state(self):
         rng = np.random.default_rng(21)
         X, y = rng.standard_normal((9, 5)), np.arange(9) % 2
-        config = AEConfig(input_dim=5, epochs=15, seed=3)
-        [(first, first_trace)] = train(X[None], y[None], config, [config.seed])
+        config = AEConfig(input_dim=5, epochs=15)
+        [(first, first_trace)] = train(X[None], y[None], config, [3])
         kept = {name: param.copy() for name, param in first.parameters().items()}
         other = AEConfig(input_dim=3, epochs=4)
-        train(rng.standard_normal((1, 6, 3)), [np.arange(6) % 2], other, [other.seed])
-        [(second, second_trace)] = train(X[None], y[None], config, [config.seed])
+        train(rng.standard_normal((1, 6, 3)), [np.arange(6) % 2], other, [0])
+        [(second, second_trace)] = train(X[None], y[None], config, [3])
         for name, param in second.parameters().items():
             assert np.array_equal(param, kept[name]), name
             assert np.array_equal(getattr(first, name), kept[name]), name
         for name in ("rec", "cls", "total"):
             assert np.array_equal(getattr(first_trace, name), getattr(second_trace, name)), name
-        _assert_same_training(X, y, config)
+        _assert_same_training(X, y, config, 3)
 
     @given(
         st.integers(2, 30), st.integers(1, 40), st.integers(1, 12), st.integers(0, 2**32 - 1)
@@ -270,7 +285,7 @@ class TestTrainOracle:
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((n, width))
         y = rng.integers(0, 2, size=n)
-        _assert_same_training(X, y, AEConfig(input_dim=width, epochs=epochs, seed=seed % 1000))
+        _assert_same_training(X, y, AEConfig(input_dim=width, epochs=epochs), seed % 1000)
 
 
 class TestPredict:

@@ -1,4 +1,5 @@
 import gc
+import re
 import warnings
 import weakref
 from collections import Counter
@@ -31,6 +32,7 @@ from convpred.evaluation import (
 )
 from convpred.features import FEATURE_KINDS, build_feature_matrix, turn_features
 from convpred.scenario import LabelSet, induce_missing, label_runs
+from oracles import split_brute
 
 
 SMALL_GEN = GenConfig(
@@ -107,10 +109,29 @@ class TestSplit:
             split_conversations(["c0"], {"c0": 1})
 
     def test_repeated_id_is_refused(self):
-        """A repeated id could land on both sides of the split."""
+        """A repeated id could land on both sides of the split, which the Split refuses."""
         labels = {"a": 0, "b": 1, "c": 1, "d": 0, "e": 0, "f": 1, "g": 0}
-        with pytest.raises(ValueError, match="^conversation 'a' is listed more than once$"):
+        with pytest.raises(ValidationError, match="^split lists conversation 'a' more than once$"):
             split_conversations(["a", "a", "b", "c", "d", "e", "f", "g"], labels, seed=2)
+
+    @given(st.lists(st.text("abcd", min_size=1, max_size=3), unique=True, max_size=40),
+           st.lists(st.sampled_from([0, 1]), min_size=40, max_size=40),
+           st.none() | st.integers(0, 39),
+           st.sampled_from([0.0, 0.04, 0.3, 0.5, 0.7, 0.96, 1.0]) | st.floats(0.0, 1.0),
+           st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_two_path_oracle(self, ids, marks, unlabeled, ratio, seed, stratified):
+        """One largest-remainder allocation, a plain split being its one-class case, gives
+        the earlier plain and stratified paths' ids, order, flag and warnings, or their error."""
+        labels = {cid: mark for k, (cid, mark) in enumerate(zip(ids, marks)) if k != unlabeled}
+        try:
+            expected = split_brute(ids, labels, ratio=ratio, seed=seed, stratified=stratified)
+        except ValueError as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                split_conversations(ids, labels, ratio=ratio, seed=seed, stratified=stratified)
+            return
+        split = split_conversations(ids, labels, ratio=ratio, seed=seed, stratified=stratified)
+        assert (split.train_ids, split.test_ids, split.stratified, split.warnings) == expected
 
     @pytest.mark.parametrize("ratio", [0.0, 1.0, float("nan")])
     def test_ratio_outside_the_open_unit_interval(self, ratio):
@@ -186,18 +207,19 @@ class TestTurnPair:
         with pytest.raises(ValidationError, match="labels missing"):
             run_turn_pair(runs, broken, "wand", "logreg", split, pairs=[(2, 3)], settings=SETTINGS)
 
-    @pytest.mark.parametrize("case", ["both sides", "train twice"])
+    @pytest.mark.parametrize("case", ["both sides", "train twice", "test twice"])
     def test_split_listing_a_conversation_twice_is_refused(self, small_world, case):
-        """Train and test never overlap, even in a split built by hand."""
-        runs, labels, split = small_world
+        """Train and test never overlap, even in a split built by hand: it is refused when built."""
+        _, _, split = small_world
         ids = split.train_ids + split.test_ids
-        bad, repeated = {
-            "both sides": (Split(ids[:6], ids[4:], True), ids[4]),
-            "train twice": (Split(ids[:6] + ids[:1], ids[6:], True), ids[0]),
+        train, test, repeated = {
+            "both sides": (ids[:6], ids[4:], ids[4]),
+            "train twice": (ids[:6] + ids[:1], ids[6:], ids[0]),
+            "test twice": (ids[:6], ids[6:] + ids[-1:], ids[-1]),
         }[case]
         with pytest.raises(ValidationError,
                            match=f"^split lists conversation '{repeated}' more than once$"):
-            run_turn_pair(runs, labels, "score", "logreg", bad, pairs=[(2, 3)], settings=SETTINGS)
+            Split(train, test, True)
 
     def test_split_and_labels_must_cover_the_runs(self, small_world):
         runs, labels, split = small_world

@@ -2,8 +2,8 @@
 stacks of problems that fit as if alone, and refuse columns without a finite
 spread."""
 
+import re
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -79,8 +79,8 @@ def test_stacked_autoencoder_matches_oracle(case):
     fits = autoencoder.train(X, y, config, seeds=SEEDS[: len(X)])
     assert len(fits) == len(X)
     for (model, trace), X_p, y_p, seed in zip(fits, X, y, SEEDS):
-        params, history = ae_train_brute(X_p, y_p, replace(config, seed=seed))
-        assert model.config.seed == seed
+        params, history = ae_train_brute(X_p, y_p, config, seed)
+        assert model.config is config
         for name, value in params.items():
             np.testing.assert_array_equal(getattr(model, name), value)
         np.testing.assert_array_equal(np.stack([trace.rec, trace.cls, trace.total]), history)
@@ -89,12 +89,12 @@ def test_stacked_autoencoder_matches_oracle(case):
 def test_stack_wider_than_one_fit_trains_its_problems_one_at_a_time():
     X, y = _problems(2, width=160, seed=5)  # 22762 parameters each, over half of STACK_PARAMS
     config = AEConfig(input_dim=160, epochs=5)
-    assert 2 * sum(p.size for p in autoencoder.init_model(config).parameters().values()) > (
+    assert 2 * sum(p.size for p in autoencoder.init_model(config, 0).parameters().values()) > (
         autoencoder.STACK_PARAMS
     )
     fits = autoencoder.train(X, y, config, seeds=SEEDS[:2])
     for (model, _), X_p, y_p, seed in zip(fits, X, y, SEEDS):
-        params, _ = ae_train_brute(X_p, y_p, replace(config, seed=seed))
+        params, _ = ae_train_brute(X_p, y_p, config, seed)
         for name, value in params.items():
             np.testing.assert_array_equal(getattr(model, name), value)
 
@@ -195,12 +195,25 @@ def test_stacked_forests_of_one_key_share_draws_and_serve_a_later_forest():
     assert [tree_rng.calls for tree_rng in store.rngs] == calls
 
 
-def test_stack_needs_a_seed_per_problem():
+SEEDED = {
+    "ae-head": lambda X, y, seeds: autoencoder.train(X, y, AEConfig(input_dim=X.shape[2]), seeds),
+    "forest": lambda X, y, seeds: classifiers.train_forest(X, y, seeds, n_trees=2),
+}
+
+
+@pytest.mark.parametrize("trainer", list(SEEDED))
+def test_stack_needs_a_seed_per_problem(trainer):
     X, y = _problems(2)
     with pytest.raises(ValueError, match="^3 seeds for a stack of 2 problems$"):
-        autoencoder.train(X, y, AEConfig(input_dim=6, epochs=1), seeds=SEEDS)
-    with pytest.raises(ValueError, match="^3 seeds for a stack of 2 problems$"):
-        classifiers.train_forest(X, y, SEEDS, n_trees=2)
+        SEEDED[trainer](X, y, SEEDS)
+
+
+@pytest.mark.parametrize("seeds", [5, [[0, 1]]], ids=["scalar", "nested"])
+@pytest.mark.parametrize("trainer", list(SEEDED))
+def test_seeded_trainers_refuse_seeds_not_one_per_problem(trainer, seeds):
+    with pytest.raises(ValueError, match=rf"^seeds {re.escape(repr(seeds))}, not one per problem, "
+                                         r"for a stack of 1 problems$"):
+        SEEDED[trainer](np.zeros((1, 2, 3)), [[0, 1]], seeds)
 
 
 # ---- columns without a finite spread ----
