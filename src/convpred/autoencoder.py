@@ -15,7 +15,7 @@ input is checked and standardized by the same helpers in
 :mod:`convpred.classifiers` as the linear trainers'. Like them, `train`
 takes a stack of problems of one shape, and one seed per problem, and
 fits them together. `forward_batch`, `mean_losses` and `gradients` take
-one model's 2-D rows.
+one model's 2-D rows. An `AEConfig` holds no width: it is the rows'.
 """
 
 from __future__ import annotations
@@ -53,33 +53,34 @@ _PARAM_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3", "W4", "b4")
 
 @dataclass(frozen=True)
 class AEConfig:
-    """Architecture and training settings, shared by every model of a stack.
+    """Training settings, shared by every model of a stack and by stacks of any width.
 
-    ``hidden_dim`` defaults to ceil(input_dim / 2) and ``bottleneck_dim`` to
-    max(2, ceil(input_dim / 4)), giving a genuine bottleneck at every input
-    width. The seed is an argument of `init_model` and `train`, not a setting;
-    training is full batch, so a fixed seed makes it bit-reproducible.
+    ``widths`` gives the layer widths for rows of width d: ``hidden_dim``
+    defaults to ceil(d / 2) and ``bottleneck_dim`` to max(2, ceil(d / 4)),
+    giving a genuine bottleneck at every input width. The seed is an
+    argument of `init_model` and `train`, not a setting; training is full
+    batch, so a fixed seed makes it bit-reproducible.
     """
 
-    input_dim: int
     hidden_dim: int | None = None
     bottleneck_dim: int | None = None
     learning_rate: float = 0.01
     epochs: int = 100
 
     def __post_init__(self):
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1")
-        if self.hidden_dim is None:
-            object.__setattr__(self, "hidden_dim", max(1, -(-self.input_dim // 2)))
-        if self.bottleneck_dim is None:
-            object.__setattr__(self, "bottleneck_dim", max(2, -(-self.input_dim // 4)))
-        if self.hidden_dim < 1 or self.bottleneck_dim < 1:
-            raise ValueError("hidden_dim and bottleneck_dim must be >= 1")
+        for name in ("hidden_dim", "bottleneck_dim"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+
+    def widths(self, d: int) -> tuple[int, int, int]:
+        """(input, hidden, bottleneck) widths of a model of rows of width ``d`` >= 1."""
+        if d < 1:
+            raise ValueError(f"rows must have width >= 1, got {d}")
+        return d, self.hidden_dim or max(1, -(-d // 2)), self.bottleneck_dim or max(2, -(-d // 4))
 
 
 @dataclass(eq=False)
@@ -111,10 +112,10 @@ class TrainTrace:
     total: np.ndarray
 
 
-def init_model(config: AEConfig, seed: int) -> AEModel:
-    """Uniform(-s, s) init with s = sqrt(6 / (fan_in + fan_out)) per layer, drawn from ``seed``."""
+def init_model(config: AEConfig, d: int, seed: int) -> AEModel:
+    """A model of d-wide rows, Uniform(-s, s) per layer with s = sqrt(6 / (fan_in + fan_out))."""
     rng = np.random.default_rng(seed)
-    d, h, z = config.input_dim, config.hidden_dim, config.bottleneck_dim
+    d, h, z = config.widths(d)
     arrays = []
     for fan_in, fan_out in ((d, h), (h, z), (z, d), (z, 2)):
         s = math.sqrt(6.0 / (fan_in + fan_out))
@@ -123,16 +124,16 @@ def init_model(config: AEConfig, seed: int) -> AEModel:
     return AEModel(config, *arrays, input_mean=np.zeros(d), input_scale=np.ones(d))
 
 
-def _shapes(config: AEConfig) -> list[tuple[int, ...]]:
-    """The parameter shapes in ``_PARAM_NAMES`` order, each bias ``(fan_out,)``: the
-    model's, its gradients' and those of the views of a flat parameter vector."""
-    d, h, z = config.input_dim, config.hidden_dim, config.bottleneck_dim
+def _shapes(d: int, h: int, z: int) -> list[tuple[int, ...]]:
+    """The parameter shapes of widths (d, h, z) in ``_PARAM_NAMES`` order, each bias ``(fan_out,)``:
+    the model's, its gradients' and those of the views of a flat parameter vector."""
     return [(d, h), (h,), (h, z), (z,), (z, d), (d,), (z, 2), (2,)]
 
 
-def _network(model: AEModel) -> list[np.ndarray]:
-    """The model's parameters as a stack of one."""
-    return [param[None] for param in model.parameters().values()]
+def _stack_of_one(model: AEModel, n: int, labels=None) -> tuple[list[np.ndarray], "_Workspace"]:
+    """The model's parameters as a stack of one, and a workspace for n of its rows."""
+    net = [param[None] for param in model.parameters().values()]
+    return net, _Workspace((*model.W1.shape, model.W2.shape[1]), 1, n, labels)
 
 
 class _Workspace:
@@ -145,8 +146,8 @@ class _Workspace:
     leading problem axis before the shape ``_shapes`` gives it.
     """
 
-    def __init__(self, config: AEConfig, P: int, n: int, labels=None):
-        d, h, z = config.input_dim, config.hidden_dim, config.bottleneck_dim
+    def __init__(self, widths: tuple[int, int, int], P: int, n: int, labels=None):
+        d, h, z = widths
         self.hidden, self.recon = np.empty((P, n, h)), np.empty((P, n, d))
         self.pre_code, self.code = np.empty((P, n, z)), np.empty((P, n, z))
         self.probs, self.column = np.empty((P, n, 2)), np.empty((P, n, 1))
@@ -159,7 +160,7 @@ class _Workspace:
         self.d_code, self.d_code_cls = np.empty((P, n, z)), np.empty((P, n, z))
         self.d_logits = np.empty((P, n, 2))
         self.active = np.empty((P, n, z), dtype=bool)
-        shapes = _shapes(config)
+        shapes = _shapes(d, h, z)
         self.grad = np.empty((P, sum(math.prod(shape) for shape in shapes)))
         self.grads = _views(self.grad, shapes)
 
@@ -195,21 +196,22 @@ def _forward_cache(net, batch: np.ndarray, work: _Workspace) -> None:
     probs /= probs.sum(axis=2, keepdims=True, out=work.column)
 
 
-def _rows(model: AEModel, batch) -> np.ndarray:
-    """``batch`` as float64 rows of the model's width; ValueError naming its shape otherwise."""
+def _rows(model: AEModel, batch, empty: bool = True) -> np.ndarray:
+    """``batch`` as float64 rows of the model's width (``W1``'s rows), and unless
+    ``empty`` at least one; ValueError naming its shape otherwise."""
     batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != model.config.input_dim:
-        raise ValueError(
-            f"batch shape {batch.shape} incompatible with input_dim {model.config.input_dim}"
-        )
+    if batch.ndim != 2 or batch.shape[1] != len(model.W1):
+        raise ValueError(f"batch shape {batch.shape} incompatible with model width {len(model.W1)}")
+    if not (empty or len(batch)):
+        raise ValueError(f"batch shape {batch.shape} has no rows")
     return batch
 
 
 def forward_batch(model: AEModel, batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(reconstructions, class probabilities, bottleneck codes) for a 2-D batch."""
     batch = _rows(model, batch)
-    work = _Workspace(model.config, 1, len(batch))
-    _forward_cache(_network(model), batch[None], work)
+    net, work = _stack_of_one(model, len(batch))
+    _forward_cache(net, batch[None], work)
     return work.recon[0], work.probs[0], work.code[0]
 
 
@@ -231,10 +233,10 @@ def _mean_losses_network(sq_sum, picked: np.ndarray, size: int):
 
 def mean_losses(model: AEModel, X, y) -> tuple[float, float, float]:
     """Mean (rec, cls, total) losses over raw rows, standardized with the model stats."""
-    X, labels = check_train_input(_rows(model, X)[None], [y], minimum=1)
+    X, labels = check_train_input(_rows(model, X, empty=False)[None], [y], minimum=1)
     batch = standardize(X[0], model.input_mean, model.input_scale)[None]
-    work = _Workspace(model.config, *labels.shape, labels)
-    _forward_cache(_network(model), batch, work)
+    net, work = _stack_of_one(model, len(X[0]), labels)
+    _forward_cache(net, batch, work)
     picked = np.empty(labels.shape)
     losses = _mean_losses_network(_loss_sums(batch, work, picked), picked, X.size)
     return tuple(float(loss[0]) for loss in losses)
@@ -266,8 +268,8 @@ def _backward(net, batch: np.ndarray, work: _Workspace) -> None:
 
 def gradients(model: AEModel, X, y) -> dict[str, np.ndarray]:
     """Analytic gradients of the mean total loss over a network-space batch."""
-    batch, labels = check_train_input(_rows(model, X)[None], [y], minimum=1)
-    work, net = _Workspace(model.config, *labels.shape, labels), _network(model)
+    batch, labels = check_train_input(_rows(model, X, empty=False)[None], [y], minimum=1)
+    net, work = _stack_of_one(model, len(batch[0]), labels)
     _forward_cache(net, batch, work)
     _backward(net, batch, work)
     return {name: grad[0] for name, grad in zip(_PARAM_NAMES, work.grads)}
@@ -278,7 +280,8 @@ def train(X, y, config: AEConfig, seeds) -> list[tuple[AEModel, TrainTrace]]:
 
     Fits a stack of P problems, X of shape (P, n, d) and y of shape (P, n),
     and returns one ``(model, trace)`` pair per problem, each model holding
-    ``config`` and each initialized from its problem's seed. The problems run
+    ``config``, of the layer widths ``config.widths(d)`` and initialized
+    from its problem's seed. The problems run
     every epoch's forward, backward and Adam steps together, in groups of
     at most ``STACK_PARAMS`` parameters (one problem at a time past it).
 
@@ -294,16 +297,15 @@ def train(X, y, config: AEConfig, seeds) -> list[tuple[AEModel, TrainTrace]]:
     """
     X, labels = check_train_input(X, y, seeds=seeds)
     P, n, d = X.shape
-    if d != config.input_dim:
-        raise ValueError(f"feature width {d} does not match input_dim {config.input_dim}")
+    widths = config.widths(d)
     batch, mean, scale = standardize_fit(X)
 
-    models = [init_model(config, seed) for seed in seeds]
+    models = [init_model(config, d, seed) for seed in seeds]
     flat = np.stack([
         np.concatenate([param.ravel() for param in model.parameters().values()]) for model in models
     ])
     for model, row, row_mean, row_scale in zip(models, flat, mean, scale):
-        for name, view in zip(_PARAM_NAMES, _views(row, _shapes(config))):
+        for name, view in zip(_PARAM_NAMES, _views(row, _shapes(*widths))):
             setattr(model, name, view)
         model.input_mean, model.input_scale = row_mean, row_scale
     sq_sums = np.empty((config.epochs, P))
@@ -311,16 +313,16 @@ def train(X, y, config: AEConfig, seeds) -> list[tuple[AEModel, TrainTrace]]:
     group = max(1, STACK_PARAMS // flat.shape[1])
     for lo in range(0, P, group):
         part = slice(lo, lo + group)
-        _adam(flat[part], batch[part], labels[part], config, sq_sums[:, part], picked[:, part])
+        _adam(flat[part], batch[part], labels[part], config, widths, sq_sums[:, part], picked[:, part])
     losses = [loss.T for loss in _mean_losses_network(sq_sums, picked, n * d)]
     return [(model, TrainTrace(*(loss[p] for loss in losses))) for p, model in enumerate(models)]
 
 
-def _adam(flat, batch, labels, config: AEConfig, sq_sums, picked) -> None:
-    """Run ``config.epochs`` Adam steps on a stack's flat weights in place,
-    writing each epoch's squared-error sums and label probabilities."""
-    net = _views(flat, _shapes(config))
-    work = _Workspace(config, *labels.shape, labels)
+def _adam(flat, batch, labels, config: AEConfig, widths, sq_sums, picked) -> None:
+    """Run ``config.epochs`` Adam steps on a stack's flat weights of ``widths`` in
+    place, writing each epoch's squared-error sums and label probabilities."""
+    net = _views(flat, _shapes(*widths))
+    work = _Workspace(widths, *labels.shape, labels)
     g = work.grad
     moment1, moment2 = np.zeros_like(flat), np.zeros_like(flat)
     scratch1, scratch2 = np.empty_like(flat), np.empty_like(flat)

@@ -107,15 +107,20 @@ def check_train_input(X, y, minimum: int = 2, seeds=None) -> tuple[np.ndarray, n
 
     Raises ValueError unless X is such a stack with at least ``minimum``
     rows per problem, one label per row and every label 0 or 1, and, for
-    the seeded trainers, ``seeds`` a sequence of one seed per problem.
+    the seeded trainers, ``seeds`` a sequence of one seed per problem, each
+    a non-negative ``int`` or numpy integer (a bool is not one).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 3 or 0 in X.shape[:-1]:
         raise ValueError(f"training data must be a non-empty (P, n, F) stack, got shape {X.shape}")
-    if seeds is not None and np.shape(seeds) != X.shape[:1]:
-        given = (f"{len(seeds)} seeds" if np.ndim(seeds) == 1
-                 else f"seeds {seeds!r}, not one per problem,")
-        raise ValueError(f"{given} for a stack of {len(X)} problems")
+    if seeds is not None:
+        if not np.iterable(seeds) or any(isinstance(s, (list, tuple, np.ndarray)) for s in seeds):
+            raise ValueError(f"seeds {seeds!r}, not one per problem, for a stack of {len(X)} problems")
+        if len(seeds) != len(X):
+            raise ValueError(f"{len(seeds)} seeds for a stack of {len(X)} problems")
+        for seed in seeds:
+            if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+                raise ValueError(f"seed {seed!r} is not a non-negative integer")
     if X.shape[1] < minimum:
         raise ValueError(f"training needs at least {minimum} sample(s)")
     y = np.asarray(y)

@@ -128,7 +128,8 @@ class EvalReport:
 
 @dataclass(frozen=True)
 class EvalSettings:
-    """Per-cell hyperparameters; defaults mirror the shipped protocol."""
+    """Per-cell hyperparameters; defaults mirror the shipped protocol. ``ae``, built
+    (so checked) from the ``ae_*`` fields, is the one config every AE cell trains with."""
 
     top_n: int = 100
     ae_epochs: int = 100
@@ -137,6 +138,7 @@ class EvalSettings:
     ae_bottleneck_dim: int | None = None
     lasso_lambda: float = 0.1
     n_trees: int = 100
+    ae: autoencoder.AEConfig = field(init=False, repr=False)
 
     def __post_init__(self):
         # a setting every cell of its trainer shares is an error before any cell runs
@@ -144,15 +146,8 @@ class EvalSettings:
             raise ValueError(f"top_n must be >= 1, got {self.top_n}")
         if self.n_trees < 1:
             raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
-        if self.ae_epochs < 1:
-            raise ValueError(f"ae_epochs must be >= 1, got {self.ae_epochs}")
-        for name in ("ae_hidden_dim", "ae_bottleneck_dim"):
-            if getattr(self, name) is not None and getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0.0 < self.ae_learning_rate < math.inf:
-            raise ValueError(
-                f"ae_learning_rate must be finite and > 0, got {self.ae_learning_rate}"
-            )
+        object.__setattr__(self, "ae", autoencoder.AEConfig(
+            self.ae_hidden_dim, self.ae_bottleneck_dim, self.ae_learning_rate, self.ae_epochs))
         if not 0.0 <= self.lasso_lambda < math.inf:
             raise ValueError(f"lasso_lambda must be finite and >= 0, got {self.lasso_lambda}")
 
@@ -243,14 +238,7 @@ def _fit_predict(classifier, X_train, y_train, X_test, settings: EvalSettings, c
                  streams: dict) -> np.ndarray:
     """Fit a stack of (P, n, F) train rows and predict its (P, m, F) test rows: (P, m) labels."""
     if classifier == "ae-head":
-        config = autoencoder.AEConfig(
-            input_dim=X_train.shape[2],
-            hidden_dim=settings.ae_hidden_dim,
-            bottleneck_dim=settings.ae_bottleneck_dim,
-            learning_rate=settings.ae_learning_rate,
-            epochs=settings.ae_epochs,
-        )
-        fits = autoencoder.train(X_train, y_train, config, cell_seeds)
+        fits = autoencoder.train(X_train, y_train, settings.ae, cell_seeds)
         return np.array([autoencoder.predict(model, X) for (model, _), X in zip(fits, X_test)])
     if classifier == "forest":
         forest = classifiers.train_forest(

@@ -187,7 +187,7 @@ def ae_train_brute(X, y, config, seed):
     scale = X.std(axis=0)
     scale[scale == 0.0] = 1.0
     batch = (X - mean) / scale
-    params = {name: param.copy() for name, param in init_model(config, seed).parameters().items()}
+    params = {name: param.copy() for name, param in init_model(config, d, seed).parameters().items()}
     moment1 = {name: np.zeros_like(p) for name, p in params.items()}
     moment2 = {name: np.zeros_like(p) for name, p in params.items()}
     history = np.empty((3, config.epochs))

@@ -70,7 +70,7 @@ def test_a1_gradient_correctness():
     for seed in range(10):
         rng = np.random.default_rng(seed)
         model = autoencoder.init_model(
-            autoencoder.AEConfig(input_dim=8, hidden_dim=4, bottleneck_dim=2), seed
+            autoencoder.AEConfig(hidden_dim=4, bottleneck_dim=2), 8, seed
         )
         X = rng.standard_normal((6, 8))
         y = rng.integers(0, 2, size=6)
@@ -98,7 +98,7 @@ def test_a2_ae_learning():
     y_train = np.array([labels.label_at(c, 6) for c in split.train_ids])
     [(model, trace)] = autoencoder.train(
         X_train[None], y_train[None],
-        autoencoder.AEConfig(input_dim=X.shape[1], learning_rate=0.01, epochs=100), [0],
+        autoencoder.AEConfig(learning_rate=0.01, epochs=100), [0],
     )
     final_total = autoencoder.mean_losses(model, X_train, y_train)[2]
     assert final_total <= 0.5 * trace.total[0], (

@@ -19,9 +19,8 @@ from convpred.autoencoder import (
 from oracles import ae_forward_brute, ae_train_brute, finite_diff_gradients
 
 
-def small_model(seed=0, input_dim=8, hidden=4, bottleneck=2):
-    config = AEConfig(input_dim=input_dim, hidden_dim=hidden, bottleneck_dim=bottleneck)
-    return init_model(config, seed)
+def small_model(seed=0, width=8, hidden=4, bottleneck=2):
+    return init_model(AEConfig(hidden_dim=hidden, bottleneck_dim=bottleneck), width, seed)
 
 
 def forward_one(model, x):
@@ -37,33 +36,54 @@ def losses_one(model, x, label):
 
 class TestConfig:
     def test_default_dims(self):
-        cfg = AEConfig(input_dim=10)
-        assert cfg.hidden_dim == 5
-        assert cfg.bottleneck_dim == 3
+        assert AEConfig().widths(10) == (10, 5, 3)
 
     def test_default_dims_small_input(self):
-        cfg = AEConfig(input_dim=3)
-        assert cfg.hidden_dim == 2
-        assert cfg.bottleneck_dim == 2
+        assert AEConfig().widths(3) == (3, 2, 2)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AEConfig(input_dim=0)
-        with pytest.raises(ValueError):
-            AEConfig(input_dim=4, learning_rate=0.0)
-        for lr in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
-                AEConfig(input_dim=4, learning_rate=lr)
-        with pytest.raises(ValueError):
-            AEConfig(input_dim=4, epochs=0)
-        for widths in ({"hidden_dim": 0}, {"bottleneck_dim": 0}):
-            with pytest.raises(ValueError, match="^hidden_dim and bottleneck_dim must be >= 1$"):
-                AEConfig(input_dim=4, **widths)
+    def test_given_dims_hold_at_every_width(self):
+        config = AEConfig(hidden_dim=7, bottleneck_dim=5)
+        assert [config.widths(d) for d in (1, 40)] == [(1, 7, 5), (40, 7, 5)]
+        assert (config.hidden_dim, config.bottleneck_dim) == (7, 5)
+        assert (AEConfig().hidden_dim, AEConfig().bottleneck_dim) == (None, None)
+
+    @pytest.mark.parametrize("setting, message", [
+        (dict(learning_rate=0.0), "learning_rate must be finite and > 0, got 0.0"),
+        (dict(learning_rate=math.nan), "learning_rate must be finite and > 0, got nan"),
+        (dict(learning_rate=math.inf), "learning_rate must be finite and > 0, got inf"),
+        (dict(epochs=0), "epochs must be >= 1, got 0"),
+        (dict(hidden_dim=0), "hidden_dim must be >= 1, got 0"),
+        (dict(bottleneck_dim=-2), "bottleneck_dim must be >= 1, got -2"),
+    ])
+    def test_validation_names_the_value(self, setting, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AEConfig(**setting)
+
+    def test_rows_of_no_width_are_refused(self):
+        with pytest.raises(ValueError, match="^rows must have width >= 1, got 0$"):
+            AEConfig().widths(0)
+        with pytest.raises(ValueError, match="^rows must have width >= 1, got 0$"):
+            train(np.zeros((1, 3, 0)), [[0, 1, 0]], AEConfig(), [0])
 
     def test_seed_is_not_a_setting(self):
         """init_model and train take the seed; the config holds none."""
         with pytest.raises(TypeError, match="seed"):
-            AEConfig(input_dim=4, seed=0)
+            AEConfig(seed=0)
+
+    def test_width_is_not_a_setting(self):
+        """init_model takes the width and train reads it from the rows; the config holds none."""
+        with pytest.raises(TypeError, match="input_dim"):
+            AEConfig(input_dim=4)
+
+    def test_one_config_trains_stacks_of_any_width(self):
+        config = AEConfig(epochs=6)
+        rng = np.random.default_rng(8)
+        for width in (5, 12):
+            X, y = rng.standard_normal((9, width)), np.arange(9) % 2
+            [(model, _)] = train(X[None], y[None], config, [2])
+            assert model.config is config
+            assert model.W1.shape == config.widths(width)[:2]
+            _assert_same_training(X, y, config, 2)
 
 
 class TestForward:
@@ -146,8 +166,23 @@ class TestLosses:
 def test_one_model_rows_are_checked_as_given(function, rows, labels):
     """The error names the caller's shape and the model's width, as forward_batch's does."""
     shape = re.escape(str(rows.shape))
-    with pytest.raises(ValueError, match=f"^batch shape {shape} incompatible with input_dim 8$"):
+    with pytest.raises(ValueError, match=f"^batch shape {shape} incompatible with model width 8$"):
         function(small_model(), rows, labels)
+
+
+@pytest.mark.parametrize("function", [mean_losses, gradients])
+def test_one_model_needs_a_row_and_names_the_empty_batch_as_given(function):
+    with pytest.raises(ValueError, match=r"^batch shape \(0, 8\) has no rows$"):
+        function(small_model(), np.zeros((0, 8)), [])
+    recon, probs, code = forward_batch(small_model(), np.zeros((0, 8)))  # which takes no rows
+    assert (recon.shape, probs.shape, code.shape) == ((0, 8), (0, 2), (0, 2))
+
+
+def test_a_model_reads_its_width_from_its_weights():
+    model = small_model(width=5, hidden=3, bottleneck=2)
+    assert forward_batch(model, np.zeros((2, 5)))[0].shape == (2, 5)
+    with pytest.raises(ValueError, match=r"^batch shape \(2, 8\) incompatible with model width 5$"):
+        mean_losses(model, np.zeros((2, 8)), [0, 1])
 
 
 class TestGradients:
@@ -170,7 +205,7 @@ class TestTrain:
         rng = np.random.default_rng(9)
         X = rng.standard_normal((20, 8))
         y = rng.integers(0, 2, size=20)
-        config = AEConfig(input_dim=8, epochs=20)
+        config = AEConfig(epochs=20)
         [(model_a, trace_a)] = train(X[None], y[None], config, [5])
         [(model_b, trace_b)] = train(X[None], y[None], config, [5])
         for name, param in model_a.parameters().items():
@@ -181,7 +216,7 @@ class TestTrain:
         rng = np.random.default_rng(10)
         X = rng.standard_normal((30, 6))
         y = rng.integers(0, 2, size=30)
-        config = AEConfig(input_dim=6, epochs=100)
+        config = AEConfig(epochs=100)
         [(_, trace)] = train(X[None], y[None], config, [0])
         assert trace.total.shape == (100,)
         assert np.all(np.isfinite(trace.rec))
@@ -193,18 +228,14 @@ class TestTrain:
         n = 40
         y = np.array([0] * (n // 2) + [1] * (n // 2))
         X = rng.standard_normal((n, 4)) + y[:, None] * 4.0
-        config = AEConfig(input_dim=4, epochs=100)
+        config = AEConfig(epochs=100)
         [(model, trace)] = train(X[None], y[None], config, [1])
         final = mean_losses(model, X, y)
         assert final[2] < 0.5 * trace.total[0]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            train(np.zeros((1, 0, 4)), [[]], AEConfig(input_dim=4), [0])
-
-    def test_width_other_than_input_dim_rejected(self):
-        with pytest.raises(ValueError, match="^feature width 3 does not match input_dim 4$"):
-            train(np.zeros((1, 4, 3)), [[0, 1, 0, 1]], AEConfig(input_dim=4), [0])
+            train(np.zeros((1, 0, 4)), [[]], AEConfig(), [0])
 
     def test_wide_fit_keeps_no_per_epoch_arrays(self):
         """100 epochs of a 140 x 288 batch would be 32 MB as an (epochs, n, d) record."""
@@ -213,7 +244,7 @@ class TestTrain:
         y = np.arange(140) % 2
         tracemalloc.start()
         try:
-            train(X[None], y[None], AEConfig(input_dim=288, epochs=100), [0])
+            train(X[None], y[None], AEConfig(epochs=100), [0])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -239,7 +270,7 @@ class TestTrainOracle:
         rng = np.random.default_rng(1000 * n + width + epochs)
         X = rng.standard_normal((n, width)) * rng.uniform(0.1, 10.0, width)
         y = np.arange(n) % 2
-        _assert_same_training(X, y, AEConfig(input_dim=width, epochs=epochs), n + width)
+        _assert_same_training(X, y, AEConfig(epochs=epochs), n + width)
 
     @pytest.mark.parametrize(
         "overrides",
@@ -254,20 +285,20 @@ class TestTrainOracle:
         X = rng.standard_normal((17, 12))
         X[:, 3] = 2.0  # a constant column keeps scale 1
         y = rng.integers(0, 2, size=17)
-        _assert_same_training(X, y, AEConfig(input_dim=12, epochs=20, **overrides), 4)
+        _assert_same_training(X, y, AEConfig(epochs=20, **overrides), 4)
 
     def test_matches_at_the_smallest_shape(self):
         X = np.array([[0.5], [-1.5]])
-        config = AEConfig(input_dim=1, hidden_dim=1, bottleneck_dim=1, epochs=1)
+        config = AEConfig(hidden_dim=1, bottleneck_dim=1, epochs=1)
         _assert_same_training(X, [0, 1], config, 2)
 
     def test_consecutive_fits_share_no_state(self):
         rng = np.random.default_rng(21)
         X, y = rng.standard_normal((9, 5)), np.arange(9) % 2
-        config = AEConfig(input_dim=5, epochs=15)
+        config = AEConfig(epochs=15)
         [(first, first_trace)] = train(X[None], y[None], config, [3])
         kept = {name: param.copy() for name, param in first.parameters().items()}
-        other = AEConfig(input_dim=3, epochs=4)
+        other = AEConfig(epochs=4)
         train(rng.standard_normal((1, 6, 3)), [np.arange(6) % 2], other, [0])
         [(second, second_trace)] = train(X[None], y[None], config, [3])
         for name, param in second.parameters().items():
@@ -285,7 +316,7 @@ class TestTrainOracle:
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((n, width))
         y = rng.integers(0, 2, size=n)
-        _assert_same_training(X, y, AEConfig(input_dim=width, epochs=epochs), seed % 1000)
+        _assert_same_training(X, y, AEConfig(epochs=epochs), seed % 1000)
 
 
 class TestPredict:

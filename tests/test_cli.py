@@ -272,9 +272,9 @@ class TestEvalInputErrors:
         assert capsys.readouterr().err == f"error: n_trees must be >= 1, got {n_trees}\n"
 
     @pytest.mark.parametrize("row, option, value, message", [
-        ("ae", "--lr", "nan", "ae_learning_rate must be finite and > 0, got nan"),
-        ("ae", "--lr", "inf", "ae_learning_rate must be finite and > 0, got inf"),
-        ("ae", "--epochs", "0", "ae_epochs must be >= 1, got 0"),
+        ("ae", "--lr", "nan", "learning_rate must be finite and > 0, got nan"),
+        ("ae", "--lr", "inf", "learning_rate must be finite and > 0, got inf"),
+        ("ae", "--epochs", "0", "epochs must be >= 1, got 0"),
         ("lasso", "--lasso-lambda", "nan", "lasso_lambda must be finite and >= 0, got nan"),
         ("lasso", "--lasso-lambda", "inf", "lasso_lambda must be finite and >= 0, got inf"),
         ("lasso", "--top-n", "0", "top_n must be >= 1, got 0"),
@@ -466,7 +466,7 @@ def test_protocol_script_rejects_zero_epochs(tmp_path, capsys, monkeypatch):
     assert module.main() == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: ae_epochs must be >= 1, got 0\n"
+    assert captured.err == "error: epochs must be >= 1, got 0\n"
     assert not outdir.exists()
 
 

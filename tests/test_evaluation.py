@@ -3,14 +3,15 @@ import re
 import warnings
 import weakref
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convpred import classifiers, features
+from convpred import autoencoder, classifiers, features
+from convpred.autoencoder import AEConfig
 from convpred.core import ValidationError
 from convpred.data_io import GenConfig, generate_synthetic
 from convpred.evaluation import (
@@ -247,8 +248,38 @@ class TestTurnPair:
 
     @pytest.mark.parametrize("name", ["ae_hidden_dim", "ae_bottleneck_dim"])
     def test_ae_width_below_one_is_refused_in_the_settings(self, name):
-        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got 0$"):
+        with pytest.raises(ValueError, match=f"^{name[3:]} must be >= 1, got 0$"):
             EvalSettings(**{name: 0})
+
+    def test_settings_hold_the_one_ae_config(self):
+        assert EvalSettings().ae == AEConfig()
+        wide = EvalSettings(ae_hidden_dim=128, ae_bottleneck_dim=32, ae_learning_rate=0.05)
+        assert wide.ae == AEConfig(hidden_dim=128, bottleneck_dim=32, learning_rate=0.05)
+        assert replace(SETTINGS, ae_epochs=3).ae.epochs == 3
+
+    def test_ae_config_is_derived_not_set(self):
+        with pytest.raises(TypeError, match="'ae'"):
+            EvalSettings(ae=AEConfig())
+        with pytest.raises(ValueError, match="init=False"):
+            replace(SETTINGS, ae=AEConfig())
+        with pytest.raises(FrozenInstanceError):
+            SETTINGS.ae = AEConfig()
+        assert "ae=" not in repr(SETTINGS)
+
+    @pytest.mark.parametrize("predictor", ["ae", "apr"])
+    def test_ae_cells_train_with_the_settings_config(self, small_world, monkeypatch, predictor):
+        runs, labels, split = small_world
+        configs = []
+
+        def spy(X, y, config, seeds):
+            configs.append(config)
+            return train(X, y, config, seeds)
+
+        train = autoencoder.train
+        monkeypatch.setattr(autoencoder, "train", spy)
+        run_turn_pair(runs, labels, predictor, "ae-head", split, pairs=[(2, 3), (3, 4)],
+                      settings=SETTINGS, seed=2)
+        assert len(configs) == 2 and all(config is SETTINGS.ae for config in configs)
 
     def test_top_n_below_one_is_refused_in_the_settings(self):
         with pytest.raises(ValueError, match="^top_n must be >= 1, got 0$"):

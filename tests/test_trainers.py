@@ -14,7 +14,7 @@ from helpers import assert_same_trees, counted_store, drawn_mask
 from oracles import ae_train_brute, forest_brute, forest_predict_brute, logistic_brute
 
 TRAINERS = {
-    "ae-head": lambda X, y: autoencoder.train(X, y, AEConfig(input_dim=3, epochs=2), [0]),
+    "ae-head": lambda X, y: autoencoder.train(X, y, AEConfig(epochs=2), [0]),
     "logreg": classifiers.train_logistic,
     "lasso": classifiers.train_lasso,
     "forest": lambda X, y: classifiers.train_forest(X, y, [0], n_trees=2),
@@ -75,7 +75,7 @@ STACKS = {
 @pytest.mark.parametrize("case", list(STACKS))
 def test_stacked_autoencoder_matches_oracle(case):
     X, y = STACKS[case]()
-    config = AEConfig(input_dim=X.shape[2], epochs=20)
+    config = AEConfig(epochs=20)
     fits = autoencoder.train(X, y, config, seeds=SEEDS[: len(X)])
     assert len(fits) == len(X)
     for (model, trace), X_p, y_p, seed in zip(fits, X, y, SEEDS):
@@ -88,8 +88,8 @@ def test_stacked_autoencoder_matches_oracle(case):
 
 def test_stack_wider_than_one_fit_trains_its_problems_one_at_a_time():
     X, y = _problems(2, width=160, seed=5)  # 22762 parameters each, over half of STACK_PARAMS
-    config = AEConfig(input_dim=160, epochs=5)
-    assert 2 * sum(p.size for p in autoencoder.init_model(config, 0).parameters().values()) > (
+    config = AEConfig(epochs=5)
+    assert 2 * sum(p.size for p in autoencoder.init_model(config, 160, 0).parameters().values()) > (
         autoencoder.STACK_PARAMS
     )
     fits = autoencoder.train(X, y, config, seeds=SEEDS[:2])
@@ -196,7 +196,7 @@ def test_stacked_forests_of_one_key_share_draws_and_serve_a_later_forest():
 
 
 SEEDED = {
-    "ae-head": lambda X, y, seeds: autoencoder.train(X, y, AEConfig(input_dim=X.shape[2]), seeds),
+    "ae-head": lambda X, y, seeds: autoencoder.train(X, y, AEConfig(), seeds),
     "forest": lambda X, y, seeds: classifiers.train_forest(X, y, seeds, n_trees=2),
 }
 
@@ -214,6 +214,37 @@ def test_seeded_trainers_refuse_seeds_not_one_per_problem(trainer, seeds):
     with pytest.raises(ValueError, match=rf"^seeds {re.escape(repr(seeds))}, not one per problem, "
                                          r"for a stack of 1 problems$"):
         SEEDED[trainer](np.zeros((1, 2, 3)), [[0, 1]], seeds)
+
+
+@pytest.mark.parametrize("seeds, seed", [
+    ([1.5], "1.5"), (["3"], "'3'"), ([True], "True"), ([np.True_], "np.True_"), ([-1], "-1"),
+    ([np.int64(-2)], "np.int64(-2)"), (np.array([0.0]), "np.float64(0.0)"),
+], ids=["float", "str", "bool", "numpy-bool", "negative", "numpy-negative", "numpy-float"])
+@pytest.mark.parametrize("trainer", list(SEEDED))
+def test_seeded_trainers_refuse_a_seed_that_is_not_a_non_negative_integer(trainer, seeds, seed):
+    with pytest.raises(ValueError, match=rf"^seed {re.escape(seed)} is not a non-negative integer$"):
+        SEEDED[trainer](np.zeros((1, 2, 3)), [[0, 1]], seeds)
+
+
+@pytest.mark.parametrize("trainer", list(SEEDED))
+def test_seeded_trainers_refuse_ragged_seeds(trainer):
+    with pytest.raises(ValueError, match=r"^seeds \[\[0\], \[1, 2\]\], not one per problem, "
+                                         r"for a stack of 2 problems$"):
+        SEEDED[trainer](*_problems(2), [[0], [1, 2]])
+
+
+@pytest.mark.parametrize("seeds", [(np.int64(0), np.uint8(3)), np.array([0, 3]), range(0, 6, 3)],
+                         ids=["numpy-scalars", "array", "range"])
+@pytest.mark.parametrize("trainer", list(SEEDED))
+def test_seeded_trainers_take_integer_seeds_of_any_form(trainer, seeds):
+    X, y = _problems(2)
+    fits = SEEDED[trainer](X, y, seeds)
+    alone = SEEDED[trainer](X, y, [0, 3])
+    if trainer == "forest":
+        np.testing.assert_array_equal(fits.threshold, alone.threshold)
+    else:
+        for (model, _), (other, _) in zip(fits, alone):
+            np.testing.assert_array_equal(model.W1, other.W1)
 
 
 # ---- columns without a finite spread ----
