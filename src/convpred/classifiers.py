@@ -23,6 +23,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .core import check_seed
+
 __all__ = [
     "LinearModel",
     "Forest",
@@ -119,8 +121,7 @@ def check_train_input(X, y, minimum: int = 2, seeds=None) -> tuple[np.ndarray, n
         if len(seeds) != len(X):
             raise ValueError(f"{len(seeds)} seeds for a stack of {len(X)} problems")
         for seed in seeds:
-            if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-                raise ValueError(f"seed {seed!r} is not a non-negative integer")
+            check_seed(seed)
     if X.shape[1] < minimum:
         raise ValueError(f"training needs at least {minimum} sample(s)")
     y = np.asarray(y)

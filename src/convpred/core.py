@@ -27,6 +27,7 @@ import numpy as np
 
 __all__ = [
     "ValidationError",
+    "check_seed",
     "TurnRanking",
     "ConversationRun",
     "stored_rank",
@@ -47,6 +48,13 @@ __all__ = [
 
 class ValidationError(ValueError):
     """A run, ranking, or config violates a structural invariant."""
+
+
+def check_seed(seed) -> None:
+    """Raise ValueError, naming ``seed``, unless it is a non-negative ``int`` or
+    numpy integer (a bool is not one)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed {seed!r} is not a non-negative integer")
 
 
 def _as_embedding(values) -> np.ndarray:

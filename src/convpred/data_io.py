@@ -17,18 +17,26 @@ shortest round-trip repr, so write -> read is value-exact.
 Consecutive turns retrieve the same items again, so a file repeats the same
 embedding arrays many times. The writer encodes each item's row once per file
 and writes a line turn by turn, never holding a whole line. The reader cuts
-a line at its ``"embedding"`` arrays with one regex split, so it holds the
-line and one copy of its text, and decodes each distinct array text once per
-file into one read-only item table, which the rankings of those lines index.
-The writer's escapes (``\\u00e9`` for a non-ASCII letter, ``\\"`` for a quote)
-take that path too. Lines in another layout (whitespace around that key, the
-key first in its object, a ``\\u`` escape of an ASCII character such as
-``\\u0065``) read through plain ``json.loads``: slower, to the same runs and
-errors, each ranking with its own table. On both paths the rankings of one
-file share one string per distinct item id. A ranking or run fault (unsorted
-items, say) is raised as its line is read; a repeated conversation id and
-dimensions that differ between lines wait for the whole file. Every error
-names the file and line of the run.
+a line at each whole item in the writer's layout with one regex split, into
+its id, score and array texts, so it holds the line and one copy of its text
+(a 2.7 MB line reads at a traced peak of 2.3 times its length).
+``json.loads`` parses only the run and turn heads, each cut item replaced by
+a marker, so no item becomes a dict; each turn's items must be all markers,
+and the turns together must hold every marker once. The scores are parsed
+as ``json.loads`` parses them, and each distinct id and array text is
+decoded once per file, the arrays into one read-only item table that the
+rankings of those lines index. The writer's escapes (``\\u00e9`` for a
+non-ASCII letter, ``\\"`` for a quote) take that path too. Other lines read
+through plain ``json.loads``, slower, to the same runs and errors, each
+ranking with its own table: lines in another layout (whitespace, another key
+order, a key more or less in an item), with a ``\\u`` escape of an ASCII
+character such as ``\\u0065``, with a marker where no item belongs, with a
+``NaN`` or ``Infinity`` of their own, with a score not finite as a float, or
+with new rows that do not parse as numbers of one width. On both paths the
+rankings of one file share one string per distinct item id. A ranking or run
+fault (unsorted items, say) is raised as its line is read; a repeated
+conversation id and dimensions that differ between lines wait for the whole
+file. Every error names the file and line of the run.
 
 The generator stands in for a trained retrieval model plus user simulator at
 desk scale: a latent query vector is pulled toward the target item each turn,
@@ -209,46 +217,49 @@ def _string(value, what: str) -> str:
     raise TypeError(f"{what} must be a JSON string, got {value!r}")
 
 
-def _turn_from_dict(tr: dict, cid: str, table, names: dict) -> TurnRanking:
-    """The ranking in ``tr``, each item id the string ``names`` keeps for it; with
-    ``table``, each item's ``"embedding"`` is its row there."""
+def _item_columns(items, names: dict) -> tuple:
+    """``(ids, scores, rows, None)`` of a turn's JSON item objects, each id the
+    string ``names`` keeps for it."""
+    ids = tuple(names.setdefault(i, i) for i in (_string(it["id"], "item id") for it in items))
+    rows = [_numbers(it["embedding"], "embedding") for it in items]
+    return ids, _numbers([it["score"] for it in items], "scores"), rows, None
+
+
+def _turn_from_dict(tr: dict, cid: str, names: dict) -> TurnRanking:
+    """The ranking in ``tr``. Its ``"items"`` are the columns ``(ids, scores,
+    table, rows)`` when :func:`_decode_line` read them (json.loads makes no
+    tuple), else JSON item objects, read by :func:`_item_columns` into rows
+    that become the ranking's own table."""
     turn = tr["turn"]
     if type(turn) is not int:
         raise TypeError(f"{cid}: turn must be a JSON integer, got {turn!r}")
     items = tr["items"]
     try:
-        ids = tuple(names.setdefault(i, i) for i in (_string(it["id"], "item id") for it in items))
-        if table is None:
-            rows = [_numbers(it["embedding"], "embedding") for it in items]
-        else:
-            rows = [it["embedding"] for it in items]
-        scores = _numbers([it["score"] for it in items], "scores")
+        ids, scores, table, rows = items if type(items) is tuple else _item_columns(items, names)
         query = tr.get("query_embedding")
         if query is not None:
             _numbers(query, "query_embedding")
         critique = tr.get("critique")
         if critique is not None:
             _string(critique, "critique")
-        if table is None:  # the rows themselves become the ranking's own table
-            lengths = sorted({len(r) for r in rows})
+        if rows is None:
+            lengths = sorted({len(r) for r in table})
             if len(lengths) > 1:
                 raise ValidationError(f"dimension mismatch among item embeddings {lengths}")
-            table, rows = rows, None
         return TurnRanking(turn, ids, scores, table, rows=rows, query_embedding=query,
                            critique=critique)
     except (TypeError, ValidationError) as exc:  # a field's JSON type, or a ranking check
         raise type(exc)(f"{cid} turn {turn}: {exc}") from exc
 
 
-def _run_from_dict(obj: dict, where: str, table, names: dict) -> ConversationRun:
-    """The run in ``obj``; with ``table``, each item's ``"embedding"`` is its row there,
-    and each item id is the string ``names`` keeps for it."""
+def _run_from_dict(obj: dict, where: str, names: dict) -> ConversationRun:
+    """The run in ``obj``, each item id the string ``names`` keeps for it."""
     try:
         cid = _string(obj["conversation_id"], "conversation_id")
         return ConversationRun(
             conversation_id=cid,
             target_id=_string(obj["target_id"], "target_id"),
-            turns=tuple(_turn_from_dict(tr, cid, table, names) for tr in obj["turns"]),
+            turns=tuple(_turn_from_dict(tr, cid, names) for tr in obj["turns"]),
             target_ranks=obj.get("target_ranks"),
         )
     except ValidationError as exc:
@@ -324,16 +335,20 @@ def write_runs(runs, path, header_comment: str | None = None) -> None:
 
 
 class _ItemTable:
-    """The distinct embedding rows of one run file, in the order first read.
+    """The distinct items of one run file: embedding rows and id strings.
 
-    ``index`` maps each ``"embedding"`` array text to its row. New rows go
-    into a buffer that doubles when full, and ``view`` is a read-only view
-    of the rows filled so far. Appends write only past that view and a grown
-    buffer is a new array, so a view handed out never changes.
+    ``index`` maps each ``"embedding"`` array text to its row, in the order
+    first read. New rows go into a buffer that doubles when full, and
+    ``view`` is a read-only view of the rows filled so far. Appends write
+    only past that view and a grown buffer is a new array, so a view handed
+    out never changes. ``names`` keeps one string per distinct item id, and
+    ``ids`` maps each id's JSON text to that string.
     """
 
     def __init__(self):
         self.index: dict[str, int] = {}
+        self.ids: dict[str, str] = {}
+        self.names: dict[str, str] = {}
         self._buffer = np.empty((0, 0))
         self.view = self._buffer[:0]
         self.view.flags.writeable = False
@@ -353,41 +368,72 @@ class _ItemTable:
 
 
 _EMBEDDING = ',"embedding":['
-# of the escapes, only a \u escape of U+0000..U+007F can spell a key's letters
+# the writer writes a \u escape of U+0000..U+007F only for a control character; a line
+# with one reads through json.loads
 _ASCII_ESCAPE = re.compile(r"\\u00[0-7]").search
-# one split gives each ``,"embedding":[...]`` array's text (odd parts) and what follows it
-_SPLIT_EMBEDDINGS = re.compile(r',"embedding":\[([^\]]*)\]').split
+# one split cuts out each item written as the writer writes it, up to its embedding's
+# "]": the id's JSON string, the score's number text and the array text
+_SPLIT_ITEMS = re.compile(
+    r'\{"id":("[^"\\]*(?:\\.[^"\\]*)*"),"score":([-+.0-9eE]+),"embedding":\[([^\]]*)\]'
+).split
+# each cut item leaves a NaN, which json.loads reads as _CUT. The line may hold no NaN
+# of its own, and a NaN inside a string is not read, so the _CUTs read are cut items in
+# the places of their items; the tabs keep the line's text from running into a NaN
+_MARK, _CUT = "\tNaN\t", object()
+_CUT_OF = {"NaN": _CUT}.__getitem__  # a KeyError for an Infinity
 
 
 def _decode_line(text: str, table: _ItemTable):
-    """``json.loads(text)`` with each distinct embedding array decoded once per file.
+    """``json.loads(text)``, each turn's ``"items"`` read into the columns
+    ``(ids, scores, table.view, rows)``, ``rows`` indexing the file's table;
+    or None for a line it cannot show to read as ``json.loads`` reads it
+    (the cases are listed in the module docstring).
 
-    One regex split cuts ``text`` into the text of each ``,"embedding":[...]``
-    array and the tails between them, the only copy of the line it makes.
-    Each array text is looked up in ``table``, the new ones are decoded
-    together and appended, and the rest of the line is parsed with each
-    array replaced by its row in the table. Returns that object and
-    ``table.view``, or None for a line that cannot be shown to decode as
-    ``json.loads`` would: one with a ``\\u0000``-``\\u007f`` escape (which
-    could spell a key another way, as the writer's ``\\u00e9`` and ``\\"``
-    cannot), a ``"embedding"`` that is not the key of a split array
-    (written otherwise, or its array not closed by a ``]`` before the next
-    such key or the line's end), an array holding a string or an array, or
-    new rows that do not parse, hold a non-number or differ in length from
-    each other or from the table's.
+    One regex split cuts ``text`` at each whole item in the writer's layout
+    into lists of id, score and array texts, the only copy of the line it
+    makes. ``json.loads`` parses the rest, each item replaced by a marker,
+    so it makes no item object; each turn's ``"items"`` must then be all
+    markers, and the turns together must hold every marker once. The scores
+    are parsed together, as ``json.loads`` parses them (``-0`` is 0), and
+    each distinct id and array text is decoded once per file, into
+    ``table.names`` and the table.
     """
-    # with a "]" after the last key every match the split tries succeeds, so
-    # it reads the line once; without one, each try would run to the line's end
+    # with a "]" after the last key every item the split tries ends at a "]", so it
+    # reads the line once; without one, each try would run to the line's end
     if ("\\" in text and _ASCII_ESCAPE(text)) or text.rfind("]") < text.rfind(_EMBEDDING):
         return None
-    parts = _SPLIT_EMBEDDINGS(text)
-    texts, tails = parts[1::2], parts[2::2]
-    if text.count('"embedding"') != len(texts):
+    parts = _SPLIT_ITEMS(text)
+    n = len(parts) // 4
+    skeleton = _MARK.join(parts[::4])
+    # "embedding" left over is an item not cut (the line need not be parsed twice); each
+    # marker must be followed by its item's "}"
+    if ('"embedding"' in skeleton or skeleton.count("NaN") != n
+            or skeleton.count(_MARK + "}") != n):
+        return None
+    skeleton = skeleton.replace(_MARK + "}", _MARK)
+    ids, scores, arrays = parts[1::4], parts[2::4], parts[3::4]
+    # each list of texts is let go once decoded: a long line then peaks at 2.3x its size, not 2.45x
+    del parts
+    try:
+        obj = json.loads(skeleton, parse_constant=_CUT_OF)
+        turns = obj["turns"]
+        lengths = [len(items) for items in (tr["items"] for tr in turns)
+                   if type(items) is list and items.count(_CUT) == len(items)]
+        if len(lengths) != len(turns) or sum(lengths) != n:
+            return None
+        scores = np.array(json.loads(f"[{','.join(scores)}]"), dtype=np.float64)
+        known = table.ids
+        new = [t for t in dict.fromkeys(ids) if t not in known]
+        if new:
+            names = table.names
+            for t, name in zip(new, json.loads(f"[{','.join(new)}]")):
+                known[t] = names.setdefault(name, name)
+    except (ValueError, KeyError, TypeError, OverflowError):
+        return None
+    if not np.isfinite(scores).all():
         return None
     index = table.index
-    new = [t for t in dict.fromkeys(texts) if t not in index]
-    if any('"' in t or "[" in t for t in new):
-        return None
+    new = [t for t in dict.fromkeys(arrays) if t not in index]
     if new:
         try:
             decoded = json.loads("[[" + "],[".join(new) + "]]")
@@ -398,20 +444,24 @@ def _decode_line(text: str, table: _ItemTable):
             return None
         if not table.append(new, block):
             return None
-    # the space ends the row number, so what follows the array cannot extend it
-    skeleton = "".join(f',"embedding":{index[t]} {tail}' for t, tail in zip(texts, tails))
-    try:
-        return json.loads(parts[0] + skeleton), table.view
-    except ValueError:
-        return None
+    rows = np.fromiter(map(index.__getitem__, arrays), np.intp, n)
+    del arrays
+    ids = list(map(known.__getitem__, ids))
+    start = 0
+    for tr, length in zip(turns, lengths):
+        stop = start + length
+        tr["items"] = tuple(ids[start:stop]), scores[start:stop], table.view, rows[start:stop]
+        start = stop
+    return obj
 
 
 def read_runs(path) -> list[ConversationRun]:
     """Read and validate a run file; raises ValidationError with context.
 
-    Each distinct embedding array text is decoded once per file into one
-    read-only item table, which every ranking of those lines indexes (see
-    :func:`_decode_line`). A line that path cannot take is read with plain
+    Lines in the writer's layout are read item by item (see
+    :func:`_decode_line`): each distinct embedding array text is decoded
+    once per file into one read-only item table, which every ranking of
+    those lines indexes. A line that path cannot take is read with plain
     ``json.loads``, to the same runs and errors, its rankings each holding
     its own table. A ranking or run fault is raised as its line is read, a
     repeated id or differing dimension once the whole file has parsed; each
@@ -420,7 +470,7 @@ def read_runs(path) -> list[ConversationRun]:
     path = Path(path)
     runs: list[ConversationRun] = []
     lines: list[str] = []  # where each run was read
-    table, names = _ItemTable(), {}
+    table = _ItemTable()
     with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             where = f"{path.name} line {lineno}"
@@ -433,14 +483,13 @@ def read_runs(path) -> list[ConversationRun]:
             if not text or text.startswith("#"):
                 continue
             # both parsers take the line as read, so an error's column is the line's own
-            decoded = _decode_line(line, table)
-            if decoded is None:
+            obj = _decode_line(line, table)
+            if obj is None:
                 try:
-                    decoded = json.loads(line), None
+                    obj = json.loads(line)
                 except ValueError as exc:  # bad JSON, or an integer literal too long to convert
                     raise ValidationError(f"{where}: invalid JSON ({exc})") from exc
-            obj, item_rows = decoded
-            runs.append(_run_from_dict(obj, where, item_rows, names))
+            runs.append(_run_from_dict(obj, where, table.names))
             lines.append(where)
     validate_runs(runs, lines)
     return runs

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autoencoder, classifiers
-from .core import ValidationError, read_records, round_half_up, write_csv
+from .core import ValidationError, check_seed, read_records, round_half_up, write_csv
 from .core import parse_bit, parse_cell_id, parse_count, parse_share
 from .features import build_feature_matrix
 from .features import turn_features  # noqa: F401  (perfbench/tracing.py wraps this name)
@@ -178,6 +178,7 @@ def split_conversations(
     if not 0 < n_train < n:
         side = "train" if n_train == 0 else "test"
         raise ValueError(f"split ratio {ratio} leaves the {side} side empty for {n} conversations")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     shuffled = [ids[i] for i in rng.permutation(n)]
     by_class: dict = {None: shuffled}  # a plain split allocates one class

@@ -19,6 +19,7 @@ import numpy as np
 from .core import (
     ConversationRun,
     ValidationError,
+    check_seed,
     parse_bit,
     parse_count,
     parse_records,
@@ -130,6 +131,7 @@ def induce_missing(
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
+    check_seed(seed)
     easy = identify_easy(labels)
     if not easy:
         raise ValueError("no easy conversations: nothing to induce from")

@@ -130,6 +130,15 @@ class TestLabelAndScenario:
             run = by_id[cid]
             assert all(run.target_id not in ranking.items for ranking in run.turns)
 
+    def test_negative_seed_names_the_seed(self, workspace, tmp_path, capsys):
+        _, runs_path, _ = workspace
+        out, labels_out = tmp_path / "runs_mt.jsonl", tmp_path / "labels_mt.csv"
+        code = main(["scenario", "--runs", str(runs_path), "--seed", "-1",
+                     "--out", str(out), "--labels", str(labels_out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: seed -1 is not a non-negative integer\n"
+        assert not out.exists() and not labels_out.exists()
+
 
 class TestFeatures:
     def test_feature_export(self, workspace, tmp_path):
@@ -207,6 +216,16 @@ class TestEvalInputErrors:
         return main(["eval", "--runs", str(runs_path), "--seed", "5", "--epochs", "2",
                      "--report", str(tmp_path / "r.csv"), "--predictions", str(tmp_path / "p.csv"),
                      *extra])
+
+    def test_negative_seed_names_the_seed(self, workspace, tmp_path, capsys):
+        _, runs_path, labels_path = workspace
+        code = main(["eval", "--runs", str(runs_path), "--labels", str(labels_path),
+                     "--predictor", "apr", "--classifier", "logreg", "--pairs", "2-3",
+                     "--seed", "-1", "--report", str(tmp_path / "r.csv"),
+                     "--predictions", str(tmp_path / "p.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: seed -1 is not a non-negative integer\n"
+        assert not (tmp_path / "r.csv").exists()
 
     def test_cutoff_pair_at_last_turn(self, workspace, tmp_path, capsys):
         _, runs_path, _ = workspace

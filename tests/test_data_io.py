@@ -305,6 +305,18 @@ class TestReadValidation:
             read_runs(path)
         assert time.perf_counter() - start < 2.0
 
+    @pytest.mark.parametrize("opening", ['{"id":"', '{"id":"a","score":', '{"id":"\\\\',
+                                         '{"id":"a","score":1,"embedding":['])
+    def test_unclosed_items_are_refused_at_once(self, tmp_path, opening):
+        """20,000 items cut off at each of the item cut's separators, with a
+        ``]`` at the line's end, read to the JSON error in milliseconds: each
+        try of the split stops at the next quote, comma or ``]``."""
+        path = self._write_lines(tmp_path, ['{"a":1' + opening * 20_000 + ',"embedding":[]}'])
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match=r"^runs\.jsonl line 1: invalid JSON \("):
+            read_runs(path)
+        assert time.perf_counter() - start < 2.0
+
     @pytest.mark.parametrize("layout", [json.dumps, _canonical])
     @pytest.mark.parametrize("ranks, message", [
         ([True, 1], "c0 turn 1: target rank must be a positive int or null"),
@@ -522,9 +534,23 @@ _ITEM_0 = '{"id":"i000","score":2.0,"embedding":[1.0,0.0]}'
 _MUTATIONS = st.sampled_from([
     ",", ":", "[", "]", "{", "}", '"', " ", "\\", "0", "-", ".", "e",
     '"embedding"', '"embedding":', ',"embedding":[1.0,0.0]', ',"embedding":[0.0,1.0]',
+    '{"id":"', '","score":', "]}", "},{", "-0", "1E400", "1" + "0" * 399,
     "true", "NaN", "1e400", "-1e400", "[1e400]", "null", "",
     '\\"', "\\\\", "\\n", "\\u00e9", "\\u0065", '"embe\\u0064ding":[1.0,0.0]', "\\ud83d\\ude00",
 ])
+
+
+def _same_runs(got, want) -> bool:
+    """``runs_equal`` for each pair, and the same score and embedding bytes, so a
+    -0.0 read for a 0 shows."""
+    return len(got) == len(want) and all(
+        runs_equal(a, b) and all(
+            ta.scores.tobytes() == tb.scores.tobytes()
+            and ta.embeddings.tobytes() == tb.embeddings.tobytes()
+            for ta, tb in zip(a.turns, b.turns)
+        )
+        for a, b in zip(got, want)
+    )
 
 
 class TestDecodeOnceMatchesJsonLoads:
@@ -558,11 +584,28 @@ class TestDecodeOnceMatchesJsonLoads:
             # an array not closed before the next one, or before the end of the line
             (_ITEM_0, _ITEM_0.replace("[1.0,0.0]", "[1.0,0.0")),
             ("[0.0,1.0]}]}]", "[0.0,1.0}}}"),
+            ("[0.0,1.0]}]}]", "[0.0,1.0]]}]"),  # an item not closed where its array ends
             ('"critique":null', '"critique":"more]"'),  # a ] that ends no array
             ('"critique":null', '"critique":"[1.0,0.0]"'),
             # the first bad id in item order is the one named: a number, then no id at all
             (_ITEM_0 + ',{"id":"i001",', _ITEM_0.replace('"i000"', "5") + ",{"),
             (_ITEM_0 + ',{"id":"i001",', _ITEM_0.replace('"id":"i000",', "") + ',{"id":5,'),
+            # scores: an integer -0 reads as 0, a -0.0 keeps its sign; beyond float range
+            ('"score":1.0', '"score":-0'),
+            ('"score":1.0', '"score":-0.0'),
+            ('"score":2.0', '"score":1E400'),
+            ('"score":2.0', '"score":1' + "0" * 399),
+            (_ITEM_0, _ITEM_0[:-1] + ',"rank":1}'),  # an item with a fourth key
+            # a critique that spells a whole item, escaped as the writer escapes it
+            ('"critique":null', '"critique":"{\\"id\\":\\"i9\\",\\"score\\":1,'
+                                '\\"embedding\\":[1.0,0.0]}"'),
+            ('"i000"', '"i000\\u00e9"'),  # an id with the writer's escape of an accented letter
+            # an item where no item belongs, and a literal in its place among the items
+            ('"query_embedding":null,"critique":null,"items":[' + _ITEM_0,
+             '"query_embedding":' + _ITEM_0 + ',"critique":null,"items":[0'),
+            ('"target_ranks":[1,1]', '"target_ranks":[' + _ITEM_0 + ",1]"),
+            ('"critique":null', '"critique":"' + _ITEM_0 + '"'),  # an item inside a string
+            ('"critique":null,"items":[', '"critique":"' + _ITEM_0 + '","items":[NaN,'),
         ],
     )
     def test_edited_canonical_line(self, tmp_path, old, new):
@@ -574,7 +617,7 @@ class TestDecodeOnceMatchesJsonLoads:
         want, want_error = _outcome(_reference_read, path)
         assert got_error == want_error
         if want is not None:
-            assert len(got) == len(want) and all(runs_equal(a, b) for a, b in zip(got, want))
+            assert _same_runs(got, want)
 
     @given(edits=st.lists(
         st.tuples(st.floats(0.0, 1.0), st.integers(0, 4), _MUTATIONS), min_size=1, max_size=3,
@@ -582,8 +625,9 @@ class TestDecodeOnceMatchesJsonLoads:
     @settings(max_examples=300, deadline=None)
     def test_mutated_canonical_lines_read_as_json_loads_reads_them(self, tmp_path_factory, edits):
         """Canonical lines with splices of JSON punctuation, embedding keys and
-        arrays, ``true``, ``NaN`` and ``1e400``: the decode-once path and plain
-        ``json.loads`` give the same runs or the same error text."""
+        arrays, the item cut's separators, ``true``, ``NaN``, ``-0`` and numbers
+        beyond float range: the item cut and plain ``json.loads`` give the same
+        runs or the same error text."""
         first, second = self._canonical_text()
         lines = [first, second]
         for where, cut, text in edits:
@@ -594,28 +638,60 @@ class TestDecodeOnceMatchesJsonLoads:
         path = tmp_path_factory.mktemp("mutated") / "runs.jsonl"
         path.write_text("# header\n" + "\n".join(lines) + "\n", encoding="utf-8")
         got, got_error = _outcome(read_runs, path)
-        with mock.patch.object(data_io, "_decode_line", lambda text, rows: None):
+        with mock.patch.object(data_io, "_decode_line", lambda text, table: None):
             want, want_error = _outcome(read_runs, path)  # every line through json.loads
         assert got_error == want_error
         if want is not None:
-            assert len(got) == len(want) and all(runs_equal(a, b) for a, b in zip(got, want))
+            assert _same_runs(got, want)
 
     def test_canonical_lines_take_the_decode_once_path(self):
         first, second = self._canonical_text()
         table = data_io._ItemTable()
-        obj, rows = data_io._decode_line(first, table)
+        obj = data_io._decode_line(first, table)
         assert table.index == {"1.0,0.0": 0, "0.0,1.0": 1}
-        assert obj["turns"][1]["items"][1]["embedding"] == 1
+        assert table.ids == {'"i000"': "i000", '"i001"': "i001"}
+        ids, scores, rows, index = obj["turns"][1]["items"]  # turn 2's item columns
+        assert ids == ("i000", "i001") and scores.tolist() == [2.0, 1.0] and index.tolist() == [0, 1]
         assert rows.tolist() == [[1.0, 0.0], [0.0, 1.0]] and not rows.flags.writeable
-        assert data_io._decode_line(second, table)[1] is rows  # its rows are all known
+        again = data_io._decode_line(second, table)["turns"][0]["items"]
+        assert again[2] is rows and again[0][0] is ids[0]  # its rows and ids are all known
         assert table.index == {"1.0,0.0": 0, "0.0,1.0": 1}
         for spaced in (json.dumps(json.loads(first)), first.replace('"c0"', '"\\u0063\\u0030"')):
             assert data_io._decode_line(spaced, data_io._ItemTable()) is None
-        # the writer's escapes of a non-ASCII letter and of a quote spell no key: they decode
+        # the writer's escapes of a non-ASCII letter and of a quote decode, in ids too
         for old, new, cid, critique in [('"c0"', '"c0\\u00e9"', "c0é", None),
                                         ('"critique":null', '"critique":"\\"c0\\""', "c0", '"c0"')]:
-            obj, _ = data_io._decode_line(first.replace(old, new, 1), data_io._ItemTable())
+            obj = data_io._decode_line(first.replace(old, new, 1), data_io._ItemTable())
             assert (obj["conversation_id"], obj["turns"][0]["critique"]) == (cid, critique)
+        obj = data_io._decode_line(first.replace('"i001"', '"i\\"\\u00e9"'), data_io._ItemTable())
+        assert obj["turns"][1]["items"][0] == ("i000", 'i"é')
+
+    def test_integer_minus_zero_scores_read_as_zero(self):
+        first, _ = self._canonical_text()
+        for literal, sign in [("-0", False), ("-0.0", True), ("0", False)]:
+            obj = data_io._decode_line(first.replace('"score":1.0', f'"score":{literal}'),
+                                       data_io._ItemTable())
+            scores = obj["turns"][0]["items"][1]
+            assert scores.tolist() == [2.0, 0.0] and bool(np.signbit(scores[1])) is sign
+
+    @pytest.mark.parametrize("old,new", [
+        ('"c0"', '"c\\u0030"'),  # a \u escape of an ASCII character
+        ("[0.0,1.0]", '[0.0,"1"]'),  # a new array text holding a quote or a bracket
+        ("[0.0,1.0]", "[0.0,[1]]"),
+        ('"score":2.0', '"score":1E400'),  # a score not finite as a float
+        ('"score":2.0', '"score":1' + "0" * 400),
+        ('"items":[' + _ITEM_0 + ",", '"items":[0,'),  # a literal among the items
+        ('"critique":null', '"critique":' + _ITEM_0),  # an item outside the items
+        ('"critique":null', '"critique":NaN'),  # a NaN or Infinity of the line's own
+        ('"critique":null', '"critique":Infinity'),
+        (_ITEM_0, _ITEM_0[:-1] + ',"rank":1}'),  # an item not cut
+    ])
+    def test_item_cut_declines(self, old, new):
+        """Lines the item cut cannot show to read as ``json.loads`` reads them go to
+        ``json.loads``: ``_decode_line`` returns None."""
+        first, _ = self._canonical_text()
+        assert old in first
+        assert data_io._decode_line(first.replace(old, new, 1), data_io._ItemTable()) is None
 
     @pytest.mark.parametrize("wide", [["[0.0,1.0]"], ["[1.0,0.0]", "[0.0,1.0]"]],
                              ids=["one-row", "every-row"])
@@ -652,6 +728,20 @@ class TestDecodeOnceMatchesJsonLoads:
         for path in (canonical, spaced, reordered):
             back = read_runs(path)
             assert len(back) == len(runs) and all(runs_equal(a, b) for a, b in zip(runs, back))
+
+
+def test_every_line_of_a_benchmark_shaped_file_takes_the_item_cut(tmp_path):
+    """10 generated conversations at seed 1 without query vectors, the ingest
+    benchmark's input: with the plain path's item reader made to raise, the
+    file still reads, so no line of it declined to ``json.loads``."""
+    config = GenConfig(n_conversations=10, dim=32, catalogue_size=2000, seed=1)
+    runs = [replace(run, turns=tuple(replace(t, query_embedding=None) for t in run.turns))
+            for run in generate_synthetic(config)]
+    path = tmp_path / "runs.jsonl"
+    write_runs(runs, path, header_comment="external-style runs seed=1")
+    with mock.patch.object(data_io, "_item_columns", side_effect=AssertionError("plain path")):
+        back = read_runs(path)
+    assert _same_runs(back, runs)
 
 
 def test_generated_file_round_trips_byte_for_byte(tmp_path):

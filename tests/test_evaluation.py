@@ -71,6 +71,13 @@ class TestSplit:
         b = split_conversations(ids, labels, seed=4)
         assert a == b
 
+    @pytest.mark.parametrize("seed, shown", [(-1, "-1"), (False, "False"), ("3", "'3'"),
+                                             (np.uint8(3) - np.int64(4), "np.int64(-1)")])
+    def test_seed_must_be_a_non_negative_integer(self, seed, shown):
+        ids, labels = self._ids_labels(10, 5)
+        with pytest.raises(ValueError, match=rf"^seed {re.escape(shown)} is not a non-negative integer$"):
+            split_conversations(ids, labels, seed=seed)
+
     def test_stratified_class_balance(self):
         ids, labels = self._ids_labels(200, 100)
         split = split_conversations(ids, labels, seed=1, stratified=True)

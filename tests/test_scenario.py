@@ -151,6 +151,19 @@ class TestInduceMissing:
         with pytest.raises(ValueError):
             induce_missing(runs, labels, fraction=1.5)
 
+    @pytest.mark.parametrize("seed, shown", [(-1, "-1"), (True, "True"), (1.5, "1.5"),
+                                             (np.int64(-2), "np.int64(-2)")])
+    def test_seed_must_be_a_non_negative_integer(self, seed, shown):
+        runs, labels = self._fixture()
+        with pytest.raises(ValueError, match=rf"^seed {re.escape(shown)} is not a non-negative integer$"):
+            induce_missing(runs, labels, fraction=0.3, seed=seed)
+
+    def test_numpy_integer_seed_selects_as_the_int(self):
+        runs, labels = self._fixture()
+        _, a = induce_missing(runs, labels, fraction=0.3, seed=np.int64(7))
+        _, b = induce_missing(runs, labels, fraction=0.3, seed=7)
+        assert a.forced == b.forced
+
     def test_needs_an_easy_conversation(self):
         runs, labels = self._fixture(n_easy=0)
         with pytest.raises(ValueError, match="^no easy conversations: nothing to induce from$"):
