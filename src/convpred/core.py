@@ -51,10 +51,10 @@ class ValidationError(ValueError):
 
 
 def check_seed(seed) -> None:
-    """Raise ValueError, naming ``seed``, unless it is a non-negative ``int`` or
-    numpy integer (a bool is not one)."""
+    """Raise ValidationError, naming ``seed``, unless it is a non-negative
+    ``int`` or numpy integer (a bool is not one)."""
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed {seed!r} is not a non-negative integer")
+        raise ValidationError(f"seed {seed!r} is not a non-negative integer")
 
 
 def _as_embedding(values) -> np.ndarray:

@@ -59,6 +59,8 @@ from .core import (
     ConversationRun,
     TurnRanking,
     ValidationError,
+    _check_type,
+    check_seed,
     validate_runs,
     write_header,
 )
@@ -96,12 +98,11 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_conversations < 1:
-            raise ValidationError("n_conversations must be >= 1")
-        if self.dim < 1:
-            raise ValidationError("dim must be >= 1")
-        if self.catalogue_size < 1:
-            raise ValidationError("catalogue_size must be >= 1")
+        for name in ("n_conversations", "dim", "catalogue_size", "n_turns", "top_n"):
+            _check_type(getattr(self, name), int, name)
+        for name in ("n_conversations", "dim", "catalogue_size"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be >= 1")
         if self.n_turns < 2:
             raise ValidationError("n_turns must be >= 2")
         if not 1 <= self.top_n <= self.catalogue_size:
@@ -116,8 +117,7 @@ class GenConfig:
             raise ValidationError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if not 0.0 < self.pull_decay <= 1.0:
             raise ValidationError("pull_decay must be in (0, 1]")
-        if self.seed < 0:
-            raise ValidationError("seed must be a non-negative integer")
+        check_seed(self.seed)
 
 
 def calibration_config(seed: int = 0) -> GenConfig:

@@ -22,7 +22,7 @@ alone gives. ``run_turn_pair`` (multi and single mode, one problem or a
 whole grid) and ``cutoff_sensitivity`` (one label set per cutoff) both call
 it. Its feature matrices come from
 :func:`~convpred.features.build_feature_matrix`, which keeps each turn's row
-on its ranking, so every call over the same runs computes each row once;
+in its run's array, so every call over the same runs computes each row once;
 the forests of one call draw each bootstrap and candidate set of a cell
 seed once. A cell is named ``predictor|classifier|scenario|mode|T,E|cutoffC``;
 ``paired_predictions`` matches cells on the last four fields, and a

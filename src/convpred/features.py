@@ -38,11 +38,9 @@ __all__ = [
 GRAM_RIDGE = 1e-8
 RATIO_GUARD = 1e-12
 
-# ranking -> {(kind, top_n): feature row}; an entry dies with its ranking.
-# Rankings are immutable, so a row stays valid while its ranking lives. No
-# row may refer to its ranking (a view of its arrays is fine), or the entry
-# would keep the ranking alive; nor may it be a view of a gathered block of
-# rows, which would keep the whole block alive for one row.
+# run -> {(kind, top_n): (rows, filled)}: one (K, w) float64 array of the run's
+# K turns and the (K,) mask of the turns that hold a row. Runs are immutable,
+# so a row stays valid while its run lives; an entry dies with its run.
 _ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -168,8 +166,8 @@ def pooled_embedding(ranking: TurnRanking, top_n: int = 100) -> np.ndarray:
 
 
 def top_item_embedding(ranking: TurnRanking, top_n: int = 100) -> np.ndarray:
-    """The top-ranked item's embedding, as a copy that holds no other row."""
-    return _top(ranking, top_n, minimum=1)[1][0].copy()
+    """The top-ranked item's embedding."""
+    return _top(ranking, top_n, minimum=1)[1][0]
 
 
 FEATURE_KINDS = {
@@ -220,9 +218,9 @@ def build_feature_matrix(
     side in ``"multi"`` mode, or of turn ``upto_turn`` alone in ``"single"``
     mode.
 
-    Each turn's row comes from :func:`turn_features` once per (ranking,
-    kind, top_n) and is kept in a memo on the ranking while the ranking
-    lives, so every matrix over the same rankings shares it.
+    Each turn's row comes once per (run, kind, top_n) from :func:`turn_features`
+    into the run's memo array, which every matrix over the run shares. Turns
+    go one by one over all runs, so the earliest turn's fault is named first.
     """
     if mode not in ("multi", "single"):
         raise ValueError(f"mode must be 'multi' or 'single', got {mode!r}")
@@ -237,19 +235,20 @@ def build_feature_matrix(
             raise ValueError(
                 f"{run.conversation_id}: upto_turn {upto_turn} exceeds run length {run.n_turns}"
             )
-    blocks = []
-    for turn in range(1 if mode == "multi" else upto_turn, upto_turn + 1):
-        rows = []
-        for run in runs:
-            memo = _ROWS.setdefault(run.turns[turn - 1], {})
-            row = memo.get((kind, top_n))
-            if row is None:
-                row = memo[kind, top_n] = turn_features(run, kind, turn, top_n)
-            rows.append(row)
-        blocks.append(np.vstack(rows))
+    memos = [_ROWS.setdefault(run, {}) for run in runs]
+    first = 1 if mode == "multi" else upto_turn
+    for turn in range(first, upto_turn + 1):
+        for run, memo in zip(runs, memos):
+            rows, filled = memo.get((kind, top_n), (None, None))
+            if filled is None or not filled[turn - 1]:
+                row = turn_features(run, kind, turn, top_n)
+                if rows is None:
+                    shape = (run.n_turns, row.size)
+                    rows, filled = memo[kind, top_n] = np.empty(shape), np.zeros(run.n_turns, bool)
+                rows[turn - 1], filled[turn - 1] = row, True
     return FeatureMatrix(
         conversation_ids=tuple(run.conversation_id for run in runs),
-        values=np.hstack(blocks),
+        values=np.stack([memo[kind, top_n][0][first - 1 : upto_turn].ravel() for memo in memos]),
         predictor=kind,
         upto_turn=upto_turn,
     )

@@ -57,6 +57,12 @@ class TestGen:
         )
         assert not out.exists()
 
+    def test_negative_seed_names_the_seed(self, tmp_path, capsys):
+        out = tmp_path / "runs.jsonl"
+        assert main(["gen", "--n", "3", "--seed", "-2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: seed -2 is not a non-negative integer\n"
+        assert not out.exists()
+
 
 # each setting flag of gen and eval, its type and the config field it defaults from
 GEN_SETTINGS = [("--n", int, "n_conversations"), ("--turns", int, "n_turns"), ("--dim", int, "dim"),

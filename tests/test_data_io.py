@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import time
 import tracemalloc
 from dataclasses import replace
@@ -59,6 +60,20 @@ class TestGenConfig:
     def test_bad_rates(self, kwargs):
         with pytest.raises(ValidationError):
             GenConfig(**{"n_conversations": 10, "dim": 4, "catalogue_size": 200, **kwargs})
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_conversations", 2.5), ("dim", True), ("catalogue_size", "200"), ("n_turns", 3.0),
+        ("top_n", np.int64(10)),
+    ])
+    def test_count_that_is_not_an_int_names_the_field(self, field, value):
+        expected = f"{field} {value!r} has type {type(value).__name__}, not int"
+        with pytest.raises(ValidationError, match=f"^{re.escape(expected)}$"):
+            GenConfig(**{"n_conversations": 10, "dim": 4, "catalogue_size": 200, field: value})
+
+    @pytest.mark.parametrize("seed", [True, 1.5, -2, "3"])
+    def test_seed_takes_the_one_seed_rule(self, seed):
+        with pytest.raises(ValidationError, match=f"^seed {re.escape(repr(seed))} is not a non-negative integer$"):
+            GenConfig(n_conversations=10, dim=4, catalogue_size=200, seed=seed)
 
 
 SMALL = dict(n_conversations=6, dim=5, catalogue_size=40, n_turns=4, top_n=10, seed=3)

@@ -1,5 +1,6 @@
 import gc
 import re
+import tracemalloc
 import warnings
 import weakref
 from collections import Counter
@@ -324,7 +325,7 @@ TABLE_PAIRS = [(2, 3), (3, 4)]
 
 
 class TestFeatureTable:
-    """The per-ranking memo of feature rows behind ``build_feature_matrix``."""
+    """The per-run memo of feature rows behind ``build_feature_matrix``."""
 
     def test_shared_table_matches_fresh_tables(self, both_scenarios):
         fresh_scenarios = _fresh_scenarios()  # the same values on rankings with no rows yet
@@ -352,6 +353,11 @@ class TestFeatureTable:
 
         monkeypatch.setattr(features, "turn_features", counted)
         scenarios = _fresh_scenarios()
+        runs = scenarios[0][0]
+        build_feature_matrix(runs, "score", 3, 20, "single")  # fills turn 3 alone
+        assert all(features._ROWS[run]["score", 20][1].tolist() == [False, False, True] + [False] * 3
+                   for run in runs)
+        build_feature_matrix(runs, "score", 3, 20)  # fills turns 1 and 2, not turn 3 again
         for _ in range(2):
             for runs, labels, split in scenarios:
                 for predictor, classifier in TABLE_ROWS:
@@ -364,6 +370,7 @@ class TestFeatureTable:
         expected = {(rid, kind, turn, 50) for rid in distinct
                     for kind in ("apr", "score", "pooled") for turn in (1, 2, 3)}
         expected |= {(rid, "score", 2, 20) for rid in distinct}
+        expected |= {(id(run), "score", turn, 20) for run in runs for turn in (1, 3)}
         assert set(calls) == expected
         assert set(calls.values()) == {1}
 
@@ -380,20 +387,34 @@ class TestFeatureTable:
                 assert new is run
                 assert np.array_equal(after[i], before[i])
 
-    def test_rows_die_with_their_rankings(self):
+    def test_rows_die_with_their_runs(self):
         gc.collect()
         held = len(features._ROWS)
         runs = generate_synthetic(SMALL_GEN)
         for kind in FEATURE_KINDS:
             build_feature_matrix(runs, kind, 3, 50)
-        rankings = [weakref.ref(turn) for run in runs for turn in run.turns[:3]]
-        assert all(features._ROWS[r()].keys() == {(k, 50) for k in FEATURE_KINDS}
-                   for r in rankings)
-        assert len(features._ROWS) == held + len(rankings)
+        refs = [weakref.ref(run) for run in runs]
+        assert all(features._ROWS[r()].keys() == {(k, 50) for k in FEATURE_KINDS} for r in refs)
+        assert len(features._ROWS) == held + len(refs)
         del runs
         gc.collect()
-        assert all(r() is None for r in rankings)
+        assert all(r() is None for r in refs)
         assert len(features._ROWS) == held
+
+    def test_a_second_kind_adds_under_100_bytes_per_row(self):
+        runs = generate_synthetic(GenConfig(n_conversations=50, dim=4, catalogue_size=200,
+                                            n_turns=10, top_n=20, seed=2))
+        build_feature_matrix(runs, "wand", 10)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            build_feature_matrix(runs, "ac", 10)
+            gc.collect()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (after - before) / (50 * 10) < 100
 
 
 # ac and apr have one width, so their forests of a cell seed share one draw key

@@ -68,6 +68,13 @@ class TestAutocorrelation:
     def test_needs_two_items(self):
         with pytest.raises(ValueError):
             autocorrelation(make_ranking([1.0], [[1.0, 0.0]]))
+        # c0 fails at turn 2 and c1 at turn 1: turn by turn, c1's fault comes first
+        one_item = make_ranking([1.0], [[1.0, 0.0]])
+        two_items = make_ranking([2.0, 1.0], [[1.0, 0.0], [0.0, 1.0]])
+        runs = [make_run([two_items, replace(one_item, turn=2)], cid="c0"),
+                make_run([one_item, replace(two_items, turn=2)], cid="c1")]
+        with pytest.raises(ValueError, match="^c1 turn 1: ac needs at least 2 items, top_n 100 keeps 1$"):
+            build_feature_matrix(runs, "ac", 2)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_brute_force(self, seed):
@@ -174,16 +181,17 @@ class TestPooled:
         ranking = make_ranking([2.0, 1.0], [[2.0, 0.0], [0.0, 2.0]])
         np.testing.assert_array_equal(top_item_embedding(ranking), [2.0, 0.0])
 
-    def test_top1_memo_row_is_a_one_row_copy(self):
-        """The memo row of a ranking over a shared table holds only its own row."""
+    def test_memo_entry_is_one_owned_array_per_run_and_kind(self):
+        """Rows read from rankings over a shared table are copied into the run's own array."""
         runs = generate_synthetic(GenConfig(n_conversations=2, dim=4, catalogue_size=30,
-                                            n_turns=2, top_n=10, seed=1))
+                                            n_turns=3, top_n=10, seed=1))
         build_feature_matrix(runs, "top1", 2)
         for run in runs:
-            for ranking in run.turns:
-                row = features._ROWS[ranking]["top1", 100]
-                assert row.base is None and row.shape == (4,)
-                np.testing.assert_array_equal(row, ranking.embeddings[0])
+            rows, filled = features._ROWS[run]["top1", 100]
+            assert rows.base is None and rows.shape == (3, 4) and rows.dtype == np.float64
+            assert filled.tolist() == [True, True, False]
+            for turn in (1, 2):
+                np.testing.assert_array_equal(rows[turn - 1], turn_features(run, "top1", turn))
 
 
 class TestAssembly:
@@ -235,7 +243,7 @@ class TestAssembly:
                 for i in range(n_runs)]
         turns = range(1, upto_turn + 1) if mode == "multi" else [upto_turn]
         expected = [np.concatenate([turn_features(run, kind, t, 4) for t in turns]) for run in runs]
-        for _ in range(2):  # the second pass reads every row from the rankings' memo
+        for _ in range(2):  # the second pass reads every row from the runs' memo
             np.testing.assert_array_equal(
                 build_feature_matrix(runs, kind, upto_turn, 4, mode).values, expected
             )
